@@ -1,7 +1,8 @@
 """Policies and algorithms against deterministic linear-feature MDP oracles:
-the distance-greedy reference policy, an exact DP value oracle, the
-RL-to-SAT reduction driver, and the two brute-force RL baselines (lattice-cover
-policy search and the horizon-split basis algorithm).
+the seeded, query-counting oracle of a SAT instance, the distance-greedy
+reference policy, an exact DP value oracle, the RL-to-SAT reduction driver,
+and the two brute-force RL baselines (lattice-cover policy search and the
+horizon-split basis algorithm).
 """
 from __future__ import annotations
 
@@ -18,11 +19,13 @@ from .mdp import (
     STAGE_ONE,
     MdpInstance,
     MdpState,
-    OracleSession,
     Trajectory,
     build_instance,
     distinct_actions,
     exact_expected_reward,
+    features_state,
+    initial_state,
+    reward_mean,
     state_digest,
     transition,
 )
@@ -65,41 +68,73 @@ class LinearRlOracle:
 
 
 class SatOracle(LinearRlOracle):
-    """Oracle view of a SAT-derived instance through a seeded session."""
+    """Oracle view of a SAT-derived instance: a seeded counter-based RNG for
+    reward samples plus query counters for the transition / reward / feature
+    interfaces. Every query is charged through `_charge` and every successor
+    is computed once through `_successor`."""
 
-    def __init__(self, session: OracleSession):
-        self.session = session
-        self.instance = session.instance
-        self.num_actions = 3
-        self.horizon = session.instance.params.H
-        self.dim = session.instance.d
+    num_actions = 3
+
+    def __init__(self, instance: MdpInstance, seed: int):
+        self.instance = instance
+        self.horizon = instance.params.H
+        self.dim = instance.d
+        self.rng = np.random.Generator(np.random.Philox(key=seed))
+        self.counters = {"transition": 0, "reward": 0, "feature": 0}
+
+    def _charge(self, kind: str, count: int = 1):
+        self.counters[kind] += count
+
+    def _successor(self, s: MdpState, a: int) -> MdpState:
+        return transition(self.instance, s, a)
+
+    def _draw(self, nxt: MdpState) -> int:
+        mean = reward_mean(self.instance, nxt)
+        if mean == 0.0:
+            return 0
+        return int(self.rng.random() < mean)
 
     def initial_state(self):
-        return self.session.initial_state()
+        self._charge("transition")
+        return initial_state(self.instance)
 
     def transition(self, s, a):
-        return self.session.transition(s, a)
+        self._charge("transition")
+        return self._successor(s, a)
 
     def sample_reward(self, s, a):
-        return self.session.sample_reward(s, a)
+        self._charge("reward")
+        return self._draw(self._successor(s, a))
 
     def sample_reward_batch(self, s, a, count):
-        return self.session.sample_reward_batch(s, a, count)
+        """Number of ones among `count` independent reward samples at (s, a);
+        drawn as one binomial, counted as `count` reward queries."""
+        self._charge("reward", count)
+        mean = reward_mean(self.instance, self._successor(s, a))
+        if mean == 0.0:
+            return 0
+        return int(self.rng.binomial(count, mean))
+
+    def step(self, s, a):
+        """Transition plus reward sample for the same action (two queries)."""
+        self._charge("transition")
+        self._charge("reward")
+        nxt = self._successor(s, a)
+        return nxt, self._draw(nxt)
 
     def features(self, s):
-        return self.session.features(s)
+        self._charge("feature")
+        return features_state(self.instance, s)
 
     def features_sa(self, s, a):
-        return self.session.features_sa(s, a)
+        self._charge("feature")
+        return features_state(self.instance, self._successor(s, a))
 
     def is_terminal(self, s):
         return s.is_terminal
 
     def digest(self, s):
         return state_digest(self.instance, s)
-
-    def step(self, s, a):
-        return self.session.step(s, a)
 
 
 # --- greedy reference policy ------------------------------------------------------
@@ -251,23 +286,25 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class ReductionOracle(LinearRlOracle):
+class ReductionOracle(SatOracle):
     """Monitored simulator: every state handed out is screened against the
-    satisfaction threshold, and total oracle queries are budgeted."""
+    satisfaction threshold, and total oracle queries are budgeted (a query
+    that would take the total past the budget is refused before it runs)."""
 
     def __init__(self, instance: MdpInstance, seed: int, budget: int):
         if instance.mode != MODE_SIMULATOR:
             raise ParameterError("the reduction runs against the simulator")
-        self.session = OracleSession(instance, seed)
-        self.instance = instance
+        super().__init__(instance, seed)
         self.budget = budget
-        self.num_actions = 3
-        self.horizon = instance.params.H
-        self.dim = instance.d
 
-    def _spend(self):
-        if sum(self.session.counters.values()) >= self.budget:
+    def _charge(self, kind, count=1):
+        if sum(self.counters.values()) + count > self.budget:
             raise _BudgetExhausted
+        super()._charge(kind, count)
+
+    def _successor(self, s, a):
+        # screened before any pricing, so a witness always wins
+        return self._screen(super()._successor(s, a))
 
     def _screen(self, s: MdpState) -> MdpState:
         if s.sat_count >= self.instance.gap_threshold_count:
@@ -275,43 +312,7 @@ class ReductionOracle(LinearRlOracle):
         return s
 
     def initial_state(self):
-        self._spend()
-        return self._screen(self.session.initial_state())
-
-    def transition(self, s, a):
-        self._spend()
-        return self._screen(self.session.transition(s, a))
-
-    def sample_reward(self, s, a):
-        self._spend()
-        # screen the successor before pricing so a witness always wins
-        self._screen(transition(self.instance, s, a))
-        return self.session.sample_reward(s, a)
-
-    def sample_reward_batch(self, s, a, count):
-        self._spend()
-        self._screen(transition(self.instance, s, a))
-        return self.session.sample_reward_batch(s, a, count)
-
-    def features(self, s):
-        self._spend()
-        return self.session.features(s)
-
-    def features_sa(self, s, a):
-        self._spend()
-        self._screen(transition(self.instance, s, a))
-        return self.session.features_sa(s, a)
-
-    def step(self, s, a):
-        self._spend()
-        nxt = self._screen(self.session.transition(s, a))
-        return nxt, self.session.sample_reward(s, a)
-
-    def is_terminal(self, s):
-        return s.is_terminal
-
-    def digest(self, s):
-        return state_digest(self.instance, s)
+        return self._screen(super().initial_state())
 
 
 @dataclass
@@ -343,11 +344,11 @@ def a_sat(f, learner, params, budget: int = 1_000_000, seed: int = 0) -> AsatRes
         if satisfied_count(f, witness) < inst.gap_threshold_count:
             raise InvariantViolation(
                 "witness failed independent re-verification")  # pragma: no cover
-        return AsatResult("YES", witness, dict(oracle.session.counters))
+        return AsatResult("YES", witness, dict(oracle.counters))
     except _BudgetExhausted:
-        return AsatResult("NO", None, dict(oracle.session.counters),
+        return AsatResult("NO", None, dict(oracle.counters),
                           note="budget exhausted")
-    return AsatResult("NO", None, dict(oracle.session.counters))
+    return AsatResult("NO", None, dict(oracle.counters))
 
 
 def greedy_reference_learner(wstar):

@@ -7,10 +7,11 @@ error, 3 resource refusal.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,7 @@ from .errors import (
     ResourceLimitError,
     SatMdpError,
 )
-from .polyfeat import (
-    greedy_value_poly,
-    inner_product,
-    theta_vector,
-    to_feature_vector,
-)
+from .polyfeat import inner_product, theta_vector
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -46,12 +42,20 @@ def _params_from_args(args, v: int) -> reward.RewardParams:
                                     epsilon=args.epsilon, b=args.b)
 
 
-def _read_formula(path: str, strict: bool = True):
+def _read_bytes(path) -> bytes:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
-    return parse_dimacs(text, strict=strict)
+
+
+def _read_formula(path, strict: bool = True):
+    return parse_dimacs(_read_bytes(path).decode(), strict=strict)
+
+
+def _signs(bits):
+    """A 0/1 string as a {-1,+1} assignment; None when absent."""
+    return tuple(1 if c == "1" else -1 for c in bits) if bits else None
 
 
 def _write_report(report: dict, out: str | None):
@@ -64,14 +68,17 @@ def _write_report(report: dict, out: str | None):
 
 
 def cmd_gen(args) -> int:
-    f = _read_formula(args.cnf)
+    data = _read_bytes(args.cnf)
+    f = parse_dimacs(data.decode())
     params = _params_from_args(args, f.v)
-    wstar = tuple(1 if c == "1" else -1 for c in args.wstar) if args.wstar else None
-    start = tuple(1 if c == "1" else -1 for c in args.start) if args.start else None
     t0 = time.perf_counter()
-    inst = mdp.build_instance(f, params, wstar=wstar, mode=args.mode, start=start)
+    inst = mdp.build_instance(f, params, wstar=_signs(args.wstar), mode=args.mode,
+                              start=_signs(args.start))
+    out_dir = Path(args.out)
     config = {
-        "cnf_path": str(args.cnf),
+        # relative to the bundle, so the bundle and its CNF move together
+        "cnf_path": os.path.relpath(Path(args.cnf).resolve(), out_dir.resolve()),
+        "cnf_sha256": hashlib.sha256(data).hexdigest(),
         "p": params.p, "q": params.q, "alpha": params.alpha, "h": params.h,
         "epsilon": params.epsilon, "b": params.b,
         "mode": args.mode, "seed": args.seed,
@@ -85,7 +92,6 @@ def cmd_gen(args) -> int:
         "wstar": None if inst.wstar is None
         else "".join("1" if x == 1 else "0" for x in inst.wstar_assignment()),
     }
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "instance.json").write_text(
         json.dumps({"config": config, "metadata": metadata}, indent=2,
@@ -99,16 +105,27 @@ def cmd_gen(args) -> int:
 
 
 def load_instance_bundle(path: str) -> mdp.MdpInstance:
-    bundle = json.loads(Path(path).read_text())
-    cfg = bundle["config"]
-    f = _read_formula(cfg["cnf_path"])
-    params = reward.RewardParams(v=f.v, p=cfg["p"], q=cfg["q"], alpha=cfg["alpha"],
-                                 h=cfg["h"], epsilon=cfg["epsilon"], b=cfg["b"])
-    wstar = (tuple(1 if c == "1" else -1 for c in cfg["wstar"])
-             if cfg.get("wstar") else None)
-    start = (tuple(1 if c == "1" else -1 for c in cfg["start_assignment"])
-             if cfg.get("start_assignment") else None)
-    return mdp.build_instance(f, params, wstar=wstar, mode=cfg["mode"], start=start)
+    """Rebuild the instance of a `gen` bundle. `cnf_path` is resolved against
+    the bundle's directory and the file must match `cnf_sha256`; an
+    unreadable, malformed or mismatched bundle is a ParameterError."""
+    try:
+        cfg = json.loads(_read_bytes(path))["config"]
+        cnf_path = Path(path).parent / cfg["cnf_path"]
+        data = _read_bytes(cnf_path)
+        if hashlib.sha256(data).hexdigest() != cfg["cnf_sha256"]:
+            raise ParameterError(
+                f"{cnf_path} does not match the bundle's cnf_sha256; "
+                "the formula changed since the bundle was made")
+        f = parse_dimacs(data.decode())
+        params = reward.RewardParams(v=f.v, p=cfg["p"], q=cfg["q"],
+                                     alpha=cfg["alpha"], h=cfg["h"],
+                                     epsilon=cfg["epsilon"], b=cfg["b"])
+        wstar = _signs(cfg.get("wstar"))
+        start = _signs(cfg.get("start_assignment"))
+        mode = cfg["mode"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed bundle {path}: {exc!r}") from exc
+    return mdp.build_instance(f, params, wstar=wstar, mode=mode, start=start)
 
 
 def _linearity_suite(seed: int, cases=((4, 2), (5, 2))) -> dict:
@@ -125,12 +142,8 @@ def _linearity_suite(seed: int, cases=((4, 2), (5, 2))) -> dict:
         optimal = agents.tree_optimal_values(inst, states, children)
         for s, opt_val in zip(states, optimal):
             greedy_val = agents.greedy_rollout_value(inst, s)
-            if s.is_terminal:
-                lin = abs(inner_product(mdp.features_state(inst, s), theta))
-            else:
-                psi = to_feature_vector(greedy_value_poly(s, inst.params),
-                                        v, inst.params.p)
-                lin = abs(inner_product(psi, theta) - greedy_val)
+            lin = abs(inner_product(mdp.features_state(inst, s), theta)
+                      - greedy_val)
             max_lin = max(max_lin, lin)
             max_opt = max(max_opt, abs(opt_val - greedy_val))
             states_checked += 1
@@ -144,45 +157,22 @@ def cmd_verify_claims(args) -> int:
     t0 = time.perf_counter()
     v = args.v
 
-    def range_q4():
-        return reward.verify_claim_range(
-            reward.params_from_alpha(v, p=2, q=4, alpha=args.alpha,
-                                     epsilon=args.epsilon, b=args.b))
+    def params(v, p, q):
+        return reward.params_from_alpha(v, p=p, q=q, alpha=args.alpha,
+                                        epsilon=args.epsilon, b=args.b)
 
-    def range_q2():
-        return reward.verify_claim_range(
-            reward.params_from_alpha(v, p=reward.log_degree(v), q=2,
-                                     alpha=args.alpha, epsilon=args.epsilon,
-                                     b=args.b))
-
-    def monotone():
-        return reward.verify_claim_monotone_step(
-            reward.params_from_alpha(min(v, 64), p=2, q=4, alpha=args.alpha,
-                                     epsilon=args.epsilon, b=args.b),
-            v_cap=128)
-
-    def linearity():
-        return _linearity_suite(args.seed)
-
-    tasks = {"claim_range_q4": range_q4, "claim_range_q2_logp": range_q2,
-             "claim_monotone_step": monotone, "linearity_and_optimality": linearity}
-    outcomes = {}
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {name: pool.submit(fn) for name, fn in tasks.items()}
-            results = {name: fut.result() for name, fut in futures.items()}
-    else:
-        results = {name: fn() for name, fn in tasks.items()}
-    all_pass = True
-    for name, res in results.items():
-        if isinstance(res, reward.ClaimReport):
-            outcomes[name] = res.to_dict()
-            all_pass &= res.passed
-        else:
-            outcomes[name] = res
-            all_pass &= res["pass"]
-    config = {"v": v, "alpha": args.alpha, "epsilon": args.epsilon, "b": args.b,
-              "jobs": args.jobs}
+    claims = {
+        "claim_range_q4": reward.verify_claim_range(params(v, 2, 4)),
+        "claim_range_q2_logp": reward.verify_claim_range(
+            params(v, reward.log_degree(v), 2)),
+        "claim_monotone_step": reward.verify_claim_monotone_step(
+            params(min(v, 64), 2, 4), v_cap=128),
+    }
+    outcomes = {name: claim.to_dict() for name, claim in claims.items()}
+    linearity = _linearity_suite(args.seed)
+    outcomes["linearity_and_optimality"] = linearity
+    all_pass = linearity["pass"] and all(c.passed for c in claims.values())
+    config = {"v": v, "alpha": args.alpha, "epsilon": args.epsilon, "b": args.b}
     report = reporting.make_report("verify-claims", config, args.seed, outcomes,
                                    time.perf_counter() - t0)
     _write_report(report, args.out)
@@ -193,14 +183,15 @@ def cmd_verify_claims(args) -> int:
 def cmd_run(args) -> int:
     t0 = time.perf_counter()
     inst = load_instance_bundle(args.instance)
-    session = mdp.OracleSession(inst, args.seed)
-    oracle = agents.SatOracle(session)
+    oracle = agents.SatOracle(inst, args.seed)
     if args.agent == "greedy":
         if inst.wstar is None:
             raise ParameterError("greedy agent needs a satisfying assignment")
         policy = agents.greedy_policy(inst)
     else:
-        rng = np.random.Generator(np.random.Philox(key=args.seed))
+        # a child of the seed, so the policy shares no bits with the
+        # oracle's Philox(key=seed) reward stream
+        rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
 
         def policy(_s):
             return int(rng.integers(0, 3))
@@ -224,7 +215,7 @@ def cmd_run(args) -> int:
     config = {"instance": str(args.instance), "agent": args.agent,
               "episodes": args.episodes}
     outcomes = {"episode_rewards": totals, "terminal_kinds": kinds,
-                "queries": dict(session.counters)}
+                "queries": dict(oracle.counters)}
     report = reporting.make_report("run", config, args.seed, outcomes,
                                    time.perf_counter() - t0)
     _write_report(report, str(out_dir / "report.json"))
@@ -308,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=float, default=0.25)
     sp.add_argument("--b", type=int, default=6)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_verify_claims)
 

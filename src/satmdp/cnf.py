@@ -188,14 +188,6 @@ def satisfied_count(f: Formula, a: Assignment) -> int:
     return sum(1 for clause in f.clauses if clause.satisfied_by(a))
 
 
-def first_eligible_clause(f: Formula, a: Assignment, free) -> int | None:
-    """Smallest index of a clause unsatisfied under a whose variables are all free."""
-    for ci, clause in enumerate(f.clauses):
-        if all(var in free for var in clause.variables) and not clause.satisfied_by(a):
-            return ci
-    return None
-
-
 def occurrence_bound(f: Formula) -> int:
     """Max over variables of the number of clauses the variable appears in."""
     return max(len(o) for o in f.occ)
@@ -253,9 +245,11 @@ def brute_force_max_sat(f: Formula, limit: int = EXHAUSTIVE_LIMIT) -> tuple[int,
     """Maximum satisfied-clause count over all assignments, with a witness."""
     _check_exhaustive_limit(f, limit)
     idx = np.arange(1 << f.v, dtype=np.uint32)
-    unsat_counts = np.zeros(1 << f.v, dtype=np.uint16)
+    # narrowest type that holds m, so the count cannot wrap
+    count_type = np.min_scalar_type(f.m)
+    unsat_counts = np.zeros(1 << f.v, dtype=count_type)
     for mask, pattern in _clause_subcubes(f):
-        unsat_counts += ((idx & np.uint32(mask)) == np.uint32(pattern)).astype(np.uint16)
+        unsat_counts += ((idx & np.uint32(mask)) == np.uint32(pattern)).astype(count_type)
     best = int(np.argmin(unsat_counts))
     return f.m - int(unsat_counts[best]), _index_to_assignment(best, f.v)
 

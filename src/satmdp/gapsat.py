@@ -24,27 +24,6 @@ from .cnf import (
 from .errors import FormulaError, ParameterError
 
 
-@dataclass(frozen=True)
-class GapInstance:
-    """A formula promised to be either satisfiable or epsilon-far from it."""
-
-    formula: Formula
-    b: int
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < 1:
-            raise ParameterError(f"epsilon must be in (0,1), got {self.epsilon}")
-        bound = occurrence_bound(self.formula)
-        if bound > self.b:
-            raise FormulaError(
-                f"occurrence bound {bound} exceeds b={self.b}")
-        if self.formula.m < self.formula.v:
-            raise FormulaError(
-                f"need at least as many clauses as variables (m={self.formula.m}, "
-                f"v={self.formula.v})")
-
-
 class PromiseKind(Enum):
     SATISFIABLE = "satisfiable"
     GAP_UNSATISFIABLE = "gap_unsatisfiable"

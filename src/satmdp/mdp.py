@@ -316,7 +316,7 @@ def exact_expected_reward(inst: MdpInstance, s: MdpState) -> float:
     return _terminal_mean(inst, s)
 
 
-def _sample_mean(inst: MdpInstance, nxt: MdpState) -> float:
+def reward_mean(inst: MdpInstance, nxt: MdpState) -> float:
     """Bernoulli mean paid on the transition into nxt (0 when non-terminal)."""
     if not nxt.is_terminal:
         return 0.0
@@ -336,10 +336,6 @@ def features_state(inst: MdpInstance, s: MdpState) -> np.ndarray:
         return np.zeros(inst.d)
     return to_feature_vector(greedy_value_poly(s, inst.params),
                              inst.formula.v, inst.params.p)
-
-
-def features_state_action(inst: MdpInstance, s: MdpState, a: int) -> np.ndarray:
-    return features_state(inst, transition(inst, s, a))
 
 
 def stage_one_floor(inst: MdpInstance, round_start) -> int:
@@ -401,58 +397,6 @@ class Trajectory:
 
     def total_reward(self):
         return sum(r for _, _, r in self.records)
-
-
-class OracleSession:
-    """Single-owner interaction handle: seeded counter-based RNG plus query
-    counters for the transition / reward / feature interfaces."""
-
-    def __init__(self, instance: MdpInstance, seed: int):
-        self.instance = instance
-        self.seed = seed
-        self.rng = np.random.Generator(np.random.Philox(key=seed))
-        self.counters = {"transition": 0, "reward": 0, "feature": 0}
-
-    def initial_state(self) -> MdpState:
-        self.counters["transition"] += 1
-        return initial_state(self.instance)
-
-    def transition(self, s: MdpState, a: int) -> MdpState:
-        self.counters["transition"] += 1
-        return transition(self.instance, s, a)
-
-    def sample_reward(self, s: MdpState, a: int) -> int:
-        self.counters["reward"] += 1
-        mean = _sample_mean(self.instance, transition(self.instance, s, a))
-        if mean == 0.0:
-            return 0
-        return int(self.rng.random() < mean)
-
-    def sample_reward_batch(self, s: MdpState, a: int, count: int) -> int:
-        """Number of ones among `count` independent reward samples at (s, a);
-        drawn as one binomial, counted as `count` reward queries."""
-        self.counters["reward"] += count
-        mean = _sample_mean(self.instance, transition(self.instance, s, a))
-        if mean == 0.0:
-            return 0
-        return int(self.rng.binomial(count, mean))
-
-    def step(self, s: MdpState, a: int):
-        """Transition plus reward sample for the same action (two queries)."""
-        self.counters["transition"] += 1
-        self.counters["reward"] += 1
-        nxt = transition(self.instance, s, a)
-        mean = _sample_mean(self.instance, nxt)
-        reward = 0 if mean == 0.0 else int(self.rng.random() < mean)
-        return nxt, reward
-
-    def features(self, s: MdpState) -> np.ndarray:
-        self.counters["feature"] += 1
-        return features_state(self.instance, s)
-
-    def features_sa(self, s: MdpState, a: int) -> np.ndarray:
-        self.counters["feature"] += 1
-        return features_state_action(self.instance, s, a)
 
 
 def distinct_actions(inst: MdpInstance, s: MdpState):

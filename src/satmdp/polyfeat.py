@@ -249,15 +249,3 @@ def inner_product(features: np.ndarray, theta: np.ndarray) -> float:
             f"dimension mismatch: {features.shape} vs {theta.shape}")
     return float(np.dot(features, theta))
 
-
-def feature_manifest(v: int, p: int) -> dict:
-    return {"v": v, "p": p, "dim": feature_dim(v, p),
-            "enumeration": "size-ascending, lexicographic within size",
-            "version": 1}
-
-
-def feature_jsonl_lines(vec: np.ndarray):
-    """Sparse index/value serialization, one JSON object per nonzero entry."""
-    import json
-    for k in np.nonzero(vec)[0]:
-        yield json.dumps({"index": int(k), "value": float(vec[k])})

@@ -11,6 +11,7 @@ import pytest
 
 from satmdp import reward
 from satmdp.agents import (
+    SatOracle,
     a_sat,
     epsilon_net_search,
     greedy_on_q,
@@ -39,7 +40,6 @@ from satmdp.mdp import (
     LAST_LEVEL,
     MODE_SIMULATOR,
     STAGE_ONE,
-    OracleSession,
     build_instance,
     encode_state,
     enumerate_reachable,
@@ -283,12 +283,12 @@ def test_criterion_7_simulator_consistency():
                 mismatch += 1
                 break
             states_compared += 1
-        session = OracleSession(sim, seed=i)
+        oracle = SatOracle(sim, seed=i)
         for idx, s in enumerate(sim_states):
             for a, j in sim_children[idx]:
                 child = sim_states[j]
                 if child.is_terminal and child.terminal_kind == LAST_LEVEL:
-                    if session.sample_reward(s, a) != 0:
+                    if oracle.sample_reward(s, a) != 0:
                         nonzero_sim_rewards += 1
     ok = mismatch == 0 and nonzero_sim_rewards == 0
     report(7, "simulator consistency", ok,

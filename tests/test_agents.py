@@ -29,7 +29,6 @@ from satmdp.gapsat import PromiseKind, check_gap_promise
 from satmdp.instances import random_gap_unsat_formula, random_satisfiable_instance
 from satmdp.mdp import (
     GAP_SATISFIED,
-    OracleSession,
     build_instance,
     enumerate_reachable,
     initial_state,
@@ -124,8 +123,7 @@ def test_exact_value_dp_initial_state_formula(figure_formula):
 def test_rollout_semantics(figure_formula):
     params = params_for_rounds(v=5, h=2, p=2, q=2, epsilon=0.125)
     inst = build_instance(figure_formula, params, start=(-1, 1, -1, -1, -1))
-    session = OracleSession(inst, seed=1)
-    oracle = SatOracle(session)
+    oracle = SatOracle(inst, seed=1)
     traj = rollout(oracle, greedy_policy(inst))
     assert traj.final_state.is_terminal
     assert traj.terminal_kind == GAP_SATISFIED
@@ -138,8 +136,7 @@ def test_rollout_semantics(figure_formula):
 
 
 def test_rollout_explicit_action_list(figure_instance):
-    session = OracleSession(figure_instance, seed=1)
-    oracle = SatOracle(session)
+    oracle = SatOracle(figure_instance, seed=1)
     ref = rollout(oracle, greedy_policy(figure_instance))
     replay = rollout(oracle, ref.actions())
     assert [a for _, a, _ in replay.records] == ref.actions()
@@ -174,6 +171,16 @@ def test_a_sat_budget_exhaustion_answers_no():
     assert result.answer in ("NO", "YES")
     if result.answer == "NO":
         assert result.note == "budget exhausted" or result.witness is None
+
+    # a batched reward query is charged in full before it runs
+    def batch_learner(oracle):
+        return oracle.sample_reward_batch(oracle.initial_state(), 0, 1000)
+
+    f = random_gap_unsat_formula(np.random.default_rng(5), v=7)
+    params = params_for_rounds(v=7, h=2, p=2, q=4, epsilon=1 / 16, b=8)
+    result = a_sat(f, batch_learner, params, budget=10, seed=0)
+    assert result.answer == "NO" and result.note == "budget exhausted"
+    assert sum(result.queries.values()) <= 10
 
 
 def test_reduction_oracle_requires_simulator(figure_instance):
@@ -301,13 +308,13 @@ def test_horizon_split_rejects_zero_feature_layers(figure_formula):
     inst = build_instance(figure_formula, params, start=(-1, 1, -1, -1, -1))
     # H = 5 is not a perfect square; check the padding refusal first
     with pytest.raises(ParameterError):
-        horizon_split_q(SatOracle(OracleSession(inst, seed=0)), 0.2, 0.1)
+        horizon_split_q(SatOracle(inst, seed=0), 0.2, 0.1)
     f4 = formula_from_ints(4, [[1, 2, 3], [2, 3, 4], [-1, 2, 4], [1, -3, 4],
                                [1, 2, -4]])
     params4 = params_for_rounds(v=4, h=1, p=2, q=2, epsilon=0.125)
     inst4 = build_instance(f4, params4)
     with pytest.raises(InvariantViolation, match="no independent"):
-        horizon_split_q(SatOracle(OracleSession(inst4, seed=0)), 0.2, 0.1)
+        horizon_split_q(SatOracle(inst4, seed=0), 0.2, 0.1)
 
 
 def test_epsilon_net_refuses_oversized_cover():
@@ -351,10 +358,9 @@ def test_horizon_split_policy_reaches_near_optimal():
 
 
 def test_sat_oracle_exposes_query_counters(figure_instance):
-    session = OracleSession(figure_instance, seed=0)
-    oracle = SatOracle(session)
+    oracle = SatOracle(figure_instance, seed=0)
     rollout(oracle, greedy_policy(figure_instance))
-    counts = session.counters
+    counts = oracle.counters
     assert counts["transition"] >= 1 and counts["reward"] >= 1
     assert sum(counts.values()) == counts["transition"] + counts["reward"] \
         + counts["feature"]

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from conftest import FIGURE_DIMACS
@@ -38,7 +40,51 @@ def test_gen_writes_bundle(tmp_path, cnf_file):
     assert bundle["metadata"]["H"] == 10
     assert bundle["metadata"]["d"] == 31
     assert bundle["metadata"]["satisfiable"] is True
+    assert bundle["config"]["cnf_path"] == "../figure.cnf"
+    assert bundle["config"]["cnf_sha256"] == \
+        hashlib.sha256(cnf_file.read_bytes()).hexdigest()
     validate_report(read_json(out / "report.json"))
+
+
+def test_bundle_runs_from_another_directory(tmp_path, monkeypatch):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    (tmp_path / "a" / "fig.cnf").write_text(FIGURE_DIMACS)
+    monkeypatch.chdir(tmp_path / "a")
+    assert main(["gen", "--cnf", "fig.cnf", "--out", "bundle",
+                 "--q", "2", "--rounds", "2"]) == 0
+    monkeypatch.chdir(tmp_path / "b")
+    assert main(["run", "--instance", "../a/bundle/instance.json",
+                 "--out", "rollouts"]) == 0
+
+
+def test_bundle_refuses_changed_cnf(tmp_path, cnf_file, capsys):
+    bundle = tmp_path / "bundle"
+    assert main(["gen", "--cnf", str(cnf_file), "--out", str(bundle),
+                 "--q", "2", "--rounds", "2"]) == 0
+    cnf_file.write_text(FIGURE_DIMACS + "c edited\n")
+    rc = main(["run", "--instance", str(bundle / "instance.json"),
+               "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert "cnf_sha256" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cnf_path", None), ("cnf_sha256", None), ("mode", None), ("p", "two"),
+    ("wstar", 7),
+])
+def test_bundle_missing_or_malformed_key(tmp_path, cnf_file, key, value):
+    bundle = tmp_path / "bundle"
+    assert main(["gen", "--cnf", str(cnf_file), "--out", str(bundle),
+                 "--q", "2", "--rounds", "2"]) == 0
+    data = read_json(bundle / "instance.json")
+    if value is None:
+        del data["config"][key]
+    else:
+        data["config"][key] = value
+    (bundle / "instance.json").write_text(json.dumps(data))
+    assert main(["run", "--instance", str(bundle / "instance.json"),
+                 "--out", str(tmp_path / "r")]) == 2
 
 
 def test_gen_missing_file(tmp_path):
@@ -89,6 +135,11 @@ def test_run_random_agent(tmp_path, cnf_file):
                "--agent", "random", "--episodes", "2", "--seed", "3",
                "--out", str(tmp_path / "rr")])
     assert rc == 0
+    # the policy must not replay the oracle's reward stream Philox(key=seed)
+    lines = (tmp_path / "rr" / "trajectories.jsonl").read_text().splitlines()
+    actions = [json.loads(line)["action"] for line in lines]
+    reward_stream = np.random.Generator(np.random.Philox(key=3))
+    assert actions != [int(reward_stream.integers(0, 3)) for _ in actions]
 
 
 def test_reduce_yes_on_satisfiable(tmp_path, cnf_file, capsys):
@@ -141,7 +192,7 @@ def test_transform_refuses_small_b(tmp_path, cnf_file):
 
 def test_verify_claims_small(tmp_path):
     rc = main(["verify-claims", "--v", "12", "--out",
-               str(tmp_path / "claims.json"), "--jobs", "2"])
+               str(tmp_path / "claims.json")])
     assert rc == 0
     report = read_json(tmp_path / "claims.json")
     validate_report(report)

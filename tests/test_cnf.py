@@ -9,7 +9,6 @@ from satmdp.cnf import (
     assignment_from_mask,
     brute_force_max_sat,
     brute_force_sat,
-    first_eligible_clause,
     formula_from_ints,
     hamming,
     mask_from_assignment,
@@ -84,27 +83,6 @@ def test_satisfied_count_figure(figure_formula):
     assert satisfied_count(figure_formula, (-1, 1, 1, 1, 1)) == 3
 
 
-def test_first_eligible_clause_figure(figure_formula):
-    f = figure_formula
-    assert first_eligible_clause(f, (-1, 1, -1, -1, -1), set(range(5))) == 0
-    # after flipping c, clause 2 = (a | d | e) is the first unsatisfied all-free
-    assert first_eligible_clause(f, (-1, 1, 1, -1, -1), {0, 1, 3, 4}) == 2
-    sol = brute_force_sat(f)
-    assert first_eligible_clause(f, sol, set(range(5))) is None
-
-
-def test_first_eligible_clause_is_minimal(figure_formula):
-    f = figure_formula
-    a = (-1, 1, -1, -1, -1)
-    free = {0, 2, 3, 4}
-    idx = first_eligible_clause(f, a, free)
-    for smaller in range(idx):
-        clause = f.clauses[smaller]
-        eligible = (all(var in free for var in clause.variables)
-                    and not clause.satisfied_by(a))
-        assert not eligible
-
-
 def test_occurrence_bound(figure_formula):
     # variable a sits in clauses 0, 2, 3, 4
     assert occurrence_bound(figure_formula) == 4
@@ -141,6 +119,11 @@ def test_brute_force_max_sat(figure_formula):
     contradiction = formula_from_ints(1, [[1], [-1]], strict=False)
     best, _ = brute_force_max_sat(contradiction)
     assert best == contradiction.m - 1
+
+    # more clauses than a uint16 counter holds: the count must not wrap
+    copies = formula_from_ints(3, [[1, 2, 3]] * 65_536)
+    best, witness = brute_force_max_sat(copies)
+    assert best == satisfied_count(copies, witness) == 65_536
 
 
 def test_exhaustive_limit_refusal():

@@ -12,7 +12,6 @@ from satmdp.cnf import (
 )
 from satmdp.errors import FormulaError, ParameterError, ResourceLimitError
 from satmdp.gapsat import (
-    GapInstance,
     PromiseKind,
     bounded_occurrence_transform,
     check_gap_promise,
@@ -147,17 +146,6 @@ def test_check_gap_promise_refuses_large():
     f = formula_from_ints(30, [[1, 2, 3]] * 30)
     with pytest.raises(ResourceLimitError):
         check_gap_promise(f, 0.25)
-
-
-def test_gap_instance_validation(figure_formula):
-    GapInstance(figure_formula, b=6, epsilon=0.25)
-    with pytest.raises(FormulaError):
-        GapInstance(figure_formula, b=3, epsilon=0.25)  # occurrence bound is 4
-    with pytest.raises(ParameterError):
-        GapInstance(figure_formula, b=6, epsilon=1.5)
-    few_clauses = formula_from_ints(4, [[1, 2, 3], [2, 3, 4]])
-    with pytest.raises(FormulaError):
-        GapInstance(few_clauses, b=6, epsilon=0.25)  # m < v
 
 
 def test_transform_report_fields():

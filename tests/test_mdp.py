@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from satmdp.agents import SatOracle
 from satmdp.cnf import (
     assignment_from_mask,
     brute_force_sat,
@@ -18,13 +19,11 @@ from satmdp.mdp import (
     MODE_SIMULATOR,
     STAGE_ONE,
     STAGE_TWO,
-    OracleSession,
     build_instance,
     encode_state,
     enumerate_reachable,
     exact_expected_reward,
     features_state,
-    features_state_action,
     initial_state,
     stage_one_floor,
     state_digest,
@@ -74,12 +73,12 @@ def test_unsatisfiable_formula_zero_reward_mode():
     params = params_for_rounds(v=f.v, h=2, p=2, q=4, b=8)  # x sits in all 8 clauses
     inst = build_instance(f, params)
     assert inst.satisfiable is False and inst.wstar is None
-    session = OracleSession(inst, seed=3)
-    s = session.initial_state()
+    oracle = SatOracle(inst, seed=3)
+    s = oracle.initial_state()
     while not s.is_terminal:
         a = int(np.random.default_rng(s.step).integers(0, 3))
-        assert session.sample_reward(s, a) == 0
-        s = session.transition(s, a)
+        assert oracle.sample_reward(s, a) == 0
+        s = oracle.transition(s, a)
 
 
 def test_initial_state_figure_start(figure_start_instance):
@@ -276,24 +275,24 @@ def test_extended_assignment_distance_split():
 
 
 def test_sample_reward_zero_before_termination(figure_instance):
-    session = OracleSession(figure_instance, seed=5)
-    s = session.initial_state()
+    oracle = SatOracle(figure_instance, seed=5)
+    s = oracle.initial_state()
     while True:
         nxt = transition(figure_instance, s, 1)
         if nxt.is_terminal:
             break
-        assert session.sample_reward(s, 1) == 0
+        assert oracle.sample_reward(s, 1) == 0
         s = nxt
 
 
 def test_seeded_reward_replay(figure_instance):
     def sample_bits(seed):
-        session = OracleSession(figure_instance, seed=seed)
+        oracle = SatOracle(figure_instance, seed=seed)
         bits = []
         for _ in range(200):
-            s = session.initial_state()
+            s = oracle.initial_state()
             while not s.is_terminal:
-                nxt, r = session.step(s, 1)
+                nxt, r = oracle.step(s, 1)
                 bits.append(r)
                 s = nxt
         return bits
@@ -310,25 +309,25 @@ def test_bernoulli_mean_matches_exact_reward(figure_start_instance):
         prev, act = s, greedy_action(inst, s)
         s = transition(inst, s, act)
     mean = exact_expected_reward(inst, s)
-    session = OracleSession(inst, seed=99)
+    oracle = SatOracle(inst, seed=99)
     n = 40_000
-    ones = session.sample_reward_batch(prev, act, n)
+    ones = oracle.sample_reward_batch(prev, act, n)
     assert ones / n == pytest.approx(mean, abs=0.01)
-    assert session.counters["reward"] == n
+    assert oracle.counters["reward"] == n
 
 
 def test_simulator_last_level_rewards_zero(figure_formula):
     params = params_for_rounds(v=5, h=2, p=2, q=2)
     sim = build_instance(figure_formula, params, mode=MODE_SIMULATOR)
-    session = OracleSession(sim, seed=1)
+    oracle = SatOracle(sim, seed=1)
     rng = np.random.default_rng(2)
     for _ in range(100):
-        s = session.initial_state()
+        s = oracle.initial_state()
         while not s.is_terminal:
             a = int(rng.integers(0, 3))
             nxt = transition(sim, s, a)
             if nxt.is_terminal and nxt.terminal_kind == LAST_LEVEL:
-                assert session.sample_reward(s, a) == 0
+                assert oracle.sample_reward(s, a) == 0
             s = nxt
 
 
@@ -338,13 +337,13 @@ def test_simulator_pays_gap_satisfied_rewards(figure_formula):
     params = params_for_rounds(v=5, h=2, p=2, q=2)
     sim = build_instance(figure_formula, params, mode=MODE_SIMULATOR,
                          start=(-1, 1, -1, -1, -1))
-    session = OracleSession(sim, seed=17)
+    oracle = SatOracle(sim, seed=17)
     ones = 0
     for _ in range(300):
-        s = session.initial_state()
+        s = oracle.initial_state()
         while not s.is_terminal:
             a = greedy_action(sim, s)
-            nxt, r = session.step(s, a)
+            nxt, r = oracle.step(s, a)
             ones += r
             s = nxt
         assert s.terminal_kind == GAP_SATISFIED
@@ -367,9 +366,9 @@ def test_simulator_cannot_price_gap_terminal_without_wstar():
         prev, act = s, greedy_action(sim, s, wstar=planted)
         s = transition(sim, s, act)
     assert s.terminal_kind == GAP_SATISFIED
-    session = OracleSession(sim, seed=0)
+    oracle = SatOracle(sim, seed=0)
     with pytest.raises(InvariantViolation):
-        session.sample_reward(prev, act)
+        oracle.sample_reward(prev, act)
 
 
 def test_terminal_means_are_valid_probabilities():
@@ -396,11 +395,12 @@ def test_simulator_matches_full_transitions_and_features(figure_formula):
             features_state(sim, ss).tobytes()
 
 
-def test_features_state_action_is_successor_features(figure_start_instance):
+def test_oracle_features_sa_is_successor_features(figure_start_instance):
     inst = figure_start_instance
+    oracle = SatOracle(inst, seed=0)
     s = initial_state(inst)
     for a in range(3):
-        assert features_state_action(inst, s, a).tobytes() == \
+        assert oracle.features_sa(s, a).tobytes() == \
             features_state(inst, transition(inst, s, a)).tobytes()
     # terminal states get the zero feature vector
     t = s
@@ -441,11 +441,11 @@ def test_stage_one_length_respects_floor():
 
 
 def test_query_counters_count_interface_calls(figure_instance):
-    session = OracleSession(figure_instance, seed=0)
-    s = session.initial_state()
-    session.transition(s, 0)
-    session.transition(s, 1)
-    session.sample_reward(s, 0)
-    session.features(s)
-    session.features_sa(s, 2)
-    assert session.counters == {"transition": 3, "reward": 1, "feature": 2}
+    oracle = SatOracle(figure_instance, seed=0)
+    s = oracle.initial_state()
+    oracle.transition(s, 0)
+    oracle.transition(s, 1)
+    oracle.sample_reward(s, 0)
+    oracle.features(s)
+    oracle.features_sa(s, 2)
+    assert oracle.counters == {"transition": 3, "reward": 1, "feature": 2}

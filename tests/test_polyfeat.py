@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -17,8 +16,6 @@ from satmdp.polyfeat import (
     dist_free_poly,
     dist_used_poly,
     feature_dim,
-    feature_jsonl_lines,
-    feature_manifest,
     greedy_value_poly,
     inner_product,
     poly_add,
@@ -199,13 +196,3 @@ def test_features_never_read_wstar():
         assert features_state(inst1, s).tobytes() == \
             features_state(inst2, s).tobytes()
 
-
-def test_feature_serialization_roundtrip():
-    vec = np.zeros(10)
-    vec[3] = 1.5
-    vec[7] = -2.0
-    lines = list(feature_jsonl_lines(vec))
-    parsed = [json.loads(line) for line in lines]
-    assert parsed == [{"index": 3, "value": 1.5}, {"index": 7, "value": -2.0}]
-    manifest = feature_manifest(5, 2)
-    assert manifest["dim"] == 31 and manifest["version"] == 1
