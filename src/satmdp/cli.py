@@ -2,7 +2,7 @@
 the RL-to-SAT reduction, and the bounded-occurrence transform.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error, 3 resource refusal.
+error, 3 resource refusal, 4 internal error (a broken invariant).
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from . import agents, gapsat, instances, mdp, reporting, reward
 from .cnf import brute_force_sat, occurrence_bound, parse_dimacs, to_dimacs
 from .errors import (
     FormulaError,
-    InvariantViolation,
     ParameterError,
     ParseError,
     ResourceLimitError,
@@ -32,6 +31,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
+EXIT_INTERNAL = 4
 
 
 def _params_from_args(args, v: int) -> reward.RewardParams:
@@ -343,9 +343,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (InvariantViolation, SatMdpError) as exc:
+    except SatMdpError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

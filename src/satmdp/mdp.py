@@ -7,9 +7,14 @@ ever removes its clauses from eligibility within a round, so each step costs
 O(b) and the mask is rebuilt once per round rollover. Rewards are paid on the
 transition that terminates; terminal states themselves have zero features and
 zero continuation value.
+
+A state's identity is a fixed-size summary of the round plus a 16-byte
+move-chain digest: each transition hashes its parent's chain with the move it
+makes, so encoding a state costs the same at every step.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -52,13 +57,13 @@ _STAGE_TAGS = {(STAGE_ONE, None): 1, (STAGE_TWO, None): 2,
 class MdpState:
     """One node of the transition tree; uniquely identified by its canonical
     byte encoding (n, stage, cursor, assignment, free set, round-start
-    assignment, inter-round distances, move history).
+    assignment, inter-round distances, move-chain digest).
 
     Distinct flip orders can reach the same assignment summary, so identity
-    includes the episode's move history -- (variable, flipped) per step, stored
-    as a parent-linked chain -- keeping the transition structure a genuine
-    tree. Stage-two keep-actions 0 and 2 append the same move and therefore
-    still land on the same state.
+    includes `chain`, a 16-byte blake2b digest of the parent's chain and the
+    move (variable, flipped) that led here, keeping the transition structure a
+    genuine tree. Stage-two keep-actions 0 and 2 hash the same move and
+    therefore still land on the same state.
     """
 
     n: int
@@ -70,7 +75,7 @@ class MdpState:
     round_dists: tuple
     step: int
     terminal_kind: str | None = None
-    history: tuple | None = None   # (parent history, var, flipped) chain
+    chain: bytes = bytes(16)    # move-chain digest; zeros at the root
     sat_count: int = field(default=0, compare=False, repr=False)
     eligible: int = field(default=0, compare=False, repr=False)
 
@@ -80,16 +85,6 @@ class MdpState:
 
     def assignment(self, v: int):
         return assignment_from_mask(self.w, v)
-
-    def moves(self):
-        """Move history in chronological order as (variable, flipped) pairs."""
-        out = []
-        node = self.history
-        while node is not None:
-            out.append((node[1], node[2]))
-            node = node[0]
-        out.reverse()
-        return out
 
 
 class MdpInstance:
@@ -265,19 +260,20 @@ def transition(inst: MdpInstance, s: MdpState, a: int) -> MdpState:
         w = s.w
         sat = s.sat_count
     step = s.step + 1
-    history = (s.history, var, flip)
+    chain = hashlib.blake2b(s.chain + (var * 2 + flip).to_bytes(4, "big"),
+                            digest_size=16).digest()
 
     if sat >= inst.gap_threshold_count:
         return MdpState(n=s.n, stage=TERMINAL, cursor=None, w=w,
                         w_round=s.w_round, free=free, round_dists=s.round_dists,
-                        step=step, terminal_kind=GAP_SATISFIED, history=history,
+                        step=step, terminal_kind=GAP_SATISFIED, chain=chain,
                         sat_count=sat, eligible=0)
     if free == 0:
         if s.n == inst.params.h:
             return MdpState(n=s.n, stage=TERMINAL, cursor=None, w=w,
                             w_round=s.w_round, free=free,
                             round_dists=s.round_dists, step=step,
-                            terminal_kind=LAST_LEVEL, history=history,
+                            terminal_kind=LAST_LEVEL, chain=chain,
                             sat_count=sat, eligible=0)
         round_dists = s.round_dists + (hamming(s.w_round, w),)
         free = inst.all_mask
@@ -285,13 +281,13 @@ def transition(inst: MdpInstance, s: MdpState, a: int) -> MdpState:
         stage, cursor = _stage_fields(inst, eligible, free)
         return MdpState(n=s.n + 1, stage=stage, cursor=cursor, w=w, w_round=w,
                         free=free, round_dists=round_dists, step=step,
-                        history=history, sat_count=sat, eligible=eligible)
+                        chain=chain, sat_count=sat, eligible=eligible)
     # marking var used removes exactly its clauses from eligibility
     eligible = s.eligible & ~inst.occ_clause_bits[var]
     stage, cursor = _stage_fields(inst, eligible, free)
     return MdpState(n=s.n, stage=stage, cursor=cursor, w=w, w_round=s.w_round,
                     free=free, round_dists=s.round_dists, step=step,
-                    history=history, sat_count=sat, eligible=eligible)
+                    chain=chain, sat_count=sat, eligible=eligible)
 
 
 def _terminal_mean(inst: MdpInstance, s: MdpState) -> float:
@@ -338,16 +334,12 @@ def features_state(inst: MdpInstance, s: MdpState) -> np.ndarray:
                              inst.formula.v, inst.params.p)
 
 
-def stage_one_floor(inst: MdpInstance, round_start) -> int:
-    """Guaranteed stage-one length for a round starting at the given assignment
-    (or precomputed satisfied count): each used variable disqualifies at most b
+def stage_one_floor(inst: MdpInstance, round_start: int) -> int:
+    """Guaranteed stage-one length for a round whose start assignment
+    satisfies `round_start` clauses: each used variable disqualifies at most b
     eligible clauses, and an alive round leaves at least an eps fraction
     unsatisfied."""
-    if isinstance(round_start, int):
-        sat = round_start
-    else:
-        sat = satisfied_count(inst.formula, tuple(round_start))
-    if sat >= inst.gap_threshold_count:
+    if round_start >= inst.gap_threshold_count:
         raise ParameterError(
             "round start already exceeds the satisfaction threshold; the MDP "
             "would have terminated")
@@ -370,10 +362,7 @@ def encode_state(inst: MdpInstance, s: MdpState) -> bytes:
     ]
     for d in s.round_dists:
         parts.append(d.to_bytes(4, "big"))
-    moves = s.moves()
-    parts.append(len(moves).to_bytes(4, "big"))
-    for var, flipped in moves:
-        parts.append((var * 2 + int(flipped)).to_bytes(4, "big"))
+    parts.append(s.chain)
     return b"".join(parts)
 
 

@@ -201,6 +201,23 @@ def test_verify_claims_small(tmp_path):
     assert report["outcomes"]["linearity_and_optimality"]["pass"]
 
 
+def test_internal_error_has_its_own_exit_code(tmp_path, cnf_file, monkeypatch,
+                                              capsys):
+    from satmdp import cli
+    from satmdp.errors import InvariantViolation
+
+    def broken(_args):
+        raise InvariantViolation("tree check failed")
+
+    monkeypatch.setattr(cli, "cmd_transform", broken)
+    assert main(["transform", "--cnf", str(cnf_file)]) == 4
+    assert "internal error: tree check failed" in capsys.readouterr().err
+    # a failed verification keeps exit 1
+    monkeypatch.setattr(cli, "_linearity_suite", lambda seed: {"pass": False})
+    assert main(["verify-claims", "--v", "12", "--out",
+                 str(tmp_path / "claims.json")]) == 1
+
+
 def test_gen_refuses_undecidable_satisfiability(tmp_path):
     # v over the exhaustive limit, full mode, no wstar: cannot price rewards
     import numpy as np

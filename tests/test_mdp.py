@@ -29,7 +29,7 @@ from satmdp.mdp import (
     state_digest,
     transition,
 )
-from satmdp.instances import random_satisfiable_instance
+from satmdp.instances import random_satisfiable_instance, regular_planted_formula
 from satmdp.reward import expected_reward, g, params_for_rounds
 
 
@@ -156,21 +156,32 @@ def test_round_accounting_and_termination_kinds(figure_instance):
 
 
 def test_transitions_are_pure_and_replayable(figure_instance):
-    inst = figure_instance
-    rng = np.random.default_rng(7)
-    actions = [int(rng.integers(0, 3)) for _ in range(inst.params.H)]
+    # the figure game ends after one step; the v=15 one plays both rounds
+    f, planted = regular_planted_formula(15, seed=3)
+    long_game = build_instance(
+        f, params_for_rounds(v=15, h=2, p=2, q=2, epsilon=1 / 16, b=6),
+        wstar=planted)
+    for inst in (figure_instance, long_game):
+        rng = np.random.default_rng(7)
+        actions = [int(rng.integers(0, 3)) for _ in range(inst.params.H)]
 
-    def run():
-        s = initial_state(inst)
-        seq = [state_digest(inst, s)]
-        for a in actions:
-            if s.is_terminal:
-                break
-            s = transition(inst, s, a)
-            seq.append(state_digest(inst, s))
-        return seq
+        def run():
+            s = initial_state(inst)
+            seq = [(len(s.round_dists), state_digest(inst, s))]
+            for a in actions:
+                if s.is_terminal:
+                    break
+                s = transition(inst, s, a)
+                seq.append((len(s.round_dists), state_digest(inst, s)))
+            return seq
 
-    assert run() == run()
+        seq = run()
+        assert seq == run()
+        # a digest's size depends on the round only, never on the step
+        sizes = {}
+        for rounds_done, digest in seq:
+            assert sizes.setdefault(rounds_done, len(digest)) == len(digest)
+    assert len(seq) == long_game.params.H + 1 and len(sizes) == 2
 
 
 def test_tree_property_and_digest_uniqueness():
@@ -353,7 +364,6 @@ def test_simulator_pays_gap_satisfied_rewards(figure_formula):
 def test_simulator_cannot_price_gap_terminal_without_wstar():
     # satisfiability undecided (v over the exhaustive limit, no wstar):
     # transitions and features work, pricing a threshold terminal does not
-    from satmdp.instances import regular_planted_formula
     from satmdp.errors import InvariantViolation
     f, planted = regular_planted_formula(30, seed=3)
     params = params_for_rounds(v=30, h=2, p=2, q=2, epsilon=1 / 16, b=6)

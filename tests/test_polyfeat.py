@@ -84,17 +84,29 @@ def test_poly_mul_commutative_associative(data):
         return MultilinearPoly(terms)
 
     v = 4
-    a, b, c = rand_poly(v), rand_poly(v), rand_poly(v)
+    _check_mul_laws(rand_poly(v), rand_poly(v), rand_poly(v), v)
+
+
+def test_poly_mul_laws_survive_underflow():
+    # (ab)c underflows to an exact zero, which is dropped; a(bc) keeps 5e-324
+    a = MultilinearPoly({0: 1e-161})
+    b = MultilinearPoly({0: 1e-163})
+    c = MultilinearPoly({0: 4.0})
+    _check_mul_laws(a, b, c, 4)
+
+
+def _assert_close_polys(p, q):
+    """Equal up to 1e-12 per monomial; a missing monomial counts as 0.0, since
+    a coefficient that underflows to zero in one order is dropped."""
+    for m in set(p.terms) | set(q.terms):
+        assert p.terms.get(m, 0.0) == pytest.approx(q.terms.get(m, 0.0),
+                                                     abs=1e-12)
+
+
+def _check_mul_laws(a, b, c, v):
     ab = poly_mul(a, b, v)
-    ba = poly_mul(b, a, v)
-    assert set(ab.terms) == set(ba.terms)
-    for m in ab.terms:
-        assert ab.terms[m] == pytest.approx(ba.terms[m], abs=1e-12)
-    abc1 = poly_mul(ab, c, v)
-    abc2 = poly_mul(a, poly_mul(b, c, v), v)
-    assert set(abc1.terms) == set(abc2.terms)
-    for m in abc1.terms:
-        assert abc1.terms[m] == pytest.approx(abc2.terms[m], abs=1e-12)
+    _assert_close_polys(ab, poly_mul(b, a, v))
+    _assert_close_polys(poly_mul(ab, c, v), poly_mul(a, poly_mul(b, c, v), v))
 
 
 def test_dist_free_poly_example():
