@@ -55,7 +55,11 @@ def _read_formula(path, strict: bool = True):
 
 def _signs(bits):
     """A 0/1 string as a {-1,+1} assignment; None when absent."""
-    return tuple(1 if c == "1" else -1 for c in bits) if bits else None
+    if not bits:
+        return None
+    if not isinstance(bits, str) or set(bits) - {"0", "1"}:
+        raise ParameterError(f"assignment {bits!r} is not a string of 0s and 1s")
+    return tuple(1 if c == "1" else -1 for c in bits)
 
 
 def _write_report(report: dict, out: str | None):

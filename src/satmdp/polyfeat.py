@@ -1,12 +1,24 @@
-"""Sparse multilinear polynomials over {-1,+1}-valued unknowns, and the feature
-/ coefficient-vector machinery that writes the greedy policy's value as an
-inner product with the monomial vector of the planted satisfying assignment.
+"""The greedy policy's value at a state as a polynomial in the unknown
+satisfying assignment x, and the feature / theta vectors that write it as an
+inner product with x's monomial vector.
 
-Monomials are variable subsets stored as int bitmasks; since the unknowns take
-values in {-1,+1}, squares collapse and products combine by symmetric
-difference, so only squarefree monomials ever appear. The coefficient vector of
-a state's value polynomial has dimension sum_{i<=2p} C(v, i) under the
-canonical subset order (size ascending, lexicographic within a size).
+Let w be the current assignment, z_i = -w_i x_i (1 where they disagree), F the
+free and U the used variables, and s_X = sum_{i in X} z_i. The greedy value is
+scalar * g_n(offset + (|F| + s_F)/2) * g_{n+1}((|U| + s_U)/2): the past rounds'
+factors, the current round's at the flips so far plus the free disagreements,
+and the next round's at the used disagreements. Each factor is symmetric in
+its z's, so with z_i^2 = 1 it equals sum_{j<=p} a_j e_j(z_X) over elementary
+symmetric polynomials (O'Donnell, Analysis of Boolean Functions, 2014). The a_j
+come from reward.taylor_exp's Horner scheme run in that basis, where
+s * e_j = (j+1) e_{j+1} + (n-j+1) e_{j-1} for n = |X|. As z_S equals
+prod_{i in S}(-w_i) x_S, the coefficient of x_S is
+scalar * a_{|S&F|} * b_{|S&U|} * prod_{i in S}(-w_i), of degree at most 2p.
+
+Monomials are variable subsets stored as int bitmasks. `MultilinearPoly` only
+holds the sparse coefficients: `to_feature_vector` lays them out densely in the
+canonical subset order (size ascending, lexicographic within a size), of
+dimension sum_{i<=2p} C(v, i), and their count is the polynomial size that a
+traced benchmark run reports.
 """
 from __future__ import annotations
 
@@ -16,181 +28,75 @@ from itertools import combinations
 
 import numpy as np
 
-from .cnf import TRUE, hamming
+from .cnf import hamming, mask_from_assignment
 from .errors import ParameterError
 from .reward import RewardParams, g
 
 
 class MultilinearPoly:
-    """Immutable-by-convention map from monomial bitmask to coefficient."""
+    """Coefficients {monomial bitmask: coefficient}, zeros omitted."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0.0}
-
-    @classmethod
-    def constant(cls, c: float) -> "MultilinearPoly":
-        return cls({0: float(c)})
-
-    @classmethod
-    def variable(cls, i: int) -> "MultilinearPoly":
-        return cls({1 << i: 1.0})
-
-    def degree(self) -> int:
-        return max((m.bit_count() for m in self.terms), default=0)
-
-    def coefficient(self, variables) -> float:
-        mask = 0
-        for i in variables:
-            mask |= 1 << i
-        return self.terms.get(mask, 0.0)
-
-    def evaluate(self, assignment) -> float:
-        """Value at a {-1,+1} point (tuple indexed by variable)."""
-        neg_mask = 0
-        for i, val in enumerate(assignment):
-            if val != TRUE:
-                neg_mask |= 1 << i
-        total = 0.0
-        for m, c in self.terms.items():
-            total += -c if (m & neg_mask).bit_count() & 1 else c
-        return total
-
-    def subsets(self) -> dict:
-        """Monomials keyed by sorted variable tuples, for display/serialization."""
-        out = {}
-        for m, c in self.terms.items():
-            out[_mask_to_tuple(m)] = c
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, MultilinearPoly) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"MultilinearPoly({self.subsets()!r})"
+    def __init__(self, terms: dict):
+        self.terms = terms
 
 
-def _mask_to_tuple(mask: int) -> tuple:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def poly_add(a: MultilinearPoly, b: MultilinearPoly) -> MultilinearPoly:
-    terms = dict(a.terms)
-    for m, c in b.terms.items():
-        terms[m] = terms.get(m, 0.0) + c
-    return MultilinearPoly(terms)
-
-
-def poly_scale(a: MultilinearPoly, c: float) -> MultilinearPoly:
-    if c == 0.0:
-        return MultilinearPoly()
-    return MultilinearPoly({m: coef * c for m, coef in a.terms.items()})
-
-
-def poly_mul(a: MultilinearPoly, b: MultilinearPoly,
-             degree_cap: int) -> MultilinearPoly:
-    """Product with x_i^2 -> 1, i.e. monomials combine by symmetric difference.
-
-    Any product monomial above the cap raises: in this package every product is
-    degree-bounded by construction, so an overflow indicates misuse.
-    """
-    terms: dict = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            m = ma ^ mb
-            if m.bit_count() > degree_cap:
-                raise ParameterError(
-                    f"product monomial degree {m.bit_count()} exceeds cap {degree_cap}")
-            terms[m] = terms.get(m, 0.0) + ca * cb
-    return MultilinearPoly(terms)
-
-
-def _selection_mask(selection, v: int) -> int:
-    mask = 0
-    for i in selection:
-        if not 0 <= i < v:
-            raise ParameterError(f"variable {i} outside [0, {v})")
-        mask |= 1 << i
-    return mask
-
-
-def _dist_poly_from_masks(w_mask: int, sel_mask: int) -> MultilinearPoly:
-    # (|sel| - sum_{i in sel} w_i x_i) / 2, with x_i standing for the unknown
-    # assignment's i-th coordinate.
-    terms = {0: sel_mask.bit_count() / 2.0}
-    m = sel_mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        w_i = 1.0 if (w_mask >> i) & 1 else -1.0
-        terms[low] = -w_i / 2.0
-        m ^= low
-    return MultilinearPoly(terms)
-
-
-def dist_free_poly(w, selection) -> MultilinearPoly:
-    """Hamming distance to the unknown assignment restricted to the selected
-    (free) variables, as a linear polynomial in the unknown's coordinates."""
-    from .cnf import mask_from_assignment
-    return _dist_poly_from_masks(mask_from_assignment(w),
-                                 _selection_mask(selection, len(w)))
-
-
-def dist_used_poly(w, selection) -> MultilinearPoly:
-    """Same distance polynomial over the complement of the selection."""
-    from .cnf import mask_from_assignment
-    v = len(w)
-    complement = ((1 << v) - 1) ^ _selection_mask(selection, v)
-    return _dist_poly_from_masks(mask_from_assignment(w), complement)
-
-
-def _g_composed_with_linear(params: RewardParams, i: int, offset: int,
-                            lin: MultilinearPoly, cap: int) -> MultilinearPoly:
-    """Round-i factor evaluated at (offset + lin), expanded as a multilinear
-    polynomial: sum_j u_j (offset + t)^j regrouped into powers of the linear form."""
-    s = 1.0 / params.scale(i)
+def _symmetric_coefficients(params: RewardParams, i: int, offset: int,
+                            n: int) -> list:
+    """a_0..a_p with g(i, offset + (n + s)/2) = sum_j a_j e_j(z) for z in
+    {-1,+1}^n and s = sum(z)."""
     p = params.p
-    u = [(-s) ** j / math.factorial(j) for j in range(p + 1)]
-    beta = [
-        sum(u[j] * math.comb(j, k) * float(offset) ** (j - k)
-            for j in range(k, p + 1))
-        for k in range(p + 1)
-    ]
-    result = MultilinearPoly.constant(beta[0])
-    power = MultilinearPoly.constant(1.0)
-    for k in range(1, p + 1):
-        power = poly_mul(power, lin, cap)
-        result = poly_add(result, poly_scale(power, beta[k]))
-    return result
+    c = -1.0 / params.scale(i)
+    x0, x1 = c * (offset + n / 2.0), c / 2.0  # g's argument is x0 + x1 * s
+    acc = [1.0] + [0.0] * p
+    for k in range(p, 0, -1):
+        pad = [0.0] + acc + [0.0]
+        s_acc = [j * pad[j] + (n - j) * pad[j + 2] for j in range(p + 1)]
+        acc = [float(j == 0) + (x0 * acc[j] + x1 * s_acc[j]) / k
+               for j in range(p + 1)]
+    return acc
+
+
+def _signed_subsets(mask: int, w: int, p: int) -> list:
+    """For each size j <= p, [(S, prod_{i in S} -w_i)] over the subsets S of
+    `mask` of that size."""
+    by_size = [[(0, 1.0)]] + [[] for _ in range(p)]
+    rest = mask
+    while rest:
+        low = rest & -rest
+        sign = -1.0 if w & low else 1.0
+        for j in range(p, 0, -1):  # descending, so each subset takes low once
+            by_size[j] += [(sub | low, sub_sign * sign)
+                           for sub, sub_sign in by_size[j - 1]]
+        rest ^= low
+    return by_size
 
 
 def greedy_value_poly(state, params: RewardParams) -> MultilinearPoly:
     """The greedy policy's value at a state as a polynomial of degree <= 2p in
-    the unknown satisfying assignment.
-
-    Past rounds contribute a scalar; the current-round factor is composed with
-    (flips so far + free-disagreement form) and the next-round factor with the
-    used-disagreement form. Never reads the instance's satisfying assignment.
+    the unknown satisfying assignment, in the closed form of the module
+    docstring. Never reads the instance's satisfying assignment.
     """
-    n = state.n
+    n, p = state.n, params.p
     scalar = 1.0
     for i, d in enumerate(state.round_dists, start=1):
         scalar *= g(i, d, params)
-    offset = hamming(state.w_round, state.w)
-    all_mask = (1 << params.v) - 1
-    free_mask = state.free
-    cap = 2 * params.p
-    current = _g_composed_with_linear(
-        params, n, offset, _dist_poly_from_masks(state.w, free_mask), cap)
-    nxt = _g_composed_with_linear(
-        params, n + 1, 0, _dist_poly_from_masks(state.w, all_mask ^ free_mask), cap)
-    return poly_scale(poly_mul(current, nxt, cap), scalar)
+    free = state.free
+    used = ((1 << params.v) - 1) ^ free
+    a = _symmetric_coefficients(params, n, hamming(state.w_round, state.w),
+                                free.bit_count())
+    b = _symmetric_coefficients(params, n + 1, 0, used.bit_count())
+    used_by_size = _signed_subsets(used, state.w, p)
+    terms = {}
+    for j, free_subsets in enumerate(_signed_subsets(free, state.w, p)):
+        for k, used_subsets in enumerate(used_by_size):
+            c = scalar * a[j] * b[k]
+            if c != 0.0:
+                terms.update({sf | su: c * sign_f * sign_u
+                              for sf, sign_f in free_subsets
+                              for su, sign_u in used_subsets})
+    return MultilinearPoly(terms)
 
 
 @lru_cache(maxsize=None)
@@ -232,10 +138,7 @@ def theta_vector(wstar, v: int, p: int) -> np.ndarray:
     """Monomial evaluations prod_{i in S} wstar_i, one per canonical subset."""
     if len(wstar) != v:
         raise ParameterError(f"assignment length {len(wstar)} != v={v}")
-    neg_mask = 0
-    for i, val in enumerate(wstar):
-        if val != TRUE:
-            neg_mask |= 1 << i
+    neg_mask = ((1 << v) - 1) ^ mask_from_assignment(wstar)
     masks = _subset_masks(v, min(2 * p, v))
     out = np.empty(len(masks))
     for k, m in enumerate(masks):

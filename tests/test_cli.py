@@ -71,7 +71,7 @@ def test_bundle_refuses_changed_cnf(tmp_path, cnf_file, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("cnf_path", None), ("cnf_sha256", None), ("mode", None), ("p", "two"),
-    ("wstar", 7),
+    ("wstar", 7), ("wstar", "1x1x0"),
 ])
 def test_bundle_missing_or_malformed_key(tmp_path, cnf_file, key, value):
     bundle = tmp_path / "bundle"
@@ -85,6 +85,16 @@ def test_bundle_missing_or_malformed_key(tmp_path, cnf_file, key, value):
     (bundle / "instance.json").write_text(json.dumps(data))
     assert main(["run", "--instance", str(bundle / "instance.json"),
                  "--out", str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--wstar", "1x1x0"),
+                                         ("--start", "0a000")])
+def test_gen_rejects_non_binary_assignment(tmp_path, cnf_file, capsys, flag,
+                                           value):
+    rc = main(["gen", "--cnf", str(cnf_file), "--out", str(tmp_path / "b"),
+               "--q", "2", "--rounds", "2", flag, value])
+    assert rc == 2
+    assert "0s and 1s" in capsys.readouterr().err
 
 
 def test_gen_missing_file(tmp_path):

@@ -40,6 +40,16 @@ def figure_start_instance(figure_formula):
                           start=(-1, 1, -1, -1, -1))
 
 
+@pytest.fixture
+def two_round_game():
+    """v=15 planted game whose random episodes cross the round boundary; the
+    figure game always ends gap_satisfied after one step."""
+    f, planted = regular_planted_formula(15, seed=3)
+    return build_instance(
+        f, params_for_rounds(v=15, h=2, p=2, q=2, epsilon=1 / 16, b=6),
+        wstar=planted)
+
+
 def test_build_instance_metadata(figure_instance):
     assert figure_instance.d == 31
     assert figure_instance.params.H == 10
@@ -136,32 +146,30 @@ def test_stage_two_actions_zero_and_two_alias(figure_start_instance):
     assert transition(inst, s, 0) != transition(inst, s, 1)
 
 
-def test_round_accounting_and_termination_kinds(figure_instance):
+def test_round_accounting_and_termination_kinds(two_round_game):
     # every completed round consumes exactly v steps; finishing round h ends
     # the game at the last level unless the threshold fires first
-    inst = figure_instance
+    inst = two_round_game
     rng = np.random.default_rng(0)
+    crossings = last_level = 0
     for _ in range(50):
         s = initial_state(inst)
-        rounds_seen = {1: 0}
         while not s.is_terminal:
             prev_n = s.n
             s = transition(inst, s, int(rng.integers(0, 3)))
             if s.n != prev_n:
-                assert s.step == prev_n * 5  # round boundary at multiples of v
+                assert s.step == prev_n * inst.params.v
+                crossings += 1
         assert s.terminal_kind in (LAST_LEVEL, GAP_SATISFIED)
         if s.terminal_kind == LAST_LEVEL:
             assert s.step == inst.params.H
+            last_level += 1
         assert len(s.round_dists) == s.n - 1
+    assert crossings >= 1 and last_level >= 1
 
 
-def test_transitions_are_pure_and_replayable(figure_instance):
-    # the figure game ends after one step; the v=15 one plays both rounds
-    f, planted = regular_planted_formula(15, seed=3)
-    long_game = build_instance(
-        f, params_for_rounds(v=15, h=2, p=2, q=2, epsilon=1 / 16, b=6),
-        wstar=planted)
-    for inst in (figure_instance, long_game):
+def test_transitions_are_pure_and_replayable(figure_instance, two_round_game):
+    for inst in (figure_instance, two_round_game):
         rng = np.random.default_rng(7)
         actions = [int(rng.integers(0, 3)) for _ in range(inst.params.H)]
 
@@ -181,7 +189,7 @@ def test_transitions_are_pure_and_replayable(figure_instance):
         sizes = {}
         for rounds_done, digest in seq:
             assert sizes.setdefault(rounds_done, len(digest)) == len(digest)
-    assert len(seq) == long_game.params.H + 1 and len(sizes) == 2
+    assert len(seq) == two_round_game.params.H + 1 and len(sizes) == 2
 
 
 def test_tree_property_and_digest_uniqueness():
