@@ -1,8 +1,8 @@
 """Policies and algorithms against deterministic linear-feature MDP oracles:
 the seeded, query-counting oracle of a SAT instance, the distance-greedy
-reference policy, an exact DP value oracle, the RL-to-SAT reduction driver,
-and the two brute-force RL baselines (lattice-cover policy search and the
-horizon-split basis algorithm).
+reference policy, exact optimal values over a game tree, the RL-to-SAT
+reduction driver, and the two brute-force RL baselines (lattice-cover policy
+search and the horizon-split basis algorithm).
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from .mdp import (
     MdpState,
     Trajectory,
     build_instance,
-    distinct_actions,
     exact_expected_reward,
     features_state,
     initial_state,
@@ -180,45 +179,6 @@ def greedy_rollout_value(inst: MdpInstance, s: MdpState) -> float:
 
 
 # --- exact DP oracle --------------------------------------------------------------
-
-
-def exact_value_dp(inst: MdpInstance, s: MdpState,
-                   node_budget: int = 2_000_000) -> float:
-    """Optimal value by exhaustive max-over-actions recursion (explicit stack).
-
-    The terminal Bernoulli mean is credited on the transition entering the
-    terminal state; terminal states themselves are worth 0.
-    """
-    if inst.satisfiable is False:
-        return 0.0
-    if s.is_terminal:
-        return 0.0
-    visited = 0
-    # frames: [state, actions, next action index, best value so far]; rewards
-    # are only paid on terminal-entering transitions, so interior edges add 0.
-    stack = [[s, distinct_actions(inst, s), 0, 0.0]]
-    result = 0.0
-    while stack:
-        frame = stack[-1]
-        if frame[2] == len(frame[1]):
-            stack.pop()
-            if stack:
-                stack[-1][3] = max(stack[-1][3], frame[3])
-            else:
-                result = frame[3]
-            continue
-        a = frame[1][frame[2]]
-        frame[2] += 1
-        nxt = transition(inst, frame[0], a)
-        visited += 1
-        if visited > node_budget:
-            raise ResourceLimitError(
-                f"DP subtree exceeded node budget {node_budget}")
-        if nxt.is_terminal:
-            frame[3] = max(frame[3], exact_expected_reward(inst, nxt))
-        else:
-            stack.append([nxt, distinct_actions(inst, nxt), 0, 0.0])
-    return result
 
 
 def tree_optimal_values(inst: MdpInstance, states, children):

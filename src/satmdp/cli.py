@@ -71,13 +71,25 @@ def _write_report(report: dict, out: str | None):
         sys.stdout.write(payload)
 
 
+def _build_instance(f, params, wstar, mode, start) -> mdp.MdpInstance:
+    """`mdp.build_instance`, refusing a given start assignment that already
+    meets the satisfaction threshold: its episode would end before the first
+    step. The default all-false start is kept as it is."""
+    inst = mdp.build_instance(f, params, wstar=wstar, mode=mode, start=start)
+    if start is not None and mdp.initial_state(inst).is_terminal:
+        raise ParameterError(
+            "start assignment already meets the satisfaction threshold "
+            f"({inst.gap_threshold_count} of {f.m} clauses)")
+    return inst
+
+
 def cmd_gen(args) -> int:
     data = _read_bytes(args.cnf)
     f = parse_dimacs(data.decode())
     params = _params_from_args(args, f.v)
     t0 = time.perf_counter()
-    inst = mdp.build_instance(f, params, wstar=_signs(args.wstar), mode=args.mode,
-                              start=_signs(args.start))
+    inst = _build_instance(f, params, wstar=_signs(args.wstar), mode=args.mode,
+                           start=_signs(args.start))
     out_dir = Path(args.out)
     config = {
         # relative to the bundle, so the bundle and its CNF move together
@@ -129,7 +141,7 @@ def load_instance_bundle(path: str) -> mdp.MdpInstance:
         mode = cfg["mode"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed bundle {path}: {exc!r}") from exc
-    return mdp.build_instance(f, params, wstar=wstar, mode=mode, start=start)
+    return _build_instance(f, params, wstar=wstar, mode=mode, start=start)
 
 
 def _linearity_suite(seed: int, cases=((4, 2), (5, 2))) -> dict:

@@ -35,10 +35,6 @@ class PromiseStatus:
     kind: PromiseKind
     max_sat: int
 
-    @property
-    def is_gap_instance(self) -> bool:
-        return self.kind is not PromiseKind.PROMISE_VIOLATED
-
 
 def check_gap_promise(f: Formula, epsilon: float,
                       limit: int = EXHAUSTIVE_LIMIT) -> PromiseStatus:

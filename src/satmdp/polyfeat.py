@@ -12,19 +12,23 @@ symmetric polynomials (O'Donnell, Analysis of Boolean Functions, 2014). The a_j
 come from reward.taylor_exp's Horner scheme run in that basis, where
 s * e_j = (j+1) e_{j+1} + (n-j+1) e_{j-1} for n = |X|. As z_S equals
 prod_{i in S}(-w_i) x_S, the coefficient of x_S is
-scalar * a_{|S&F|} * b_{|S&U|} * prod_{i in S}(-w_i), of degree at most 2p.
+scalar * a_{|S&F|} * b_{|S&U|} * (-1)^{|S&T|}, T the variables true in w, of
+degree at most 2p.
 
-Monomials are variable subsets stored as int bitmasks. `MultilinearPoly` only
-holds the sparse coefficients: `to_feature_vector` lays them out densely in the
-canonical subset order (size ascending, lexicographic within a size), of
-dimension sum_{i<=2p} C(v, i), and their count is the polynomial size that a
-traced benchmark run reports.
+`MultilinearPoly` holds that closed form: coef[j, k] = scalar * a_j * b_k
+(zero for j > p or k > p), the free mask and w. Features follow the canonical
+subset order (size ascending, lexicographic within a size), of dimension
+d = sum_{i<=2p} C(v, i). Each subset is a row of ceil(v/64) uint64 words, so
+two popcount passes, |S&F| and the parity of |S&T|, read every feature off
+the table. `terms` is a range of length sum C(|F|, j) * C(|U|, k) over the
+non-zero cells: the non-zero monomial count a traced benchmark run reports.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,44 +37,32 @@ from .errors import ParameterError
 from .reward import RewardParams, g
 
 
-class MultilinearPoly:
-    """Coefficients {monomial bitmask: coefficient}, zeros omitted."""
+class MultilinearPoly(NamedTuple):
+    """The greedy value polynomial in closed form: the coefficient of x_S is
+    coef[|S&free|, |S&~free|], negated when |S&w| is odd."""
 
-    __slots__ = ("terms",)
+    coef: np.ndarray
+    free: int
+    w: int
+    terms: range
 
-    def __init__(self, terms: dict):
-        self.terms = terms
 
-
+@lru_cache(maxsize=4096)
 def _symmetric_coefficients(params: RewardParams, i: int, offset: int,
-                            n: int) -> list:
+                            n: int) -> tuple:
     """a_0..a_p with g(i, offset + (n + s)/2) = sum_j a_j e_j(z) for z in
-    {-1,+1}^n and s = sum(z)."""
+    {-1,+1}^n and s = sum(z). Cached: the states of one game tree share few
+    (i, offset, n), and 98% of a tree sweep's calls repeat one."""
     p = params.p
     c = -1.0 / params.scale(i)
     x0, x1 = c * (offset + n / 2.0), c / 2.0  # g's argument is x0 + x1 * s
     acc = [1.0] + [0.0] * p
     for k in range(p, 0, -1):
         pad = [0.0] + acc + [0.0]
-        s_acc = [j * pad[j] + (n - j) * pad[j + 2] for j in range(p + 1)]
-        acc = [float(j == 0) + (x0 * acc[j] + x1 * s_acc[j]) / k
+        acc = [float(j == 0)
+               + (x0 * acc[j] + x1 * (j * pad[j] + (n - j) * pad[j + 2])) / k
                for j in range(p + 1)]
-    return acc
-
-
-def _signed_subsets(mask: int, w: int, p: int) -> list:
-    """For each size j <= p, [(S, prod_{i in S} -w_i)] over the subsets S of
-    `mask` of that size."""
-    by_size = [[(0, 1.0)]] + [[] for _ in range(p)]
-    rest = mask
-    while rest:
-        low = rest & -rest
-        sign = -1.0 if w & low else 1.0
-        for j in range(p, 0, -1):  # descending, so each subset takes low once
-            by_size[j] += [(sub | low, sub_sign * sign)
-                           for sub, sub_sign in by_size[j - 1]]
-        rest ^= low
-    return by_size
+    return tuple(acc)
 
 
 def greedy_value_poly(state, params: RewardParams) -> MultilinearPoly:
@@ -82,38 +74,46 @@ def greedy_value_poly(state, params: RewardParams) -> MultilinearPoly:
     scalar = 1.0
     for i, d in enumerate(state.round_dists, start=1):
         scalar *= g(i, d, params)
-    free = state.free
-    used = ((1 << params.v) - 1) ^ free
+    n_free = state.free.bit_count()
+    n_used = params.v - n_free
     a = _symmetric_coefficients(params, n, hamming(state.w_round, state.w),
-                                free.bit_count())
-    b = _symmetric_coefficients(params, n + 1, 0, used.bit_count())
-    used_by_size = _signed_subsets(used, state.w, p)
-    terms = {}
-    for j, free_subsets in enumerate(_signed_subsets(free, state.w, p)):
-        for k, used_subsets in enumerate(used_by_size):
-            c = scalar * a[j] * b[k]
-            if c != 0.0:
-                terms.update({sf | su: c * sign_f * sign_u
-                              for sf, sign_f in free_subsets
-                              for su, sign_u in used_subsets})
-    return MultilinearPoly(terms)
+                                n_free)
+    b = _symmetric_coefficients(params, n + 1, 0, n_used)
+    cells = [[scalar * aj * bk for bk in b] for aj in a]
+    terms = sum(math.comb(n_free, j) * math.comb(n_used, k)
+                for j, row in enumerate(cells) for k, c in enumerate(row)
+                if c != 0.0)
+    coef = np.zeros((2 * p + 1, 2 * p + 1))
+    coef[:p + 1, :p + 1] = cells
+    return MultilinearPoly(coef, state.free, state.w, range(terms))
 
 
 @lru_cache(maxsize=None)
 def _subset_masks(v: int, max_size: int) -> tuple:
-    masks = []
-    for size in range(max_size + 1):
-        for combo in combinations(range(v), size):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            masks.append(m)
-    return tuple(masks)
+    """The canonical subsets of size <= max_size as a read-only uint64 array
+    of shape (ceil(v/64), d), word k holding variables 64k..64k+63, and their
+    read-only uint8 sizes."""
+    counts = [math.comb(v, size) for size in range(max_size + 1)]
+    sizes = np.repeat(np.arange(max_size + 1, dtype=np.uint8), counts)
+    masks = np.zeros((-(-v // 64), len(sizes)), dtype=np.uint64)
+    start = 0
+    for size, count in enumerate(counts):
+        combos = np.fromiter(chain.from_iterable(combinations(range(v), size)),
+                             dtype=np.intp, count=size * count)
+        cols = np.arange(start, start + count)
+        for var in combos.reshape(count, size).T:  # one variable of each subset
+            masks[var // 64, cols] |= np.uint64(1) << (var % 64).astype(np.uint64)
+        start += count
+    masks.flags.writeable = sizes.flags.writeable = False
+    return masks, sizes
 
 
-@lru_cache(maxsize=None)
-def _subset_index(v: int, max_size: int) -> dict:
-    return {m: k for k, m in enumerate(_subset_masks(v, max_size))}
+def _popcounts(masks: np.ndarray, *ms: int) -> np.ndarray:
+    """|S & m| for every mask m and every subset S of `masks`, summed over
+    the words; shape (len(ms), d)."""
+    words = np.array([[[(m >> (64 * k)) & 0xFFFF_FFFF_FFFF_FFFF]
+                       for k in range(len(masks))] for m in ms], dtype=np.uint64)
+    return np.bitwise_count(masks & words).sum(axis=1, dtype=np.uint8)
 
 
 def feature_dim(v: int, p: int) -> int:
@@ -123,15 +123,17 @@ def feature_dim(v: int, p: int) -> int:
 
 def to_feature_vector(poly: MultilinearPoly, v: int, p: int) -> np.ndarray:
     """Dense coefficient vector under the canonical subset enumeration."""
-    index = _subset_index(v, min(2 * p, v))
-    vec = np.zeros(len(index))
-    for m, c in poly.terms.items():
-        k = index.get(m)
-        if k is None:
-            raise ParameterError(
-                f"monomial of degree {m.bit_count()} does not fit dimension for p={p}")
-        vec[k] = c
-    return vec
+    if poly.coef.shape != (2 * p + 1, 2 * p + 1):
+        raise ParameterError(
+            f"polynomial of degree {len(poly.coef) - 1} does not fit dimension for p={p}")
+    masks, sizes = _subset_masks(v, min(2 * p, v))
+    n_free, n_true = _popcounts(masks, poly.free, poly.w)
+    # cell (parity, j, k) of the signed table, flat, in the smallest integer
+    # type that holds it; 0.0 - c keeps the zero cells +0.0
+    k = len(poly.coef)
+    cell = np.min_scalar_type(2 * k * k).type
+    signed = np.concatenate((poly.coef, 0.0 - poly.coef), axis=None)
+    return signed.take((n_true & 1) * cell(k * k) + n_free * cell(k - 1) + sizes)
 
 
 def theta_vector(wstar, v: int, p: int) -> np.ndarray:
@@ -139,11 +141,8 @@ def theta_vector(wstar, v: int, p: int) -> np.ndarray:
     if len(wstar) != v:
         raise ParameterError(f"assignment length {len(wstar)} != v={v}")
     neg_mask = ((1 << v) - 1) ^ mask_from_assignment(wstar)
-    masks = _subset_masks(v, min(2 * p, v))
-    out = np.empty(len(masks))
-    for k, m in enumerate(masks):
-        out[k] = -1.0 if (m & neg_mask).bit_count() & 1 else 1.0
-    return out
+    masks, _sizes = _subset_masks(v, min(2 * p, v))
+    return 1.0 - 2.0 * (_popcounts(masks, neg_mask)[0] & 1)
 
 
 def inner_product(features: np.ndarray, theta: np.ndarray) -> float:
@@ -151,4 +150,3 @@ def inner_product(features: np.ndarray, theta: np.ndarray) -> float:
         raise ParameterError(
             f"dimension mismatch: {features.shape} vs {theta.shape}")
     return float(np.dot(features, theta))
-

@@ -178,14 +178,18 @@ def verify_claim_range(params: RewardParams, grid_budget: int = 200_000_000,
     grid_points = (h + 1) * (2 * v + 1)
     report.details["grid_points"] = grid_points
 
-    def check_rows(i_values: np.ndarray) -> dict | None:
+    def check_rows(i_values: np.ndarray, certified: bool = False) -> dict | None:
         inv = 1.0 / np.array([params.scale(int(i)) for i in i_values])
         G = _taylor_exp_vec(p, -np.outer(inv, xs))
-        bad = np.argwhere(~(G[:, :-1] > G[:, 1:]))
-        if bad.size:
-            r, c = bad[0]
-            return {"kind": "not_strictly_decreasing", "i": int(i_values[r]),
-                    "x": int(c), "g_x": float(G[r, c]), "g_x1": float(G[r, c + 1])}
+        # a passed certificate proves strict decrease; rows that round to
+        # equal floats (g_1 is 1.0 at x = 0 and 1 for large v) cannot refute it
+        if not certified:
+            bad = np.argwhere(~(G[:, :-1] > G[:, 1:]))
+            if bad.size:
+                r, c = bad[0]
+                return {"kind": "not_strictly_decreasing", "i": int(i_values[r]),
+                        "x": int(c), "g_x": float(G[r, c]),
+                        "g_x1": float(G[r, c + 1])}
         bad = np.argwhere(~((G > 0.0) & (G <= 1.0)))
         if bad.size:
             r, c = bad[0]
@@ -222,7 +226,7 @@ def verify_claim_range(params: RewardParams, grid_budget: int = 200_000_000,
                 "note": "degree p-1 truncation not positive up to z_max; "
                         "grid too large to sweep directly"}
             return report
-        bad = check_rows(np.array([1, h + 1]))
+        bad = check_rows(np.array([1, h + 1]), certified=True)
         if bad is not None:
             report.passed = False
             report.counterexample = bad

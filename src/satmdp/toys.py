@@ -139,9 +139,6 @@ class ToyLinearMdp(LinearRlOracle):
             return 0.0
         return self._v[s]
 
-    def q_star(self, s, a) -> float:
-        return self._q[(s, a)]
-
     def q_star_table(self) -> dict:
         """{(digest, action): Q*} over every non-terminal state."""
         return {(path, a): q for (path, a), q in self._q.items()}

@@ -10,7 +10,6 @@ from satmdp.agents import (
     cover_radius,
     cover_spacing,
     epsilon_net_search,
-    exact_value_dp,
     greedy_action,
     greedy_on_q,
     greedy_policy,
@@ -30,12 +29,53 @@ from satmdp.instances import random_gap_unsat_formula, random_satisfiable_instan
 from satmdp.mdp import (
     GAP_SATISFIED,
     build_instance,
+    distinct_actions,
     enumerate_reachable,
+    exact_expected_reward,
     initial_state,
     transition,
 )
 from satmdp.reward import params_for_rounds
 from satmdp.toys import ToyLinearMdp
+
+
+def exact_value_dp(inst, s, node_budget: int = 2_000_000) -> float:
+    """Optimal value by exhaustive max-over-actions recursion (explicit
+    stack): the independent oracle for `tree_optimal_values`.
+
+    The terminal Bernoulli mean is credited on the transition entering the
+    terminal state; terminal states themselves are worth 0.
+    """
+    if inst.satisfiable is False:
+        return 0.0
+    if s.is_terminal:
+        return 0.0
+    visited = 0
+    # frames: [state, actions, next action index, best value so far]; rewards
+    # are only paid on terminal-entering transitions, so interior edges add 0.
+    stack = [[s, distinct_actions(inst, s), 0, 0.0]]
+    result = 0.0
+    while stack:
+        frame = stack[-1]
+        if frame[2] == len(frame[1]):
+            stack.pop()
+            if stack:
+                stack[-1][3] = max(stack[-1][3], frame[3])
+            else:
+                result = frame[3]
+            continue
+        a = frame[1][frame[2]]
+        frame[2] += 1
+        nxt = transition(inst, frame[0], a)
+        visited += 1
+        if visited > node_budget:
+            raise ResourceLimitError(
+                f"DP subtree exceeded node budget {node_budget}")
+        if nxt.is_terminal:
+            frame[3] = max(frame[3], exact_expected_reward(inst, nxt))
+        else:
+            stack.append([nxt, distinct_actions(inst, nxt), 0, 0.0])
+    return result
 
 
 def test_greedy_action_figure_root(figure_formula):
@@ -335,8 +375,9 @@ def test_horizon_split_exact_on_deterministic_rewards():
     toy = ToyLinearMdp(depth=4, num_actions=3, dim=2, structure_seed=5,
                        reward_seed=11, bernoulli=False)
     qest, info = horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=200)
+    q_star = toy.q_star_table()
     for a in range(3):
-        assert qest[((), a)] == pytest.approx(toy.q_star((), a), abs=1e-10)
+        assert qest[((), a)] == pytest.approx(q_star[((), a)], abs=1e-10)
     assert all(size <= toy.dim for size in info["basis_sizes"])
     assert info["max_residual"] <= 1e-8
 

@@ -71,7 +71,7 @@ def test_bundle_refuses_changed_cnf(tmp_path, cnf_file, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("cnf_path", None), ("cnf_sha256", None), ("mode", None), ("p", "two"),
-    ("wstar", 7), ("wstar", "1x1x0"),
+    ("wstar", 7), ("wstar", "1x1x0"), ("start_assignment", "11111"),
 ])
 def test_bundle_missing_or_malformed_key(tmp_path, cnf_file, key, value):
     bundle = tmp_path / "bundle"
@@ -95,6 +95,17 @@ def test_gen_rejects_non_binary_assignment(tmp_path, cnf_file, capsys, flag,
                "--q", "2", "--rounds", "2", flag, value])
     assert rc == 2
     assert "0s and 1s" in capsys.readouterr().err
+
+
+def test_gen_refuses_start_that_meets_threshold(tmp_path, cnf_file, capsys):
+    # 11111 satisfies every clause of the figure formula: the episode would
+    # end before its first step
+    out = tmp_path / "b"
+    rc = main(["gen", "--cnf", str(cnf_file), "--out", str(out),
+               "--q", "2", "--rounds", "2", "--start", "11111"])
+    assert rc == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not (out / "instance.json").exists()
 
 
 def test_gen_missing_file(tmp_path):

@@ -121,7 +121,6 @@ def test_check_gap_promise_satisfiable(figure_formula):
     status = check_gap_promise(figure_formula, 0.25)
     assert status.kind is PromiseKind.SATISFIABLE
     assert status.max_sat == figure_formula.m
-    assert status.is_gap_instance
 
 
 def test_check_gap_promise_boundary_inclusive():
@@ -139,7 +138,6 @@ def test_check_gap_promise_violated():
     status = check_gap_promise(f, 0.25)
     assert status.kind is PromiseKind.PROMISE_VIOLATED
     assert status.max_sat == 7
-    assert not status.is_gap_instance
 
 
 def test_check_gap_promise_refuses_large():

@@ -6,11 +6,14 @@ import pytest
 
 from satmdp.cnf import assignment_from_mask, hamming
 from satmdp.errors import ParameterError
+from satmdp.agents import greedy_rollout_value
 from satmdp.mdp import (
     build_instance,
     enumerate_reachable,
     exact_expected_reward,
     features_state,
+    initial_state,
+    transition,
 )
 from satmdp.polyfeat import (
     feature_dim,
@@ -19,7 +22,7 @@ from satmdp.polyfeat import (
     theta_vector,
     to_feature_vector,
 )
-from satmdp.instances import random_satisfiable_instance
+from satmdp.instances import random_satisfiable_instance, regular_planted_formula
 from satmdp.reward import g, params_for_rounds
 
 
@@ -83,11 +86,10 @@ def test_greedy_value_poly_matches_reward_at_wstar():
     inst, wstar, _ = random_satisfiable_instance(11, v=5, h=2, epsilon=0.125)
     theta = theta_vector(wstar, 5, inst.params.p)
     states, _children = enumerate_reachable(inst, budget=10_000)
-    from satmdp.agents import greedy_rollout_value
     for s in states:
         if s.is_terminal:
             continue
-        # to_feature_vector refuses a monomial of degree above 2p
+        # to_feature_vector refuses a polynomial of another degree than 2p
         psi = to_feature_vector(greedy_value_poly(s, inst.params), 5,
                                 inst.params.p)
         assert inner_product(psi, theta) == pytest.approx(
@@ -106,6 +108,30 @@ def test_greedy_value_poly_terminal_equals_exact_reward():
                                 inst.params.p)
         assert inner_product(psi, theta) == pytest.approx(
             exact_expected_reward(inst, s), abs=1e-12)
+
+
+def test_features_span_two_mask_words():
+    # v = 66 needs two 64-bit words per subset mask; p = 1 keeps d at 2,212
+    f, planted = regular_planted_formula(66, seed=0)
+    params = params_for_rounds(v=66, h=2, p=1, q=4, epsilon=1 / 64, b=6)
+    inst = build_instance(f, params, wstar=planted)
+    assert inst.d == 2212
+    theta = theta_vector(planted, 66, 1)
+    subsets = [S for size in range(3)
+               for S in itertools.combinations(range(66), size)]
+    assert np.array_equal(theta, [math.prod(planted[i] for i in S)
+                                  for S in subsets])
+    rng = np.random.default_rng(0)
+    checked = 0
+    for _episode in range(3):
+        s = initial_state(inst)
+        while not s.is_terminal:
+            if s.step % 8 == 0:
+                assert inner_product(features_state(inst, s), theta) == \
+                    pytest.approx(greedy_rollout_value(inst, s), abs=1e-12)
+                checked += 1
+            s = transition(inst, s, int(rng.integers(0, 3)))
+    assert checked >= 30
 
 
 def test_features_never_read_wstar():

@@ -124,6 +124,15 @@ def test_claim_range_certified_mode_matches_exhaustive():
             == reduced.details["bounds_hold_through_x"])
 
 
+def test_claim_range_certificate_survives_float_ties():
+    # at v=200,000 the round-1 scale is about 2.4e16, so g_1(0) and g_1(1)
+    # both round to 1.0; the certificate, not the float rows, decides strict
+    # decrease
+    report = verify_claim_range(params_from_alpha(200_000, p=2, q=4))
+    assert report.details["mode"] == "interval-certified"
+    assert report.passed, report.counterexample
+
+
 def test_claim_range_broken_degree_fails_monotonicity():
     report = verify_claim_range(RewardParams(v=10, p=0, q=4, alpha=1 / 16, h=62))
     assert not report.passed
