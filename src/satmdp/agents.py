@@ -208,30 +208,39 @@ def tree_optimal_values(inst: MdpInstance, states, children):
 
 
 def rollout(oracle: LinearRlOracle, policy, start=None) -> Trajectory:
-    """Run a policy (callable or explicit action list) to termination."""
-    if isinstance(policy, (list, tuple)):
-        if not policy:
-            raise ParameterError("empty action list is not a policy")
-        actions = iter(policy)
-
-        def fn(_s):
-            try:
-                return next(actions)
-            except StopIteration:
-                raise ParameterError(
-                    "action list exhausted before the episode terminated") from None
-    else:
-        fn = policy
+    """Run a policy (a callable from state to action) to termination."""
     s = oracle.initial_state() if start is None else start
     records = []
     while not oracle.is_terminal(s):
         if len(records) >= oracle.horizon:
             raise InvariantViolation("episode exceeded the horizon without terminating")
-        a = fn(s)
+        a = policy(s)
         nxt, reward = oracle.step(s, a)
         records.append((s, a, reward))
         s = nxt
     return Trajectory(tuple(records), s)
+
+
+def _walk(oracle, start, path):
+    """State reached by a fixed action path, stopping early at a terminal."""
+    s = start
+    for a in path:
+        if oracle.is_terminal(s):
+            return s
+        s = oracle.transition(s, a)
+    return s
+
+
+def _estimate_kappa(oracle, start, path, samples: int) -> float:
+    """Mean reward collected along a fixed action path (batched sampling)."""
+    total = 0.0
+    s = start
+    for a in path:
+        if oracle.is_terminal(s):
+            break
+        total += oracle.sample_reward_batch(s, a, samples) / samples
+        s = oracle.transition(s, a)
+    return total
 
 
 # --- RL-to-SAT reduction ----------------------------------------------------------
@@ -294,11 +303,7 @@ def a_sat(f, learner, params, budget: int = 1_000_000, seed: int = 0) -> AsatRes
         policy = learner(oracle)
         if policy:
             # check the path obtained by running the returned policy
-            s = oracle.initial_state()
-            for a in policy:
-                if oracle.is_terminal(s):
-                    break
-                s = oracle.transition(s, a)
+            _walk(oracle, oracle.initial_state(), policy)
     except _WitnessFound as found:
         witness = assignment_from_mask(found.w_mask, f.v)
         if satisfied_count(f, witness) < inst.gap_threshold_count:
@@ -373,6 +378,9 @@ def greedy_on_q(q: dict, oracle: LinearRlOracle):
 
 # --- lattice-cover policy search --------------------------------------------------
 
+MIN_ROLLOUTS = 64  # reward samples per distinct policy, at the least
+CHUNK_ROWS = 2_000_000  # lattice points per yielded block, bounding peak memory
+
 
 def cover_radius(eps: float, horizon: int, dim: int) -> float:
     return eps / (2 * horizon * math.sqrt(dim))
@@ -384,8 +392,7 @@ def cover_spacing(eps: float, horizon: int, dim: int) -> float:
     return cover_radius(eps, horizon, dim) / math.sqrt(dim)
 
 
-def _lattice_ball_chunks(dim: int, spacing: float, radius: float,
-                         chunk_rows: int = 2_000_000):
+def _lattice_ball_chunks(dim: int, spacing: float, radius: float):
     """Yield (n, dim) arrays of lattice points with norm <= radius, slab by slab
     along the first coordinate."""
     reach = int(math.floor(radius / spacing))
@@ -411,7 +418,7 @@ def _lattice_ball_chunks(dim: int, spacing: float, radius: float,
         block[:, 1:] = sub
         buf.append(block)
         buffered += len(block)
-        if buffered >= chunk_rows:
+        if buffered >= CHUNK_ROWS:
             yield np.concatenate(buf)
             buf, buffered = [], 0
     if buf:
@@ -424,8 +431,7 @@ def cover_size_estimate(dim: int, spacing: float, radius: float) -> int:
 
 
 def epsilon_net_search(oracle: LinearRlOracle, eps: float, delta: float,
-                       cover_budget: int = 60_000_000,
-                       min_rollouts: int = 64):
+                       cover_budget: int = 60_000_000):
     """Enumerate a deterministic lattice cover of the unit parameter ball, map
     every candidate to the trajectory its argmax-of-features policy induces,
     and keep the empirically best trajectory.
@@ -474,18 +480,12 @@ def epsilon_net_search(oracle: LinearRlOracle, eps: float, delta: float,
                 groups.append((oracle.transition(s, a), cands[sel], prefix + [a]))
 
     n_unique = len(trajectory_counts)
-    n_roll = max(min_rollouts,
+    n_roll = max(MIN_ROLLOUTS,
                  math.ceil(math.log(2 * max(cover_points, 1) / delta)
                            / (2 * eps * eps)))
     best_actions, best_est = None, -math.inf
     for actions in sorted(trajectory_counts):
-        s = s0
-        total = 0.0
-        for a in actions:
-            if oracle.is_terminal(s):
-                break
-            total += oracle.sample_reward_batch(s, a, n_roll) / n_roll
-            s = oracle.transition(s, a)
+        total = _estimate_kappa(oracle, s0, actions, n_roll)
         if total > best_est:
             best_actions, best_est = list(actions), total
     info = {"cover_points": cover_points, "unique_policies": n_unique,
@@ -495,6 +495,9 @@ def epsilon_net_search(oracle: LinearRlOracle, eps: float, delta: float,
 
 
 # --- horizon-split basis algorithm ------------------------------------------------
+
+KAPPA_SAMPLES = 64  # reward samples per step of a path inside one segment
+RESIDUAL_TOL = 1e-8  # largest basis-expansion residual of a consistent system
 
 
 def select_independent(vectors, tol: float = 1e-10):
@@ -538,31 +541,9 @@ class _BasisEntry:
     features: np.ndarray
 
 
-def _walk(oracle, start, path):
-    s = start
-    for a in path:
-        if oracle.is_terminal(s):
-            return s
-        s = oracle.transition(s, a)
-    return s
-
-
-def _estimate_kappa(oracle, start, path, samples: int) -> float:
-    """Mean reward collected along a fixed action path (batched sampling)."""
-    total = 0.0
-    s = start
-    for a in path:
-        if oracle.is_terminal(s):
-            break
-        total += oracle.sample_reward_batch(s, a, samples) / samples
-        s = oracle.transition(s, a)
-    return total
-
-
 def horizon_split_q(oracle: LinearRlOracle, eps: float, delta: float,
                     start=None, from_level: int = 0,
-                    sample_cap: int = 50_000, kappa_samples: int = 64,
-                    residual_tol: float = 1e-8):
+                    sample_cap: int = 50_000):
     """Q estimates at a state via sqrt(H)-segment feature bases.
 
     Builds one <= d sized basis of state-action features per segment boundary,
@@ -620,9 +601,9 @@ def horizon_split_q(oracle: LinearRlOracle, eps: float, delta: float,
         alpha, *_ = np.linalg.lstsq(mat, feat, rcond=None)
         resid = float(np.linalg.norm(mat @ alpha - feat))
         max_residual = max(max_residual, resid)
-        if resid > residual_tol:
+        if resid > RESIDUAL_TOL:
             raise InvariantViolation(
-                f"feature expansion residual {resid:.3e} exceeds {residual_tol}; "
+                f"feature expansion residual {resid:.3e} exceeds {RESIDUAL_TOL}; "
                 "inconsistent basis system")
         return float(alpha @ q_values[level_idx])
 
@@ -633,7 +614,7 @@ def horizon_split_q(oracle: LinearRlOracle, eps: float, delta: float,
         for tail in product(range(k), repeat=gap - 1):
             inner = (entry.action,) + tail
             s = _walk(oracle, anchor, inner)
-            kappa = _estimate_kappa(oracle, anchor, inner, kappa_samples)
+            kappa = _estimate_kappa(oracle, anchor, inner, KAPPA_SAMPLES)
             if oracle.is_terminal(s):
                 best = max(best, kappa)
                 continue
@@ -662,7 +643,7 @@ def horizon_split_q(oracle: LinearRlOracle, eps: float, delta: float,
 
 
 def horizon_split_policy(oracle: LinearRlOracle, eps: float, delta: float,
-                         sample_cap: int = 50_000, kappa_samples: int = 64):
+                         sample_cap: int = 50_000):
     """Iterate the horizon-split estimator along the induced trajectory: at each
     visited state estimate Q, act on the argmax, repeat. Returns the action
     list, the accumulated Q table (covering every visited state), and info."""
@@ -673,16 +654,10 @@ def horizon_split_policy(oracle: LinearRlOracle, eps: float, delta: float,
     infos = []
     while not oracle.is_terminal(s):
         qest, info = horizon_split_q(oracle, eps, delta, start=s,
-                                     from_level=level, sample_cap=sample_cap,
-                                     kappa_samples=kappa_samples)
+                                     from_level=level, sample_cap=sample_cap)
         q_all.update(qest)
         infos.append(info)
-        key = oracle.digest(s)
-        values = [q_all[(key, a)] for a in range(oracle.num_actions)]
-        best = 0
-        for a in range(1, oracle.num_actions):
-            if values[a] > values[best]:
-                best = a
+        best = greedy_on_q(q_all, oracle)(s)
         actions.append(best)
         s = oracle.transition(s, best)
         level += 1

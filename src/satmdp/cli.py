@@ -72,11 +72,11 @@ def _write_report(report: dict, out: str | None):
 
 
 def _build_instance(f, params, wstar, mode, start) -> mdp.MdpInstance:
-    """`mdp.build_instance`, refusing a given start assignment that already
-    meets the satisfaction threshold: its episode would end before the first
-    step. The default all-false start is kept as it is."""
+    """`mdp.build_instance`, refusing a start assignment (given or the default
+    all-false one) that already meets the satisfaction threshold: its episode
+    would end before the first step."""
     inst = mdp.build_instance(f, params, wstar=wstar, mode=mode, start=start)
-    if start is not None and mdp.initial_state(inst).is_terminal:
+    if mdp.initial_state(inst).is_terminal:
         raise ParameterError(
             "start assignment already meets the satisfaction threshold "
             f"({inst.gap_threshold_count} of {f.m} clauses)")

@@ -15,10 +15,9 @@ from .cnf import (
     Literal,
     brute_force_sat,
     occurrence_bound,
-    satisfied_count,
 )
 from .errors import ParameterError, ResourceLimitError
-from .mdp import MODE_FULL, build_instance, enumerate_reachable
+from .mdp import MODE_FULL, build_instance, enumerate_reachable, initial_state
 from .reward import params_for_rounds
 
 
@@ -60,8 +59,7 @@ def random_satisfiable_instance(seed: int, v: int, h: int, p: int = 2,
         if wstar is None:
             continue
         inst = build_instance(f, params, wstar=wstar, mode=MODE_FULL)
-        start = tuple(-1 for _ in range(v))
-        if satisfied_count(f, start) >= inst.gap_threshold_count:
+        if initial_state(inst).is_terminal:
             continue
         try:
             enumerate_reachable(inst, budget=tree_budget)

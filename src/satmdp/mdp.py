@@ -381,18 +381,8 @@ class Trajectory:
     def terminal_kind(self):
         return self.final_state.terminal_kind
 
-    def actions(self):
-        return [a for _, a, _ in self.records]
-
     def total_reward(self):
         return sum(r for _, _, r in self.records)
-
-
-def distinct_actions(inst: MdpInstance, s: MdpState):
-    """Representative actions with distinct successors (stage two aliases 0 and 2)."""
-    if s.stage == STAGE_ONE:
-        return (0, 1, 2)
-    return (0, 1)
 
 
 def enumerate_reachable(inst: MdpInstance, budget: int = 500_000):

@@ -6,6 +6,10 @@ theta, so Q* and V* are exactly linear, feature norms stay <= 1, and only the
 theta direction carries value signal. Leaf means are quantized with one
 designated optimal path well above the rest, keeping action gaps large enough
 for sampled estimates to resolve.
+
+The tree is stored as arrays in heap order: node 0 is the root and the
+children of node i are k*i+1 .. k*i+k, so every level lists its action paths
+in lexicographic order.
 """
 from __future__ import annotations
 
@@ -14,16 +18,20 @@ import numpy as np
 from .agents import LinearRlOracle
 from .errors import ParameterError
 
+OPTIMAL_MEAN = 0.9
+RUNNER_UP = 0.7
+NOISE_SCALE = 0.6
+
 
 class ToyLinearMdp(LinearRlOracle):
     def __init__(self, depth: int, num_actions: int, dim: int,
                  structure_seed: int = 0, reward_seed: int = 1,
-                 bernoulli: bool = True, optimal_mean: float = 0.9,
-                 runner_up: float = 0.7, noise_scale: float = 0.6):
+                 bernoulli: bool = True):
         if depth < 1 or num_actions < 2 or dim < 1:
             raise ParameterError("need depth >= 1, k >= 2, d >= 1")
+        k = num_actions
         self.horizon = depth
-        self.num_actions = num_actions
+        self.num_actions = k
         self.dim = dim
         self.bernoulli = bernoulli
         self._rng = np.random.Generator(np.random.Philox(key=reward_seed))
@@ -31,57 +39,34 @@ class ToyLinearMdp(LinearRlOracle):
         struct = np.random.Generator(np.random.Philox(key=structure_seed))
         theta = struct.normal(size=dim)
         self.theta_star = theta / np.linalg.norm(theta)
+        self.optimal_path = tuple(int(a) for a in struct.integers(0, k, size=depth))
 
-        self._leaf_mean: dict = {}
-        optimal_path = tuple(int(struct.integers(0, num_actions))
-                             for _ in range(depth))
-        for path in _all_paths(depth, num_actions):
-            # quantized to 0.05 steps in [0.10, runner_up]
-            level = int(struct.integers(2, int(runner_up / 0.05) + 1))
-            self._leaf_mean[path] = level * 0.05
-        self._leaf_mean[optimal_path] = optimal_mean
-        self.optimal_path = optimal_path
+        # _value[i] is a leaf's mean payout or an internal node's V*; the
+        # means are quantized to 0.05 steps in [0.10, RUNNER_UP)
+        internal = (k ** depth - 1) // (k - 1)
+        levels = struct.integers(2, int(RUNNER_UP / 0.05) + 1, size=k ** depth)
+        self._value = np.concatenate([np.zeros(internal), levels * 0.05])
+        self._value[self._node(self.optimal_path)] = OPTIMAL_MEAN
+        for t in range(depth - 1, -1, -1):
+            first, width = (k ** t - 1) // (k - 1), k ** t
+            children = self._value[first + width:first + width * (k + 1)]
+            self._value[first:first + width] = children.reshape(width, k).max(axis=1)
 
-        self._q: dict = {}
-        self._v: dict = {}
-        self._fill_values(())
-        self._psi_s: dict = {}
-        self._psi_sa: dict = {}
-        for path in _all_prefixes(depth, num_actions):
-            if len(path) == depth:
-                continue  # terminal: features are identically zero
-            self._psi_s[path] = self._plant(self._v[path], struct, noise_scale)
-            for a in range(num_actions):
-                self._psi_sa[(path, a)] = self._plant(
-                    self._q[(path, a)], struct, noise_scale)
+        # per internal node: the raw vector of the state, then one per action;
+        # the pair (s, a) is stored at the node it enters, whose value is Q*(s, a)
+        raw = struct.normal(size=(internal, 1 + k, dim))
+        self._psi_s = _plant(self._value[:internal], raw[:, 0], self.theta_star)
+        self._psi_sa = _plant(self._value[1:], raw[:, 1:].reshape(-1, dim),
+                              self.theta_star)
 
-    def _plant(self, value: float, rng, noise_scale: float) -> np.ndarray:
-        raw = rng.normal(size=self.dim)
-        raw -= np.dot(raw, self.theta_star) * self.theta_star
-        norm = np.linalg.norm(raw)
-        if norm > 0 and self.dim > 1:
-            budget = noise_scale * np.sqrt(max(0.0, 1.0 - value * value))
-            raw *= budget / norm
-        else:
-            raw = np.zeros(self.dim)
-        vec = value * self.theta_star + raw
-        vec.flags.writeable = False
-        return vec
-
-    def _fill_values(self, path) -> float:
-        if len(path) == self.horizon:
-            return 0.0  # leaves are past the payout; worth nothing onward
-        best = -np.inf
-        for a in range(self.num_actions):
-            child = path + (a,)
-            if len(child) == self.horizon:
-                q = self._leaf_mean[child]
-            else:
-                q = self._fill_values(child)
-            self._q[(path, a)] = q
-            best = max(best, q)
-        self._v[path] = best
-        return best
+    def _node(self, s) -> int:
+        """Heap index of the state s."""
+        i = 0
+        for a in s:
+            if not 0 <= a < self.num_actions:
+                raise ParameterError(f"action {a} out of range")
+            i = self.num_actions * i + 1 + a
+        return i
 
     # --- oracle interface ---
 
@@ -100,7 +85,7 @@ class ToyLinearMdp(LinearRlOracle):
 
     def exact_mean(self, s, a) -> float:
         if len(s) == self.horizon - 1:
-            return self._leaf_mean[s + (a,)]
+            return float(self._value[self._node(s + (a,))])
         return 0.0
 
     def sample_reward(self, s, a):
@@ -122,12 +107,12 @@ class ToyLinearMdp(LinearRlOracle):
     def features(self, s):
         if self.is_terminal(s):
             return np.zeros(self.dim)
-        return self._psi_s[s]
+        return self._psi_s[self._node(s)]
 
     def features_sa(self, s, a):
         if self.is_terminal(s):
             raise ParameterError("no state-action features at a terminal state")
-        return self._psi_sa[(s, a)]
+        return self._psi_sa[self._node(s + (a,)) - 1]
 
     def digest(self, s):
         return s
@@ -137,11 +122,23 @@ class ToyLinearMdp(LinearRlOracle):
     def v_star(self, s=()) -> float:
         if self.is_terminal(s):
             return 0.0
-        return self._v[s]
+        return float(self._value[self._node(s)])
 
     def q_star_table(self) -> dict:
-        """{(digest, action): Q*} over every non-terminal state."""
-        return {(path, a): q for (path, a), q in self._q.items()}
+        """{(digest, action): Q*} over every non-terminal state, in post-order:
+        the pairs below a child come before the pair that enters it."""
+        k, value = self.num_actions, self._value.tolist()
+        table = {}
+
+        def fill(s, i):
+            for a in range(k):
+                child = k * i + 1 + a
+                if len(s) + 1 < self.horizon:
+                    fill(s + (a,), child)
+                table[(s, a)] = value[child]
+
+        fill((), 0)
+        return table
 
     def policy_value(self, actions) -> float:
         """Exact value of an explicit action sequence from the root."""
@@ -155,15 +152,19 @@ class ToyLinearMdp(LinearRlOracle):
         return total
 
 
-def _all_paths(depth: int, k: int):
-    if depth == 0:
-        yield ()
-        return
-    for prefix in _all_paths(depth - 1, k):
-        for a in range(k):
-            yield prefix + (a,)
-
-
-def _all_prefixes(depth: int, k: int):
-    for t in range(depth + 1):
-        yield from _all_paths(t, k)
+def _plant(values: np.ndarray, raw: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Rows values * theta plus the part of `raw` orthogonal to theta, rescaled
+    to NOISE_SCALE * sqrt(1 - value^2), as one read-only array. Rows are
+    reduced with np.vecdot, which runs the dot kernel of np.dot and
+    np.linalg.norm on each row; a matrix product sums in another order and
+    moves the last bits of the features."""
+    raw = raw - np.vecdot(raw, theta)[..., None] * theta
+    norm = np.sqrt(np.vecdot(raw, raw))
+    # the projection leaves nothing when dim = 1: those vectors get no noise
+    noisy = norm > 0
+    budget = NOISE_SCALE * np.sqrt(np.maximum(0.0, 1.0 - values * values))
+    scale = np.divide(budget, norm, out=np.zeros_like(norm), where=noisy)
+    noise = np.where(noisy[..., None], raw * scale[..., None], 0.0)
+    vec = values[..., None] * theta + noise
+    vec.flags.writeable = False
+    return vec

@@ -28,8 +28,8 @@ from satmdp.gapsat import PromiseKind, check_gap_promise
 from satmdp.instances import random_gap_unsat_formula, random_satisfiable_instance
 from satmdp.mdp import (
     GAP_SATISFIED,
+    STAGE_ONE,
     build_instance,
-    distinct_actions,
     enumerate_reachable,
     exact_expected_reward,
     initial_state,
@@ -37,6 +37,13 @@ from satmdp.mdp import (
 )
 from satmdp.reward import params_for_rounds
 from satmdp.toys import ToyLinearMdp
+
+
+def distinct_actions(s):
+    """Representative actions with distinct successors (stage two aliases 0 and 2)."""
+    if s.stage == STAGE_ONE:
+        return (0, 1, 2)
+    return (0, 1)
 
 
 def exact_value_dp(inst, s, node_budget: int = 2_000_000) -> float:
@@ -53,7 +60,7 @@ def exact_value_dp(inst, s, node_budget: int = 2_000_000) -> float:
     visited = 0
     # frames: [state, actions, next action index, best value so far]; rewards
     # are only paid on terminal-entering transitions, so interior edges add 0.
-    stack = [[s, distinct_actions(inst, s), 0, 0.0]]
+    stack = [[s, distinct_actions(s), 0, 0.0]]
     result = 0.0
     while stack:
         frame = stack[-1]
@@ -74,7 +81,7 @@ def exact_value_dp(inst, s, node_budget: int = 2_000_000) -> float:
         if nxt.is_terminal:
             frame[3] = max(frame[3], exact_expected_reward(inst, nxt))
         else:
-            stack.append([nxt, distinct_actions(inst, nxt), 0, 0.0])
+            stack.append([nxt, distinct_actions(nxt), 0, 0.0])
     return result
 
 
@@ -169,17 +176,6 @@ def test_rollout_semantics(figure_formula):
     assert traj.terminal_kind == GAP_SATISFIED
     assert 1 < len(traj.records) <= inst.params.H
     assert all(r == 0 for _, _, r in traj.records[:-1])
-    with pytest.raises(ParameterError):
-        rollout(oracle, [])
-    with pytest.raises(ParameterError):
-        rollout(oracle, [0])  # exhausted before termination
-
-
-def test_rollout_explicit_action_list(figure_instance):
-    oracle = SatOracle(figure_instance, seed=1)
-    ref = rollout(oracle, greedy_policy(figure_instance))
-    replay = rollout(oracle, ref.actions())
-    assert [a for _, a, _ in replay.records] == ref.actions()
 
 
 def test_a_sat_yes_on_satisfiable_and_witness_is_verified():
@@ -298,7 +294,7 @@ def test_cover_lattice_covers_unit_sphere():
 def test_epsilon_net_zero_reward_mdp():
     toy = ToyLinearMdp(depth=2, num_actions=2, dim=2, structure_seed=12,
                        reward_seed=13)
-    toy._leaf_mean = {k: 0.0 for k in toy._leaf_mean}  # silence every payout
+    toy._value = np.zeros_like(toy._value)  # silence every payout
     actions, info = epsilon_net_search(toy, eps=0.2, delta=0.2)
     assert toy.policy_value(actions) == 0.0
     assert info["best_estimate"] == 0.0

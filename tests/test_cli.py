@@ -114,16 +114,35 @@ def test_gen_missing_file(tmp_path):
     assert rc == 2
 
 
-def test_gen_unsat_zero_reward_mode(tmp_path):
-    # strictified (x)(~x): v=7, m=8, occurrence bound 8
+@pytest.fixture
+def unsat_cnf(tmp_path):
+    # strictified (x)(~x): v=7, m=8, occurrence bound 8; every assignment
+    # satisfies exactly 7 of the 8 clauses
     from satmdp.cnf import formula_from_ints, to_dimacs
     from satmdp.gapsat import strictify
     f = strictify(formula_from_ints(1, [[1], [-1]], strict=False))
     path = tmp_path / "unsat.cnf"
     path.write_text(to_dimacs(f))
+    return path
+
+
+def test_gen_refuses_default_start_that_meets_threshold(tmp_path, unsat_cnf,
+                                                        capsys):
+    # at the default eps = 1/4 the threshold is 7 of 8, which the all-false
+    # start already meets: every episode would end at step 0
     out = tmp_path / "bundle"
-    rc = main(["gen", "--cnf", str(path), "--out", str(out),
+    rc = main(["gen", "--cnf", str(unsat_cnf), "--out", str(out),
                "--rounds", "2", "--b", "8"])
+    assert rc == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_unsat_zero_reward_mode(tmp_path, unsat_cnf):
+    # eps = 1/8: the threshold is 8 of 8, which no assignment meets
+    out = tmp_path / "bundle"
+    rc = main(["gen", "--cnf", str(unsat_cnf), "--out", str(out),
+               "--rounds", "2", "--b", "8", "--epsilon", "0.125"])
     assert rc == 0
     meta = read_json(out / "instance.json")["metadata"]
     assert meta["satisfiable"] is False and meta["wstar"] is None
@@ -247,12 +266,14 @@ def test_gen_refuses_undecidable_satisfiability(tmp_path):
     f, planted = regular_planted_formula(30, seed=1)
     path = tmp_path / "big.cnf"
     path.write_text(to_dimacs(f))
+    # the all-false start satisfies 54 of 60 clauses; eps = 1/16 puts the
+    # threshold at 57, above it
     rc = main(["gen", "--cnf", str(path), "--out", str(tmp_path / "big"),
-               "--rounds", "2"])
+               "--rounds", "2", "--epsilon", "0.0625"])
     assert rc == 3
     # supplying the planted assignment unblocks it
     rc = main(["gen", "--cnf", str(path), "--out", str(tmp_path / "big"),
-               "--rounds", "2",
+               "--rounds", "2", "--epsilon", "0.0625",
                "--wstar", "".join("1" if x == 1 else "0" for x in planted)])
     assert rc == 0
 

@@ -11,7 +11,18 @@ def toy():
                         reward_seed=11)
 
 
-def test_planted_linearity(toy):
+# depth=1: the root is the only internal node; dim=1: no room for noise
+# orthogonal to theta, so every feature vector is its value times theta
+@pytest.fixture(scope="module", params=[
+    dict(depth=3, dim=2), dict(depth=1, dim=2), dict(depth=3, dim=1)],
+    ids=["depth3-dim2", "depth1", "dim1"])
+def planted_toy(request):
+    return ToyLinearMdp(num_actions=3, structure_seed=5, reward_seed=11,
+                        **request.param)
+
+
+def test_planted_linearity(planted_toy):
+    toy = planted_toy
     for (s, a), q in toy.q_star_table().items():
         assert np.dot(toy.theta_star, toy.features_sa(s, a)) == pytest.approx(
             q, abs=1e-12)
@@ -19,14 +30,16 @@ def test_planted_linearity(toy):
             toy.v_star(s), abs=1e-12)
 
 
-def test_feature_norms_at_most_one(toy):
+def test_feature_norms_at_most_one(planted_toy):
+    toy = planted_toy
     assert np.linalg.norm(toy.theta_star) == pytest.approx(1.0)
     for (s, a) in toy.q_star_table():
         assert np.linalg.norm(toy.features_sa(s, a)) <= 1.0 + 1e-12
         assert np.linalg.norm(toy.features(s)) <= 1.0 + 1e-12
 
 
-def test_bellman_consistency(toy):
+def test_bellman_consistency(planted_toy):
+    toy = planted_toy
     q_star = toy.q_star_table()
     for path, _a in q_star:
         assert toy.v_star(path) == pytest.approx(
@@ -92,6 +105,11 @@ def test_terminal_interface(toy):
     with pytest.raises(ParameterError):
         toy.transition(leaf, 0)
     assert not toy.features(leaf).any()
+    # an action outside range(k) would index another node of the tree
+    with pytest.raises(ParameterError):
+        toy.features_sa((), toy.num_actions)
+    with pytest.raises(ParameterError):
+        toy.exact_mean(leaf[:-1], -1)
 
 
 def test_construction_validation():
