@@ -139,18 +139,17 @@ class SatOracle(LinearRlOracle):
 # --- greedy reference policy ------------------------------------------------------
 
 
-def greedy_action(inst: MdpInstance, s: MdpState, wstar=None) -> int:
-    """Stage one: lowest-index offered variable disagreeing with the target;
-    stage two: flip iff the offered variable disagrees."""
+def greedy_action(inst: MdpInstance, s: MdpState, target: int | None = None) -> int:
+    """Stage one: lowest-index offered variable disagreeing with the target
+    bitmask (default: the instance's satisfying assignment); stage two: flip
+    iff the offered variable disagrees."""
     if s.is_terminal:
         raise ParameterError("greedy action undefined on a terminal state")
-    if wstar is None:
-        wstar_mask = inst.wstar
-        if wstar_mask is None:
+    if target is None:
+        target = inst.wstar
+        if target is None:
             raise ParameterError("greedy policy needs a satisfying assignment")
-    else:
-        wstar_mask = mask_from_assignment(tuple(wstar))
-    diff = s.w ^ wstar_mask
+    diff = s.w ^ target
     if s.stage == STAGE_ONE:
         for a, var in enumerate(inst.clause_vars_sorted[s.cursor]):
             if (diff >> var) & 1:
@@ -162,7 +161,10 @@ def greedy_action(inst: MdpInstance, s: MdpState, wstar=None) -> int:
 
 
 def greedy_policy(inst: MdpInstance, wstar=None):
-    return lambda s: greedy_action(inst, s, wstar)
+    """Greedy toward the ±1 assignment `wstar`, converted once, or toward the
+    instance's satisfying assignment."""
+    target = None if wstar is None else mask_from_assignment(tuple(wstar))
+    return lambda s: greedy_action(inst, s, target)
 
 
 def greedy_rollout_value(inst: MdpInstance, s: MdpState) -> float:
@@ -322,11 +324,11 @@ def greedy_reference_learner(wstar):
     cannot."""
 
     def learn(oracle):
-        inst = oracle.instance
+        policy = greedy_policy(oracle.instance, wstar)
         s = oracle.initial_state()
         actions = []
         while not oracle.is_terminal(s):
-            a = greedy_action(inst, s, wstar)
+            a = policy(s)
             actions.append(a)
             s = oracle.transition(s, a)
         return actions
@@ -419,10 +421,14 @@ def _lattice_ball_chunks(dim: int, spacing: float, radius: float):
         buf.append(block)
         buffered += len(block)
         if buffered >= CHUNK_ROWS:
-            yield np.concatenate(buf)
-            buf, buffered = [], 0
+            chunk = np.concatenate(buf)
+            buf.clear()  # free the slabs before the chunk is used
+            buffered = 0
+            yield chunk
     if buf:
-        yield np.concatenate(buf)
+        chunk = np.concatenate(buf)
+        buf.clear()
+        yield chunk
 
 
 def cover_size_estimate(dim: int, spacing: float, radius: float) -> int:
@@ -461,23 +467,28 @@ def epsilon_net_search(oracle: LinearRlOracle, eps: float, delta: float,
         return entry
 
     trajectory_counts: dict = {}
+
+    def settle(s, path, count):
+        """Count `count` candidates whose trajectory ends at s; False if it goes on."""
+        if not (oracle.is_terminal(s) or len(path) >= H):
+            return False
+        trajectory_counts[path] = trajectory_counts.get(path, 0) + count
+        return True
+
     cover_points = 0
     for block in _lattice_ball_chunks(d, spacing, radius):
         cover_points += len(block)
-        groups = [(s0, block, [])]
+        groups = [] if settle(s0, (), len(block)) else [(s0, block, ())]
         while groups:
             s, cands, prefix = groups.pop()
-            if oracle.is_terminal(s) or len(prefix) >= H:
-                key = tuple(prefix)
-                trajectory_counts[key] = trajectory_counts.get(key, 0) + len(cands)
-                continue
-            scores = cands @ sa_features(s).T
-            acts = np.argmax(scores, axis=1)  # first max: lowest action wins ties
-            for a in range(oracle.num_actions):
-                sel = acts == a
-                if not sel.any():
-                    continue
-                groups.append((oracle.transition(s, a), cands[sel], prefix + [a]))
+            # first max: lowest action wins ties
+            acts = np.argmax(cands @ sa_features(s).T, axis=1)
+            counts = np.bincount(acts, minlength=oracle.num_actions)
+            for a in np.flatnonzero(counts).tolist():
+                nxt, path = oracle.transition(s, a), prefix + (a,)
+                # only groups that go on are copied out
+                if not settle(nxt, path, int(counts[a])):
+                    groups.append((nxt, cands[acts == a], path))
 
     n_unique = len(trajectory_counts)
     n_roll = max(MIN_ROLLOUTS,
@@ -498,12 +509,13 @@ def epsilon_net_search(oracle: LinearRlOracle, eps: float, delta: float,
 
 KAPPA_SAMPLES = 64  # reward samples per step of a path inside one segment
 RESIDUAL_TOL = 1e-8  # largest basis-expansion residual of a consistent system
+PIVOT_TOL = 1e-10  # smallest residual norm kept as a new basis direction
 
 
-def select_independent(vectors, tol: float = 1e-10):
+def select_independent(vectors):
     """Indices of a maximal independent subset by elimination with pivoting:
     repeatedly keep the vector with the largest residual against the running
-    orthonormal basis, stopping at pivot tolerance `tol`.
+    orthonormal basis, stopping at pivot tolerance PIVOT_TOL.
 
     Pivoting matters beyond rank: it keeps the chosen basis well-conditioned so
     downstream least-squares expansion coefficients stay small and sampled
@@ -516,7 +528,7 @@ def select_independent(vectors, tol: float = 1e-10):
     while True:
         norms = np.linalg.norm(residuals, axis=1)
         pivot = int(np.argmax(norms))
-        if norms[pivot] <= tol:
+        if norms[pivot] <= PIVOT_TOL:
             break
         direction = residuals[pivot] / norms[pivot]
         residuals -= np.outer(residuals @ direction, direction)

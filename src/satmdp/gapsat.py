@@ -36,14 +36,13 @@ class PromiseStatus:
     max_sat: int
 
 
-def check_gap_promise(f: Formula, epsilon: float,
-                      limit: int = EXHAUSTIVE_LIMIT) -> PromiseStatus:
+def check_gap_promise(f: Formula, epsilon: float) -> PromiseStatus:
     """Classify f as satisfiable, gap-unsatisfiable, or promise-violating.
 
     The gap reading is inclusive: max-sat <= (1-epsilon)*m counts as
     gap-unsatisfiable. The threshold is compared exactly via Fraction.
     """
-    best, _ = brute_force_max_sat(f, limit=limit)
+    best, _ = brute_force_max_sat(f)
     if best == f.m:
         return PromiseStatus(PromiseKind.SATISFIABLE, best)
     eps = Fraction(*Fraction(epsilon).as_integer_ratio())
@@ -157,8 +156,7 @@ def strictify(f: Formula) -> Formula:
     return Formula(next_var, out, strict=True)
 
 
-def transform_report(f: Formula, psi: Formula, b: int,
-                     maxsat_limit: int = EXHAUSTIVE_LIMIT) -> dict:
+def transform_report(f: Formula, psi: Formula, b: int) -> dict:
     """Property report for a transform run; Max-SAT entries only at desk scale."""
     report = {
         "b_requested": b,
@@ -169,7 +167,7 @@ def transform_report(f: Formula, psi: Formula, b: int,
         "maxsat_in": None,
         "maxsat_out": None,
     }
-    if f.v <= maxsat_limit and psi.v <= maxsat_limit:
-        report["maxsat_in"] = brute_force_max_sat(f, limit=maxsat_limit)[0]
-        report["maxsat_out"] = brute_force_max_sat(psi, limit=maxsat_limit)[0]
+    if f.v <= EXHAUSTIVE_LIMIT and psi.v <= EXHAUSTIVE_LIMIT:
+        report["maxsat_in"] = brute_force_max_sat(f)[0]
+        report["maxsat_out"] = brute_force_max_sat(psi)[0]
     return report

@@ -20,13 +20,15 @@ from .errors import ParameterError, ResourceLimitError
 from .mdp import MODE_FULL, build_instance, enumerate_reachable, initial_state
 from .reward import params_for_rounds
 
+ALL_POSITIVE_FRACTION = 0.4  # share of all-positive clauses in a random formula
+MAX_ATTEMPTS = 500  # formulas drawn per random instance before giving up
 
-def random_strict_formula(rng: np.random.Generator, v: int, m: int,
-                          all_positive_fraction: float = 0.4) -> Formula:
+
+def random_strict_formula(rng: np.random.Generator, v: int, m: int) -> Formula:
     """Random 3-distinct-variable clauses; a fraction are all-positive so the
     all-false start leaves enough clauses unsatisfied."""
     clauses = []
-    n_pos = int(round(all_positive_fraction * m))
+    n_pos = int(round(ALL_POSITIVE_FRACTION * m))
     for ci in range(m):
         variables = rng.choice(v, size=3, replace=False)
         if ci < n_pos:
@@ -40,8 +42,7 @@ def random_strict_formula(rng: np.random.Generator, v: int, m: int,
 
 def random_satisfiable_instance(seed: int, v: int, h: int, p: int = 2,
                                 q: int = 4, epsilon: float = 0.25, b: int = 6,
-                                tree_budget: int = 20_000,
-                                max_attempts: int = 500):
+                                tree_budget: int = 20_000):
     """A satisfiable, gap-checked instance whose game tree fits the budget.
 
     Returns (instance, wstar, attempts). The start must sit strictly below the
@@ -50,7 +51,7 @@ def random_satisfiable_instance(seed: int, v: int, h: int, p: int = 2,
     """
     params = params_for_rounds(v=v, h=h, p=p, q=q, epsilon=epsilon, b=b)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         m = int(rng.integers(v, 2 * v + 1))
         f = random_strict_formula(rng, v, m)
         if occurrence_bound(f) > b:
@@ -67,7 +68,7 @@ def random_satisfiable_instance(seed: int, v: int, h: int, p: int = 2,
             continue
         return inst, wstar, attempt
     raise ResourceLimitError(
-        f"no acceptable instance found in {max_attempts} attempts for v={v}, h={h}")
+        f"no acceptable instance found in {MAX_ATTEMPTS} attempts for v={v}, h={h}")
 
 
 def regular_planted_formula(v: int, seed: int):
@@ -98,16 +99,14 @@ def regular_planted_formula(v: int, seed: int):
     return Formula(v, clauses), planted
 
 
-def random_gap_unsat_formula(rng: np.random.Generator, v: int,
-                             block_vars=None) -> Formula:
+def random_gap_unsat_formula(rng: np.random.Generator, v: int) -> Formula:
     """Unsatisfiable strict 3-CNF: all eight sign patterns on one variable
     triple (every assignment misses at least one), plus random clauses on the
     remaining variables up to m in [v, 16]. With epsilon <= 1/m the gap promise
     holds since at least one clause always fails."""
     if v < 6:
         raise ParameterError("need v >= 6 to keep occurrence bounds when padding")
-    if block_vars is None:
-        block_vars = sorted(int(x) for x in rng.choice(v, size=3, replace=False))
+    block_vars = sorted(int(x) for x in rng.choice(v, size=3, replace=False))
     clauses = []
     for bits in range(8):
         clauses.append(Clause(tuple(

@@ -8,15 +8,18 @@ O(b) and the mask is rebuilt once per round rollover. Rewards are paid on the
 transition that terminates; terminal states themselves have zero features and
 zero continuation value.
 
-A state's identity is a fixed-size summary of the round plus a 16-byte
-move-chain digest: each transition hashes its parent's chain with the move it
-makes, so encoding a state costs the same at every step.
+A state is one immutable record, built once per step. Its `stage` is
+STAGE_ONE, STAGE_TWO or, at a terminal, the terminal kind (LAST_LEVEL or
+GAP_SATISFIED). Its identity is a fixed-size summary of the round plus a
+16-byte move-chain digest: each transition hashes its parent's chain with the
+move it makes, so encoding a state costs the same at every step.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,23 +44,20 @@ from .reward import RewardParams, expected_reward
 
 STAGE_ONE = "one"
 STAGE_TWO = "two"
-TERMINAL = "terminal"
-
 LAST_LEVEL = "last_level"
 GAP_SATISFIED = "gap_satisfied"
 
 MODE_FULL = "full"
 MODE_SIMULATOR = "simulator"
 
-_STAGE_TAGS = {(STAGE_ONE, None): 1, (STAGE_TWO, None): 2,
-               (TERMINAL, LAST_LEVEL): 3, (TERMINAL, GAP_SATISFIED): 4}
+_STAGE_TAGS = {STAGE_ONE: 1, STAGE_TWO: 2, LAST_LEVEL: 3, GAP_SATISFIED: 4}
 
 
-@dataclass(frozen=True)
-class MdpState:
+class MdpState(NamedTuple):
     """One node of the transition tree; uniquely identified by its canonical
     byte encoding (n, stage, cursor, assignment, free set, round-start
-    assignment, inter-round distances, move-chain digest).
+    assignment, inter-round distances, move-chain digest). `sat_count` and
+    `eligible` are functions of (w, free) kept to make a step O(b).
 
     Distinct flip orders can reach the same assignment summary, so identity
     includes `chain`, a 16-byte blake2b digest of the parent's chain and the
@@ -67,24 +67,24 @@ class MdpState:
     """
 
     n: int
-    stage: str
+    stage: str                  # STAGE_ONE, STAGE_TWO or the terminal kind
     cursor: int | None          # clause index (stage one) / variable (stage two)
     w: int                      # current assignment bitmask
     w_round: int                # assignment at the start of round n
     free: int                   # free-variable bitmask
     round_dists: tuple
     step: int
-    terminal_kind: str | None = None
-    chain: bytes = bytes(16)    # move-chain digest; zeros at the root
-    sat_count: int = field(default=0, compare=False, repr=False)
-    eligible: int = field(default=0, compare=False, repr=False)
+    chain: bytes                # move-chain digest; zeros at the root
+    sat_count: int              # clauses satisfied by w
+    eligible: int               # eligible-clause bitmask; 0 at terminals
 
     @property
     def is_terminal(self) -> bool:
-        return self.stage == TERMINAL
+        return self.stage == LAST_LEVEL or self.stage == GAP_SATISFIED
 
-    def assignment(self, v: int):
-        return assignment_from_mask(self.w, v)
+    @property
+    def terminal_kind(self) -> str | None:
+        return self.stage if self.is_terminal else None
 
 
 class MdpInstance:
@@ -93,7 +93,7 @@ class MdpInstance:
 
     __slots__ = ("formula", "params", "mode", "wstar", "satisfiable", "d",
                  "start", "all_mask", "clause_pos", "clause_neg",
-                 "clause_vars_sorted", "clause_var_mask", "occ_clause_bits",
+                 "clause_vars_sorted", "occ_clause_bits",
                  "gap_threshold_count")
 
     def __init__(self, formula: Formula, params: RewardParams, mode: str,
@@ -106,24 +106,21 @@ class MdpInstance:
         self.d = feature_dim(formula.v, params.p)
         self.start = start
         self.all_mask = (1 << formula.v) - 1
-        pos, neg, vars_sorted, var_mask = [], [], [], []
+        pos, neg, vars_sorted = [], [], []
         for clause in formula.clauses:
-            pm = nm = vm = 0
+            pm = nm = 0
             for lit in clause.literals:
                 bit = 1 << lit.var
-                vm |= bit
                 if lit.negated:
                     nm |= bit
                 else:
                     pm |= bit
             pos.append(pm)
             neg.append(nm)
-            var_mask.append(vm)
             vars_sorted.append(tuple(sorted(clause.variables)))
         self.clause_pos = tuple(pos)
         self.clause_neg = tuple(neg)
         self.clause_vars_sorted = tuple(vars_sorted)
-        self.clause_var_mask = tuple(var_mask)
         occ_bits = [0] * formula.v
         for var in range(formula.v):
             bits = 0
@@ -142,8 +139,7 @@ class MdpInstance:
 
 
 def build_instance(f: Formula, params: RewardParams, wstar=None,
-                   mode: str = MODE_FULL, start=None,
-                   exhaustive_limit: int = EXHAUSTIVE_LIMIT) -> MdpInstance:
+                   mode: str = MODE_FULL, start=None) -> MdpInstance:
     """Validate the formula against the construction's requirements and resolve
     the satisfying assignment (brute force at desk scale when not supplied)."""
     if mode not in (MODE_FULL, MODE_SIMULATOR):
@@ -169,8 +165,8 @@ def build_instance(f: Formula, params: RewardParams, wstar=None,
             raise ParameterError("supplied wstar does not satisfy the formula")
         wstar_mask = mask_from_assignment(wstar)
         satisfiable = True
-    elif f.v <= exhaustive_limit:
-        sol = brute_force_sat(f, limit=exhaustive_limit)
+    elif f.v <= EXHAUSTIVE_LIMIT:
+        sol = brute_force_sat(f)
         if sol is None:
             wstar_mask = None
             satisfiable = False
@@ -185,7 +181,7 @@ def build_instance(f: Formula, params: RewardParams, wstar=None,
     else:
         raise ResourceLimitError(
             f"cannot define rewards: no wstar given and v={f.v} exceeds the "
-            f"exhaustive limit {exhaustive_limit}")
+            f"exhaustive limit {EXHAUSTIVE_LIMIT}")
 
     if start is None:
         start_mask = 0
@@ -208,12 +204,13 @@ def _sat_count(inst: MdpInstance, w: int) -> int:
 def _eligible_mask(inst: MdpInstance, w: int, free: int) -> int:
     bits = 0
     for ci in range(inst.formula.m):
-        if (inst.clause_var_mask[ci] & ~free) == 0 and not _clause_satisfied(inst, ci, w):
+        clause_vars = inst.clause_pos[ci] | inst.clause_neg[ci]
+        if (clause_vars & ~free) == 0 and not _clause_satisfied(inst, ci, w):
             bits |= 1 << ci
     return bits
 
 
-def _stage_fields(inst: MdpInstance, eligible: int, free: int):
+def _stage_fields(eligible: int, free: int):
     if eligible:
         return STAGE_ONE, (eligible & -eligible).bit_length() - 1
     return STAGE_TWO, (free & -free).bit_length() - 1
@@ -226,68 +223,54 @@ def initial_state(inst: MdpInstance) -> MdpState:
     free = inst.all_mask
     sat = _sat_count(inst, w)
     if sat >= inst.gap_threshold_count:
-        return MdpState(n=1, stage=TERMINAL, cursor=None, w=w, w_round=w,
-                        free=free, round_dists=(), step=0,
-                        terminal_kind=GAP_SATISFIED, sat_count=sat, eligible=0)
-    eligible = _eligible_mask(inst, w, free)
-    stage, cursor = _stage_fields(inst, eligible, free)
+        stage, cursor, eligible = GAP_SATISFIED, None, 0
+    else:
+        eligible = _eligible_mask(inst, w, free)
+        stage, cursor = _stage_fields(eligible, free)
     return MdpState(n=1, stage=stage, cursor=cursor, w=w, w_round=w, free=free,
-                    round_dists=(), step=0, sat_count=sat, eligible=eligible)
+                    round_dists=(), step=0, chain=bytes(16), sat_count=sat,
+                    eligible=eligible)
 
 
 def transition(inst: MdpInstance, s: MdpState, a: int) -> MdpState:
     """Apply one action: stage one flips the chosen clause variable, stage two
     flips the offered variable iff a == 1 (actions 0 and 2 both keep)."""
-    if s.stage == TERMINAL:
+    if s.is_terminal:
         raise ParameterError("cannot act on a terminal state")
     if a not in (0, 1, 2):
         raise ParameterError(f"action {a} outside {{0,1,2}}")
-    if s.stage == STAGE_ONE:
-        var = inst.clause_vars_sorted[s.cursor][a]
+    n, stage, cursor, w, w_round, free, round_dists, step, chain, sat, eligible = s
+    if stage == STAGE_ONE:
+        var = inst.clause_vars_sorted[cursor][a]
         flip = True
     else:
-        var = s.cursor
+        var = cursor
         flip = a == 1
 
     bit = 1 << var
-    free = s.free & ~bit
+    free &= ~bit
     if flip:
-        w = s.w ^ bit
-        sat = s.sat_count
+        old_w, w = w, w ^ bit
         for ci in inst.formula.occ[var]:
-            sat += _clause_satisfied(inst, ci, w) - _clause_satisfied(inst, ci, s.w)
-    else:
-        w = s.w
-        sat = s.sat_count
-    step = s.step + 1
-    chain = hashlib.blake2b(s.chain + (var * 2 + flip).to_bytes(4, "big"),
+            sat += _clause_satisfied(inst, ci, w) - _clause_satisfied(inst, ci, old_w)
+    chain = hashlib.blake2b(chain + (var * 2 + flip).to_bytes(4, "big"),
                             digest_size=16).digest()
 
     if sat >= inst.gap_threshold_count:
-        return MdpState(n=s.n, stage=TERMINAL, cursor=None, w=w,
-                        w_round=s.w_round, free=free, round_dists=s.round_dists,
-                        step=step, terminal_kind=GAP_SATISFIED, chain=chain,
-                        sat_count=sat, eligible=0)
-    if free == 0:
-        if s.n == inst.params.h:
-            return MdpState(n=s.n, stage=TERMINAL, cursor=None, w=w,
-                            w_round=s.w_round, free=free,
-                            round_dists=s.round_dists, step=step,
-                            terminal_kind=LAST_LEVEL, chain=chain,
-                            sat_count=sat, eligible=0)
-        round_dists = s.round_dists + (hamming(s.w_round, w),)
-        free = inst.all_mask
+        stage, cursor, eligible = GAP_SATISFIED, None, 0
+    elif free:
+        # marking var used removes exactly its clauses from eligibility
+        eligible &= ~inst.occ_clause_bits[var]
+        stage, cursor = _stage_fields(eligible, free)
+    elif n == inst.params.h:
+        stage, cursor, eligible = LAST_LEVEL, None, 0
+    else:
+        round_dists += (hamming(w_round, w),)
+        n, w_round, free = n + 1, w, inst.all_mask
         eligible = _eligible_mask(inst, w, free)
-        stage, cursor = _stage_fields(inst, eligible, free)
-        return MdpState(n=s.n + 1, stage=stage, cursor=cursor, w=w, w_round=w,
-                        free=free, round_dists=round_dists, step=step,
-                        chain=chain, sat_count=sat, eligible=eligible)
-    # marking var used removes exactly its clauses from eligibility
-    eligible = s.eligible & ~inst.occ_clause_bits[var]
-    stage, cursor = _stage_fields(inst, eligible, free)
-    return MdpState(n=s.n, stage=stage, cursor=cursor, w=w, w_round=s.w_round,
-                    free=free, round_dists=s.round_dists, step=step,
-                    chain=chain, sat_count=sat, eligible=eligible)
+        stage, cursor = _stage_fields(eligible, free)
+    return MdpState(n, stage, cursor, w, w_round, free, round_dists, step + 1,
+                    chain, sat, eligible)
 
 
 def _terminal_mean(inst: MdpInstance, s: MdpState) -> float:
@@ -353,7 +336,7 @@ def encode_state(inst: MdpInstance, s: MdpState) -> bytes:
     nb = (v + 7) // 8
     parts = [
         s.n.to_bytes(4, "big"),
-        _STAGE_TAGS[(s.stage, s.terminal_kind)].to_bytes(1, "big"),
+        _STAGE_TAGS[s.stage].to_bytes(1, "big"),
         (0xFFFFFFFF if s.cursor is None else s.cursor).to_bytes(4, "big"),
         s.w.to_bytes(nb, "big"),
         s.free.to_bytes(nb, "big"),

@@ -286,8 +286,7 @@ def _monotone_grid_cost(params: RewardParams) -> int:
 
 
 def find_min_passing_v(p: int, q: int, alpha: float, epsilon: float, b: int,
-                       v_cap: int = 256, work_budget: int = 20_000_000_000,
-                       h_from_alpha=None) -> int | None:
+                       v_cap: int = 256, work_budget: int = 20_000_000_000) -> int | None:
     """Smallest v (doubling search, then binary refinement) at which the full
     monotone-step grid passes; None if no v <= v_cap passes within budget."""
 

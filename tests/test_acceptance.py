@@ -366,8 +366,8 @@ def test_criterion_10_perturbed_q_policies():
         exact = toy.q_star_table()
         bound = eps / (2 * toy.horizon)
         for _ in range(50):
-            q = {k: val + rng.uniform(-bound, bound)
-                 for k, val in exact.items()}
+            noise = rng.uniform(-bound, bound, size=len(exact)).tolist()
+            q = {k: val + e for (k, val), e in zip(exact.items(), noise)}
             policy = greedy_on_q(q, toy)
             s, actions = (), []
             while not toy.is_terminal(s):

@@ -91,7 +91,7 @@ def test_greedy_action_figure_root(figure_formula):
                           start=(-1, 1, -1, -1, -1))
     s = initial_state(inst)
     # offered clause (a | ~b | c); target (F,T,T,T,T) differs on c only
-    assert greedy_action(inst, s, wstar=(-1, 1, 1, 1, 1)) == 2
+    assert greedy_policy(inst, (-1, 1, 1, 1, 1))(s) == 2
 
 
 def test_greedy_action_stage_two_keep(figure_formula):
@@ -113,7 +113,7 @@ def test_greedy_action_invariant_violation(figure_formula):
     # clause (a | ~b | c) is satisfied by (T,F,F,..): feeding a target that
     # leaves it unsatisfied must blow up loudly
     with pytest.raises(InvariantViolation):
-        greedy_action(inst, s, wstar=(-1, 1, -1, 1, 1))
+        greedy_policy(inst, (-1, 1, -1, 1, 1))(s)
 
 
 def test_greedy_reaches_target_within_one_full_round():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,31 @@ def test_transitions_are_pure_and_replayable(figure_instance, two_round_game):
     assert len(seq) == two_round_game.params.H + 1 and len(sizes) == 2
 
 
+# sha256 over encode_state of every state of the figure tree and of 10 seeded
+# two-round episodes; `satmdp run` writes these bytes into trajectories.jsonl
+ENCODING_SHA256 = "e6299c7ba3699c8200e54bac2196071bbefdf7f36ce24f230d85b4e4fb36e883"
+
+
+def test_encode_state_golden(figure_instance, two_round_game):
+    h = hashlib.sha256()
+
+    def add(inst, s):
+        assert (s.terminal_kind is None) == (not s.is_terminal)
+        h.update(encode_state(inst, s))
+
+    states, _ = enumerate_reachable(figure_instance)
+    for s in states:
+        add(figure_instance, s)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        s = initial_state(two_round_game)
+        add(two_round_game, s)
+        while not s.is_terminal:
+            s = transition(two_round_game, s, int(rng.integers(0, 3)))
+            add(two_round_game, s)
+    assert h.hexdigest() == ENCODING_SHA256
+
+
 def test_tree_property_and_digest_uniqueness():
     inst, _, _ = random_satisfiable_instance(23, v=5, h=2, epsilon=0.125)
     states, children = enumerate_reachable(inst, budget=20_000)
@@ -377,11 +404,11 @@ def test_simulator_cannot_price_gap_terminal_without_wstar():
     params = params_for_rounds(v=30, h=2, p=2, q=2, epsilon=1 / 16, b=6)
     sim = build_instance(f, params, mode=MODE_SIMULATOR)
     assert sim.satisfiable is None and sim.wstar is None
-    from satmdp.agents import greedy_action
+    from satmdp.agents import greedy_policy
     s = initial_state(sim)
     assert not s.is_terminal
     while not s.is_terminal:
-        prev, act = s, greedy_action(sim, s, wstar=planted)
+        prev, act = s, greedy_policy(sim, planted)(s)
         s = transition(sim, s, act)
     assert s.terminal_kind == GAP_SATISFIED
     oracle = SatOracle(sim, seed=0)
