@@ -381,7 +381,6 @@ def greedy_on_q(q: dict, oracle: LinearRlOracle):
 # --- lattice-cover policy search --------------------------------------------------
 
 MIN_ROLLOUTS = 64  # reward samples per distinct policy, at the least
-CHUNK_ROWS = 2_000_000  # lattice points per yielded block, bounding peak memory
 
 
 def cover_radius(eps: float, horizon: int, dim: int) -> float:
@@ -394,9 +393,15 @@ def cover_spacing(eps: float, horizon: int, dim: int) -> float:
     return cover_radius(eps, horizon, dim) / math.sqrt(dim)
 
 
-def _lattice_ball_chunks(dim: int, spacing: float, radius: float):
-    """Yield (n, dim) arrays of lattice points with norm <= radius, slab by slab
-    along the first coordinate."""
+def _lattice_ball_slabs(dim: int, spacing: float, radius: float):
+    """Yield the lattice points with norm <= radius as (n, dim) slabs, one per
+    value x0 of the first coordinate (at dim 1, the whole ball is one slab).
+
+    The (dim - 1)-dimensional rest of the grid is stable-sorted by squared
+    norm once, so the slab at x0 is the prefix of it within r^2 - x0^2,
+    written behind x0 into one reused buffer: memory is O(|rest| * dim), with
+    no per-slab mask or gather. Each slab is a view of that buffer, valid
+    until the next one is yielded; copy it to keep it."""
     reach = int(math.floor(radius / spacing))
     axis = np.arange(-reach, reach + 1, dtype=np.float64) * spacing
     if dim == 1:
@@ -407,28 +412,28 @@ def _lattice_ball_chunks(dim: int, spacing: float, radius: float):
     rest = np.stack(np.meshgrid(*([axis] * (dim - 1)), indexing="ij"),
                     axis=-1).reshape(-1, dim - 1)
     rest_sq = np.einsum("ij,ij->i", rest, rest)
+    order = np.argsort(rest_sq, kind="stable")
+    rest_sq = rest_sq[order]
+    slab = np.empty((len(rest), dim))
+    slab[:, 1:] = rest[order]
     r2 = radius * radius
-    buf = []
-    buffered = 0
     for x0 in axis:
-        keep = rest_sq <= r2 - x0 * x0
-        if not keep.any():
-            continue
-        sub = rest[keep]
-        block = np.empty((len(sub), dim))
-        block[:, 0] = x0
-        block[:, 1:] = sub
-        buf.append(block)
-        buffered += len(block)
-        if buffered >= CHUNK_ROWS:
-            chunk = np.concatenate(buf)
-            buf.clear()  # free the slabs before the chunk is used
-            buffered = 0
-            yield chunk
-    if buf:
-        chunk = np.concatenate(buf)
-        buf.clear()
-        yield chunk
+        n = int(np.searchsorted(rest_sq, r2 - x0 * x0, side="right"))
+        if n:
+            slab[:n, 0] = x0
+            yield slab[:n]
+
+
+def _first_argmax(scores: np.ndarray) -> np.ndarray:
+    """np.argmax(scores, axis=1) column by column, which is cheaper than an
+    argmax along rows of a few entries; the lowest column wins ties."""
+    best = scores[:, 0].copy()
+    acts = np.zeros(len(scores), dtype=np.intp)
+    for a in range(1, scores.shape[1]):
+        col = scores[:, a]
+        acts[col > best] = a
+        np.maximum(best, col, out=best)
+    return acts
 
 
 def cover_size_estimate(dim: int, spacing: float, radius: float) -> int:
@@ -445,6 +450,10 @@ def epsilon_net_search(oracle: LinearRlOracle, eps: float, delta: float,
     Candidates inducing the same action sequence share one estimate (the
     estimate depends only on the trajectory), so rollouts are spent per
     distinct policy, each sampled enough for a delta/|cover| union bound.
+
+    The cover is streamed slab by slab (one value of the first coordinate at a
+    time) and each slab is split into trajectories group by group, so memory is
+    O(|slab| * d) = O((2 * radius / spacing)^(d-1) * d), not the whole ball.
     """
     d, H = oracle.dim, oracle.horizon
     spacing = cover_spacing(eps, H, d)
@@ -476,19 +485,20 @@ def epsilon_net_search(oracle: LinearRlOracle, eps: float, delta: float,
         return True
 
     cover_points = 0
-    for block in _lattice_ball_chunks(d, spacing, radius):
-        cover_points += len(block)
-        groups = [] if settle(s0, (), len(block)) else [(s0, block, ())]
+    for slab in _lattice_ball_slabs(d, spacing, radius):
+        cover_points += len(slab)
+        groups = [] if settle(s0, (), len(slab)) else [(s0, slab, ())]
         while groups:
             s, cands, prefix = groups.pop()
-            # first max: lowest action wins ties
-            acts = np.argmax(cands @ sa_features(s).T, axis=1)
+            acts = _first_argmax(cands @ sa_features(s).T)
             counts = np.bincount(acts, minlength=oracle.num_actions)
-            for a in np.flatnonzero(counts).tolist():
+            for a, count in enumerate(counts.tolist()):
+                if not count:
+                    continue
                 nxt, path = oracle.transition(s, a), prefix + (a,)
                 # only groups that go on are copied out
-                if not settle(nxt, path, int(counts[a])):
-                    groups.append((nxt, cands[acts == a], path))
+                if not settle(nxt, path, count):
+                    groups.append((nxt, cands.compress(acts == a, axis=0), path))
 
     n_unique = len(trajectory_counts)
     n_roll = max(MIN_ROLLOUTS,

@@ -62,6 +62,12 @@ def _signs(bits):
     return tuple(1 if c == "1" else -1 for c in bits)
 
 
+def _require_positive(**counts):
+    for flag, value in counts.items():
+        if value < 1:
+            raise ParameterError(f"--{flag} must be at least 1, got {value}")
+
+
 def _write_report(report: dict, out: str | None):
     payload = reporting.report_to_json(report)
     if out:
@@ -197,6 +203,7 @@ def cmd_verify_claims(args) -> int:
 
 
 def cmd_run(args) -> int:
+    _require_positive(episodes=args.episodes)
     t0 = time.perf_counter()
     inst = load_instance_bundle(args.instance)
     oracle = agents.SatOracle(inst, args.seed)
@@ -240,6 +247,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    _require_positive(episodes=args.episodes, budget=args.budget)
     t0 = time.perf_counter()
     f = _read_formula(args.cnf)
     params = _params_from_args(args, f.v)

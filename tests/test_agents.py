@@ -6,6 +6,8 @@ import pytest
 from satmdp.agents import (
     ReductionOracle,
     SatOracle,
+    _first_argmax,
+    _lattice_ball_slabs,
     a_sat,
     cover_radius,
     cover_spacing,
@@ -308,10 +310,67 @@ def test_epsilon_net_finds_planted_policy():
     assert info["unique_policies"] <= 27
 
 
+# cover_points and trajectory_counts of the three criterion-8 specs at
+# eps = delta = 0.1; the features depend only on structure_seed, so any reward
+# seed gives the same counts
+EPSILON_NET_GOLDEN = [
+    (dict(depth=3, num_actions=3, dim=2, structure_seed=5), 45_765,
+     {(0, 0, 0): 1, (0, 0, 1): 12_213, (0, 0, 2): 1_383, (0, 2, 0): 428,
+      (0, 2, 2): 6_058, (1, 1, 1): 11_989, (1, 1, 2): 1_098, (1, 2, 1): 2_937,
+      (2, 0, 0): 9_658}),
+    (dict(depth=4, num_actions=3, dim=2, structure_seed=9), 81_173,
+     {(0, 0, 0, 0): 1, (0, 0, 0, 2): 1_276, (0, 0, 2, 1): 11_313,
+      (0, 0, 2, 2): 22_974, (0, 1, 1, 2): 695, (1, 0, 0, 0): 430,
+      (1, 0, 2, 1): 217, (1, 0, 2, 2): 6_778, (1, 1, 1, 2): 8_659,
+      (2, 0, 0, 2): 3_074, (2, 0, 1, 0): 8_604, (2, 0, 1, 2): 15_324,
+      (2, 0, 2, 2): 1_828}),
+    (dict(depth=2, num_actions=3, dim=3, structure_seed=7), 7_394_773,
+     {(0, 0): 132_992, (0, 1): 1_639_123, (0, 2): 959_574, (1, 1): 515_921,
+      (1, 2): 935_539, (2, 0): 1_201_123, (2, 1): 1_832_688, (2, 2): 177_813}),
+]
+
+
+@pytest.mark.parametrize("spec,cover_points,counts", EPSILON_NET_GOLDEN)
+def test_epsilon_net_counts_golden(spec, cover_points, counts):
+    toy = ToyLinearMdp(reward_seed=1, **spec)
+    _actions, info = epsilon_net_search(toy, eps=0.1, delta=0.1)
+    assert info["cover_points"] == cover_points
+    assert info["trajectory_counts"] == counts
+    assert info["unique_policies"] == len(counts)
+
+
+def brute_ball(dim, spacing, radius):
+    """Lattice points of norm <= radius from the full integer cube, with no
+    slabs or sorting: the reference the slab generator is checked against."""
+    reach = math.ceil(radius / spacing) + 1
+    ints = np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
+    pts = ints * spacing
+    return pts[np.einsum("ij,ij->i", pts, pts) <= radius * radius]
+
+
+def sorted_rows(pts):
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+@pytest.mark.parametrize("dim, eps, horizon", [(1, 0.1, 3), (2, 0.2, 3), (3, 0.5, 2)])
+def test_lattice_ball_slabs_match_full_cube(dim, eps, horizon):
+    spacing = cover_spacing(eps, horizon, dim)
+    radius = 1.0 + spacing * math.sqrt(dim) / 2
+    # a slab is only valid until the next one is yielded
+    slabs = [slab.copy() for slab in _lattice_ball_slabs(dim, spacing, radius)]
+    got = np.concatenate(slabs)
+    assert np.array_equal(sorted_rows(got),
+                          sorted_rows(brute_ball(dim, spacing, radius)))
+    if dim > 1:
+        # one slab per first coordinate, each with that coordinate throughout
+        firsts = [slab[0, 0] for slab in slabs]
+        assert all((slab[:, 0] == slab[0, 0]).all() for slab in slabs)
+        assert firsts == sorted(set(firsts))
+
+
 def test_epsilon_net_grouping_matches_per_candidate_walk():
     # dual route: the grouped candidate-to-trajectory mapping must agree with
-    # walking every cover point individually
-    from satmdp.agents import _lattice_ball_chunks
+    # walking every point of the ball, enumerated from the full cube
     toy = ToyLinearMdp(depth=3, num_actions=3, dim=2, structure_seed=5,
                        reward_seed=77)
     eps, delta = 0.2, 0.1
@@ -320,21 +379,32 @@ def test_epsilon_net_grouping_matches_per_candidate_walk():
     radius = 1.0 + spacing * math.sqrt(toy.dim) / 2
     brute = {}
     total = 0
-    for block in _lattice_ball_chunks(toy.dim, spacing, radius):
-        for theta in block:
-            total += 1
-            s, trail = (), []
-            while not toy.is_terminal(s):
-                scores = [float(np.dot(theta, toy.features_sa(s, a)))
-                          for a in range(toy.num_actions)]
-                best = max(range(toy.num_actions), key=lambda a: scores[a])
-                # max() returns the first maximum, matching np.argmax
-                trail.append(best)
-                s = toy.transition(s, best)
-            key = tuple(trail)
-            brute[key] = brute.get(key, 0) + 1
+    for theta in brute_ball(toy.dim, spacing, radius):
+        total += 1
+        s, trail = (), []
+        while not toy.is_terminal(s):
+            scores = [float(np.dot(theta, toy.features_sa(s, a)))
+                      for a in range(toy.num_actions)]
+            best = max(range(toy.num_actions), key=lambda a: scores[a])
+            # max() returns the first maximum, matching np.argmax
+            trail.append(best)
+            s = toy.transition(s, best)
+        key = tuple(trail)
+        brute[key] = brute.get(key, 0) + 1
     assert total == info["cover_points"]
     assert brute == info["trajectory_counts"]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_first_argmax_matches_numpy_argmax(k):
+    rng = np.random.default_rng(k)
+    # few distinct integer values, so most rows hold ties
+    scores = rng.integers(-2, 3, size=(5_000, k)).astype(np.float64)
+    signed_zero = (scores == 0) & (rng.random(scores.shape) < 0.5)
+    scores[signed_zero] = -0.0
+    assert np.signbit(scores[scores == 0]).any()
+    assert not np.signbit(scores[scores == 0]).all()
+    assert np.array_equal(_first_argmax(scores), np.argmax(scores, axis=1))
 
 
 def test_horizon_split_rejects_zero_feature_layers(figure_formula):

@@ -182,6 +182,34 @@ def test_run_random_agent(tmp_path, cnf_file):
     assert actions != [int(reward_stream.integers(0, 3)) for _ in actions]
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_run_refuses_episodes_below_one(tmp_path, cnf_file, capsys, count):
+    bundle = tmp_path / "bundle"
+    main(["gen", "--cnf", str(cnf_file), "--out", str(bundle),
+          "--q", "2", "--rounds", "2"])
+    rc = main(["run", "--instance", str(bundle / "instance.json"),
+               "--episodes", count, "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert "--episodes must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--budget", "-5"], "--budget"),
+    (["--budget", "0"], "--budget"),
+    (["--learner", "random", "--episodes", "-2"], "--episodes"),
+    (["--learner", "random", "--episodes", "0"], "--episodes"),
+])
+def test_reduce_refuses_counts_below_one(tmp_path, cnf_file, capsys, flags, named):
+    rc = main(["reduce", "--cnf", str(cnf_file), "--q", "2", "--rounds", "2",
+               *flags, "--out", str(tmp_path / "rep.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"{named} must be at least 1" in captured.err
+    assert "NO" not in captured.out
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_reduce_yes_on_satisfiable(tmp_path, cnf_file, capsys):
     rc = main(["reduce", "--cnf", str(cnf_file), "--learner", "greedy",
                "--q", "2", "--rounds", "2",
