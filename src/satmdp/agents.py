@@ -267,10 +267,12 @@ class ReductionOracle(SatOracle):
             raise ParameterError("the reduction runs against the simulator")
         super().__init__(instance, seed)
         self.budget = budget
+        self.spent = 0              # running total of self.counters
 
     def _charge(self, kind, count=1):
-        if sum(self.counters.values()) + count > self.budget:
+        if self.spent + count > self.budget:
             raise _BudgetExhausted
+        self.spent += count
         super()._charge(kind, count)
 
     def _successor(self, s, a):

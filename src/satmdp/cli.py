@@ -68,6 +68,12 @@ def _require_positive(**counts):
             raise ParameterError(f"--{flag} must be at least 1, got {value}")
 
 
+def _require_seed(seed):
+    # np.random.Philox takes a key in [0, 2**128)
+    if not 0 <= seed < 2**128:
+        raise ParameterError(f"--seed must be in [0, 2**128), got {seed}")
+
+
 def _write_report(report: dict, out: str | None):
     payload = reporting.report_to_json(report)
     if out:
@@ -157,8 +163,9 @@ def _linearity_suite(seed: int, cases=((4, 2), (5, 2))) -> dict:
     max_opt = 0.0
     states_checked = 0
     for i, (v, h) in enumerate(cases):
+        # wrapped, so the largest --seed still gives valid Philox keys
         inst, wstar, _ = instances.random_satisfiable_instance(
-            seed + i, v=v, h=h, tree_budget=8_000)
+            (seed + i) % 2**128, v=v, h=h, tree_budget=8_000)
         theta = theta_vector(wstar, v, inst.params.p)
         states, children = mdp.enumerate_reachable(inst, budget=8_000)
         optimal = agents.tree_optimal_values(inst, states, children)
@@ -227,12 +234,10 @@ def cmd_run(args) -> int:
         for _episode in range(args.episodes):
             traj = agents.rollout(oracle, policy)
             for step, (s, a, r) in enumerate(traj.records):
-                fh.write(json.dumps({
-                    "step": step,
-                    "state_digest": mdp.state_digest(inst, s),
-                    "action": a,
-                    "reward": r,
-                }) + "\n")
+                # the bytes json.dumps writes for this dict of ints and a hex string
+                fh.write(f'{{"step": {step}, "state_digest": '
+                         f'"{mdp.state_digest(inst, s)}", "action": {a}, '
+                         f'"reward": {r}}}\n')
             totals.append(traj.total_reward())
             kinds.append(traj.terminal_kind)
     config = {"instance": str(args.instance), "agent": args.agent,
@@ -360,6 +365,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:
+            _require_seed(args.seed)
         return args.func(args)
     except (ParseError, ParameterError, FormulaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

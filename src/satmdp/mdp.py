@@ -3,10 +3,13 @@ mechanics, termination, Bernoulli terminal rewards, and state features.
 
 States carry assignments as int bitmasks (bit i set = variable i true) plus an
 eligible-clause bitmask maintained incrementally: marking a variable used only
-ever removes its clauses from eligibility within a round, so each step costs
-O(b) and the mask is rebuilt once per round rollover. Rewards are paid on the
-transition that terminates; terminal states themselves have zero features and
-zero continuation value.
+ever removes its clauses from eligibility within a round, and a flip changes
+the satisfied count only through clauses whose other two literals are false,
+so each step costs O(b) over per-variable clause tables. At the root and at
+each round rollover every variable is free again, so the eligible mask is the
+unsatisfied-clause mask, rebuilt in O(v) by OR-ing one per-variable mask per
+variable. Rewards are paid on the transition that terminates; terminal states
+themselves have zero features and zero continuation value.
 
 A state is one immutable record, built once per step. Its `stage` is
 STAGE_ONE, STAGE_TWO or, at a terminal, the terminal kind (LAST_LEVEL or
@@ -31,7 +34,6 @@ from .cnf import (
     hamming,
     mask_from_assignment,
     occurrence_bound,
-    satisfied_count,
 )
 from .errors import (
     FormulaError,
@@ -89,11 +91,19 @@ class MdpState(NamedTuple):
 
 class MdpInstance:
     """Immutable bundle of formula, parameters, optional satisfying assignment,
-    and precomputed per-clause bitmasks."""
+    and per-variable clause tables:
+
+    - `true_bits[x]`: the clauses x's literal satisfies when x is false, and
+      when x is true (a pair of clause bitmasks);
+    - `occ_clause_bits[x]`: the clauses containing x (the OR of the pair);
+    - `recount[x]`: per clause containing x, its other two literals as
+      (1 << y, w & (1 << y) at which y's literal is false) and likewise for
+      z, then +1 if x occurs positively and -1 if negated.
+    """
 
     __slots__ = ("formula", "params", "mode", "wstar", "satisfiable", "d",
-                 "start", "all_mask", "clause_pos", "clause_neg",
-                 "clause_vars_sorted", "occ_clause_bits",
+                 "start", "all_mask", "all_clauses", "clause_vars_sorted",
+                 "true_bits", "occ_clause_bits", "recount",
                  "gap_threshold_count")
 
     def __init__(self, formula: Formula, params: RewardParams, mode: str,
@@ -106,28 +116,30 @@ class MdpInstance:
         self.d = feature_dim(formula.v, params.p)
         self.start = start
         self.all_mask = (1 << formula.v) - 1
-        pos, neg, vars_sorted = [], [], []
-        for clause in formula.clauses:
-            pm = nm = 0
-            for lit in clause.literals:
-                bit = 1 << lit.var
-                if lit.negated:
-                    nm |= bit
-                else:
-                    pm |= bit
-            pos.append(pm)
-            neg.append(nm)
-            vars_sorted.append(tuple(sorted(clause.variables)))
-        self.clause_pos = tuple(pos)
-        self.clause_neg = tuple(neg)
+        self.all_clauses = (1 << formula.m) - 1
+        var_bits = [1 << x for x in range(formula.v)]
+        true_bits = [[0, 0] for _ in range(formula.v)]
+        recount = [[] for _ in range(formula.v)]
+        vars_sorted = []
+        # one pass over the strict clauses (3 literals on 3 distinct variables)
+        for ci, clause in enumerate(formula.clauses):
+            cbit = 1 << ci
+            lx, ly, lz = clause.literals
+            x, y, z = lx.var, ly.var, lz.var
+            nx, ny, nz = lx.negated, ly.negated, lz.negated
+            xb, yb, zb = var_bits[x], var_bits[y], var_bits[z]
+            xf, yf, zf = xb if nx else 0, yb if ny else 0, zb if nz else 0
+            true_bits[x][not nx] |= cbit
+            true_bits[y][not ny] |= cbit
+            true_bits[z][not nz] |= cbit
+            recount[x].append((yb, yf, zb, zf, -1 if nx else 1))
+            recount[y].append((xb, xf, zb, zf, -1 if ny else 1))
+            recount[z].append((xb, xf, yb, yf, -1 if nz else 1))
+            vars_sorted.append(tuple(sorted((x, y, z))))
         self.clause_vars_sorted = tuple(vars_sorted)
-        occ_bits = [0] * formula.v
-        for var in range(formula.v):
-            bits = 0
-            for ci in formula.occ[var]:
-                bits |= 1 << ci
-            occ_bits[var] = bits
-        self.occ_clause_bits = tuple(occ_bits)
+        self.true_bits = tuple(tuple(pair) for pair in true_bits)
+        self.occ_clause_bits = tuple(f | t for f, t in true_bits)
+        self.recount = tuple(map(tuple, recount))
         # strict "more than (1-eps) fraction satisfied": sat >= floor((1-eps)m)+1
         thresh = (1 - params.epsilon_exact) * formula.m
         self.gap_threshold_count = math.floor(thresh) + 1
@@ -161,8 +173,6 @@ def build_instance(f: Formula, params: RewardParams, wstar=None,
         wstar = tuple(wstar)
         if len(wstar) != f.v:
             raise ParameterError("wstar has wrong length")
-        if satisfied_count(f, wstar) != f.m:
-            raise ParameterError("supplied wstar does not satisfy the formula")
         wstar_mask = mask_from_assignment(wstar)
         satisfiable = True
     elif f.v <= EXHAUSTIVE_LIMIT:
@@ -190,24 +200,19 @@ def build_instance(f: Formula, params: RewardParams, wstar=None,
         if len(start) != f.v:
             raise ParameterError("start assignment has wrong length")
         start_mask = mask_from_assignment(start)
-    return MdpInstance(f, params, mode, wstar_mask, satisfiable, start_mask)
+    inst = MdpInstance(f, params, mode, wstar_mask, satisfiable, start_mask)
+    if wstar is not None and _unsat_mask(inst, wstar_mask):
+        raise ParameterError("supplied wstar does not satisfy the formula")
+    return inst
 
 
-def _clause_satisfied(inst: MdpInstance, ci: int, w: int) -> bool:
-    return bool((w & inst.clause_pos[ci]) | (~w & inst.clause_neg[ci]))
-
-
-def _sat_count(inst: MdpInstance, w: int) -> int:
-    return sum(1 for ci in range(inst.formula.m) if _clause_satisfied(inst, ci, w))
-
-
-def _eligible_mask(inst: MdpInstance, w: int, free: int) -> int:
-    bits = 0
-    for ci in range(inst.formula.m):
-        clause_vars = inst.clause_pos[ci] | inst.clause_neg[ci]
-        if (clause_vars & ~free) == 0 and not _clause_satisfied(inst, ci, w):
-            bits |= 1 << ci
-    return bits
+def _unsat_mask(inst: MdpInstance, w: int) -> int:
+    """Bitmask of the clauses w leaves unsatisfied: O(v) ORs, one
+    per-variable mask per variable."""
+    sat = 0
+    for pair, bit in zip(inst.true_bits, f"{w:0{inst.formula.v}b}"[::-1]):
+        sat |= pair[bit == "1"]
+    return inst.all_clauses ^ sat
 
 
 def _stage_fields(eligible: int, free: int):
@@ -221,11 +226,12 @@ def initial_state(inst: MdpInstance) -> MdpState:
     assignment already satisfies more than a (1-eps) fraction."""
     w = inst.start
     free = inst.all_mask
-    sat = _sat_count(inst, w)
+    # every variable is free, so the eligible clauses are the unsatisfied ones
+    eligible = _unsat_mask(inst, w)
+    sat = inst.formula.m - eligible.bit_count()
     if sat >= inst.gap_threshold_count:
         stage, cursor, eligible = GAP_SATISFIED, None, 0
     else:
-        eligible = _eligible_mask(inst, w, free)
         stage, cursor = _stage_fields(eligible, free)
     return MdpState(n=1, stage=stage, cursor=cursor, w=w, w_round=w, free=free,
                     round_dists=(), step=0, chain=bytes(16), sat_count=sat,
@@ -235,11 +241,11 @@ def initial_state(inst: MdpInstance) -> MdpState:
 def transition(inst: MdpInstance, s: MdpState, a: int) -> MdpState:
     """Apply one action: stage one flips the chosen clause variable, stage two
     flips the offered variable iff a == 1 (actions 0 and 2 both keep)."""
-    if s.is_terminal:
+    n, stage, cursor, w, w_round, free, round_dists, step, chain, sat, eligible = s
+    if stage == LAST_LEVEL or stage == GAP_SATISFIED:
         raise ParameterError("cannot act on a terminal state")
     if a not in (0, 1, 2):
         raise ParameterError(f"action {a} outside {{0,1,2}}")
-    n, stage, cursor, w, w_round, free, round_dists, step, chain, sat, eligible = s
     if stage == STAGE_ONE:
         var = inst.clause_vars_sorted[cursor][a]
         flip = True
@@ -248,11 +254,17 @@ def transition(inst: MdpInstance, s: MdpState, a: int) -> MdpState:
         flip = a == 1
 
     bit = 1 << var
-    free &= ~bit
+    # x ^= x & mask clears mask's bits without a negative ~mask
+    free ^= free & bit
     if flip:
-        old_w, w = w, w ^ bit
-        for ci in inst.formula.occ[var]:
-            sat += _clause_satisfied(inst, ci, w) - _clause_satisfied(inst, ci, old_w)
+        w ^= bit
+        # a clause's count moves only when its other two literals are false:
+        # +1 if var's literal became true, -1 if it became false
+        gain = 0
+        for yb, yf, zb, zf, sign in inst.recount[var]:
+            if w & yb == yf and w & zb == zf:
+                gain += sign
+        sat += gain if w & bit else -gain
     chain = hashlib.blake2b(chain + (var * 2 + flip).to_bytes(4, "big"),
                             digest_size=16).digest()
 
@@ -260,14 +272,14 @@ def transition(inst: MdpInstance, s: MdpState, a: int) -> MdpState:
         stage, cursor, eligible = GAP_SATISFIED, None, 0
     elif free:
         # marking var used removes exactly its clauses from eligibility
-        eligible &= ~inst.occ_clause_bits[var]
+        eligible ^= eligible & inst.occ_clause_bits[var]
         stage, cursor = _stage_fields(eligible, free)
     elif n == inst.params.h:
         stage, cursor, eligible = LAST_LEVEL, None, 0
     else:
         round_dists += (hamming(w_round, w),)
         n, w_round, free = n + 1, w, inst.all_mask
-        eligible = _eligible_mask(inst, w, free)
+        eligible = _unsat_mask(inst, w)
         stage, cursor = _stage_fields(eligible, free)
     return MdpState(n, stage, cursor, w, w_round, free, round_dists, step + 1,
                     chain, sat, eligible)

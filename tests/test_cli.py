@@ -167,6 +167,27 @@ def test_run_deterministic_reports(tmp_path, cnf_file):
     assert set(first) == {"step", "state_digest", "action", "reward"}
 
 
+def test_trajectory_lines_are_json_dumps_bytes(tmp_path):
+    from satmdp.cnf import to_dimacs
+    from satmdp.instances import regular_planted_formula
+    f, planted = regular_planted_formula(15, seed=3)
+    cnf = tmp_path / "f15.cnf"
+    cnf.write_text(to_dimacs(f))
+    bundle = tmp_path / "bundle"
+    assert main(["gen", "--cnf", str(cnf), "--out", str(bundle),
+                 "--q", "2", "--rounds", "2", "--epsilon", "0.0625",
+                 "--wstar", "".join("1" if x == 1 else "0" for x in planted)]) == 0
+    for agent in ("random", "greedy"):
+        out = tmp_path / agent
+        assert main(["run", "--instance", str(bundle / "instance.json"),
+                     "--agent", agent, "--episodes", "4", "--seed", "5",
+                     "--out", str(out)]) == 0
+        lines = (out / "trajectories.jsonl").read_text().splitlines(keepends=True)
+        assert len(lines) > 8
+        for line in lines:
+            assert line == json.dumps(json.loads(line)) + "\n"
+
+
 def test_run_random_agent(tmp_path, cnf_file):
     bundle = tmp_path / "bundle"
     main(["gen", "--cnf", str(cnf_file), "--out", str(bundle),
@@ -192,6 +213,45 @@ def test_run_refuses_episodes_below_one(tmp_path, cnf_file, capsys, count):
     assert rc == 2
     assert "--episodes must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def _seed_argv(command, tmp_path, cnf_file):
+    """A valid invocation of `command` minus --seed, and the path it writes."""
+    if command == "gen":
+        out = tmp_path / "bundle"
+        return ["gen", "--cnf", str(cnf_file), "--out", str(out),
+                "--q", "2", "--rounds", "2"], out
+    if command == "verify-claims":
+        out = tmp_path / "claims.json"
+        return ["verify-claims", "--v", "12", "--out", str(out)], out
+    if command == "run":
+        bundle = tmp_path / "bundle"
+        assert main(["gen", "--cnf", str(cnf_file), "--out", str(bundle),
+                     "--q", "2", "--rounds", "2"]) == 0
+        out = tmp_path / "rollouts"
+        return ["run", "--instance", str(bundle / "instance.json"),
+                "--agent", "random", "--out", str(out)], out
+    out = tmp_path / "rep.json"
+    return ["reduce", "--cnf", str(cnf_file), "--q", "2", "--rounds", "2",
+            "--learner", "random", "--out", str(out)], out
+
+
+@pytest.mark.parametrize("command", ["gen", "verify-claims", "run", "reduce"])
+@pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
+def test_seed_outside_philox_key_range_is_refused(tmp_path, cnf_file, capsys,
+                                                  command, seed):
+    argv, out = _seed_argv(command, tmp_path, cnf_file)
+    capsys.readouterr()
+    assert main([*argv, "--seed", str(seed)]) == 2
+    assert f"--seed must be in [0, 2**128), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify-claims", "run", "reduce"])
+def test_largest_seed_is_accepted(tmp_path, cnf_file, command):
+    argv, out = _seed_argv(command, tmp_path, cnf_file)
+    assert main([*argv, "--seed", str(2**128 - 1)]) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("flags, named", [

@@ -247,15 +247,54 @@ def test_states_at_different_steps_are_distinct():
         by_encoding[key] = s
 
 
+def recount_by_clause(inst, w, free):
+    """Independent oracle, clause by clause: (satisfied count, mask of the
+    unsatisfied clauses whose variables are all free)."""
+    a = assignment_from_mask(w, inst.formula.v)
+    sat = eligible = 0
+    for ci, clause in enumerate(inst.formula.clauses):
+        if clause.satisfied_by(a):
+            sat += 1
+        elif all((free >> var) & 1 for var in clause.variables):
+            eligible |= 1 << ci
+    return sat, eligible
+
+
 def test_incremental_eligibility_matches_recompute():
-    from satmdp.mdp import _eligible_mask
     inst, _, _ = random_satisfiable_instance(37, v=6, h=2, epsilon=0.125)
     rng = np.random.default_rng(4)
     for _ in range(40):
         s = initial_state(inst)
         while not s.is_terminal:
-            assert s.eligible == _eligible_mask(inst, s.w, s.free)
+            assert s.eligible == recount_by_clause(inst, s.w, s.free)[1]
             s = transition(inst, s, int(rng.integers(0, 3)))
+
+
+def test_step_recount_matches_clause_recount_across_words():
+    """v=69 (masks of several machine words), a random non-zero start, three
+    rounds, and negated literals: sat_count and eligible at every step equal
+    a clause-by-clause recount."""
+    v = 69
+    f, planted = regular_planted_formula(v, seed=5)
+    assert any(lit.negated for clause in f.clauses for lit in clause.literals)
+    params = params_for_rounds(v=v, h=3, p=2, q=4, epsilon=1 / 64, b=6)
+    rng = np.random.default_rng(23)
+    rollovers = 0
+    for _ in range(6):
+        start = tuple(int(x) for x in rng.choice([-1, 1], size=v))
+        inst = build_instance(f, params, wstar=planted, start=start)
+        assert inst.start >> 64
+        s = initial_state(inst)
+        while True:
+            sat, eligible = recount_by_clause(inst, s.w, s.free)
+            assert s.sat_count == sat
+            assert s.eligible == (0 if s.is_terminal else eligible)
+            if s.is_terminal:
+                break
+            n = s.n
+            s = transition(inst, s, int(rng.integers(0, 3)))
+            rollovers += s.n > n
+    assert rollovers >= 6
 
 
 def test_incremental_satisfaction_matches_recount(figure_instance):
