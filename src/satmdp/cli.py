@@ -50,7 +50,7 @@ def _read_bytes(path) -> bytes:
 
 
 def _read_formula(path, strict: bool = True):
-    return parse_dimacs(_read_bytes(path).decode(), strict=strict)
+    return parse_dimacs(_read_bytes(path), strict=strict)
 
 
 def _signs(bits):
@@ -97,7 +97,7 @@ def _build_instance(f, params, wstar, mode, start) -> mdp.MdpInstance:
 
 def cmd_gen(args) -> int:
     data = _read_bytes(args.cnf)
-    f = parse_dimacs(data.decode())
+    f = parse_dimacs(data)
     params = _params_from_args(args, f.v)
     t0 = time.perf_counter()
     inst = _build_instance(f, params, wstar=_signs(args.wstar), mode=args.mode,
@@ -144,7 +144,7 @@ def load_instance_bundle(path: str) -> mdp.MdpInstance:
             raise ParameterError(
                 f"{cnf_path} does not match the bundle's cnf_sha256; "
                 "the formula changed since the bundle was made")
-        f = parse_dimacs(data.decode())
+        f = parse_dimacs(data)
         params = reward.RewardParams(v=f.v, p=cfg["p"], q=cfg["q"],
                                      alpha=cfg["alpha"], h=cfg["h"],
                                      epsilon=cfg["epsilon"], b=cfg["b"])

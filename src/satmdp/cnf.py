@@ -1,4 +1,11 @@
-"""3-CNF formulas: DIMACS parsing, indexed evaluation, exhaustive SAT / Max-SAT oracles.
+"""3-CNF formulas: DIMACS parsing, array-backed clauses, exhaustive SAT / Max-SAT oracles.
+
+A formula holds its clauses as one read-only (m, 3) int64 array `lits` of
+signed 1-based DIMACS literals: variable i (0-based) true is i + 1, false is
+-(i + 1). The 1- and 2-literal clauses that only lenient formulas have are
+padded with trailing 0s. `formula_from_ints` is the constructor and checks the
+clauses; `Formula.clauses` rebuilds them as `Clause`/`Literal` tuples on every
+access, for readers outside the package.
 
 Assignments are tuples over {-1, +1}: -1 is false, +1 is true. The exhaustive
 oracles enumerate all 2^v assignments with numpy, mapping variable 0 to the most
@@ -7,7 +14,8 @@ false < true.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,104 +30,121 @@ EXHAUSTIVE_LIMIT = 24
 Assignment = tuple
 
 
-@dataclass(frozen=True)
-class Literal:
-    var: int
-    negated: bool = False
-
-    def holds(self, value: int) -> bool:
-        return value == (FALSE if self.negated else TRUE)
-
-    def to_int(self) -> int:
-        """Signed 1-based DIMACS literal."""
-        return -(self.var + 1) if self.negated else self.var + 1
+class Literal(NamedTuple):
+    var: int        # 0-based variable
+    negated: bool
 
 
-@dataclass(frozen=True)
-class Clause:
-    literals: tuple[Literal, ...]
-
-    @property
-    def variables(self) -> tuple[int, ...]:
-        return tuple(lit.var for lit in self.literals)
-
-    def satisfied_by(self, assignment: Assignment) -> bool:
-        return any(lit.holds(assignment[lit.var]) for lit in self.literals)
+class Clause(NamedTuple):
+    literals: tuple  # of Literal
 
 
 class Formula:
-    """Indexed CNF formula.
+    """Array-backed CNF formula; build it with `formula_from_ints`.
 
+    ``lits`` is the read-only (m, 3) literal array described above.
     ``occ[x]`` lists the indices of clauses containing variable x (each clause
-    at most once). ``strict`` marks that every clause has exactly 3 literals on
-    3 distinct variables, which the MDP construction requires; lenient formulas
-    (1..3 literals, repeats allowed) only occur inside the bounded-occurrence
-    transform and its tests.
+    at most once), built on every access. ``strict`` marks that every clause
+    has exactly 3 literals on 3 distinct variables, which the MDP construction
+    requires; lenient formulas (1..3 literals, repeats allowed) only occur
+    inside the bounded-occurrence transform and its tests.
     """
 
-    __slots__ = ("v", "clauses", "occ", "strict")
+    __slots__ = ("v", "lits", "strict")
 
-    def __init__(self, v: int, clauses, strict: bool = True):
-        clauses = tuple(clauses)
-        if v < 1:
-            raise FormulaError("formula needs at least one variable")
-        if not clauses:
-            raise FormulaError("formula needs at least one clause (m >= 1)")
-        for ci, clause in enumerate(clauses):
-            lits = clause.literals
-            if not 1 <= len(lits) <= 3:
-                raise FormulaError(f"clause {ci} has {len(lits)} literals")
-            for lit in lits:
-                if not 0 <= lit.var < v:
-                    raise FormulaError(
-                        f"clause {ci}: variable {lit.var + 1} out of range (v={v})")
-            if strict and (len(lits) != 3 or len(set(clause.variables)) != 3):
-                raise FormulaError(
-                    f"clause {ci} must have 3 distinct variables in strict mode")
+    def __init__(self, v: int, lits: np.ndarray, strict: bool):
+        lits.flags.writeable = False
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "lits", lits)
         object.__setattr__(self, "strict", strict)
-        occ = [[] for _ in range(v)]
-        for ci, clause in enumerate(clauses):
-            for var in sorted(set(clause.variables)):
-                occ[var].append(ci)
-        object.__setattr__(self, "occ", tuple(tuple(o) for o in occ))
 
     def __setattr__(self, name, value):
         raise AttributeError("Formula is immutable")
 
     @property
     def m(self) -> int:
-        return len(self.clauses)
+        return len(self.lits)
+
+    @property
+    def occ(self) -> tuple:
+        occ = [[] for _ in range(self.v)]
+        for ci, row in enumerate(self.lits.tolist()):
+            for x in {abs(x) for x in row if x}:
+                occ[x - 1].append(ci)
+        return tuple(map(tuple, occ))
+
+    @property
+    def clauses(self) -> tuple:
+        """The clauses as `Clause(literals)` of `Literal(var, negated)`."""
+        return tuple(Clause(tuple(Literal(abs(x) - 1, x < 0) for x in row if x))
+                     for row in self.lits.tolist())
 
     def __eq__(self, other):
         return (isinstance(other, Formula) and self.v == other.v
-                and self.clauses == other.clauses and self.strict == other.strict)
+                and self.strict == other.strict
+                and np.array_equal(self.lits, other.lits))
 
     def __hash__(self):
-        return hash((self.v, self.clauses))
+        return hash((self.v, self.lits.tobytes()))
 
     def __repr__(self):
         return f"Formula(v={self.v}, m={self.m}, strict={self.strict})"
 
 
 def formula_from_ints(v: int, int_clauses, strict: bool = True) -> Formula:
-    """Build a formula from signed 1-based literal lists (DIMACS convention)."""
-    clauses = []
-    for raw in int_clauses:
-        lits = []
-        for lit in raw:
-            if lit == 0:
-                raise FormulaError("literal 0 is reserved as the clause terminator")
-            lits.append(Literal(abs(lit) - 1, lit < 0))
-        clauses.append(Clause(tuple(lits)))
-    return Formula(v, clauses, strict=strict)
+    """Build a formula from signed 1-based literal lists (DIMACS convention).
+
+    Raises FormulaError for a literal 0 anywhere, v < 1, no clauses, or else
+    for the first clause that has no or more than 3 literals, a variable out
+    of range or, in strict mode, fewer than 3 distinct variables.
+    """
+    rows = list(int_clauses)
+    m = len(rows)
+    widths = np.fromiter(map(len, rows), np.int64, m)
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, int(widths.sum()))
+    except OverflowError:
+        raise FormulaError("a literal exceeds the int64 range") from None
+    if not flat.all():
+        raise FormulaError("literal 0 is reserved as the clause terminator")
+    if v < 1:
+        raise FormulaError("formula needs at least one variable")
+    if not m:
+        raise FormulaError("formula needs at least one clause (m >= 1)")
+    if (widths == 3).all():
+        lits = flat.reshape(m, 3)
+    else:  # pad; a clause over 3 literals is cut here and refused below
+        lits = np.zeros((m, 3), np.int64)
+        for ci, row in enumerate(rows):
+            lits[ci, :min(len(row), 3)] = row[:3]
+    var = np.abs(lits)
+    bad_width = (widths < 1) | (widths > 3)
+    bad_range = (var > v).any(axis=1)
+    bad = bad_width | bad_range
+    if strict:
+        bad |= (widths != 3) | (np.diff(np.sort(var, axis=1)) == 0).any(axis=1)
+    if bad.any():
+        ci = int(np.argmax(bad))
+        if bad_width[ci]:
+            raise FormulaError(f"clause {ci} has {widths[ci]} literals")
+        if bad_range[ci]:
+            x = int(var[ci][var[ci] > v][0])
+            raise FormulaError(f"clause {ci}: variable {x} out of range (v={v})")
+        raise FormulaError(f"clause {ci} must have 3 distinct variables in strict mode")
+    return Formula(v, lits, strict)
 
 
 def parse_dimacs(text: str | bytes, strict: bool = True) -> Formula:
-    """Parse DIMACS CNF text: 'c' comments, 'p cnf v m' header, 0-terminated clauses."""
+    """Parse DIMACS CNF text: 'c' comments, 'p cnf v m' header, 0-terminated
+    clauses. Bytes are decoded as UTF-8."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode()
+        except UnicodeDecodeError as exc:
+            # numbered as the scanner below numbers lines
+            line = len((text[:exc.start] + b"x").decode().splitlines())
+            raise ParseError(f"line {line}: not UTF-8 text "
+                             f"(byte 0x{text[exc.start]:02x})") from None
     v = None
     declared_m = None
     int_clauses: list[list[int]] = []
@@ -176,8 +201,7 @@ def parse_dimacs(text: str | bytes, strict: bool = True) -> Formula:
 
 def to_dimacs(f: Formula) -> str:
     lines = [f"p cnf {f.v} {f.m}"]
-    for clause in f.clauses:
-        lines.append(" ".join(str(lit.to_int()) for lit in clause.literals) + " 0")
+    lines += [" ".join([str(x) for x in row if x] + ["0"]) for row in f.lits.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -185,12 +209,17 @@ def satisfied_count(f: Formula, a: Assignment) -> int:
     """Number of clauses with at least one true literal under a."""
     if len(a) != f.v:
         raise FormulaError(f"assignment length {len(a)} != v={f.v}")
-    return sum(1 for clause in f.clauses if clause.satisfied_by(a))
+    # a literal holds when its sign matches its variable's value; padding has
+    # sign 0 and never holds
+    values = np.asarray(a)[np.abs(f.lits) - 1] * np.sign(f.lits)
+    return int((values > 0).any(axis=1).sum())
 
 
 def occurrence_bound(f: Formula) -> int:
     """Max over variables of the number of clauses the variable appears in."""
-    return max(len(o) for o in f.occ)
+    var = np.sort(np.abs(f.lits), axis=1)
+    var[:, 1:][var[:, 1:] == var[:, :-1]] = 0  # each variable once per clause
+    return int(np.bincount(var.ravel())[1:].max())
 
 
 def _index_to_assignment(k: int, v: int) -> Assignment:
@@ -203,22 +232,17 @@ def _clause_subcubes(f: Formula):
     """(mask, pattern) per non-tautological clause: k falsifies the clause iff
     (k & mask) == pattern under the MSB variable-0 indexing."""
     out = []
-    for clause in f.clauses:
-        mask = 0
-        pattern = 0
-        tautology = False
-        seen: dict[int, bool] = {}
-        for lit in clause.literals:
-            if lit.var in seen and seen[lit.var] != lit.negated:
-                tautology = True
-                break
-            seen[lit.var] = lit.negated
-            bit = 1 << (f.v - 1 - lit.var)
-            mask |= bit
-            if lit.negated:
-                pattern |= bit
-        if not tautology:
-            out.append((mask, pattern))
+    for row in f.lits.tolist():
+        if any(-x in row for x in row if x):
+            continue  # a tautology is never falsified
+        mask = pattern = 0
+        for x in row:
+            if x:
+                bit = 1 << (f.v - abs(x))
+                mask |= bit
+                if x < 0:
+                    pattern |= bit
+        out.append((mask, pattern))
     return out
 
 

@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from .cnf import (
     EXHAUSTIVE_LIMIT,
-    Clause,
     Formula,
-    Literal,
     brute_force_max_sat,
+    formula_from_ints,
     occurrence_bound,
 )
 from .errors import FormulaError, ParameterError
@@ -87,50 +86,31 @@ def bounded_occurrence_transform(f: Formula, b: int) -> Formula:
     if occurrence_bound(f) <= b:
         return f
 
+    rows = [[x for x in row if x] for row in f.lits.tolist()]
     next_var = f.v
-    # var -> {clause index -> copy variable}, for clause rewriting
+    # 1-based var -> {clause index -> 1-based copy variable}, for clause rewriting
     copy_of: dict[int, dict[int, int]] = {}
     cycles: list[list[int]] = []
-    for var in range(f.v):
-        occ = f.occ[var]
+    for var, occ in enumerate(f.occ, start=1):
         if len(occ) <= b - 2:
             continue
-        occurrences = []
-        for ci in occ:
-            negs = [lit.negated for lit in f.clauses[ci].literals if lit.var == var]
-            occurrences.append((ci, all(negs)))
+        occurrences = [(ci, all(x < 0 for x in rows[ci] if abs(x) == var))
+                       for ci in occ]
         occurrences = _interleave_by_sign(occurrences)
-        copies = []
-        mapping = {}
-        for ci, _ in occurrences:
-            mapping[ci] = next_var
-            copies.append(next_var)
-            next_var += 1
-        copy_of[var] = mapping
+        copies = list(range(next_var + 1, next_var + 1 + len(occurrences)))
+        next_var += len(copies)
+        copy_of[var] = {ci: c for (ci, _), c in zip(occurrences, copies)}
         cycles.append(copies)
 
-    new_clauses = []
-    for ci, clause in enumerate(f.clauses):
-        lits = []
-        for lit in clause.literals:
-            mapping = copy_of.get(lit.var)
-            if mapping is None:
-                lits.append(lit)
-            else:
-                lits.append(Literal(mapping[ci], lit.negated))
-        new_clauses.append(Clause(tuple(lits)))
-
+    new_clauses = [[x if abs(x) not in copy_of
+                    else copy_of[x][ci] if x > 0 else -copy_of[-x][ci] for x in row]
+                   for ci, row in enumerate(rows)]
     for copies in cycles:
-        k = len(copies)
-        for j in range(k):
-            a, c = copies[j], copies[(j + 1) % k]
-            z = next_var
+        for a, c in zip(copies, copies[1:] + copies[:1]):
             next_var += 1
             # (not a or c) padded: both clauses share the implication literals
-            new_clauses.append(Clause((Literal(a, True), Literal(c), Literal(z))))
-            new_clauses.append(Clause((Literal(a, True), Literal(c), Literal(z, True))))
-
-    return Formula(next_var, new_clauses, strict=f.strict)
+            new_clauses += [[-a, c, next_var], [-a, c, -next_var]]
+    return formula_from_ints(next_var, new_clauses, strict=f.strict)
 
 
 def strictify(f: Formula) -> Formula:
@@ -140,20 +120,19 @@ def strictify(f: Formula) -> Formula:
     a unit clause is padded in two rounds, yielding four clauses.
     """
     next_var = f.v
-    queue = [list(clause.literals) for clause in f.clauses]
+    queue = [[x for x in row if x] for row in f.lits.tolist()]
     out = []
     while queue:
         lits = queue.pop(0)
         if len(lits) == 3:
-            if len({lit.var for lit in lits}) != 3:
+            if len({abs(x) for x in lits}) != 3:
                 raise FormulaError("cannot strictify a clause with repeated variables")
-            out.append(Clause(tuple(lits)))
+            out.append(lits)
             continue
-        z = next_var
         next_var += 1
-        queue.append(lits + [Literal(z)])
-        queue.append(lits + [Literal(z, True)])
-    return Formula(next_var, out, strict=True)
+        queue.append(lits + [next_var])
+        queue.append(lits + [-next_var])
+    return formula_from_ints(next_var, out, strict=True)
 
 
 def transform_report(f: Formula, psi: Formula, b: int) -> dict:

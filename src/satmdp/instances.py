@@ -9,13 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnf import (
-    Clause,
-    Formula,
-    Literal,
-    brute_force_sat,
-    occurrence_bound,
-)
+from .cnf import Formula, brute_force_sat, formula_from_ints, occurrence_bound
 from .errors import ParameterError, ResourceLimitError
 from .mdp import MODE_FULL, build_instance, enumerate_reachable, initial_state
 from .reward import params_for_rounds
@@ -30,14 +24,11 @@ def random_strict_formula(rng: np.random.Generator, v: int, m: int) -> Formula:
     clauses = []
     n_pos = int(round(ALL_POSITIVE_FRACTION * m))
     for ci in range(m):
-        variables = rng.choice(v, size=3, replace=False)
-        if ci < n_pos:
-            negs = (False, False, False)
-        else:
-            negs = tuple(bool(x) for x in rng.integers(0, 2, size=3))
-        clauses.append(Clause(tuple(
-            Literal(int(var), neg) for var, neg in zip(sorted(variables), negs))))
-    return Formula(v, clauses)
+        lits = np.sort(rng.choice(v, size=3, replace=False)) + 1
+        if ci >= n_pos:
+            lits = np.where(rng.integers(0, 2, size=3) == 1, -lits, lits)
+        clauses.append(lits)
+    return formula_from_ints(v, clauses)
 
 
 def random_satisfiable_instance(seed: int, v: int, h: int, p: int = 2,
@@ -94,9 +85,8 @@ def regular_planted_formula(v: int, seed: int):
             if not satisfied:
                 fix = int(rng.integers(0, 3))
                 negs[fix] = planted[trio[fix]] == -1
-            clauses.append(Clause(tuple(
-                Literal(x, neg) for x, neg in zip(trio, negs))))
-    return Formula(v, clauses), planted
+            clauses.append([-(x + 1) if neg else x + 1 for x, neg in zip(trio, negs)])
+    return formula_from_ints(v, clauses), planted
 
 
 def random_gap_unsat_formula(rng: np.random.Generator, v: int) -> Formula:
@@ -109,15 +99,13 @@ def random_gap_unsat_formula(rng: np.random.Generator, v: int) -> Formula:
     block_vars = sorted(int(x) for x in rng.choice(v, size=3, replace=False))
     clauses = []
     for bits in range(8):
-        clauses.append(Clause(tuple(
-            Literal(var, bool((bits >> i) & 1))
-            for i, var in enumerate(block_vars))))
+        clauses.append([-(var + 1) if (bits >> i) & 1 else var + 1
+                        for i, var in enumerate(block_vars)])
     others = [x for x in range(v) if x not in block_vars]
     m = int(rng.integers(max(v, 9), 17))
     while len(clauses) < m:
         variables = rng.choice(len(others), size=3, replace=False)
         negs = rng.integers(0, 2, size=3)
-        clauses.append(Clause(tuple(
-            Literal(others[int(i)], bool(n))
-            for i, n in sorted(zip(variables, negs), key=lambda t: t[0]))))
-    return Formula(v, clauses)
+        clauses.append([-(others[int(i)] + 1) if n else others[int(i)] + 1
+                        for i, n in sorted(zip(variables, negs), key=lambda t: t[0])])
+    return formula_from_ints(v, clauses)

@@ -120,13 +120,11 @@ class MdpInstance:
         var_bits = [1 << x for x in range(formula.v)]
         true_bits = [[0, 0] for _ in range(formula.v)]
         recount = [[] for _ in range(formula.v)]
-        vars_sorted = []
+        clause_vars = np.abs(formula.lits) - 1
         # one pass over the strict clauses (3 literals on 3 distinct variables)
-        for ci, clause in enumerate(formula.clauses):
+        for ci, (x, y, z), (nx, ny, nz) in zip(
+                range(formula.m), clause_vars.tolist(), (formula.lits < 0).tolist()):
             cbit = 1 << ci
-            lx, ly, lz = clause.literals
-            x, y, z = lx.var, ly.var, lz.var
-            nx, ny, nz = lx.negated, ly.negated, lz.negated
             xb, yb, zb = var_bits[x], var_bits[y], var_bits[z]
             xf, yf, zf = xb if nx else 0, yb if ny else 0, zb if nz else 0
             true_bits[x][not nx] |= cbit
@@ -135,8 +133,7 @@ class MdpInstance:
             recount[x].append((yb, yf, zb, zf, -1 if nx else 1))
             recount[y].append((xb, xf, zb, zf, -1 if ny else 1))
             recount[z].append((xb, xf, yb, yf, -1 if nz else 1))
-            vars_sorted.append(tuple(sorted((x, y, z))))
-        self.clause_vars_sorted = tuple(vars_sorted)
+        self.clause_vars_sorted = tuple(map(tuple, np.sort(clause_vars, axis=1).tolist()))
         self.true_bits = tuple(tuple(pair) for pair in true_bits)
         self.occ_clause_bits = tuple(f | t for f, t in true_bits)
         self.recount = tuple(map(tuple, recount))

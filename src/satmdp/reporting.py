@@ -24,6 +24,10 @@ REPORT_SCHEMA = {
     "additionalProperties": False,
 }
 
+# built once; the schema itself is checked against its metaschema by the
+# tests, since that check alone costs several ms per process
+_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+
 #: Fields a byte-level reproducibility comparison must ignore.
 VOLATILE_FIELDS = ("wallclock_sec",)
 
@@ -48,7 +52,11 @@ def make_report(command: str, config: dict, seed, outcomes: dict,
 
 
 def validate_report(report: dict):
-    jsonschema.validate(report, REPORT_SCHEMA)
+    """Raise the `jsonschema.ValidationError` that `jsonschema.validate` would,
+    without checking the schema again on every call."""
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(report))
+    if error is not None:
+        raise error
 
 
 def report_to_json(report: dict) -> str:

@@ -108,6 +108,17 @@ def test_gen_refuses_start_that_meets_threshold(tmp_path, cnf_file, capsys):
     assert not (out / "instance.json").exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "reduce", "transform"])
+def test_non_utf8_cnf_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.cnf"
+    path.write_bytes(FIGURE_DIMACS.encode() + b"c caf\xe9 \xff\n")
+    argv = {"gen": ["--out", str(tmp_path / "b"), "--q", "2", "--rounds", "2"],
+            "reduce": ["--q", "2", "--rounds", "2"],
+            "transform": []}[command]
+    assert main([command, "--cnf", str(path), *argv]) == 2
+    assert "line 8: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_gen_missing_file(tmp_path):
     rc = main(["gen", "--cnf", str(tmp_path / "nope.cnf"),
                "--out", str(tmp_path / "x")])
@@ -373,6 +384,12 @@ def test_report_schema_rejects_malformed():
     bad["config_hash"] = "nope"
     with pytest.raises(Exception):
         validate_report(bad)
+
+
+def test_report_schema_is_valid_draft_2020_12():
+    import jsonschema
+    from satmdp.reporting import REPORT_SCHEMA
+    jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
 
 
 def test_config_hash_is_stable():

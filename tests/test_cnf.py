@@ -55,6 +55,21 @@ def test_parse_rejects_count_mismatch_and_missing_header():
         parse_dimacs("1 2 3 0\n")
 
 
+def test_parse_bytes_decodes_utf8_and_rejects_other_bytes():
+    assert parse_dimacs(("c \u00e9t\u00e9\n" + FIGURE_DIMACS).encode()) == \
+        parse_dimacs(FIGURE_DIMACS)
+    with pytest.raises(ParseError, match="line 2: not UTF-8 text"):
+        parse_dimacs(b"p cnf 3 1\n1 2 3 \xff 0\n")
+    with pytest.raises(ParseError, match="line 3: not UTF-8 text"):
+        parse_dimacs(b"c old line ends\rp cnf 3 1\r1 2 \xe9 0\r")
+
+
+def test_parse_refuses_literals_beyond_int64():
+    big = 10**20
+    with pytest.raises(ParseError, match="int64"):
+        parse_dimacs(f"p cnf {big} 1\n{big} 1 2 0\n")
+
+
 def test_roundtrip_fixed(figure_formula):
     assert parse_dimacs(to_dimacs(figure_formula)) == figure_formula
 
@@ -146,6 +161,34 @@ def test_formula_validation():
         formula_from_ints(3, [[1, 2, 4]])  # out of range
     with pytest.raises(FormulaError):
         formula_from_ints(3, [[1, 2, 0]])  # literal 0 reserved
+
+
+def test_formula_errors_name_the_first_bad_clause():
+    with pytest.raises(FormulaError, match=r"^clause 1: variable 4 out of range \(v=3\)$"):
+        formula_from_ints(3, [[1, 2, 3], [1, -4, 2], [1, 2]])
+    with pytest.raises(FormulaError, match="^clause 0 has 4 literals$"):
+        formula_from_ints(3, [[1, 2, 3, 9], [1, 2]], strict=False)
+    with pytest.raises(FormulaError, match="^clause 1 has 0 literals$"):
+        formula_from_ints(3, [[1], [], [7]], strict=False)
+    with pytest.raises(FormulaError, match="^clause 2 must have 3 distinct"):
+        formula_from_ints(3, [[1, 2, 3], [-1, 2, 3], [1, -1, 2]])
+    with pytest.raises(FormulaError, match="literal 0"):
+        formula_from_ints(3, [[1, 2, 4], [1, 2, 3, 0]])
+
+
+@pytest.mark.parametrize("v, int_clauses, strict", [
+    (5, FIGURE_CLAUSES, True),
+    (4, [[2], [-1, 3], [4, -4, 1], [-3, -3]], False),
+])
+def test_clause_view_matches_the_literal_array(v, int_clauses, strict):
+    """`Formula.clauses` is the view readers outside the package build their
+    own clause lists from; it must agree with `lits`, padding dropped."""
+    f = formula_from_ints(v, int_clauses, strict=strict)
+    assert f.lits.shape == (len(int_clauses), 3)
+    view = [[(lit.var, lit.negated) for lit in c.literals] for c in f.clauses]
+    assert view == [[(abs(x) - 1, x < 0) for x in row if x]
+                    for row in f.lits.tolist()]
+    assert view == [[(abs(x) - 1, x < 0) for x in row] for row in int_clauses]
 
 
 @settings(max_examples=60, deadline=None)

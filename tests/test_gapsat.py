@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from satmdp.cnf import (
-    Clause,
-    Formula,
-    Literal,
     brute_force_max_sat,
     brute_force_sat,
     formula_from_ints,
@@ -25,9 +22,9 @@ def random_lenient_formula(rng, v, m):
     for _ in range(m):
         width = int(rng.integers(1, 4))
         variables = rng.choice(v, size=min(width, v), replace=False)
-        clauses.append(Clause(tuple(
-            Literal(int(x), bool(rng.integers(0, 2))) for x in variables)))
-    return Formula(v, clauses, strict=False)
+        clauses.append([-(int(x) + 1) if rng.integers(0, 2) else int(x) + 1
+                        for x in variables])
+    return formula_from_ints(v, clauses, strict=False)
 
 
 def test_identity_when_already_bounded(figure_formula):
@@ -67,9 +64,7 @@ def test_transform_adversarial_unit_stacks():
     # k1 positive + k2 negative unit clauses on one variable: an assignment
     # setting copies blockwise would beat the deficit without sign interleaving
     for k1, k2 in ((2, 2), (3, 3), (4, 2), (5, 5), (6, 1), (7, 3)):
-        clauses = [Clause((Literal(0, False),)) for _ in range(k1)]
-        clauses += [Clause((Literal(0, True),)) for _ in range(k2)]
-        f = Formula(1, clauses, strict=False)
+        f = formula_from_ints(1, [[1]] * k1 + [[-1]] * k2, strict=False)
         psi = bounded_occurrence_transform(f, 6)
         max_in, _ = brute_force_max_sat(f)
         max_out, _ = brute_force_max_sat(psi)

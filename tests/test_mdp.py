@@ -252,12 +252,25 @@ def recount_by_clause(inst, w, free):
     unsatisfied clauses whose variables are all free)."""
     a = assignment_from_mask(w, inst.formula.v)
     sat = eligible = 0
-    for ci, clause in enumerate(inst.formula.clauses):
-        if clause.satisfied_by(a):
+    for ci, clause in enumerate(inst.formula.lits.tolist()):
+        if any((a[abs(x) - 1] == 1) == (x > 0) for x in clause):
             sat += 1
-        elif all((free >> var) & 1 for var in clause.variables):
+        elif all((free >> (abs(x) - 1)) & 1 for x in clause):
             eligible |= 1 << ci
     return sat, eligible
+
+
+def test_clause_tables_golden():
+    """The engine's per-variable clause tables for the long-episode formula
+    (v=768, m=1536), pinned by sha256 from the object-per-literal table pass
+    that the clause array replaced."""
+    f, planted = regular_planted_formula(768, seed=7)
+    params = params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6)
+    inst = build_instance(f, params, wstar=planted)
+    tables = (inst.true_bits, inst.occ_clause_bits, inst.recount,
+              inst.clause_vars_sorted)
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == \
+        "2203d065852d811bda4766983237bfd56de968d9a1eeeba91c577b95a68cbec1"
 
 
 def test_incremental_eligibility_matches_recompute():
@@ -276,7 +289,7 @@ def test_step_recount_matches_clause_recount_across_words():
     a clause-by-clause recount."""
     v = 69
     f, planted = regular_planted_formula(v, seed=5)
-    assert any(lit.negated for clause in f.clauses for lit in clause.literals)
+    assert (f.lits < 0).any()
     params = params_for_rounds(v=v, h=3, p=2, q=4, epsilon=1 / 64, b=6)
     rng = np.random.default_rng(23)
     rollovers = 0
