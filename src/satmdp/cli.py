@@ -190,12 +190,15 @@ def cmd_verify_claims(args) -> int:
         return reward.params_from_alpha(v, p=p, q=q, alpha=args.alpha,
                                         epsilon=args.epsilon, b=args.b)
 
+    v_step = min(v, 64)
     claims = {
         "claim_range_q4": reward.verify_claim_range(params(v, 2, 4)),
         "claim_range_q2_logp": reward.verify_claim_range(
             params(v, reward.log_degree(v), 2)),
         "claim_monotone_step": reward.verify_claim_monotone_step(
-            params(min(v, 64), 2, 4), v_cap=128),
+            params(v_step, 2, 4)),
+        "claim_monotone_step_q2_logp": reward.verify_claim_monotone_step(
+            params(v_step, reward.log_degree(v_step), 2)),
     }
     outcomes = {name: claim.to_dict() for name, claim in claims.items()}
     linearity = _linearity_suite(args.seed)

@@ -1,12 +1,13 @@
-"""Per-round reward polynomials, the exact expected-reward formula, and grid
+"""Per-round reward polynomials, the exact expected-reward formula, and
 verifiers for their two structural properties (boundedness/monotonicity and the
 earlier-round-flips-first inequality).
 
 The round-i factor is the degree-p Taylor truncation of exp evaluated at
--x / (v^(q-1) * (3 - i/h)). Verifiers sweep integer grids exactly; when a grid
-is too large to sweep, the range verifier reduces the round index to its two
-extremes, which is exact because the truncation is strictly decreasing on the
-covered argument range (certified via positivity of the one-lower truncation).
+-x / (v^(q-1) * (3 - i/h)). The range verifier certifies, in exact rational
+arithmetic, that the truncation strictly decreases on the whole argument range,
+so the two extreme rounds bound every other one. The monotone-step verifier
+clears rounds with a float ratio scan under an explicit error bound and decides
+every round it cannot clear exactly, in integers.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,10 @@ class RewardParams:
 def params_from_alpha(v: int, p: int = 2, q: int = 4, alpha: float = 1 / 16,
                       epsilon: float = 0.25, b: int = 6) -> RewardParams:
     """h = floor(alpha * v^(q-1)) clamped to >= 1, so each round is exactly v steps."""
-    h = max(1, math.floor(alpha * float(v) ** (q - 1)))
+    rounds = alpha * float(v) ** (q - 1)
+    if not math.isfinite(rounds):
+        raise ParameterError(f"alpha * v^(q-1) = {rounds} is not finite")
+    h = max(1, math.floor(rounds))
     return RewardParams(v=v, p=p, q=q, alpha=alpha, h=h, epsilon=epsilon, b=b)
 
 
@@ -145,191 +149,186 @@ class ClaimReport:
                 "counterexample": self.counterexample, "details": self.details}
 
 
-def _truncation_positive_on(k: int, z_hi: float) -> bool:
-    """Whether the degree-k truncation of exp is strictly positive at -z for all
-    z in [0, z_hi]. Even-degree truncations of exp have no real roots; an
+def _truncation_positive_on(k: int, z_hi) -> bool:
+    """Whether the degree-k truncation T_k of exp has T_k(-z) > 0 for z in
+    [0, z_hi) and T_k(-z_hi) >= 0, which is what strict decrease of T_(k+1)(-z)
+    on [0, z_hi] needs. Even-degree truncations of exp have no real roots; an
     odd-degree one is strictly decreasing in z (its z-derivative is minus an
-    even truncation), so positivity at z_hi settles the whole interval."""
+    even truncation), so T_k(-z_hi) >= 0, decided exactly, settles both."""
     if k < 0:
         return False
-    if k % 2 == 0:
-        return True
-    return taylor_exp(k, -z_hi) > 0.0
+    z = Fraction(z_hi)
+    acc = Fraction(1)
+    for i in range(k, 0, -1):
+        acc = 1 - acc * z / i
+    return acc >= 0
 
 
 def range_upper_bound(params: RewardParams) -> float:
     return 1.0 - params.epsilon / (6 * params.b * float(params.v) ** (params.q - 2))
 
 
-def verify_claim_range(params: RewardParams, grid_budget: int = 200_000_000,
-                       i_chunk: int = 4096) -> ClaimReport:
+def verify_claim_range(params: RewardParams) -> ClaimReport:
     """Check 1/4 <= g_i(x) <= 1 - eps/(6b v^(q-2)) on x in [ceil(eps v / b), v],
     strict decrease and g in (0, 1] on x in [0, 2v], for every i in [1, h+1].
 
-    Sweeps the full integer grid when it fits the budget; otherwise checks the
-    two extreme rounds plus the monotonicity certificate, which covers every
-    intermediate round exactly.
+    g's argument grows with the round index. Once the degree-(p-1) certificate
+    shows the truncation strictly decreasing on the whole argument range
+    [0, z_max], the rounds 1 and h+1 bound every intermediate round, so only
+    those two rows are evaluated.
     """
-    v, p, h = params.v, params.p, params.h
-    x_lo = math.ceil(params.epsilon_exact * v / params.b)
-    upper = range_upper_bound(params)
+    v, p, q, h = params.v, params.p, params.q, params.h
     xs = np.arange(0, 2 * v + 1, dtype=np.float64)
-    report = ClaimReport("range", params.to_dict(), passed=True)
-    grid_points = (h + 1) * (2 * v + 1)
-    report.details["grid_points"] = grid_points
-
-    def check_rows(i_values: np.ndarray, certified: bool = False) -> dict | None:
-        inv = 1.0 / np.array([params.scale(int(i)) for i in i_values])
-        G = _taylor_exp_vec(p, -np.outer(inv, xs))
-        # a passed certificate proves strict decrease; rows that round to
-        # equal floats (g_1 is 1.0 at x = 0 and 1 for large v) cannot refute it
-        if not certified:
-            bad = np.argwhere(~(G[:, :-1] > G[:, 1:]))
-            if bad.size:
-                r, c = bad[0]
-                return {"kind": "not_strictly_decreasing", "i": int(i_values[r]),
-                        "x": int(c), "g_x": float(G[r, c]),
-                        "g_x1": float(G[r, c + 1])}
-        bad = np.argwhere(~((G > 0.0) & (G <= 1.0)))
+    upper = range_upper_bound(params)
+    rows = (1, h + 1)
+    inv = 1.0 / np.array([params.scale(i) for i in rows])
+    G = _taylor_exp_vec(p, -np.outer(inv, xs))
+    z_max = Fraction(2 * v * h, v ** (q - 1) * (2 * h - 1))  # 2v / scale(h + 1)
+    certified = p >= 1 and _truncation_positive_on(p - 1, z_max)
+    in_band = (xs >= math.ceil(params.epsilon_exact * v / params.b)) & (xs <= v)
+    checks = [("outside_unit_interval", (G > 0.0) & (G <= 1.0)),
+              ("bound_violated", ~in_band | ((G >= 0.25) & (G <= upper)))]
+    # a passed certificate proves strict decrease; rows that round to equal
+    # floats (g_1 is 1.0 at x = 0 and 1 for large v) cannot refute it
+    if not certified:
+        checks.insert(0, ("not_strictly_decreasing", G[:, :-1] > G[:, 1:]))
+    failed = None if certified else {
+        "kind": "certificate_failed", "note": "no degree p-1 certificate up to z_max"}
+    report = ClaimReport("range", params.to_dict(), passed=False, counterexample=failed)
+    report.details["z_max"] = float(z_max)
+    for kind, ok in checks:
+        bad = np.argwhere(~ok)
         if bad.size:
-            r, c = bad[0]
-            return {"kind": "outside_unit_interval", "i": int(i_values[r]),
-                    "x": int(c), "g": float(G[r, c])}
-        sub = G[:, x_lo:v + 1]
-        bad = np.argwhere(~((sub >= 0.25) & (sub <= upper)))
-        if bad.size:
-            r, c = bad[0]
-            return {"kind": "bound_violated", "i": int(i_values[r]),
-                    "x": int(x_lo + c), "g": float(sub[r, c]),
-                    "lower": 0.25, "upper": upper}
-        return None
-
-    if grid_points <= grid_budget:
-        report.details["mode"] = "exhaustive"
-        for start in range(1, h + 2, i_chunk):
-            stop = min(start + i_chunk, h + 2)
-            bad = check_rows(np.arange(start, stop))
-            if bad is not None:
-                report.passed = False
-                report.counterexample = bad
-                break
-    else:
-        # g's argument grows with the round index, so the extreme rounds bound
-        # every row once the truncation is known to decrease on the full range.
-        z_max = 2 * v / params.scale(h + 1)
-        report.details["mode"] = "interval-certified"
-        report.details["z_max"] = z_max
-        if p < 1 or not _truncation_positive_on(p - 1, z_max):
-            report.passed = False
-            report.counterexample = {
-                "kind": "certificate_failed",
-                "note": "degree p-1 truncation not positive up to z_max; "
-                        "grid too large to sweep directly"}
-            return report
-        bad = check_rows(np.array([1, h + 1]), certified=True)
-        if bad is not None:
-            report.passed = False
-            report.counterexample = bad
+            r, x = map(int, bad[0])
+            report.counterexample = {"kind": kind, "i": rows[r], "x": x,
+                                     "g": float(G[r, x])}
+            break
+    report.passed = report.counterexample is None
 
     # Informational scan of (v, 2v]: largest x through which the bounds keep
     # holding on the extreme rounds (not asserted).
-    inv = 1.0 / np.array([params.scale(1), params.scale(h + 1)])
-    G = _taylor_exp_vec(p, -np.outer(inv, xs))
-    ok = (G[1] >= 0.25) & (G[0] <= upper)
-    x_hold = 2 * v
-    for x in range(v + 1, 2 * v + 1):
-        if not ok[x]:
-            x_hold = x - 1
-            break
-    report.details["bounds_hold_through_x"] = x_hold
+    fails = np.flatnonzero(~((G[1] >= 0.25) & (G[0] <= upper))[v + 1:])
+    report.details["bounds_hold_through_x"] = int(v + fails[0]) if fails.size else 2 * v
     return report
 
 
-def _monotone_grid_violation(params: RewardParams, i_block: int = 512) -> dict | None:
+V_CAP = 128                 # largest v that find_min_passing_v tries
+_BLOCK_CELLS = 1 << 19      # float entries per g table in one block of rounds
+
+
+def _scaled_row(params: RewardParams, i: int) -> list[int]:
+    """N_i(x) = p! * S_i^p * g_i(x) for x in [0, 2v], where S_i = v^(q-1)(3h - i)
+    = h * scale(i): the integer sum_k (p!/k!) (-h x)^k S_i^(p-k)."""
+    p, h = params.p, params.h
+    s = params.v ** (params.q - 1) * (3 * h - i)
+    coef = [math.factorial(p) // math.factorial(k) * s ** (p - k) for k in range(p + 1)]
+    return [sum(c * (-h * x) ** k for k, c in enumerate(coef))
+            for x in range(2 * params.v + 1)]
+
+
+def _exact_round_violation(params: RewardParams, i: int) -> tuple[int, int] | None:
+    """First (u, e) in (u, e) order with g_i(u) g_(i+1)(e) < g_i(u-1) g_(i+1)(e+1),
+    over 1 <= u <= 2v, 0 <= e <= min(v-1, 2v-u). Both sides are compared as
+    products of N_i and N_(i+1), which differ from the g products by the same
+    positive factor, so the decision is exact whatever the signs of g."""
+    v = params.v
+    a, b = _scaled_row(params, i), _scaled_row(params, i + 1)
+    for u in range(1, 2 * v + 1):
+        for e in range(min(v - 1, 2 * v - u) + 1):
+            if a[u] * b[e] < a[u - 1] * b[e + 1]:
+                return u, e
+    return None
+
+
+def _monotone_grid_violation(params: RewardParams) -> dict | None:
     """First violation of g_i(c+x)*g_{i+1}(d-x) >= g_i(c+x-1)*g_{i+1}(d-x+1)
     over i in [1,h], c,d in [0,v], x in [1,d]; None if the grid passes.
 
     With u = c+x and e = d-x the constraint set is exactly {1 <= u <= 2v,
-    0 <= e <= v-1, u+e <= 2v}, so each round reduces to one outer-product
-    comparison of the two adjacent g tables (products compared directly, no
-    division)."""
-    v, p, h = params.v, params.p, params.h
-    ys = np.arange(0, 2 * v + 1, dtype=np.float64)
-    inv_all = 1.0 / np.array([params.scale(i) for i in range(1, h + 2)])
-    # realizable (u, e) pairs: u + e <= 2v
-    u_idx = np.arange(1, 2 * v + 1)
-    e_idx = np.arange(0, v)
-    valid = (u_idx[:, None] + e_idx[None, :]) <= 2 * v
-    for start in range(0, h, i_block):
-        stop = min(start + i_block, h)
-        rows = _taylor_exp_vec(p, -np.outer(inv_all[start:stop + 1], ys))
-        G1 = rows[:-1]       # rounds start+1 .. stop
-        G2 = rows[1:, :v + 1]  # the following rounds, arguments 0..v
-        lhs = G1[:, 1:, None] * G2[:, None, :v]        # u in [1,2v], e in [0,v-1]
-        rhs = G1[:, :-1, None] * G2[:, None, 1:v + 1]  # u-1, e+1
-        viol = (lhs < rhs) & valid[None, :, :]
-        if viol.any():
-            bi, r, c = map(int, np.argwhere(viol)[0])
-            i = start + 1 + bi
-            u, e = r + 1, c
-            x = max(1, u - v)
-            cc, dd = u - x, e + x
-            return {"i": i, "c": cc, "d": dd, "x": x,
-                    "f_x": float(g(i, cc + x, params) * g(i + 1, dd - x, params)),
-                    "f_x_minus_1": float(g(i, cc + x - 1, params)
-                                         * g(i + 1, dd - x + 1, params))}
+    0 <= e <= v-1, u+e <= 2v}. Where g > 0 a cell violates iff
+    R_i(u) = g_i(u)/g_i(u-1) < S_{i+1}(e) = g_{i+1}(e+1)/g_{i+1}(e), so a float
+    scan of R_i(u) against the running max of S_{i+1} over e <= min(v-1, 2v-u)
+    clears a round in O(v). Each round it cannot clear beyond its error bound
+    is decided exactly by _exact_round_violation."""
+    v, p, q, h = params.v, params.p, params.q, params.h
+    xs = np.arange(0, 2 * v + 1, dtype=np.float64)
+    scale = float(v) ** (q - 1) * (3.0 - np.arange(1, h + 2) / h)
+    e_max = np.minimum(v - 1, 2 * v - np.arange(1, 2 * v + 1))
+    # Forward error of a computed g_i(x) at z = x/scale(i). The argument's
+    # relative error is at most 7u (i/h enters 3 - i/h >= 1 at most doubled, and
+    # the subtraction, the power, the product, the reciprocal and the product
+    # with x add one rounding each). The k-th Taylor term then carries k times
+    # that plus 3k Horner roundings (times the argument, over k, plus 1), so by
+    # the Horner bound of Higham (2002, section 5.1), with n = 12(p+1) >= 10p,
+    #   |fl(g_i(x)) - g_i(x)| <= gamma_n * sum_k z^k/k!,  gamma_n = n u/(1 - n u).
+    # The sum grows with x, so its value at x = 2v bounds the whole row; the
+    # bound is doubled to cover its own float evaluation.
+    unit = 2.0 ** -53
+    gamma = 2 * 12 * (p + 1) * unit / (1 - 12 * (p + 1) * unit)
+    block = max(1, _BLOCK_CELLS // (2 * v + 1))
+    for start in range(0, h, block):
+        # rows are the rounds start+1 .. min(start+block, h)+1
+        z = np.outer(1.0 / scale[start:start + block + 1], xs)
+        G = _taylor_exp_vec(p, -z)
+        err = gamma * _taylor_exp_vec(p, z[:, -1])
+        g_min = G.min(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # each row's largest relative error, infinite where g may be <= 0;
+            # R and S each carry two of them and a division, and the comparison
+            # their sum, doubled
+            rel = np.where(g_min > err, err / g_min, np.inf)
+            width = 4 * (rel[:-1] + rel[1:]) + 8 * unit
+            R = G[:-1, 1:] / G[:-1, :-1]
+            S_max = np.maximum.accumulate(G[1:, 1:v + 1] / G[1:, :v], axis=1)
+            clear = np.isfinite(width) & np.all(
+                R > S_max[:, e_max] * (1 + width[:, None]), axis=1)
+        for r in np.flatnonzero(~clear):
+            i = start + 1 + int(r)
+            hit = _exact_round_violation(params, i)
+            if hit is not None:
+                u, e = hit
+                x = max(1, u - v)
+                c, d = u - x, e + x
+                return {"i": i, "c": c, "d": d, "x": x,
+                        "f_x": float(g(i, c + x, params) * g(i + 1, d - x, params)),
+                        "f_x_minus_1": float(g(i, c + x - 1, params)
+                                             * g(i + 1, d - x + 1, params))}
     return None
 
 
 def _monotone_grid_cost(params: RewardParams) -> int:
-    return params.h * 2 * params.v * params.v
+    return params.h * 2 * params.v
 
 
-def find_min_passing_v(p: int, q: int, alpha: float, epsilon: float, b: int,
-                       v_cap: int = 256, work_budget: int = 20_000_000_000) -> int | None:
+def find_min_passing_v(p: int, q: int, alpha: float, epsilon: float,
+                       b: int) -> int | None:
     """Smallest v (doubling search, then binary refinement) at which the full
-    monotone-step grid passes; None if no v <= v_cap passes within budget."""
+    monotone-step grid passes; None if no v <= V_CAP passes."""
 
     def passes(v: int) -> bool:
         params = params_from_alpha(v, p=p, q=q, alpha=alpha, epsilon=epsilon, b=b)
-        if _monotone_grid_cost(params) > work_budget:
-            raise ResourceLimitError(
-                f"monotone grid for v={v} exceeds work budget")
         return _monotone_grid_violation(params) is None
 
-    lo_fail = 0
-    v = 1
-    while v <= v_cap:
-        if passes(v):
-            break
-        lo_fail = v
-        v *= 2
-    else:
-        return None
+    lo_fail, v = 0, 1
+    while not passes(v):
+        lo_fail, v = v, 2 * v
+        if v > V_CAP:
+            return None
     # invariant: lo_fail fails (or is 0), v passes
     while v - lo_fail > 1:
         mid = (v + lo_fail) // 2
-        if passes(mid):
-            v = mid
-        else:
-            lo_fail = mid
+        v, lo_fail = (mid, lo_fail) if passes(mid) else (v, mid)
     return v
 
 
-def verify_claim_monotone_step(params: RewardParams, search_v_min: bool = True,
-                               v_cap: int = 256,
-                               work_budget: int = 20_000_000_000) -> ClaimReport:
-    """Exhaustive check that moving a flip from round i+1 to round i never hurts,
-    over the full (i, c, d, x) grid; optionally also reports the minimal v at
+def verify_claim_monotone_step(params: RewardParams) -> ClaimReport:
+    """Exact check that moving a flip from round i+1 to round i never hurts,
+    over the full (i, c, d, x) grid; also reports the minimal v <= V_CAP at
     which the grid passes for the same (p, q, alpha)."""
-    if _monotone_grid_cost(params) > work_budget:
-        raise ResourceLimitError("monotone grid exceeds work budget")
     violation = _monotone_grid_violation(params)
     report = ClaimReport("monotone_step", params.to_dict(),
                          passed=violation is None, counterexample=violation)
     report.details["grid_cells"] = _monotone_grid_cost(params)
-    if search_v_min:
-        report.details["v_min"] = find_min_passing_v(
-            params.p, params.q, params.alpha, params.epsilon, params.b,
-            v_cap=v_cap, work_budget=work_budget)
+    report.details["v_min"] = find_min_passing_v(
+        params.p, params.q, params.alpha, params.epsilon, params.b)
     return report

@@ -81,7 +81,7 @@ def linearity_sweep():
     # claim gate: the structural inequalities hold for every parameterization
     for v, h, _eps in combos:
         params = params_for_rounds(v=v, h=h, p=2, q=4)
-        assert verify_claim_monotone_step(params, search_v_min=False).passed
+        assert verify_claim_monotone_step(params).passed
         assert verify_claim_range(params).passed
     max_lin = 0.0
     max_opt = 0.0
@@ -147,8 +147,7 @@ def test_criterion_3_claim_range():
 
 def test_criterion_4_claim_monotone_step():
     t0 = time.perf_counter()
-    v_min = find_min_passing_v(p=2, q=4, alpha=1 / 16, epsilon=0.25, b=6,
-                               v_cap=128)
+    v_min = find_min_passing_v(p=2, q=4, alpha=1 / 16, epsilon=0.25, b=6)
     failures = []
     if v_min is None or v_min > 64:
         failures.append(f"v_min={v_min}")

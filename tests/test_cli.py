@@ -337,7 +337,19 @@ def test_verify_claims_small(tmp_path):
     validate_report(report)
     assert report["outcomes"]["claim_range_q4"]["pass"]
     assert report["outcomes"]["claim_monotone_step"]["pass"]
+    assert report["outcomes"]["claim_monotone_step_q2_logp"]["pass"]
     assert report["outcomes"]["linearity_and_optimality"]["pass"]
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "1e308"])
+@pytest.mark.parametrize("command", ["gen", "verify-claims", "reduce"])
+def test_non_finite_round_count_is_a_usage_error(tmp_path, cnf_file, capsys,
+                                                 command, alpha):
+    args = {"gen": ["--cnf", str(cnf_file), "--out", str(tmp_path / "b")],
+            "verify-claims": ["--v", "12"],
+            "reduce": ["--cnf", str(cnf_file)]}[command]
+    assert main([command, *args, "--alpha", alpha]) == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_internal_error_has_its_own_exit_code(tmp_path, cnf_file, monkeypatch,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,18 +111,38 @@ def test_claim_range_passes_default_parameterizations():
         for p, q in ((2, 4), (log_degree(v), 2)):
             report = verify_claim_range(params_from_alpha(v, p=p, q=q))
             assert report.passed, report.counterexample
-            assert report.details["mode"] == "exhaustive"
+
+
+def range_sweep_passes(params):
+    """The range claim on every row i in [1, h+1], in floats."""
+    v = params.v
+    inv = 1.0 / np.array([params.scale(i) for i in range(1, params.h + 2)])
+    G = reward._taylor_exp_vec(params.p, -np.outer(inv, np.arange(2 * v + 1.0)))
+    band = G[:, math.ceil(params.epsilon * v / params.b):v + 1]
+    return bool(np.all(G[:, :-1] > G[:, 1:]) and np.all((G > 0.0) & (G <= 1.0))
+                and np.all((band >= 0.25) & (band <= range_upper_bound(params))))
 
 
 def test_claim_range_certified_mode_matches_exhaustive():
-    params = params_from_alpha(40, p=2, q=4)  # h = 4000
-    full = verify_claim_range(params)
-    reduced = verify_claim_range(params, grid_budget=1000)
-    assert full.details["mode"] == "exhaustive"
-    assert reduced.details["mode"] == "interval-certified"
-    assert full.passed and reduced.passed
-    assert (full.details["bounds_hold_through_x"]
-            == reduced.details["bounds_hold_through_x"])
+    # the certificate plus the two extreme rows against a sweep of every row
+    verdicts = []
+    for p in (0, 1, 2, 3, log_degree(40)):
+        for q in (2, 4):
+            for alpha in (1 / 16, 1 / 4):
+                params = params_from_alpha(40, p=p, q=q, alpha=alpha)
+                verdicts.append(verify_claim_range(params).passed)
+                assert verdicts[-1] == range_sweep_passes(params), (p, q, alpha)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("alpha", [1 / 16, 1 / 4])
+def test_claim_range_certificate_accepts_a_root_at_z_max(alpha):
+    # h = 1 and z_max = 1, so the degree-1 certificate T_1(-z_max) is exactly 0:
+    # T_2 still decreases strictly on [0, z_max]
+    params = params_from_alpha(2, p=2, q=3, alpha=alpha)
+    report = verify_claim_range(params)
+    assert params.h == 1 and report.details["z_max"] == 1.0
+    assert report.passed, report.counterexample
 
 
 def test_claim_range_certificate_survives_float_ties():
@@ -129,7 +150,6 @@ def test_claim_range_certificate_survives_float_ties():
     # both round to 1.0; the certificate, not the float rows, decides strict
     # decrease
     report = verify_claim_range(params_from_alpha(200_000, p=2, q=4))
-    assert report.details["mode"] == "interval-certified"
     assert report.passed, report.counterexample
 
 
@@ -163,16 +183,14 @@ def test_g_tracks_exponential_within_taylor_remainder():
 
 
 def test_claim_monotone_step_default_passes():
-    report = verify_claim_monotone_step(params_from_alpha(64, p=2, q=4),
-                                        search_v_min=True, v_cap=128)
+    report = verify_claim_monotone_step(params_from_alpha(64, p=2, q=4))
     assert report.passed
     assert report.details["v_min"] is not None
     assert report.details["v_min"] <= 64
 
 
 def test_claim_monotone_step_large_alpha_fails_with_witness():
-    report = verify_claim_monotone_step(params_from_alpha(16, p=2, q=2, alpha=1.0),
-                                        search_v_min=False)
+    report = verify_claim_monotone_step(params_from_alpha(16, p=2, q=2, alpha=1.0))
     assert not report.passed
     ce = report.counterexample
     i, c, d, x = ce["i"], ce["c"], ce["d"], ce["x"]
@@ -184,33 +202,64 @@ def test_claim_monotone_step_large_alpha_fails_with_witness():
     assert ce["f_x"] == pytest.approx(f_x)
 
 
+def scaled_g(params, i, x):
+    """p! * S^p * g_i(x) with S = v^(q-1) (3h - i) = h * scale(i): an integer."""
+    p, h = params.p, params.h
+    s = params.v ** (params.q - 1) * (3 * h - i)
+    return sum(math.factorial(p) // math.factorial(k) * (-h * x) ** k * s ** (p - k)
+               for k in range(p + 1))
+
+
 def test_monotone_grid_matches_brute_force_small():
-    # dual route: tensor sweep vs direct four-loop evaluation
-    for (p, q, alpha), expect_pass in (((2, 4, 1 / 16), True),
-                                       ((2, 2, 1.0), False)):
-        params = params_from_alpha(6, p=p, q=q, alpha=alpha)
+    # ratio scan vs direct four-loop evaluation in exact integers; the oracle
+    # stops after the first violating round and keeps all of its cells
+    for v, p, q, alpha, expect_pass in (
+            (6, 2, 4, 1 / 16, True), (6, 2, 2, 1.0, False),
+            # the failing sets named in ROADMAP item 1
+            (16, 1, 4, 1 / 16, False), (8, 2, 2, 1.0, False),
+            (32, 1, 3, 1 / 16, False),
+            # (1,1,1,1) is an exact tie, (1,2,1,1) the first strict violation
+            (2, 1, 3, 1.0, False)):
+        params = params_from_alpha(v, p=p, q=q, alpha=alpha)
+        s1 = params.v ** (q - 1) * (3 * params.h - 1)
+        exact = Fraction(scaled_g(params, 1, v), math.factorial(p) * s1 ** p)
+        assert float(exact) == pytest.approx(g(1, v, params), rel=1e-12)
         violation = reward._monotone_grid_violation(params)
-        brute = None
-        for i in range(1, params.h + 1):
-            for c in range(0, 7):
-                for d in range(0, 7):
+        brute = set()  # (u, e) = (c + x, d - x) of the first violating round
+        for r in range(1, params.h + 1):
+            for c in range(0, v + 1):
+                for d in range(0, v + 1):
                     for x in range(1, d + 1):
-                        lhs = g(i, c + x, params) * g(i + 1, d - x, params)
-                        rhs = g(i, c + x - 1, params) * g(i + 1, d - x + 1, params)
-                        if lhs < rhs and brute is None:
-                            brute = (i, c, d, x)
-        assert (violation is None) == (brute is None)
-        assert (violation is None) == expect_pass
+                        lhs = scaled_g(params, r, c + x) * scaled_g(params, r + 1, d - x)
+                        rhs = (scaled_g(params, r, c + x - 1)
+                               * scaled_g(params, r + 1, d - x + 1))
+                        if lhs < rhs:
+                            brute.add((c + x, d - x))
+            if brute:
+                break
+        assert (violation is None) == (not brute) == expect_pass
         if violation is not None:
-            lhs = g(violation["i"], violation["c"] + violation["x"], params) \
-                * g(violation["i"] + 1, violation["d"] - violation["x"], params)
-            rhs = g(violation["i"], violation["c"] + violation["x"] - 1, params) \
-                * g(violation["i"] + 1, violation["d"] - violation["x"] + 1, params)
-            assert lhs < rhs
+            i, c, d, x = (violation[k] for k in ("i", "c", "d", "x"))
+            assert 0 <= c <= v and 1 <= x <= d <= v
+            assert (i, c + x, d - x) == (r, *min(brute))
+
+
+def test_monotone_round_one_at_v512_is_decided_exactly():
+    # h = 8,388,608: round 1's relative margins are below float resolution, so
+    # float64 products of the two rows flag cells that hold in exact arithmetic
+    params = params_from_alpha(512, p=2, q=4)
+    v = params.v
+    inv = 1.0 / np.array([params.scale(1), params.scale(2)])
+    G = reward._taylor_exp_vec(2, -np.outer(inv, np.arange(2 * v + 1.0)))
+    lhs = G[0, 1:, None] * G[1, None, :v]
+    rhs = G[0, :-1, None] * G[1, None, 1:v + 1]
+    valid = np.add.outer(np.arange(1, 2 * v + 1), np.arange(v)) <= 2 * v
+    assert np.count_nonzero((lhs < rhs) & valid) > 0
+    assert reward._exact_round_violation(params, 1) is None
 
 
 def test_find_min_passing_v_defaults():
-    vmin = find_min_passing_v(p=2, q=4, alpha=1 / 16, epsilon=0.25, b=6, v_cap=64)
+    vmin = find_min_passing_v(p=2, q=4, alpha=1 / 16, epsilon=0.25, b=6)
     assert vmin is not None and 1 <= vmin <= 64
 
 
@@ -226,6 +275,7 @@ def test_truncation_positivity_certificate():
     # even truncations are positive everywhere; odd ones only before their root
     assert reward._truncation_positive_on(2, 100.0)
     assert reward._truncation_positive_on(1, 0.99)
+    assert reward._truncation_positive_on(1, 1)      # T1(-1) = 0, a root at z_hi
     assert not reward._truncation_positive_on(1, 1.01)
     assert reward._truncation_positive_on(5, 2.0)   # T5(-2) = 0.0667 > 0
     assert not reward._truncation_positive_on(-1, 0.5)
