@@ -3,11 +3,10 @@ verifiers for their two structural properties (boundedness/monotonicity and the
 earlier-round-flips-first inequality).
 
 The round-i factor is the degree-p Taylor truncation of exp evaluated at
--x / (v^(q-1) * (3 - i/h)). The range verifier certifies, in exact rational
-arithmetic, that the truncation strictly decreases on the whole argument range,
-so the two extreme rounds bound every other one. The monotone-step verifier
-clears rounds with a float ratio scan under an explicit error bound and decides
-every round it cannot clear exactly, in integers.
+-x / (v^(q-1) * (3 - i/h)). The range verifier decides every round from the two
+extreme ones, with an exact certificate of strict decrease where one holds. The
+monotone-step verifier clears rounds with a float ratio scan under an explicit
+error bound and decides every round it cannot clear exactly, in integers.
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -172,47 +171,46 @@ def verify_claim_range(params: RewardParams) -> ClaimReport:
     """Check 1/4 <= g_i(x) <= 1 - eps/(6b v^(q-2)) on x in [ceil(eps v / b), v],
     strict decrease and g in (0, 1] on x in [0, 2v], for every i in [1, h+1].
 
-    g's argument grows with the round index. Once the degree-(p-1) certificate
-    shows the truncation strictly decreasing on the whole argument range
-    [0, z_max], the rounds 1 and h+1 bound every intermediate round, so only
-    those two rows are evaluated.
+    g_i(x) = T_p(-x t_i) with t_i = 1/scale(i) growing in i; rows 1 and h+1
+    decide every round. Odd p: T_p(-z) decreases in z. Even p >= 2: T_p(-z) > 0
+    falls up to the root z* of T_(p-1)(-z), then rises. Upper bounds peak on an
+    extreme row. A row decreases strictly iff its step 2v-1 -> 2v does, a drop
+    positive below some t_i and negative above, so row h+1 decides; then
+    (2v-1) t_(h+1) < z* puts the band's minimum on row h+1. p = 0: g = 1. An
+    exact certificate T_(p-1)(-z_max) >= 0 proves strict decrease on the whole
+    range; only without one are the float rows tested for it.
     """
     v, p, q, h = params.v, params.p, params.q, params.h
     xs = np.arange(0, 2 * v + 1, dtype=np.float64)
     upper = range_upper_bound(params)
     rows = (1, h + 1)
-    inv = 1.0 / np.array([params.scale(i) for i in rows])
-    G = _taylor_exp_vec(p, -np.outer(inv, xs))
+    G = _taylor_exp_vec(p, -np.outer([1.0 / params.scale(i) for i in rows], xs))
     z_max = Fraction(2 * v * h, v ** (q - 1) * (2 * h - 1))  # 2v / scale(h + 1)
-    certified = p >= 1 and _truncation_positive_on(p - 1, z_max)
     in_band = (xs >= math.ceil(params.epsilon_exact * v / params.b)) & (xs <= v)
     checks = [("outside_unit_interval", (G > 0.0) & (G <= 1.0)),
               ("bound_violated", ~in_band | ((G >= 0.25) & (G <= upper)))]
-    # a passed certificate proves strict decrease; rows that round to equal
-    # floats (g_1 is 1.0 at x = 0 and 1 for large v) cannot refute it
-    if not certified:
+    # float rows can tie where g is near 1 (large v); they cannot refute a certificate
+    if not _truncation_positive_on(p - 1, z_max):
         checks.insert(0, ("not_strictly_decreasing", G[:, :-1] > G[:, 1:]))
-    failed = None if certified else {
-        "kind": "certificate_failed", "note": "no degree p-1 certificate up to z_max"}
-    report = ClaimReport("range", params.to_dict(), passed=False, counterexample=failed)
-    report.details["z_max"] = float(z_max)
+    report = ClaimReport("range", params.to_dict(), passed=True,
+                         details={"z_max": float(z_max)})
     for kind, ok in checks:
         bad = np.argwhere(~ok)
         if bad.size:
             r, x = map(int, bad[0])
+            report.passed = False
             report.counterexample = {"kind": kind, "i": rows[r], "x": x,
                                      "g": float(G[r, x])}
             break
-    report.passed = report.counterexample is None
-
-    # Informational scan of (v, 2v]: largest x through which the bounds keep
-    # holding on the extreme rounds (not asserted).
+    # informational: the largest x <= 2v up to which the extreme rows keep the bounds
     fails = np.flatnonzero(~((G[1] >= 0.25) & (G[0] <= upper))[v + 1:])
     report.details["bounds_hold_through_x"] = int(v + fails[0]) if fails.size else 2 * v
     return report
 
 
 V_CAP = 128                 # largest v that find_min_passing_v tries
+MAX_SCAN = 1 << 27          # largest h * 2v one monotone-step check scans
+MAX_EXACT_CELLS = 1 << 22   # largest count of cells it decides in integers
 _BLOCK_CELLS = 1 << 19      # float entries per g table in one block of rounds
 
 
@@ -228,9 +226,9 @@ def _scaled_row(params: RewardParams, i: int) -> list[int]:
 
 def _exact_round_violation(params: RewardParams, i: int) -> tuple[int, int] | None:
     """First (u, e) in (u, e) order with g_i(u) g_(i+1)(e) < g_i(u-1) g_(i+1)(e+1),
-    over 1 <= u <= 2v, 0 <= e <= min(v-1, 2v-u). Both sides are compared as
-    products of N_i and N_(i+1), which differ from the g products by the same
-    positive factor, so the decision is exact whatever the signs of g."""
+    over 1 <= u <= 2v, 0 <= e <= min(v-1, 2v-u), compared as products of N_i and
+    N_(i+1). Both sides share one positive factor with the g products, so the
+    decision is exact whatever the signs of g."""
     v = params.v
     a, b = _scaled_row(params, i), _scaled_row(params, i + 1)
     for u in range(1, 2 * v + 1):
@@ -249,23 +247,25 @@ def _monotone_grid_violation(params: RewardParams) -> dict | None:
     R_i(u) = g_i(u)/g_i(u-1) < S_{i+1}(e) = g_{i+1}(e+1)/g_{i+1}(e), so a float
     scan of R_i(u) against the running max of S_{i+1} over e <= min(v-1, 2v-u)
     clears a round in O(v). Each round it cannot clear beyond its error bound
-    is decided exactly by _exact_round_violation."""
+    is decided exactly by _exact_round_violation, within the MAX_* limits."""
     v, p, q, h = params.v, params.p, params.q, params.h
+    if h * 2 * v > MAX_SCAN:
+        raise ResourceLimitError(f"monotone step at v={v}: h * 2v is over {MAX_SCAN}")
     xs = np.arange(0, 2 * v + 1, dtype=np.float64)
     scale = float(v) ** (q - 1) * (3.0 - np.arange(1, h + 2) / h)
     e_max = np.minimum(v - 1, 2 * v - np.arange(1, 2 * v + 1))
     # Forward error of a computed g_i(x) at z = x/scale(i). The argument's
-    # relative error is at most 7u (i/h enters 3 - i/h >= 1 at most doubled, and
-    # the subtraction, the power, the product, the reciprocal and the product
-    # with x add one rounding each). The k-th Taylor term then carries k times
-    # that plus 3k Horner roundings (times the argument, over k, plus 1), so by
-    # the Horner bound of Higham (2002, section 5.1), with n = 12(p+1) >= 10p,
+    # relative error is at most 7u (i/h enters 3 - i/h >= 1 at most doubled; the
+    # subtraction, power, product, reciprocal and product with x round once
+    # each). The k-th Taylor term carries k times that plus 3k Horner roundings,
+    # so by the Horner bound of Higham (2002, section 5.1), with n = 12(p+1) >= 10p,
     #   |fl(g_i(x)) - g_i(x)| <= gamma_n * sum_k z^k/k!,  gamma_n = n u/(1 - n u).
-    # The sum grows with x, so its value at x = 2v bounds the whole row; the
-    # bound is doubled to cover its own float evaluation.
+    # The sum grows with x, so its value at x = 2v bounds the row; doubled, the
+    # bound covers its own float evaluation.
     unit = 2.0 ** -53
     gamma = 2 * 12 * (p + 1) * unit / (1 - 12 * (p + 1) * unit)
     block = max(1, _BLOCK_CELLS // (2 * v + 1))
+    exact_cells = 0
     for start in range(0, h, block):
         # rows are the rounds start+1 .. min(start+block, h)+1
         z = np.outer(1.0 / scale[start:start + block + 1], xs)
@@ -273,9 +273,8 @@ def _monotone_grid_violation(params: RewardParams) -> dict | None:
         err = gamma * _taylor_exp_vec(p, z[:, -1])
         g_min = G.min(axis=1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # each row's largest relative error, infinite where g may be <= 0;
-            # R and S each carry two of them and a division, and the comparison
-            # their sum, doubled
+            # each row's largest relative error, infinite where g may be <= 0; R and
+            # S carry two of them and a division each, the comparison their sum x2
             rel = np.where(g_min > err, err / g_min, np.inf)
             width = 4 * (rel[:-1] + rel[1:]) + 8 * unit
             R = G[:-1, 1:] / G[:-1, :-1]
@@ -284,6 +283,10 @@ def _monotone_grid_violation(params: RewardParams) -> dict | None:
                 R > S_max[:, e_max] * (1 + width[:, None]), axis=1)
         for r in np.flatnonzero(~clear):
             i = start + 1 + int(r)
+            exact_cells += (3 * v * v + v) // 2     # the (u, e) cells of a round
+            if exact_cells > MAX_EXACT_CELLS:
+                raise ResourceLimitError(
+                    f"monotone step at v={v}: over {MAX_EXACT_CELLS} exact cells")
             hit = _exact_round_violation(params, i)
             if hit is not None:
                 u, e = hit
@@ -296,15 +299,11 @@ def _monotone_grid_violation(params: RewardParams) -> dict | None:
     return None
 
 
-def _monotone_grid_cost(params: RewardParams) -> int:
-    return params.h * 2 * params.v
-
-
 def find_min_passing_v(p: int, q: int, alpha: float, epsilon: float,
                        b: int) -> int | None:
     """Smallest v (doubling search, then binary refinement) at which the full
-    monotone-step grid passes; None if no v <= V_CAP passes."""
-
+    monotone-step grid passes; None if no v <= V_CAP passes. A v whose check
+    is over MAX_SCAN or MAX_EXACT_CELLS raises ResourceLimitError."""
     def passes(v: int) -> bool:
         params = params_from_alpha(v, p=p, q=q, alpha=alpha, epsilon=epsilon, b=b)
         return _monotone_grid_violation(params) is None
@@ -328,7 +327,7 @@ def verify_claim_monotone_step(params: RewardParams) -> ClaimReport:
     violation = _monotone_grid_violation(params)
     report = ClaimReport("monotone_step", params.to_dict(),
                          passed=violation is None, counterexample=violation)
-    report.details["grid_cells"] = _monotone_grid_cost(params)
+    report.details["grid_cells"] = params.h * (3 * params.v ** 2 + params.v) // 2
     report.details["v_min"] = find_min_passing_v(
         params.p, params.q, params.alpha, params.epsilon, params.b)
     return report

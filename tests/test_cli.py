@@ -352,6 +352,16 @@ def test_non_finite_round_count_is_a_usage_error(tmp_path, cnf_file, capsys,
     assert "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("v, alpha", [("12", "1e300"), ("50", "1000")])
+def test_verify_claims_refuses_a_monotone_step_over_its_limit(tmp_path, capsys,
+                                                              v, alpha):
+    # alpha * v^3 is finite, but the monotone-step scan would be h * 2v >= 1.25e10
+    rc = main(["verify-claims", "--v", v, "--alpha", alpha,
+               "--out", str(tmp_path / "claims.json")])
+    assert rc == 3
+    assert "refused: monotone step" in capsys.readouterr().err
+
+
 def test_internal_error_has_its_own_exit_code(tmp_path, cnf_file, monkeypatch,
                                               capsys):
     from satmdp import cli

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satmdp import reward
-from satmdp.errors import ParameterError
+from satmdp.errors import ParameterError, ResourceLimitError
 from satmdp.reward import (
     RewardParams,
     expected_reward,
@@ -145,6 +145,21 @@ def test_claim_range_certificate_accepts_a_root_at_z_max(alpha):
     assert report.passed, report.counterexample
 
 
+def test_claim_range_without_certificate_matches_sweep():
+    # even p with z_max past the root of T_(p-1)(-z): the certificate fails and
+    # rows 1 and h+1 decide; h > 2v at q = 2 puts every row past that root
+    verdicts = []
+    for v, p, q, alpha in ((1, 2, 3, 4.0), (2, 2, 2, 2.0), (2, 2, 2, 4.0),
+                           (3, 2, 2, 16.0), (8, 2, 2, 100.0), (24, 2, 2, 4.0),
+                           (2, 4, 2, 0.25), (1, 4, 4, 1.0), (2, 2, 2, 0.25)):
+        params = params_from_alpha(v, p=p, q=q, alpha=alpha)
+        z_max = Fraction(2 * v * params.h, v ** (q - 1) * (2 * params.h - 1))
+        assert not reward._truncation_positive_on(p - 1, z_max)
+        verdicts.append(verify_claim_range(params).passed)
+        assert verdicts[-1] == range_sweep_passes(params), (v, p, q, alpha)
+    assert verdicts[2] and any(verdicts) and not all(verdicts)
+
+
 def test_claim_range_certificate_survives_float_ties():
     # at v=200,000 the round-1 scale is about 2.4e16, so g_1(0) and g_1(1)
     # both round to 1.0; the certificate, not the float rows, decides strict
@@ -256,6 +271,18 @@ def test_monotone_round_one_at_v512_is_decided_exactly():
     valid = np.add.outer(np.arange(1, 2 * v + 1), np.arange(v)) <= 2 * v
     assert np.count_nonzero((lhs < rhs) & valid) > 0
     assert reward._exact_round_violation(params, 1) is None
+
+
+def test_monotone_step_refuses_work_over_its_limits(monkeypatch):
+    # alpha = 16 at v = 64: h * 2v = 2^29 scan cells
+    with pytest.raises(ResourceLimitError, match="h \\* 2v"):
+        verify_claim_monotone_step(params_from_alpha(64, p=2, q=4, alpha=16.0))
+    # (32, 1, 3) decides its one failing round, 1,552 cells, in integers
+    params = params_from_alpha(32, p=1, q=3)
+    assert reward._monotone_grid_violation(params) is not None
+    monkeypatch.setattr(reward, "MAX_EXACT_CELLS", 1_000)
+    with pytest.raises(ResourceLimitError, match="exact cells"):
+        reward._monotone_grid_violation(params)
 
 
 def test_find_min_passing_v_defaults():
