@@ -209,9 +209,9 @@ def tree_optimal_values(inst: MdpInstance, states, children):
 # --- rollouts ---------------------------------------------------------------------
 
 
-def rollout(oracle: LinearRlOracle, policy, start=None) -> Trajectory:
+def rollout(oracle: LinearRlOracle, policy) -> Trajectory:
     """Run a policy (a callable from state to action) to termination."""
-    s = oracle.initial_state() if start is None else start
+    s = oracle.initial_state()
     records = []
     while not oracle.is_terminal(s):
         if len(records) >= oracle.horizon:
@@ -383,6 +383,7 @@ def greedy_on_q(q: dict, oracle: LinearRlOracle):
 # --- lattice-cover policy search --------------------------------------------------
 
 MIN_ROLLOUTS = 64  # reward samples per distinct policy, at the least
+COVER_BUDGET = 60_000_000  # largest lattice cover epsilon_net_search enumerates
 
 
 def cover_radius(eps: float, horizon: int, dim: int) -> float:
@@ -443,8 +444,7 @@ def cover_size_estimate(dim: int, spacing: float, radius: float) -> int:
     return (2 * reach + 1) ** dim
 
 
-def epsilon_net_search(oracle: LinearRlOracle, eps: float, delta: float,
-                       cover_budget: int = 60_000_000):
+def epsilon_net_search(oracle: LinearRlOracle, eps: float, delta: float):
     """Enumerate a deterministic lattice cover of the unit parameter ball, map
     every candidate to the trajectory its argmax-of-features policy induces,
     and keep the empirically best trajectory.
@@ -461,9 +461,9 @@ def epsilon_net_search(oracle: LinearRlOracle, eps: float, delta: float,
     spacing = cover_spacing(eps, H, d)
     radius = 1.0 + spacing * math.sqrt(d) / 2  # margin so ball points keep a cover point
     size = cover_size_estimate(d, spacing, radius)
-    if size > cover_budget:
+    if size > COVER_BUDGET:
         raise ResourceLimitError(
-            f"lattice cover needs ~{size} points, over budget {cover_budget}")
+            f"lattice cover needs ~{size} points, over budget {COVER_BUDGET}")
 
     s0 = oracle.initial_state()
     feature_cache: dict = {}

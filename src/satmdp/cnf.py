@@ -14,6 +14,8 @@ false < true.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
@@ -24,7 +26,7 @@ from .errors import FormulaError, ParseError, ResourceLimitError
 FALSE = -1
 TRUE = 1
 
-#: Largest v the exhaustive oracles accept by default (2^24 sweeps, seconds-scale).
+#: Largest v the exhaustive oracles accept (2^24 sweeps, seconds-scale).
 EXHAUSTIVE_LIMIT = 24
 
 Assignment = tuple
@@ -215,6 +217,12 @@ def satisfied_count(f: Formula, a: Assignment) -> int:
     return int((values > 0).any(axis=1).sum())
 
 
+def gap_threshold_count(m: int, epsilon: float) -> int:
+    """Fewest satisfied clauses that are more than a (1 - epsilon) fraction of m:
+    floor((1 - epsilon) m) + 1, with epsilon read exactly."""
+    return math.floor((1 - Fraction(epsilon)) * m) + 1
+
+
 def occurrence_bound(f: Formula) -> int:
     """Max over variables of the number of clauses the variable appears in."""
     var = np.sort(np.abs(f.lits), axis=1)
@@ -246,15 +254,15 @@ def _clause_subcubes(f: Formula):
     return out
 
 
-def _check_exhaustive_limit(f: Formula, limit: int):
-    if f.v > limit:
+def _check_exhaustive_limit(f: Formula):
+    if f.v > EXHAUSTIVE_LIMIT:
         raise ResourceLimitError(
-            f"exhaustive oracle refused: v={f.v} exceeds limit {limit}")
+            f"exhaustive oracle refused: v={f.v} exceeds limit {EXHAUSTIVE_LIMIT}")
 
 
-def brute_force_sat(f: Formula, limit: int = EXHAUSTIVE_LIMIT) -> Assignment | None:
+def brute_force_sat(f: Formula) -> Assignment | None:
     """Lexicographically smallest satisfying assignment, or None if unsatisfiable."""
-    _check_exhaustive_limit(f, limit)
+    _check_exhaustive_limit(f)
     idx = np.arange(1 << f.v, dtype=np.uint32)
     any_unsat = np.zeros(1 << f.v, dtype=bool)
     for mask, pattern in _clause_subcubes(f):
@@ -265,9 +273,9 @@ def brute_force_sat(f: Formula, limit: int = EXHAUSTIVE_LIMIT) -> Assignment | N
     return _index_to_assignment(int(np.argmax(sat)), f.v)
 
 
-def brute_force_max_sat(f: Formula, limit: int = EXHAUSTIVE_LIMIT) -> tuple[int, Assignment]:
+def brute_force_max_sat(f: Formula) -> tuple[int, Assignment]:
     """Maximum satisfied-clause count over all assignments, with a witness."""
-    _check_exhaustive_limit(f, limit)
+    _check_exhaustive_limit(f)
     idx = np.arange(1 << f.v, dtype=np.uint32)
     # narrowest type that holds m, so the count cannot wrap
     count_type = np.min_scalar_type(f.m)

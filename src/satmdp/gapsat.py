@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .cnf import (
     EXHAUSTIVE_LIMIT,
     Formula,
     brute_force_max_sat,
     formula_from_ints,
+    gap_threshold_count,
     occurrence_bound,
 )
 from .errors import FormulaError, ParameterError
@@ -38,14 +38,13 @@ class PromiseStatus:
 def check_gap_promise(f: Formula, epsilon: float) -> PromiseStatus:
     """Classify f as satisfiable, gap-unsatisfiable, or promise-violating.
 
-    The gap reading is inclusive: max-sat <= (1-epsilon)*m counts as
-    gap-unsatisfiable. The threshold is compared exactly via Fraction.
+    The gap reading is inclusive: max-sat <= (1-epsilon)*m, that is max-sat
+    below `gap_threshold_count`, counts as gap-unsatisfiable.
     """
     best, _ = brute_force_max_sat(f)
     if best == f.m:
         return PromiseStatus(PromiseKind.SATISFIABLE, best)
-    eps = Fraction(*Fraction(epsilon).as_integer_ratio())
-    if best <= (1 - eps) * f.m:
+    if best < gap_threshold_count(f.m, epsilon):
         return PromiseStatus(PromiseKind.GAP_UNSATISFIABLE, best)
     return PromiseStatus(PromiseKind.PROMISE_VIOLATED, best)
 

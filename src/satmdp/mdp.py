@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,7 @@ from .cnf import (
     Formula,
     assignment_from_mask,
     brute_force_sat,
+    gap_threshold_count,
     hamming,
     mask_from_assignment,
     occurrence_bound,
@@ -137,9 +139,7 @@ class MdpInstance:
         self.true_bits = tuple(tuple(pair) for pair in true_bits)
         self.occ_clause_bits = tuple(f | t for f, t in true_bits)
         self.recount = tuple(map(tuple, recount))
-        # strict "more than (1-eps) fraction satisfied": sat >= floor((1-eps)m)+1
-        thresh = (1 - params.epsilon_exact) * formula.m
-        self.gap_threshold_count = math.floor(thresh) + 1
+        self.gap_threshold_count = gap_threshold_count(formula.m, params.epsilon)
 
     def wstar_assignment(self):
         if self.wstar is None:
@@ -336,7 +336,7 @@ def stage_one_floor(inst: MdpInstance, round_start: int) -> int:
             "round start already exceeds the satisfaction threshold; the MDP "
             "would have terminated")
     p = inst.params
-    return math.ceil(p.epsilon_exact * inst.formula.m / p.b)
+    return math.ceil(Fraction(p.epsilon) * inst.formula.m / p.b)
 
 
 def encode_state(inst: MdpInstance, s: MdpState) -> bytes:

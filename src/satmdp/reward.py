@@ -2,10 +2,11 @@
 verifiers for their two structural properties (boundedness/monotonicity and the
 earlier-round-flips-first inequality).
 
-The round-i factor is the degree-p Taylor truncation of exp evaluated at
--x / (v^(q-1) * (3 - i/h)). The range verifier decides every round from the two
-extreme ones, with an exact certificate of strict decrease where one holds. The
-monotone-step verifier clears rounds with a float ratio scan under an explicit
+The round-i factor is the degree-p Taylor truncation of exp, `taylor_exp`,
+evaluated at -x / (v^(q-1) * (3 - i/h)), with v^(q-1) computed once per
+`RewardParams`. The range verifier decides every round (2v + 1 <= MAX_RANGE)
+from the two extreme ones, with an exact certificate of strict decrease where
+one holds. The monotone-step verifier clears rounds with a float ratio scan under an explicit
 error bound and decides every round it cannot clear exactly, in integers.
 """
 from __future__ import annotations
@@ -30,6 +31,8 @@ class RewardParams:
     h: int
     epsilon: float = 0.25
     b: int = 6
+    # v^(q-1), the factor every round scale shares
+    scale_base: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.v < 1:
@@ -44,6 +47,9 @@ class RewardParams:
             raise ParameterError("epsilon must be in (0,1)")
         if self.b < 1:
             raise ParameterError("b must be >= 1")
+        if not self.alpha > 0:
+            raise ParameterError(f"alpha must be > 0, got {self.alpha}")
+        object.__setattr__(self, "scale_base", _scale_base(self.v, self.q))
 
     @property
     def H(self) -> int:
@@ -53,21 +59,24 @@ class RewardParams:
         """Denominator v^(q-1) * (3 - i/h) of the round-i argument."""
         if not 1 <= i <= self.h + 1:
             raise ParameterError(f"round index {i} outside [1, {self.h + 1}]")
-        return float(self.v) ** (self.q - 1) * (3.0 - i / self.h)
-
-    @property
-    def epsilon_exact(self) -> Fraction:
-        return Fraction(*Fraction(self.epsilon).as_integer_ratio())
+        return self.scale_base * (3.0 - i / self.h)
 
     def to_dict(self) -> dict:
         return {"v": self.v, "p": self.p, "q": self.q, "alpha": self.alpha,
                 "h": self.h, "H": self.H, "epsilon": self.epsilon, "b": self.b}
 
 
+def _scale_base(v: int, q: int) -> float:
+    try:
+        return float(v) ** (q - 1)
+    except OverflowError:
+        raise ParameterError(f"v^(q-1) = {v}^{q - 1} overflows a float") from None
+
+
 def params_from_alpha(v: int, p: int = 2, q: int = 4, alpha: float = 1 / 16,
                       epsilon: float = 0.25, b: int = 6) -> RewardParams:
     """h = floor(alpha * v^(q-1)) clamped to >= 1, so each round is exactly v steps."""
-    rounds = alpha * float(v) ** (q - 1)
+    rounds = alpha * _scale_base(v, q)
     if not math.isfinite(rounds):
         raise ParameterError(f"alpha * v^(q-1) = {rounds} is not finite")
     h = max(1, math.floor(rounds))
@@ -77,7 +86,7 @@ def params_from_alpha(v: int, p: int = 2, q: int = 4, alpha: float = 1 / 16,
 def params_for_rounds(v: int, h: int, p: int = 2, q: int = 4,
                       epsilon: float = 0.25, b: int = 6) -> RewardParams:
     """Pin the round count directly; alpha is recorded as h / v^(q-1)."""
-    return RewardParams(v=v, p=p, q=q, alpha=h / float(v) ** (q - 1), h=h,
+    return RewardParams(v=v, p=p, q=q, alpha=h / _scale_base(v, q), h=h,
                         epsilon=epsilon, b=b)
 
 
@@ -86,20 +95,14 @@ def log_degree(v: int) -> int:
     return max(2, 2 * math.ceil(math.log(max(v, 2))))
 
 
-def taylor_exp(p: int, x: float) -> float:
-    """Degree-p Taylor truncation of exp at zero, evaluated by Horner's scheme."""
+def taylor_exp(p: int, x):
+    """Degree-p Taylor truncation of exp at zero by Horner's scheme, for a float,
+    an ndarray or a Fraction (exactly); p = 0 gives ones in x's shape."""
     if p < 0:
         raise ParameterError("degree must be >= 0")
-    acc = 1.0
-    for i in range(p, 0, -1):
-        acc = 1.0 + acc * x / i
-    return acc
-
-
-def _taylor_exp_vec(p: int, xs: np.ndarray) -> np.ndarray:
-    acc = np.ones_like(xs)
-    for i in range(p, 0, -1):
-        acc = 1.0 + acc * xs / i
+    acc = x / p + 1 if p else x ** 0
+    for i in range(p - 1, 0, -1):
+        acc = acc * x / i + 1
     return acc
 
 
@@ -154,13 +157,14 @@ def _truncation_positive_on(k: int, z_hi) -> bool:
     on [0, z_hi] needs. Even-degree truncations of exp have no real roots; an
     odd-degree one is strictly decreasing in z (its z-derivative is minus an
     even truncation), so T_k(-z_hi) >= 0, decided exactly, settles both."""
-    if k < 0:
-        return False
-    z = Fraction(z_hi)
-    acc = Fraction(1)
-    for i in range(k, 0, -1):
-        acc = 1 - acc * z / i
-    return acc >= 0
+    return k >= 0 and taylor_exp(k, -Fraction(z_hi)) >= 0
+
+
+MAX_RANGE = 1 << 22         # largest 2v + 1 one range check evaluates
+V_CAP = 128                 # largest v that find_min_passing_v tries
+MAX_SCAN = 1 << 27          # largest h * 2v one monotone-step check scans
+MAX_EXACT_CELLS = 1 << 22   # largest count of cells it decides in integers
+_BLOCK_CELLS = 1 << 19      # float entries per g table in one block of rounds
 
 
 def range_upper_bound(params: RewardParams) -> float:
@@ -181,12 +185,14 @@ def verify_claim_range(params: RewardParams) -> ClaimReport:
     range; only without one are the float rows tested for it.
     """
     v, p, q, h = params.v, params.p, params.q, params.h
+    if 2 * v + 1 > MAX_RANGE:
+        raise ResourceLimitError(f"range claim at v={v}: 2v + 1 is over {MAX_RANGE}")
     xs = np.arange(0, 2 * v + 1, dtype=np.float64)
     upper = range_upper_bound(params)
     rows = (1, h + 1)
-    G = _taylor_exp_vec(p, -np.outer([1.0 / params.scale(i) for i in rows], xs))
+    G = taylor_exp(p, -np.outer([1.0 / params.scale(i) for i in rows], xs))
     z_max = Fraction(2 * v * h, v ** (q - 1) * (2 * h - 1))  # 2v / scale(h + 1)
-    in_band = (xs >= math.ceil(params.epsilon_exact * v / params.b)) & (xs <= v)
+    in_band = (xs >= math.ceil(Fraction(params.epsilon) * v / params.b)) & (xs <= v)
     checks = [("outside_unit_interval", (G > 0.0) & (G <= 1.0)),
               ("bound_violated", ~in_band | ((G >= 0.25) & (G <= upper)))]
     # float rows can tie where g is near 1 (large v); they cannot refute a certificate
@@ -206,12 +212,6 @@ def verify_claim_range(params: RewardParams) -> ClaimReport:
     fails = np.flatnonzero(~((G[1] >= 0.25) & (G[0] <= upper))[v + 1:])
     report.details["bounds_hold_through_x"] = int(v + fails[0]) if fails.size else 2 * v
     return report
-
-
-V_CAP = 128                 # largest v that find_min_passing_v tries
-MAX_SCAN = 1 << 27          # largest h * 2v one monotone-step check scans
-MAX_EXACT_CELLS = 1 << 22   # largest count of cells it decides in integers
-_BLOCK_CELLS = 1 << 19      # float entries per g table in one block of rounds
 
 
 def _scaled_row(params: RewardParams, i: int) -> list[int]:
@@ -248,11 +248,11 @@ def _monotone_grid_violation(params: RewardParams) -> dict | None:
     scan of R_i(u) against the running max of S_{i+1} over e <= min(v-1, 2v-u)
     clears a round in O(v). Each round it cannot clear beyond its error bound
     is decided exactly by _exact_round_violation, within the MAX_* limits."""
-    v, p, q, h = params.v, params.p, params.q, params.h
+    v, p, h = params.v, params.p, params.h
     if h * 2 * v > MAX_SCAN:
         raise ResourceLimitError(f"monotone step at v={v}: h * 2v is over {MAX_SCAN}")
     xs = np.arange(0, 2 * v + 1, dtype=np.float64)
-    scale = float(v) ** (q - 1) * (3.0 - np.arange(1, h + 2) / h)
+    scale = params.scale_base * (3.0 - np.arange(1, h + 2) / h)
     e_max = np.minimum(v - 1, 2 * v - np.arange(1, 2 * v + 1))
     # Forward error of a computed g_i(x) at z = x/scale(i). The argument's
     # relative error is at most 7u (i/h enters 3 - i/h >= 1 at most doubled; the
@@ -269,8 +269,8 @@ def _monotone_grid_violation(params: RewardParams) -> dict | None:
     for start in range(0, h, block):
         # rows are the rounds start+1 .. min(start+block, h)+1
         z = np.outer(1.0 / scale[start:start + block + 1], xs)
-        G = _taylor_exp_vec(p, -z)
-        err = gamma * _taylor_exp_vec(p, z[:, -1])
+        G = taylor_exp(p, -z)
+        err = gamma * taylor_exp(p, z[:, -1])
         g_min = G.min(axis=1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # each row's largest relative error, infinite where g may be <= 0; R and

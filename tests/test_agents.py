@@ -427,7 +427,7 @@ def test_epsilon_net_refuses_oversized_cover():
     toy = ToyLinearMdp(depth=4, num_actions=3, dim=3, structure_seed=5,
                        reward_seed=21)
     with pytest.raises(ResourceLimitError):
-        epsilon_net_search(toy, eps=0.01, delta=0.1, cover_budget=10_000)
+        epsilon_net_search(toy, eps=0.01, delta=0.1)
 
 
 def test_horizon_split_rejects_non_square_horizon():

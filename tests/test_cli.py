@@ -72,6 +72,7 @@ def test_bundle_refuses_changed_cnf(tmp_path, cnf_file, capsys):
 @pytest.mark.parametrize("key, value", [
     ("cnf_path", None), ("cnf_sha256", None), ("mode", None), ("p", "two"),
     ("wstar", 7), ("wstar", "1x1x0"), ("start_assignment", "11111"),
+    ("q", 500), ("alpha", -3.0),
 ])
 def test_bundle_missing_or_malformed_key(tmp_path, cnf_file, key, value):
     bundle = tmp_path / "bundle"
@@ -360,6 +361,28 @@ def test_verify_claims_refuses_a_monotone_step_over_its_limit(tmp_path, capsys,
                "--out", str(tmp_path / "claims.json")])
     assert rc == 3
     assert "refused: monotone step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--q", "500"], ["--q", "500", "--rounds", "2"],
+                                   ["--alpha", "0"], ["--alpha", "-3"]],
+                         ids=["q-alpha", "q-rounds", "alpha-0", "alpha-neg"])
+@pytest.mark.parametrize("command", ["gen", "reduce"])
+def test_round_scale_out_of_range_is_a_usage_error(tmp_path, cnf_file, capsys,
+                                                   command, flags):
+    # 5^499 overflows a float; a non-positive alpha gives no rounds
+    rc = main([command, "--cnf", str(cnf_file), "--out", str(tmp_path / "b"),
+               *flags])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_claims_refuses_a_range_over_its_limit(tmp_path, capsys):
+    # the grid x in [0, 2v] alone would take 16 GB
+    out = tmp_path / "claims.json"
+    rc = main(["verify-claims", "--v", "1000000000", "--out", str(out)])
+    assert rc == 3
+    assert "refused:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_internal_error_has_its_own_exit_code(tmp_path, cnf_file, monkeypatch,

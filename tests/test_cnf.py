@@ -10,6 +10,7 @@ from satmdp.cnf import (
     brute_force_max_sat,
     brute_force_sat,
     formula_from_ints,
+    gap_threshold_count,
     hamming,
     mask_from_assignment,
     occurrence_bound,
@@ -148,6 +149,13 @@ def test_exhaustive_limit_refusal():
     with pytest.raises(ResourceLimitError):
         brute_force_max_sat(f)
     assert EXHAUSTIVE_LIMIT == 24
+
+
+@pytest.mark.parametrize("m, epsilon, count", [
+    (5, 0.25, 4), (16, 1 / 16, 16), (3, 1 / 3, 3), (8, 0.25, 7), (1, 0.5, 1)])
+def test_gap_threshold_count(m, epsilon, count):
+    # more than a (1 - epsilon) fraction: one past (1 - epsilon) m when it is whole
+    assert gap_threshold_count(m, epsilon) == count
 
 
 def test_formula_validation():

@@ -70,6 +70,25 @@ def test_params_construction():
         RewardParams(v=5, p=-1, q=2, alpha=0.5, h=2)
 
 
+def test_params_refuse_an_overflowing_round_scale():
+    # 5^499 is past the largest float, so no round scale can be computed
+    with pytest.raises(ParameterError, match="v\\^\\(q-1\\)"):
+        RewardParams(v=5, p=2, q=500, alpha=1 / 16, h=1)
+    with pytest.raises(ParameterError):
+        params_from_alpha(5, q=500)
+    with pytest.raises(ParameterError):
+        params_for_rounds(5, h=2, q=500)
+    assert params_for_rounds(2, h=1, q=500).scale(1) == 2.0 ** 499 * 2
+
+
+@pytest.mark.parametrize("alpha", [0.0, -3.0])
+def test_params_refuse_non_positive_alpha(alpha):
+    with pytest.raises(ParameterError, match="alpha"):
+        params_from_alpha(5, alpha=alpha)
+    with pytest.raises(ParameterError, match="alpha"):
+        RewardParams(v=5, p=2, q=4, alpha=alpha, h=1)
+
+
 def test_log_degree_natural_log():
     assert log_degree(10) == 2 * math.ceil(math.log(10))
     assert log_degree(1000) == 14
@@ -117,7 +136,7 @@ def range_sweep_passes(params):
     """The range claim on every row i in [1, h+1], in floats."""
     v = params.v
     inv = 1.0 / np.array([params.scale(i) for i in range(1, params.h + 2)])
-    G = reward._taylor_exp_vec(params.p, -np.outer(inv, np.arange(2 * v + 1.0)))
+    G = taylor_exp(params.p, -np.outer(inv, np.arange(2 * v + 1.0)))
     band = G[:, math.ceil(params.epsilon * v / params.b):v + 1]
     return bool(np.all(G[:, :-1] > G[:, 1:]) and np.all((G > 0.0) & (G <= 1.0))
                 and np.all((band >= 0.25) & (band <= range_upper_bound(params))))
@@ -265,7 +284,7 @@ def test_monotone_round_one_at_v512_is_decided_exactly():
     params = params_from_alpha(512, p=2, q=4)
     v = params.v
     inv = 1.0 / np.array([params.scale(1), params.scale(2)])
-    G = reward._taylor_exp_vec(2, -np.outer(inv, np.arange(2 * v + 1.0)))
+    G = taylor_exp(2, -np.outer(inv, np.arange(2 * v + 1.0)))
     lhs = G[0, 1:, None] * G[1, None, :v]
     rhs = G[0, :-1, None] * G[1, None, 1:v + 1]
     valid = np.add.outer(np.arange(1, 2 * v + 1), np.arange(v)) <= 2 * v
@@ -293,9 +312,20 @@ def test_find_min_passing_v_defaults():
 def test_vectorized_taylor_matches_scalar():
     xs = np.linspace(-3, 0, 50)
     for p in (0, 1, 2, 6, 13):
-        vec = reward._taylor_exp_vec(p, xs)
+        vec = taylor_exp(p, xs)
+        assert vec.shape == xs.shape
         for x, got in zip(xs, vec):
             assert got == pytest.approx(taylor_exp(p, float(x)), abs=1e-14)
+    assert taylor_exp(0, np.zeros((2, 3))).shape == (2, 3)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+@pytest.mark.parametrize("z", [Fraction(0), Fraction(1), Fraction(16, 15),
+                               Fraction(3, 7)])
+def test_taylor_exp_is_exact_on_fractions(k, z):
+    expected = sum((-z) ** j / math.factorial(j) for j in range(k + 1))
+    got = taylor_exp(k, -z)
+    assert isinstance(got, Fraction) and got == expected
 
 
 def test_truncation_positivity_certificate():
