@@ -3,6 +3,14 @@ the seeded, query-counting oracle of a SAT instance, the distance-greedy
 reference policy, exact optimal values over a game tree, the RL-to-SAT
 reduction driver, and the two brute-force RL baselines (lattice-cover policy
 search and the horizon-split basis algorithm).
+
+The baselines and the reduction call an oracle through these names only;
+`SatOracle` and `toys.ToyLinearMdp` both provide them:
+- `initial_state()`, `transition(s, a)`, `is_terminal(s)`: deterministic moves;
+- `sample_reward_batch(s, a, count)`: the sum of `count` reward samples at (s, a);
+- `features_sa(s, a)`: the feature vector of the pair (s, a);
+- `digest(s)`: a hashable key of the state s;
+- `num_actions`, `horizon`, `dim`: k, H and d.
 """
 from __future__ import annotations
 
@@ -30,43 +38,7 @@ from .mdp import (
 )
 
 
-class LinearRlOracle:
-    """Interaction surface the baseline search algorithms are written against:
-    deterministic transitions, sampled rewards, per-state(-action) features."""
-
-    num_actions: int
-    horizon: int
-    dim: int
-
-    def initial_state(self):
-        raise NotImplementedError
-
-    def transition(self, s, a):
-        raise NotImplementedError
-
-    def sample_reward(self, s, a):
-        raise NotImplementedError
-
-    def sample_reward_batch(self, s, a, count: int) -> int:
-        return sum(self.sample_reward(s, a) for _ in range(count))
-
-    def features(self, s):
-        raise NotImplementedError
-
-    def features_sa(self, s, a):
-        raise NotImplementedError
-
-    def is_terminal(self, s) -> bool:
-        raise NotImplementedError
-
-    def digest(self, s):
-        raise NotImplementedError
-
-    def step(self, s, a):
-        return self.transition(s, a), self.sample_reward(s, a)
-
-
-class SatOracle(LinearRlOracle):
+class SatOracle:
     """Oracle view of a SAT-derived instance: a seeded counter-based RNG for
     reward samples plus query counters for the transition / reward / feature
     interfaces. Every query is charged through `_charge` and every successor
@@ -209,7 +181,7 @@ def tree_optimal_values(inst: MdpInstance, states, children):
 # --- rollouts ---------------------------------------------------------------------
 
 
-def rollout(oracle: LinearRlOracle, policy) -> Trajectory:
+def rollout(oracle: SatOracle, policy) -> Trajectory:
     """Run a policy (a callable from state to action) to termination."""
     s = oracle.initial_state()
     records = []
@@ -233,8 +205,9 @@ def _walk(oracle, start, path):
     return s
 
 
-def _estimate_kappa(oracle, start, path, samples: int) -> float:
-    """Mean reward collected along a fixed action path (batched sampling)."""
+def _estimate_kappa(oracle, start, path, samples: int):
+    """Mean reward collected along a fixed action path (batched sampling), and
+    the state the path reaches, stopping early at a terminal."""
     total = 0.0
     s = start
     for a in path:
@@ -242,7 +215,7 @@ def _estimate_kappa(oracle, start, path, samples: int) -> float:
             break
         total += oracle.sample_reward_batch(s, a, samples) / samples
         s = oracle.transition(s, a)
-    return total
+    return total, s
 
 
 # --- RL-to-SAT reduction ----------------------------------------------------------
@@ -320,22 +293,22 @@ def a_sat(f, learner, params, budget: int = 1_000_000, seed: int = 0) -> AsatRes
     return AsatResult("NO", None, dict(oracle.counters))
 
 
+def _play(oracle, policy) -> list:
+    """Actions of one episode of a policy (a callable from state to action)."""
+    s = oracle.initial_state()
+    actions = []
+    while not oracle.is_terminal(s):
+        a = policy(s)
+        actions.append(a)
+        s = oracle.transition(s, a)
+    return actions
+
+
 def greedy_reference_learner(wstar):
     """Completeness driver for tests: knows a satisfying assignment and plays
     one greedy episode. Reads the instance internals, which a real learner
     cannot."""
-
-    def learn(oracle):
-        policy = greedy_policy(oracle.instance, wstar)
-        s = oracle.initial_state()
-        actions = []
-        while not oracle.is_terminal(s):
-            a = policy(s)
-            actions.append(a)
-            s = oracle.transition(s, a)
-        return actions
-
-    return learn
+    return lambda oracle: _play(oracle, greedy_policy(oracle.instance, wstar))
 
 
 def random_learner(episodes: int, seed: int = 0):
@@ -345,13 +318,7 @@ def random_learner(episodes: int, seed: int = 0):
         rng = np.random.Generator(np.random.Philox(key=seed))
         last = None
         for _ in range(episodes):
-            s = oracle.initial_state()
-            actions = []
-            while not oracle.is_terminal(s):
-                a = int(rng.integers(0, oracle.num_actions))
-                actions.append(a)
-                s = oracle.transition(s, a)
-            last = actions
+            last = _play(oracle, lambda _s: int(rng.integers(0, oracle.num_actions)))
         return last
 
     return learn
@@ -360,22 +327,20 @@ def random_learner(episodes: int, seed: int = 0):
 # --- argmax policies from Q estimates ---------------------------------------------
 
 
-def greedy_on_q(q: dict, oracle: LinearRlOracle):
+def greedy_on_q(q: dict, oracle):
     """Argmax policy over a {(state digest, action): value} table; ties break
     toward the lowest action index; missing entries raise, naming the state."""
 
     def policy(s):
         key = oracle.digest(s)
-        values = []
-        for a in range(oracle.num_actions):
+
+        def value(a):
             if (key, a) not in q:
                 raise ParameterError(f"no Q estimate for state {key!r} action {a}")
-            values.append(q[(key, a)])
-        best = 0
-        for a in range(1, oracle.num_actions):
-            if values[a] > values[best]:
-                best = a
-        return best
+            return q[(key, a)]
+
+        # max keeps the first of equal values
+        return max(range(oracle.num_actions), key=value)
 
     return policy
 
@@ -439,12 +404,7 @@ def _first_argmax(scores: np.ndarray) -> np.ndarray:
     return acts
 
 
-def cover_size_estimate(dim: int, spacing: float, radius: float) -> int:
-    reach = int(math.floor(radius / spacing))
-    return (2 * reach + 1) ** dim
-
-
-def epsilon_net_search(oracle: LinearRlOracle, eps: float, delta: float):
+def epsilon_net_search(oracle, eps: float, delta: float):
     """Enumerate a deterministic lattice cover of the unit parameter ball, map
     every candidate to the trajectory its argmax-of-features policy induces,
     and keep the empirically best trajectory.
@@ -460,7 +420,7 @@ def epsilon_net_search(oracle: LinearRlOracle, eps: float, delta: float):
     d, H = oracle.dim, oracle.horizon
     spacing = cover_spacing(eps, H, d)
     radius = 1.0 + spacing * math.sqrt(d) / 2  # margin so ball points keep a cover point
-    size = cover_size_estimate(d, spacing, radius)
+    size = (2 * int(math.floor(radius / spacing)) + 1) ** d
     if size > COVER_BUDGET:
         raise ResourceLimitError(
             f"lattice cover needs ~{size} points, over budget {COVER_BUDGET}")
@@ -508,7 +468,7 @@ def epsilon_net_search(oracle: LinearRlOracle, eps: float, delta: float):
                            / (2 * eps * eps)))
     best_actions, best_est = None, -math.inf
     for actions in sorted(trajectory_counts):
-        total = _estimate_kappa(oracle, s0, actions, n_roll)
+        total, _ = _estimate_kappa(oracle, s0, actions, n_roll)
         if total > best_est:
             best_actions, best_est = list(actions), total
     info = {"cover_points": cover_points, "unique_policies": n_unique,
@@ -565,8 +525,7 @@ class _BasisEntry:
     features: np.ndarray
 
 
-def horizon_split_q(oracle: LinearRlOracle, eps: float, delta: float,
-                    start=None, from_level: int = 0,
+def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: int = 0,
                     sample_cap: int = 50_000):
     """Q estimates at a state via sqrt(H)-segment feature bases.
 
@@ -636,9 +595,8 @@ def horizon_split_q(oracle: LinearRlOracle, eps: float, delta: float,
         anchor = _walk(oracle, s0, entry.path)
         best = -math.inf
         for tail in product(range(k), repeat=gap - 1):
-            inner = (entry.action,) + tail
-            s = _walk(oracle, anchor, inner)
-            kappa = _estimate_kappa(oracle, anchor, inner, KAPPA_SAMPLES)
+            kappa, s = _estimate_kappa(oracle, anchor, (entry.action,) + tail,
+                                       KAPPA_SAMPLES)
             if oracle.is_terminal(s):
                 best = max(best, kappa)
                 continue
@@ -666,8 +624,7 @@ def horizon_split_q(oracle: LinearRlOracle, eps: float, delta: float,
     return qest, info
 
 
-def horizon_split_policy(oracle: LinearRlOracle, eps: float, delta: float,
-                         sample_cap: int = 50_000):
+def horizon_split_policy(oracle, eps: float, delta: float, sample_cap: int = 50_000):
     """Iterate the horizon-split estimator along the induced trajectory: at each
     visited state estimate Q, act on the argmax, repeat. Returns the action
     list, the accumulated Q table (covering every visited state), and info."""

@@ -62,6 +62,13 @@ def _signs(bits):
     return tuple(1 if c == "1" else -1 for c in bits)
 
 
+def _bits(assignment):
+    """A {-1,+1} assignment as a 0/1 string, the inverse of _signs; None when absent."""
+    if assignment is None:
+        return None
+    return "".join("1" if x == 1 else "0" for x in assignment)
+
+
 def _require_positive(**counts):
     for flag, value in counts.items():
         if value < 1:
@@ -117,8 +124,7 @@ def cmd_gen(args) -> int:
         "v": f.v, "m": f.m, "b_achieved": occurrence_bound(f),
         "h": params.h, "H": params.H, "d": inst.d,
         "satisfiable": inst.satisfiable,
-        "wstar": None if inst.wstar is None
-        else "".join("1" if x == 1 else "0" for x in inst.wstar_assignment()),
+        "wstar": _bits(inst.wstar_assignment()),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "instance.json").write_text(
@@ -271,8 +277,7 @@ def cmd_reduce(args) -> int:
     config = {"cnf": str(args.cnf), "learner": args.learner,
               "budget": args.budget, "p": params.p, "q": params.q,
               "alpha": params.alpha, "epsilon": params.epsilon, "b": params.b}
-    outcomes = {"witness": None if result.witness is None
-                else "".join("1" if x == 1 else "0" for x in result.witness),
+    outcomes = {"witness": _bits(result.witness),
                 "queries": result.queries, "note": result.note}
     report = reporting.make_report("reduce", config, args.seed, outcomes,
                                    time.perf_counter() - t0, answer=result.answer)

@@ -35,6 +35,12 @@ class RewardParams:
     scale_base: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("v", "p", "q", "h", "b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParameterError(f"{name} must be an int, got {value!r}")
+        if not math.isfinite(self.alpha):
+            raise ParameterError(f"alpha must be finite, got {self.alpha}")
         if self.v < 1:
             raise ParameterError("v must be >= 1")
         if self.p < 0:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .agents import LinearRlOracle
 from .errors import ParameterError
 
 OPTIMAL_MEAN = 0.9
@@ -23,7 +22,7 @@ RUNNER_UP = 0.7
 NOISE_SCALE = 0.6
 
 
-class ToyLinearMdp(LinearRlOracle):
+class ToyLinearMdp:
     def __init__(self, depth: int, num_actions: int, dim: int,
                  structure_seed: int = 0, reward_seed: int = 1,
                  bernoulli: bool = True):
@@ -87,14 +86,6 @@ class ToyLinearMdp(LinearRlOracle):
         if len(s) == self.horizon - 1:
             return float(self._value[self._node(s + (a,))])
         return 0.0
-
-    def sample_reward(self, s, a):
-        mean = self.exact_mean(s, a)
-        if not self.bernoulli:
-            return mean
-        if mean == 0.0:
-            return 0
-        return int(self._rng.random() < mean)
 
     def sample_reward_batch(self, s, a, count):
         mean = self.exact_mean(s, a)

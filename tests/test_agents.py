@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -27,7 +28,11 @@ from satmdp.agents import (
 from satmdp.cnf import formula_from_ints, satisfied_count
 from satmdp.errors import InvariantViolation, ParameterError, ResourceLimitError
 from satmdp.gapsat import PromiseKind, check_gap_promise
-from satmdp.instances import random_gap_unsat_formula, random_satisfiable_instance
+from satmdp.instances import (
+    random_gap_unsat_formula,
+    random_satisfiable_instance,
+    regular_planted_formula,
+)
 from satmdp.mdp import (
     GAP_SATISFIED,
     STAGE_ONE,
@@ -219,6 +224,45 @@ def test_a_sat_budget_exhaustion_answers_no():
     result = a_sat(f, batch_learner, params, budget=10, seed=0)
     assert result.answer == "NO" and result.note == "budget exhausted"
     assert sum(result.queries.values()) <= 10
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# sha256 of the repr of the runs below, recorded before the learners shared
+# one episode loop: any change in the queries made, their order or the
+# Philox draws behind them moves it
+A_SAT_GOLDEN = "526f56803f824b451b1190c6f16a322111f14cc274292f21ae27070600a133af"
+
+
+def test_a_sat_learners_golden():
+    """answer, witness and queries of the greedy reference and random learners
+    on the first criterion-6 instances and on the v=768 criterion-5 formula."""
+    eps, b = 1 / 16, 8
+    runs = []
+    for i in range(3):
+        inst, wstar, _ = random_satisfiable_instance(
+            5000 + i, v=6 + (i % 3), h=2, p=2, q=4, epsilon=eps, b=b)
+        runs.append(a_sat(inst.formula, greedy_reference_learner(wstar),
+                          inst.params, seed=i))
+    rng = np.random.default_rng(6000)
+    gap = []
+    while len(gap) < 3:
+        fml = random_gap_unsat_formula(rng, v=int(rng.integers(6, 10)))
+        if check_gap_promise(fml, eps).kind is PromiseKind.GAP_UNSATISFIABLE:
+            gap.append(fml)
+    for i, fml in enumerate(gap):
+        params = params_for_rounds(v=fml.v, h=2, p=2, q=4, epsilon=eps, b=b)
+        runs.append(a_sat(fml, random_learner(episodes=4, seed=i), params, seed=i))
+    f, planted = regular_planted_formula(768, seed=7)
+    params = params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6)
+    for seed in (1, 2):
+        runs.append(a_sat(f, greedy_reference_learner(planted), params, seed=seed))
+        runs.append(a_sat(f, random_learner(1, seed=seed), params, seed=seed))
+    assert [r.answer for r in runs] == ["YES"] * 3 + ["NO"] * 3 + ["YES", "NO"] * 2
+    assert _sha256([(r.answer, r.witness, sorted(r.queries.items()))
+                    for r in runs]) == A_SAT_GOLDEN
 
 
 def test_reduction_oracle_requires_simulator(figure_instance):
@@ -462,6 +506,24 @@ def test_horizon_split_policy_reaches_near_optimal():
         replay.append(a)
         s = toy.transition(s, a)
     assert replay == actions
+
+
+# sha256 of the repr of the runs below, recorded before the tail walks of
+# horizon_split_q were merged: pins every sample, expansion and argmax
+HORIZON_SPLIT_GOLDEN = "c82201087b9c6ae323fc3f8fd20d6ae67958af4cf41f7183538d8bfe6bd10bc6"
+
+
+def test_horizon_split_policy_golden():
+    """Actions, sorted Q table and infos on the two criterion-9 specs."""
+    runs = []
+    for spec in (dict(depth=4, num_actions=3, dim=2, structure_seed=5),
+                 dict(depth=9, num_actions=3, dim=4, structure_seed=21)):
+        toy = ToyLinearMdp(reward_seed=9000, **spec)
+        actions, q_all, infos = horizon_split_policy(toy, eps=0.2, delta=0.1,
+                                                     sample_cap=20_000)
+        runs.append((actions, sorted(q_all.items()),
+                     [sorted(info.items()) for info in infos]))
+    assert _sha256(runs) == HORIZON_SPLIT_GOLDEN
 
 
 def test_sat_oracle_exposes_query_counters(figure_instance):

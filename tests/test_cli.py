@@ -73,8 +73,11 @@ def test_bundle_refuses_changed_cnf(tmp_path, cnf_file, capsys):
     ("cnf_path", None), ("cnf_sha256", None), ("mode", None), ("p", "two"),
     ("wstar", 7), ("wstar", "1x1x0"), ("start_assignment", "11111"),
     ("q", 500), ("alpha", -3.0),
+    # json writes an infinite alpha as Infinity, which json.loads reads back
+    ("p", 2.5), ("h", 2.5), ("q", 2.5), ("b", 6.5), ("alpha", float("inf")),
+    ("p", True),
 ])
-def test_bundle_missing_or_malformed_key(tmp_path, cnf_file, key, value):
+def test_bundle_missing_or_malformed_key(tmp_path, cnf_file, capsys, key, value):
     bundle = tmp_path / "bundle"
     assert main(["gen", "--cnf", str(cnf_file), "--out", str(bundle),
                  "--q", "2", "--rounds", "2"]) == 0
@@ -86,6 +89,7 @@ def test_bundle_missing_or_malformed_key(tmp_path, cnf_file, key, value):
     (bundle / "instance.json").write_text(json.dumps(data))
     assert main(["run", "--instance", str(bundle / "instance.json"),
                  "--out", str(tmp_path / "r")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--wstar", "1x1x0"),

@@ -89,6 +89,17 @@ def test_params_refuse_non_positive_alpha(alpha):
         RewardParams(v=5, p=2, q=4, alpha=alpha, h=1)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("v", 5.0), ("p", 2.5), ("q", 4.0), ("h", 1.5), ("b", 6.5), ("p", True),
+    ("h", False), ("alpha", math.inf),
+])
+def test_params_refuse_non_integer_counts_and_infinite_alpha(key, value):
+    fields = dict(v=5, p=2, q=4, alpha=1 / 16, h=2, epsilon=0.25, b=6)
+    RewardParams(**fields)
+    with pytest.raises(ParameterError, match=key):
+        RewardParams(**{**fields, key: value})
+
+
 def test_log_degree_natural_log():
     assert log_degree(10) == 2 * math.ceil(math.log(10))
     assert log_degree(1000) == 14
@@ -302,6 +313,20 @@ def test_monotone_step_refuses_work_over_its_limits(monkeypatch):
     monkeypatch.setattr(reward, "MAX_EXACT_CELLS", 1_000)
     with pytest.raises(ResourceLimitError, match="exact cells"):
         reward._monotone_grid_violation(params)
+
+
+@pytest.mark.parametrize("p, q, alpha, expected", [
+    (3, 3, 16, 6),    # doubling passes 8, bisection settles on 6
+    (3, 3, 4, 2),
+    (1, 2, 4, None),  # every doubling up to V_CAP fails
+])
+def test_find_min_passing_v_search(p, q, alpha, expected):
+    assert find_min_passing_v(p=p, q=q, alpha=alpha, epsilon=0.25, b=6) == expected
+    if expected is not None:
+        # a linear scan agrees, and every larger v passes, as the search assumes
+        passing = [v for v in range(1, 17) if reward._monotone_grid_violation(
+            params_from_alpha(v, p=p, q=q, alpha=alpha)) is None]
+        assert passing == list(range(expected, 17))
 
 
 def test_find_min_passing_v_defaults():

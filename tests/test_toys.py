@@ -85,7 +85,6 @@ def test_deterministic_rewards_mode():
                        reward_seed=2, bernoulli=False)
     s = det.transition((), 0)
     mean = det.exact_mean(s, 1)
-    assert det.sample_reward(s, 1) == mean
     assert det.sample_reward_batch(s, 1, 10) == pytest.approx(10 * mean)
 
 
