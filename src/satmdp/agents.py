@@ -11,6 +11,10 @@ The baselines and the reduction call an oracle through these names only;
 - `features_sa(s, a)`: the feature vector of the pair (s, a);
 - `digest(s)`: a hashable key of the state s;
 - `num_actions`, `horizon`, `dim`: k, H and d.
+
+A learner for the reduction is a callable on the oracle. It returns None, or
+an action path that `a_sat` then executes from the initial state, since the
+reduction also runs the learner's output policy.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ import numpy as np
 from .cnf import assignment_from_mask, mask_from_assignment, satisfied_count
 from .errors import InvariantViolation, ParameterError, ResourceLimitError
 from .mdp import (
+    GAP_SATISFIED,
     MODE_SIMULATOR,
     STAGE_ONE,
     MdpInstance,
@@ -59,12 +64,6 @@ class SatOracle:
     def _successor(self, s: MdpState, a: int) -> MdpState:
         return transition(self.instance, s, a)
 
-    def _draw(self, nxt: MdpState) -> int:
-        mean = reward_mean(self.instance, nxt)
-        if mean == 0.0:
-            return 0
-        return int(self.rng.random() < mean)
-
     def initial_state(self):
         self._charge("transition")
         return initial_state(self.instance)
@@ -72,10 +71,6 @@ class SatOracle:
     def transition(self, s, a):
         self._charge("transition")
         return self._successor(s, a)
-
-    def sample_reward(self, s, a):
-        self._charge("reward")
-        return self._draw(self._successor(s, a))
 
     def sample_reward_batch(self, s, a, count):
         """Number of ones among `count` independent reward samples at (s, a);
@@ -91,11 +86,10 @@ class SatOracle:
         self._charge("transition")
         self._charge("reward")
         nxt = self._successor(s, a)
-        return nxt, self._draw(nxt)
-
-    def features(self, s):
-        self._charge("feature")
-        return features_state(self.instance, s)
+        mean = reward_mean(self.instance, nxt)
+        if mean == 0.0:
+            return nxt, 0
+        return nxt, int(self.rng.random() < mean)
 
     def features_sa(self, s, a):
         self._charge("feature")
@@ -231,21 +225,20 @@ class _BudgetExhausted(Exception):
 
 
 class ReductionOracle(SatOracle):
-    """Monitored simulator: every state handed out is screened against the
-    satisfaction threshold, and total oracle queries are budgeted (a query
-    that would take the total past the budget is refused before it runs)."""
+    """Monitored simulator: every state handed out is screened for the
+    gap-satisfied terminal, which `mdp` enters when the satisfaction threshold
+    is met, and total oracle queries are budgeted (a query that would take the
+    total past the budget is refused before it runs)."""
 
     def __init__(self, instance: MdpInstance, seed: int, budget: int):
         if instance.mode != MODE_SIMULATOR:
             raise ParameterError("the reduction runs against the simulator")
         super().__init__(instance, seed)
         self.budget = budget
-        self.spent = 0              # running total of self.counters
 
     def _charge(self, kind, count=1):
-        if self.spent + count > self.budget:
+        if sum(self.counters.values()) + count > self.budget:
             raise _BudgetExhausted
-        self.spent += count
         super()._charge(kind, count)
 
     def _successor(self, s, a):
@@ -253,7 +246,7 @@ class ReductionOracle(SatOracle):
         return self._screen(super()._successor(s, a))
 
     def _screen(self, s: MdpState) -> MdpState:
-        if s.sat_count >= self.instance.gap_threshold_count:
+        if s.stage == GAP_SATISFIED:
             raise _WitnessFound(s.w)
         return s
 
@@ -273,14 +266,14 @@ def a_sat(f, learner, params, budget: int = 1_000_000, seed: int = 0) -> AsatRes
     """Decide the gap promise by running an RL learner against the zero-reward
     simulator. YES is answered only for an independently re-verified assignment
     satisfying more than a (1-eps) fraction of clauses; everything else
-    (learner completion, budget exhaustion) answers NO."""
+    (learner completion, budget exhaustion) answers NO. An action path the
+    learner returns is executed from the initial state before answering."""
     inst = build_instance(f, params, mode=MODE_SIMULATOR)
     oracle = ReductionOracle(inst, seed, budget)
     try:
-        policy = learner(oracle)
-        if policy:
-            # check the path obtained by running the returned policy
-            _walk(oracle, oracle.initial_state(), policy)
+        path = learner(oracle)
+        if path:
+            _walk(oracle, oracle.initial_state(), path)
     except _WitnessFound as found:
         witness = assignment_from_mask(found.w_mask, f.v)
         if satisfied_count(f, witness) < inst.gap_threshold_count:
@@ -293,33 +286,28 @@ def a_sat(f, learner, params, budget: int = 1_000_000, seed: int = 0) -> AsatRes
     return AsatResult("NO", None, dict(oracle.counters))
 
 
-def _play(oracle, policy) -> list:
-    """Actions of one episode of a policy (a callable from state to action)."""
+def _play(oracle, policy):
+    """One episode of a policy (a callable from state to action)."""
     s = oracle.initial_state()
-    actions = []
     while not oracle.is_terminal(s):
-        a = policy(s)
-        actions.append(a)
-        s = oracle.transition(s, a)
-    return actions
+        s = oracle.transition(s, policy(s))
 
 
 def greedy_reference_learner(wstar):
     """Completeness driver for tests: knows a satisfying assignment and plays
     one greedy episode. Reads the instance internals, which a real learner
-    cannot."""
+    cannot. Returns no path: the screening oracle saw every state it played."""
     return lambda oracle: _play(oracle, greedy_policy(oracle.instance, wstar))
 
 
 def random_learner(episodes: int, seed: int = 0):
-    """Plays uniformly random episodes; returns the last action sequence."""
+    """Plays uniformly random episodes and returns no path: every path it
+    could output, it already played through the screening oracle."""
 
     def learn(oracle):
         rng = np.random.Generator(np.random.Philox(key=seed))
-        last = None
         for _ in range(episodes):
-            last = _play(oracle, lambda _s: int(rng.integers(0, oracle.num_actions)))
-        return last
+            _play(oracle, lambda _s: int(rng.integers(0, oracle.num_actions)))
 
     return learn
 

@@ -2,7 +2,8 @@
 the RL-to-SAT reduction, and the bounded-occurrence transform.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error, 3 resource refusal, 4 internal error (a broken invariant).
+error (an unreadable or unwritable path included), 3 resource refusal,
+4 internal error (a broken invariant).
 """
 from __future__ import annotations
 
@@ -40,17 +41,6 @@ def _params_from_args(args, v: int) -> reward.RewardParams:
                                         epsilon=args.epsilon, b=args.b)
     return reward.params_from_alpha(v=v, p=args.p, q=args.q, alpha=args.alpha,
                                     epsilon=args.epsilon, b=args.b)
-
-
-def _read_bytes(path) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise ParameterError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_formula(path, strict: bool = True):
-    return parse_dimacs(_read_bytes(path), strict=strict)
 
 
 def _signs(bits):
@@ -103,7 +93,7 @@ def _build_instance(f, params, wstar, mode, start) -> mdp.MdpInstance:
 
 
 def cmd_gen(args) -> int:
-    data = _read_bytes(args.cnf)
+    data = Path(args.cnf).read_bytes()
     f = parse_dimacs(data)
     params = _params_from_args(args, f.v)
     t0 = time.perf_counter()
@@ -140,12 +130,13 @@ def cmd_gen(args) -> int:
 
 def load_instance_bundle(path: str) -> mdp.MdpInstance:
     """Rebuild the instance of a `gen` bundle. `cnf_path` is resolved against
-    the bundle's directory and the file must match `cnf_sha256`; an
-    unreadable, malformed or mismatched bundle is a ParameterError."""
+    the bundle's directory and the file must match `cnf_sha256`; a malformed
+    or mismatched bundle is a ParameterError, and an unreadable bundle or CNF
+    an OSError (both exit 2 from `main`)."""
     try:
-        cfg = json.loads(_read_bytes(path))["config"]
+        cfg = json.loads(Path(path).read_bytes())["config"]
         cnf_path = Path(path).parent / cfg["cnf_path"]
-        data = _read_bytes(cnf_path)
+        data = cnf_path.read_bytes()
         if hashlib.sha256(data).hexdigest() != cfg["cnf_sha256"]:
             raise ParameterError(
                 f"{cnf_path} does not match the bundle's cnf_sha256; "
@@ -263,7 +254,7 @@ def cmd_run(args) -> int:
 def cmd_reduce(args) -> int:
     _require_positive(episodes=args.episodes, budget=args.budget)
     t0 = time.perf_counter()
-    f = _read_formula(args.cnf)
+    f = parse_dimacs(Path(args.cnf).read_bytes())
     params = _params_from_args(args, f.v)
     if args.learner == "greedy":
         wstar = brute_force_sat(f)
@@ -288,7 +279,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_transform(args) -> int:
     t0 = time.perf_counter()
-    f = _read_formula(args.cnf, strict=not args.lenient)
+    f = parse_dimacs(Path(args.cnf).read_bytes(), strict=not args.lenient)
     psi = gapsat.bounded_occurrence_transform(f, args.b)
     if args.emit:
         Path(args.emit).write_text(to_dimacs(psi))
@@ -376,7 +367,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             _require_seed(args.seed)
         return args.func(args)
-    except (ParseError, ParameterError, FormulaError) as exc:
+    except (ParseError, ParameterError, FormulaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

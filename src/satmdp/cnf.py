@@ -15,6 +15,7 @@ false < true.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
@@ -97,8 +98,9 @@ def formula_from_ints(v: int, int_clauses, strict: bool = True) -> Formula:
     """Build a formula from signed 1-based literal lists (DIMACS convention).
 
     Raises FormulaError for a literal 0 anywhere, v < 1, no clauses, or else
-    for the first clause that has no or more than 3 literals, a variable out
-    of range or, in strict mode, fewer than 3 distinct variables.
+    for the first clause that has a literal outside int64, no or more than 3
+    literals, a variable out of range or, in strict mode, fewer than 3
+    distinct variables; the error's `clause` is that clause's index.
     """
     rows = list(int_clauses)
     m = len(rows)
@@ -106,7 +108,10 @@ def formula_from_ints(v: int, int_clauses, strict: bool = True) -> Formula:
     try:
         flat = np.fromiter(chain.from_iterable(rows), np.int64, int(widths.sum()))
     except OverflowError:
-        raise FormulaError("a literal exceeds the int64 range") from None
+        ci = next(ci for ci, row in enumerate(rows)
+                  if not all(-2**63 <= x < 2**63 for x in row))
+        raise FormulaError(f"clause {ci}: a literal exceeds the int64 range",
+                           ci) from None
     if not flat.all():
         raise FormulaError("literal 0 is reserved as the clause terminator")
     if v < 1:
@@ -119,26 +124,35 @@ def formula_from_ints(v: int, int_clauses, strict: bool = True) -> Formula:
         lits = np.zeros((m, 3), np.int64)
         for ci, row in enumerate(rows):
             lits[ci, :min(len(row), 3)] = row[:3]
-    var = np.abs(lits)
+    # compared signed: np.abs(-2**63) wraps to itself
+    out_of_range = (lits > v) | (lits < -v)
     bad_width = (widths < 1) | (widths > 3)
-    bad_range = (var > v).any(axis=1)
+    bad_range = out_of_range.any(axis=1)
     bad = bad_width | bad_range
     if strict:
-        bad |= (widths != 3) | (np.diff(np.sort(var, axis=1)) == 0).any(axis=1)
+        var = np.sort(np.abs(lits), axis=1)
+        bad |= (widths != 3) | (np.diff(var) == 0).any(axis=1)
     if bad.any():
         ci = int(np.argmax(bad))
         if bad_width[ci]:
-            raise FormulaError(f"clause {ci} has {widths[ci]} literals")
+            raise FormulaError(f"clause {ci} has {widths[ci]} literals", ci)
         if bad_range[ci]:
-            x = int(var[ci][var[ci] > v][0])
-            raise FormulaError(f"clause {ci}: variable {x} out of range (v={v})")
-        raise FormulaError(f"clause {ci} must have 3 distinct variables in strict mode")
+            x = abs(int(lits[ci][out_of_range[ci]][0]))
+            raise FormulaError(f"clause {ci}: variable {x} out of range (v={v})", ci)
+        raise FormulaError(
+            f"clause {ci} must have 3 distinct variables in strict mode", ci)
     return Formula(v, lits, strict)
+
+
+# int() also reads '+', '_' and non-ASCII digits, which DIMACS does not have
+_NON_DIMACS = re.compile(r"[^0-9\s-]")
 
 
 def parse_dimacs(text: str | bytes, strict: bool = True) -> Formula:
     """Parse DIMACS CNF text: 'c' comments, 'p cnf v m' header, 0-terminated
-    clauses. Bytes are decoded as UTF-8."""
+    clauses. Bytes are decoded as UTF-8. The parser owns tokens, header and
+    line numbers; `formula_from_ints` checks the clauses, and a clause it
+    refuses is a ParseError naming the line of that clause's terminating 0."""
     if isinstance(text, bytes):
         try:
             text = text.decode()
@@ -150,6 +164,7 @@ def parse_dimacs(text: str | bytes, strict: bool = True) -> Formula:
     v = None
     declared_m = None
     int_clauses: list[list[int]] = []
+    ends: list[int] = []  # line of each clause's terminating 0
     current: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -159,9 +174,10 @@ def parse_dimacs(text: str | bytes, strict: bool = True) -> Formula:
             if v is not None:
                 raise ParseError(f"line {lineno}: duplicate header")
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"line {lineno}: malformed header {line!r}")
             try:
+                if (len(parts) != 4 or parts[1] != "cnf"
+                        or _NON_DIMACS.search(parts[2] + parts[3])):
+                    raise ValueError
                 v, declared_m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"line {lineno}: malformed header {line!r}") from None
@@ -170,23 +186,20 @@ def parse_dimacs(text: str | bytes, strict: bool = True) -> Formula:
             continue
         if v is None:
             raise ParseError(f"line {lineno}: clause before 'p cnf' header")
+        # one search per line; only a line that fails it is searched per token
+        foreign = _NON_DIMACS.search(line) is not None
         for tok in line.split():
             try:
+                if foreign and _NON_DIMACS.search(tok):
+                    raise ValueError
                 lit = int(tok)
             except ValueError:
                 raise ParseError(f"line {lineno}: bad token {tok!r}") from None
             if lit == 0:
-                if not current:
-                    raise ParseError(f"line {lineno}: empty clause")
-                if len(current) > 3:
-                    raise ParseError(
-                        f"line {lineno}: clause has {len(current)} literals (max 3)")
                 int_clauses.append(current)
+                ends.append(lineno)
                 current = []
             else:
-                if not 1 <= abs(lit) <= v:
-                    raise ParseError(
-                        f"line {lineno}: variable {abs(lit)} out of range (v={v})")
                 current.append(lit)
     if current:
         raise ParseError("unterminated clause at end of input")
@@ -198,7 +211,8 @@ def parse_dimacs(text: str | bytes, strict: bool = True) -> Formula:
     try:
         return formula_from_ints(v, int_clauses, strict=strict)
     except FormulaError as exc:
-        raise ParseError(str(exc)) from exc
+        # the header and the clause count rule out the clause-free errors
+        raise ParseError(f"line {ends[exc.clause]}: {exc}") from exc
 
 
 def to_dimacs(f: Formula) -> str:

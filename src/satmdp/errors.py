@@ -6,11 +6,18 @@ class SatMdpError(Exception):
 
 
 class ParseError(SatMdpError):
-    """Malformed DIMACS input; message names the offending line."""
+    """Malformed DIMACS input. An error about a token or a clause starts with
+    "line N:"; whole-file errors (no header, a clause count that differs from
+    the header's, an unterminated last clause) name no line."""
 
 
 class FormulaError(SatMdpError):
-    """A formula violates a structural requirement (clause arity, index range)."""
+    """A formula violates a structural requirement (clause arity, index range);
+    `clause` is the index of the offending clause, when one is to blame."""
+
+    def __init__(self, message: str, clause: int | None = None):
+        super().__init__(message)
+        self.clause = clause
 
 
 class ParameterError(SatMdpError):

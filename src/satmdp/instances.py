@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnf import Formula, brute_force_sat, formula_from_ints, occurrence_bound
+from .cnf import Formula, formula_from_ints, occurrence_bound
 from .errors import ParameterError, ResourceLimitError
-from .mdp import MODE_FULL, build_instance, enumerate_reachable, initial_state
+from .mdp import build_instance, enumerate_reachable, initial_state
 from .reward import params_for_rounds
 
 ALL_POSITIVE_FRACTION = 0.4  # share of all-positive clauses in a random formula
@@ -47,17 +47,14 @@ def random_satisfiable_instance(seed: int, v: int, h: int, p: int = 2,
         f = random_strict_formula(rng, v, m)
         if occurrence_bound(f) > b:
             continue
-        wstar = brute_force_sat(f)
-        if wstar is None:
-            continue
-        inst = build_instance(f, params, wstar=wstar, mode=MODE_FULL)
-        if initial_state(inst).is_terminal:
+        inst = build_instance(f, params)
+        if not inst.satisfiable or initial_state(inst).is_terminal:
             continue
         try:
             enumerate_reachable(inst, budget=tree_budget)
         except ResourceLimitError:
             continue
-        return inst, wstar, attempt
+        return inst, inst.wstar_assignment(), attempt
     raise ResourceLimitError(
         f"no acceptable instance found in {MAX_ATTEMPTS} attempts for v={v}, h={h}")
 

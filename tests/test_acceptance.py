@@ -285,7 +285,7 @@ def test_criterion_7_simulator_consistency():
             for a, j in sim_children[idx]:
                 child = sim_states[j]
                 if child.is_terminal and child.terminal_kind == LAST_LEVEL:
-                    if oracle.sample_reward(s, a) != 0:
+                    if oracle.sample_reward_batch(s, a, 1) != 0:
                         nonzero_sim_rewards += 1
     ok = mismatch == 0 and nonzero_sim_rewards == 0
     report(7, "simulator consistency", ok,

@@ -25,7 +25,7 @@ from satmdp.agents import (
     select_independent,
     tree_optimal_values,
 )
-from satmdp.cnf import formula_from_ints, satisfied_count
+from satmdp.cnf import formula_from_ints, mask_from_assignment, satisfied_count
 from satmdp.errors import InvariantViolation, ParameterError, ResourceLimitError
 from satmdp.gapsat import PromiseKind, check_gap_promise
 from satmdp.instances import (
@@ -226,14 +226,33 @@ def test_a_sat_budget_exhaustion_answers_no():
     assert sum(result.queries.values()) <= 10
 
 
+def test_a_sat_executes_the_path_a_learner_returns():
+    """A path the learner never played, here the greedy path to w* worked out
+    on the instance outside the oracle, is walked from the initial state."""
+    inst, _, _ = random_satisfiable_instance(47, v=6, h=2, epsilon=1 / 16, b=8)
+    s, path = initial_state(inst), []
+    while not s.is_terminal:
+        path.append(greedy_action(inst, s))
+        s = transition(inst, s, path[-1])
+    assert s.stage == GAP_SATISFIED
+    result = a_sat(inst.formula, lambda _oracle: path, inst.params, seed=3)
+    assert result.answer == "YES"
+    assert mask_from_assignment(result.witness) == s.w
+    assert result.queries == {"transition": len(path) + 1, "reward": 0,
+                              "feature": 0}
+
+
 def _sha256(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
-# sha256 of the repr of the runs below, recorded before the learners shared
-# one episode loop: any change in the queries made, their order or the
-# Philox draws behind them moves it
-A_SAT_GOLDEN = "526f56803f824b451b1190c6f16a322111f14cc274292f21ae27070600a133af"
+# sha256 of the repr of the runs below: any change in the queries made, their
+# order or the Philox draws behind them moves it. Recorded when the random
+# learner stopped returning its last episode for a_sat to walk again, after
+# an old-vs-new dump of the whole criterion-6 pool and both v=768 seeds that
+# differed only in the random runs' transitions, each by that episode's
+# length + 1
+A_SAT_GOLDEN = "f20a9e830995579f17235c806cde3e6f89c632999958c14c989dee78012af7a9"
 
 
 def test_a_sat_learners_golden():

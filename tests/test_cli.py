@@ -329,6 +329,17 @@ def test_transform_cli(tmp_path):
     assert occurrence_bound(psi) <= 6
 
 
+@pytest.mark.parametrize("command", ["transform", "verify-claims"])
+def test_unwritable_output_is_a_usage_error(tmp_path, cnf_file, capsys, command):
+    # a path under a regular file cannot be created
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = {"transform": ["--cnf", str(cnf_file), "--emit", str(blocker / "x.cnf")],
+            "verify-claims": ["--v", "12", "--out", str(blocker / "r.json")]}[command]
+    assert main([command, *argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_transform_refuses_small_b(tmp_path, cnf_file):
     rc = main(["transform", "--cnf", str(cnf_file), "--b", "3"])
     assert rc == 2

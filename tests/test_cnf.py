@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,7 @@ def test_parse_figure_formula():
 
 
 def test_parse_rejects_short_clause_in_strict_mode():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^line 2: clause 0 must have 3 distinct"):
         parse_dimacs("p cnf 1 1\n1 0\n")
     # lenient mode accepts it
     f = parse_dimacs("p cnf 1 1\n1 0\n", strict=False)
@@ -40,13 +41,39 @@ def test_parse_rejects_short_clause_in_strict_mode():
 
 
 def test_parse_rejects_variable_out_of_range():
-    with pytest.raises(ParseError, match="out of range"):
+    with pytest.raises(ParseError,
+                       match=r"^line 2: clause 0: variable 6 out of range \(v=5\)$"):
         parse_dimacs("p cnf 5 1\n1 2 6 0\n")
 
 
 def test_parse_errors_name_the_line():
     with pytest.raises(ParseError, match="line 3"):
         parse_dimacs("c comment\np cnf 3 1\n1 2 xyz 0\n")
+
+
+@pytest.mark.parametrize("text, strict, message", [
+    ("p cnf 3 1\n1 1 2 0\n", True,
+     r"^line 2: clause 0 must have 3 distinct variables in strict mode$"),
+    # a clause is named by the line of its terminating 0
+    ("p cnf 3 2\n1 2 3 0\nc note\n-1\n2 4 0\n", True,
+     r"^line 5: clause 1: variable 4 out of range \(v=3\)$"),
+    ("p cnf 3 1\n1 2 3 -1 0\n", False, r"^line 2: clause 0 has 4 literals$"),
+    ("p cnf 3 2\n1 2 3 0\n\n0\n", False, r"^line 4: clause 1 has 0 literals$"),
+    ("p cnf 5 1\n1 2 -9223372036854775808 0\n", True,
+     r"^line 2: clause 0: variable 9223372036854775808 out of range \(v=5\)$"),
+], ids=["repeated", "spans-lines", "long", "empty", "int64-min"])
+def test_clause_errors_name_their_line(text, strict, message):
+    with pytest.raises(ParseError, match=message):
+        parse_dimacs(text, strict=strict)
+
+
+@pytest.mark.parametrize("token", ["+1", "1_0", "\u0661", "\uff11", "1-"])
+def test_parse_rejects_tokens_int_reads_but_dimacs_does_not(token):
+    # int() reads all but the last of these as a number
+    with pytest.raises(ParseError, match=f"^line 2: bad token {re.escape(repr(token))}$"):
+        parse_dimacs(f"p cnf 12 1\n{token} 2 3 0\n")
+    with pytest.raises(ParseError, match="^line 1: malformed header"):
+        parse_dimacs(f"p cnf {token} 1\n1 2 3 0\n")
 
 
 def test_parse_rejects_count_mismatch_and_missing_header():
@@ -67,7 +94,8 @@ def test_parse_bytes_decodes_utf8_and_rejects_other_bytes():
 
 def test_parse_refuses_literals_beyond_int64():
     big = 10**20
-    with pytest.raises(ParseError, match="int64"):
+    with pytest.raises(ParseError,
+                       match="^line 2: clause 0: a literal exceeds the int64 range$"):
         parse_dimacs(f"p cnf {big} 1\n{big} 1 2 0\n")
 
 
@@ -182,6 +210,11 @@ def test_formula_errors_name_the_first_bad_clause():
         formula_from_ints(3, [[1, 2, 3], [-1, 2, 3], [1, -1, 2]])
     with pytest.raises(FormulaError, match="literal 0"):
         formula_from_ints(3, [[1, 2, 4], [1, 2, 3, 0]])
+    # np.abs(-2**63) is negative, so the range check must not take it
+    with pytest.raises(FormulaError, match=r"^clause 1: variable 9223372036854775808 "
+                                           r"out of range \(v=5\)$") as refused:
+        formula_from_ints(5, [[1, 2, 3], [1, 2, -2**63]])
+    assert refused.value.clause == 1
 
 
 @pytest.mark.parametrize("v, int_clauses, strict", [

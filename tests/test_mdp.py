@@ -89,7 +89,7 @@ def test_unsatisfiable_formula_zero_reward_mode():
     s = oracle.initial_state()
     while not s.is_terminal:
         a = int(np.random.default_rng(s.step).integers(0, 3))
-        assert oracle.sample_reward(s, a) == 0
+        assert oracle.sample_reward_batch(s, a, 1) == 0
         s = oracle.transition(s, a)
 
 
@@ -379,7 +379,7 @@ def test_sample_reward_zero_before_termination(figure_instance):
         nxt = transition(figure_instance, s, 1)
         if nxt.is_terminal:
             break
-        assert oracle.sample_reward(s, 1) == 0
+        assert oracle.sample_reward_batch(s, 1, 1) == 0
         s = nxt
 
 
@@ -425,7 +425,7 @@ def test_simulator_last_level_rewards_zero(figure_formula):
             a = int(rng.integers(0, 3))
             nxt = transition(sim, s, a)
             if nxt.is_terminal and nxt.terminal_kind == LAST_LEVEL:
-                assert oracle.sample_reward(s, a) == 0
+                assert oracle.sample_reward_batch(s, a, 1) == 0
             s = nxt
 
 
@@ -465,7 +465,7 @@ def test_simulator_cannot_price_gap_terminal_without_wstar():
     assert s.terminal_kind == GAP_SATISFIED
     oracle = SatOracle(sim, seed=0)
     with pytest.raises(InvariantViolation):
-        oracle.sample_reward(prev, act)
+        oracle.sample_reward_batch(prev, act, 1)
 
 
 def test_terminal_means_are_valid_probabilities():
@@ -542,7 +542,7 @@ def test_query_counters_count_interface_calls(figure_instance):
     s = oracle.initial_state()
     oracle.transition(s, 0)
     oracle.transition(s, 1)
-    oracle.sample_reward(s, 0)
-    oracle.features(s)
+    oracle.sample_reward_batch(s, 0, 1)
+    oracle.features_sa(s, 1)
     oracle.features_sa(s, 2)
     assert oracle.counters == {"transition": 3, "reward": 1, "feature": 2}
