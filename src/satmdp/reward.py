@@ -6,8 +6,9 @@ The round-i factor is the degree-p Taylor truncation of exp, `taylor_exp`,
 evaluated at -x / (v^(q-1) * (3 - i/h)), with v^(q-1) computed once per
 `RewardParams`. The range verifier decides every round (2v + 1 <= MAX_RANGE)
 from the two extreme ones, with an exact certificate of strict decrease where
-one holds. The monotone-step verifier clears rounds with a float ratio scan under an explicit
-error bound and decides every round it cannot clear exactly, in integers.
+one holds. The monotone-step verifier decides every round at once, in integers:
+each cell's margin is a polynomial in the round index, cleared by its Bernstein
+coefficients or searched exactly for its first negative round.
 """
 from __future__ import annotations
 
@@ -35,24 +36,16 @@ class RewardParams:
     scale_base: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("v", "p", "q", "h", "b"):
+        for name, low in (("v", 1), ("p", 0), ("q", 2), ("h", 1), ("b", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParameterError(f"{name} must be an int, got {value!r}")
+            if value < low:
+                raise ParameterError(f"{name} must be >= {low}")
         if not math.isfinite(self.alpha):
             raise ParameterError(f"alpha must be finite, got {self.alpha}")
-        if self.v < 1:
-            raise ParameterError("v must be >= 1")
-        if self.p < 0:
-            raise ParameterError("p must be >= 0")
-        if self.q < 2:
-            raise ParameterError("q must be >= 2")
-        if self.h < 1:
-            raise ParameterError("h must be >= 1")
         if not 0 < self.epsilon < 1:
             raise ParameterError("epsilon must be in (0,1)")
-        if self.b < 1:
-            raise ParameterError("b must be >= 1")
         if not self.alpha > 0:
             raise ParameterError(f"alpha must be > 0, got {self.alpha}")
         object.__setattr__(self, "scale_base", _scale_base(self.v, self.q))
@@ -168,9 +161,7 @@ def _truncation_positive_on(k: int, z_hi) -> bool:
 
 MAX_RANGE = 1 << 22         # largest 2v + 1 one range check evaluates
 V_CAP = 128                 # largest v that find_min_passing_v tries
-MAX_SCAN = 1 << 27          # largest h * 2v one monotone-step check scans
-MAX_EXACT_CELLS = 1 << 22   # largest count of cells it decides in integers
-_BLOCK_CELLS = 1 << 19      # float entries per g table in one block of rounds
+MAX_STEP_WORK = 1 << 22     # largest cells * (p+1)^2 of one monotone-step check
 
 
 def range_upper_bound(params: RewardParams) -> float:
@@ -220,96 +211,104 @@ def verify_claim_range(params: RewardParams) -> ClaimReport:
     return report
 
 
-def _scaled_row(params: RewardParams, i: int) -> list[int]:
-    """N_i(x) = p! * S_i^p * g_i(x) for x in [0, 2v], where S_i = v^(q-1)(3h - i)
-    = h * scale(i): the integer sum_k (p!/k!) (-h x)^k S_i^(p-k)."""
-    p, h = params.p, params.h
-    s = params.v ** (params.q - 1) * (3 * h - i)
-    coef = [math.factorial(p) // math.factorial(k) * s ** (p - k) for k in range(p + 1)]
-    return [sum(c * (-h * x) ** k for k, c in enumerate(coef))
+def _bernstein(c, lo: int, hi: int) -> list[int]:
+    """Scaled Bernstein coefficients on [lo, hi] of D(t) = sum_j c_j t^j, n = len(c) - 1:
+    after a Taylor shift to lo, beta_k = sum_(j<=k) C(n-j, k-j) (hi-lo)^j c_j."""
+    c, n = list(c), len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += lo * c[j + 1]
+    w = [(hi - lo) ** j * cj for j, cj in enumerate(c)]
+    return [sum(math.comb(n - j, k - j) * w[j] for j in range(k + 1)) for k in range(n + 1)]
+
+
+def _first_negative(c, hi: int) -> int | None:
+    """Least integer t in [0, hi] with D(t) = sum_j c_j t^j < 0, or None. Bernstein
+    subdivision, left half first, on a stack (hi may be 2^1000): an interval holds
+    if its coefficients are >= 0 and answers lo if beta_0 = D(lo) < 0; one with at
+    most n + 1 integers is evaluated at each."""
+    n, stack = len(c) - 1, [(0, hi)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo <= n:
+            for t in range(lo, hi + 1):
+                if sum(cj * t ** j for j, cj in enumerate(c)) < 0:
+                    return t
+            continue
+        beta = _bernstein(c, lo, hi)
+        if beta[0] < 0:
+            return lo
+        if min(beta) < 0:
+            mid = (lo + hi) // 2
+            stack += [(mid + 1, hi), (lo, mid)]
+    return None
+
+
+def _step_rows(params: RewardParams, offset: int) -> list[list[int]]:
+    """Coefficients in t = i-1 of N_(i+offset)(x) = sum_k (p!/k!) (-hx)^k S^(p-k),
+    S = v^(q-1)(3h-1-offset-t) = a - base t, for x in [0, 2v]."""
+    p, h, base = params.p, params.h, params.v ** (params.q - 1)
+    a = base * (3 * h - 1 - offset)
+    power = [[math.comb(m, j) * a ** (m - j) * (-base) ** j for j in range(m + 1)]
+             for m in range(p + 1)]                 # S^m
+    return [[sum(math.factorial(p) // math.factorial(k) * (-h * x) ** k * power[p - k][j]
+                 for k in range(p - j + 1)) for j in range(p + 1)]
             for x in range(2 * params.v + 1)]
 
 
-def _exact_round_violation(params: RewardParams, i: int) -> tuple[int, int] | None:
-    """First (u, e) in (u, e) order with g_i(u) g_(i+1)(e) < g_i(u-1) g_(i+1)(e+1),
-    over 1 <= u <= 2v, 0 <= e <= min(v-1, 2v-u), compared as products of N_i and
-    N_(i+1). Both sides share one positive factor with the g products, so the
-    decision is exact whatever the signs of g."""
-    v = params.v
-    a, b = _scaled_row(params, i), _scaled_row(params, i + 1)
-    for u in range(1, 2 * v + 1):
-        for e in range(min(v - 1, 2 * v - u) + 1):
-            if a[u] * b[e] < a[u - 1] * b[e + 1]:
-                return u, e
-    return None
+def _margins(A, B, u, e):
+    """Coefficients of N_i(u) N_(i+1)(e) - N_i(u-1) N_(i+1)(e+1), rows A[j][x], B[j][x]."""
+    p = len(A) - 1
+    for k in range(2 * p + 1):
+        yield sum(A[j][u] * B[k - j][e] - A[j][u - 1] * B[k - j][e + 1]
+                  for j in range(max(0, k - p), min(k, p) + 1))
 
 
 def _monotone_grid_violation(params: RewardParams) -> dict | None:
     """First violation of g_i(c+x)*g_{i+1}(d-x) >= g_i(c+x-1)*g_{i+1}(d-x+1)
-    over i in [1,h], c,d in [0,v], x in [1,d]; None if the grid passes.
+    over i in [1,h], c,d in [0,v], x in [1,d], least in (i, u, e) order with
+    u = c+x, e = d-x; None if the grid passes.
 
-    With u = c+x and e = d-x the constraint set is exactly {1 <= u <= 2v,
-    0 <= e <= v-1, u+e <= 2v}. Where g > 0 a cell violates iff
-    R_i(u) = g_i(u)/g_i(u-1) < S_{i+1}(e) = g_{i+1}(e+1)/g_{i+1}(e), so a float
-    scan of R_i(u) against the running max of S_{i+1} over e <= min(v-1, 2v-u)
-    clears a round in O(v). Each round it cannot clear beyond its error bound
-    is decided exactly by _exact_round_violation, within the MAX_* limits."""
+    The cells are exactly {1 <= u <= 2v, 0 <= e <= v-1, u+e <= 2v}. With
+    t = i-1 in [0, L], L = h-1, S_i = v^(q-1)(3h-1-t) is linear in t, so
+    N_i(x) = p! S_i^p g_i(x) is an integer polynomial of degree p in t and a
+    cell's margin D(t) = N_i(u) N_(i+1)(e) - N_i(u-1) N_(i+1)(e+1), of degree
+    n <= 2p, has the sign of the g margin. With b_k its Bernstein coefficients
+    on [0, L], beta_k = C(n,k) b_k = sum_(j<=k) C(n-j, k-j) L^j c_j are integers,
+    as C(n,k) C(k,j) / C(n,j) = C(n-j, k-j); in their basis t^k (L-t)^(n-k) a
+    product's are the convolution of its factors', so each cell's come from
+    2(2v+1) rows. If all are >= 0, the cell holds in every round (Farouki, CAGD
+    2012); other cells go to _first_negative, bounded by the least round found
+    so far. Cost: cells * (p+1)^2 products, whatever h is."""
     v, p, h = params.v, params.p, params.h
-    if h * 2 * v > MAX_SCAN:
-        raise ResourceLimitError(f"monotone step at v={v}: h * 2v is over {MAX_SCAN}")
-    xs = np.arange(0, 2 * v + 1, dtype=np.float64)
-    scale = params.scale_base * (3.0 - np.arange(1, h + 2) / h)
-    e_max = np.minimum(v - 1, 2 * v - np.arange(1, 2 * v + 1))
-    # Forward error of a computed g_i(x) at z = x/scale(i). The argument's
-    # relative error is at most 7u (i/h enters 3 - i/h >= 1 at most doubled; the
-    # subtraction, power, product, reciprocal and product with x round once
-    # each). The k-th Taylor term carries k times that plus 3k Horner roundings,
-    # so by the Horner bound of Higham (2002, section 5.1), with n = 12(p+1) >= 10p,
-    #   |fl(g_i(x)) - g_i(x)| <= gamma_n * sum_k z^k/k!,  gamma_n = n u/(1 - n u).
-    # The sum grows with x, so its value at x = 2v bounds the row; doubled, the
-    # bound covers its own float evaluation.
-    unit = 2.0 ** -53
-    gamma = 2 * 12 * (p + 1) * unit / (1 - 12 * (p + 1) * unit)
-    block = max(1, _BLOCK_CELLS // (2 * v + 1))
-    exact_cells = 0
-    for start in range(0, h, block):
-        # rows are the rounds start+1 .. min(start+block, h)+1
-        z = np.outer(1.0 / scale[start:start + block + 1], xs)
-        G = taylor_exp(p, -z)
-        err = gamma * taylor_exp(p, z[:, -1])
-        g_min = G.min(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # each row's largest relative error, infinite where g may be <= 0; R and
-            # S carry two of them and a division each, the comparison their sum x2
-            rel = np.where(g_min > err, err / g_min, np.inf)
-            width = 4 * (rel[:-1] + rel[1:]) + 8 * unit
-            R = G[:-1, 1:] / G[:-1, :-1]
-            S_max = np.maximum.accumulate(G[1:, 1:v + 1] / G[1:, :v], axis=1)
-            clear = np.isfinite(width) & np.all(
-                R > S_max[:, e_max] * (1 + width[:, None]), axis=1)
-        for r in np.flatnonzero(~clear):
-            i = start + 1 + int(r)
-            exact_cells += (3 * v * v + v) // 2     # the (u, e) cells of a round
-            if exact_cells > MAX_EXACT_CELLS:
-                raise ResourceLimitError(
-                    f"monotone step at v={v}: over {MAX_EXACT_CELLS} exact cells")
-            hit = _exact_round_violation(params, i)
-            if hit is not None:
-                u, e = hit
-                x = max(1, u - v)
-                c, d = u - x, e + x
-                return {"i": i, "c": c, "d": d, "x": x,
-                        "f_x": float(g(i, c + x, params) * g(i + 1, d - x, params)),
-                        "f_x_minus_1": float(g(i, c + x - 1, params)
-                                             * g(i + 1, d - x + 1, params))}
-    return None
+    if (3 * v * v + v) // 2 * (p + 1) ** 2 > MAX_STEP_WORK:
+        raise ResourceLimitError(f"monotone step at v={v}: cells*(p+1)^2 > {MAX_STEP_WORK}")
+    U, E = np.nonzero(np.add.outer(np.arange(1, 2 * v + 1), np.arange(v)) <= 2 * v)
+    U, L = U + 1, h - 1
+    rows = _step_rows(params, 0), _step_rows(params, 1)
+    A, B = (np.array(r, dtype=object).T for r in rows)
+    Ab, Bb = (np.array([_bernstein(y, 0, L) for y in r], dtype=object).T for r in rows)
+    certified = np.logical_and.reduce([beta >= 0 for beta in _margins(Ab, Bb, U, E)])
+    t, cell = L + 1, None
+    for k in np.flatnonzero(~certified):
+        hit = _first_negative(list(_margins(A, B, U[k], E[k])), t - 1)
+        if hit is not None:
+            t, cell = hit, k
+    if cell is None:
+        return None
+    i, u, e = t + 1, int(U[cell]), int(E[cell])
+    x = max(1, u - v)
+    c, d = u - x, e + x
+    return {"i": i, "c": c, "d": d, "x": x,
+            "f_x": float(g(i, c + x, params) * g(i + 1, d - x, params)),
+            "f_x_minus_1": float(g(i, c + x - 1, params) * g(i + 1, d - x + 1, params))}
 
 
 def find_min_passing_v(p: int, q: int, alpha: float, epsilon: float,
                        b: int) -> int | None:
     """Smallest v (doubling search, then binary refinement) at which the full
     monotone-step grid passes; None if no v <= V_CAP passes. A v whose check
-    is over MAX_SCAN or MAX_EXACT_CELLS raises ResourceLimitError."""
+    is over MAX_STEP_WORK raises ResourceLimitError."""
     def passes(v: int) -> bool:
         params = params_from_alpha(v, p=p, q=q, alpha=alpha, epsilon=epsilon, b=b)
         return _monotone_grid_violation(params) is None

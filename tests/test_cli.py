@@ -368,14 +368,17 @@ def test_non_finite_round_count_is_a_usage_error(tmp_path, cnf_file, capsys,
     assert "not finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("v, alpha", [("12", "1e300"), ("50", "1000")])
-def test_verify_claims_refuses_a_monotone_step_over_its_limit(tmp_path, capsys,
-                                                              v, alpha):
-    # alpha * v^3 is finite, but the monotone-step scan would be h * 2v >= 1.25e10
+@pytest.mark.parametrize("v, alpha, cell", [("12", "1e300", (1, 0, 2, 1)),
+                                            ("50", "1000", (1, 0, 28, 1))],
+                         ids=["12-1e300", "50-1000"])
+def test_verify_claims_decides_a_monotone_step_at_huge_h(tmp_path, v, alpha, cell):
+    # h = floor(alpha * v^3) is about 2^1007 and 1.25e8 rounds, all decided at once
     rc = main(["verify-claims", "--v", v, "--alpha", alpha,
                "--out", str(tmp_path / "claims.json")])
-    assert rc == 3
-    assert "refused: monotone step" in capsys.readouterr().err
+    assert rc == 1
+    ce = read_json(tmp_path / "claims.json")["outcomes"]["claim_monotone_step"][
+        "counterexample"]
+    assert (ce["i"], ce["c"], ce["d"], ce["x"]) == cell
 
 
 @pytest.mark.parametrize("flags", [["--q", "500"], ["--q", "500", "--rounds", "2"],

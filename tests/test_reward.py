@@ -256,15 +256,20 @@ def scaled_g(params, i, x):
 
 
 def test_monotone_grid_matches_brute_force_small():
-    # ratio scan vs direct four-loop evaluation in exact integers; the oracle
+    # verifier vs direct four-loop evaluation in exact integers; the oracle
     # stops after the first violating round and keeps all of its cells
     for v, p, q, alpha, expect_pass in (
             (6, 2, 4, 1 / 16, True), (6, 2, 2, 1.0, False),
-            # the failing sets named in ROADMAP item 1
+            # sets that fail in round 1
             (16, 1, 4, 1 / 16, False), (8, 2, 2, 1.0, False),
             (32, 1, 3, 1 / 16, False),
             # (1,1,1,1) is an exact tie, (1,2,1,1) the first strict violation
-            (2, 1, 3, 1.0, False)):
+            (2, 1, 3, 1.0, False),
+            # first violations past round 1: i = 100 of h = 128, i = 362 of h = 400
+            (2, 2, 4, 16.0, False), (5, 3, 3, 16.0, False),
+            # several cells fail past round 1; the least (i, u, e) is neither
+            # the last failing cell in (u, e) order nor, at (12, 3, 2), the first
+            (4, 2, 2, 1.0, False), (12, 3, 2, 1 / 4, False)):
         params = params_from_alpha(v, p=p, q=q, alpha=alpha)
         s1 = params.v ** (q - 1) * (3 * params.h - 1)
         exact = Fraction(scaled_g(params, 1, v), math.factorial(p) * s1 ** p)
@@ -291,7 +296,8 @@ def test_monotone_grid_matches_brute_force_small():
 
 def test_monotone_round_one_at_v512_is_decided_exactly():
     # h = 8,388,608: round 1's relative margins are below float resolution, so
-    # float64 products of the two rows flag cells that hold in exact arithmetic
+    # float64 products of the two rows flag cells (3,545 of them) that hold in
+    # exact arithmetic; the integer verifier clears the full grid
     params = params_from_alpha(512, p=2, q=4)
     v = params.v
     inv = 1.0 / np.array([params.scale(1), params.scale(2)])
@@ -300,19 +306,70 @@ def test_monotone_round_one_at_v512_is_decided_exactly():
     rhs = G[0, :-1, None] * G[1, None, 1:v + 1]
     valid = np.add.outer(np.arange(1, 2 * v + 1), np.arange(v)) <= 2 * v
     assert np.count_nonzero((lhs < rhs) & valid) > 0
-    assert reward._exact_round_violation(params, 1) is None
+    assert reward._monotone_grid_violation(params) is None
+
+
+@pytest.mark.parametrize("v, p, q, alpha", [
+    (256, 2, 4, 1 / 16),   # h = 1,048,576
+    (64, 2, 4, 16.0),      # h = 4,194,304
+    (128, 4, 4, 1 / 4),
+    (128, 6, 4, 1 / 4),
+])
+def test_monotone_grid_decides_every_round_at_once(v, p, q, alpha):
+    assert reward._monotone_grid_violation(
+        params_from_alpha(v, p=p, q=q, alpha=alpha)) is None
 
 
 def test_monotone_step_refuses_work_over_its_limits(monkeypatch):
-    # alpha = 16 at v = 64: h * 2v = 2^29 scan cells
-    with pytest.raises(ResourceLimitError, match="h \\* 2v"):
-        verify_claim_monotone_step(params_from_alpha(64, p=2, q=4, alpha=16.0))
-    # (32, 1, 3) decides its one failing round, 1,552 cells, in integers
+    # (32, 1, 3): 1,552 cells * (p+1)^2 = 6,208, with a violation in round 1
     params = params_from_alpha(32, p=1, q=3)
+    monkeypatch.setattr(reward, "MAX_STEP_WORK", 6_208)
     assert reward._monotone_grid_violation(params) is not None
-    monkeypatch.setattr(reward, "MAX_EXACT_CELLS", 1_000)
-    with pytest.raises(ResourceLimitError, match="exact cells"):
+    monkeypatch.setattr(reward, "MAX_STEP_WORK", 6_207)
+    with pytest.raises(ResourceLimitError, match="cells\\*\\(p\\+1\\)\\^2 > 6207"):
         reward._monotone_grid_violation(params)
+
+
+def poly_value(c, t):
+    return sum(cj * t ** j for j, cj in enumerate(c))
+
+
+def poly_from_roots(scale, roots, offset):
+    """Coefficients of scale * prod (t - r) + offset."""
+    c = [scale]
+    for r in roots:
+        c = [a - r * b for a, b in zip([0] + c, c + [0])]
+    c[0] += offset
+    return c
+
+
+@pytest.mark.parametrize("c, hi, expected", [
+    # 4(2t - 101)^2 - 1 dips below 0 only on (50.25, 50.75)
+    (poly_from_roots(16, [50, 51], 3), 200, None),
+    # (t - 37)^2 (t^2 + 1): a double root at an integer
+    ([1369, -74, 1370, -74, 1], 100, None),
+    # 2(t - 37)^2 - 1 is negative at t = 37 alone
+    (poly_from_roots(2, [37, 37], -1), 100, 37),
+    ([-1, 5], 0, 0), ([0, -5], 0, None), ([3], 0, None),
+    (poly_from_roots(2, [3 * 2 ** 998 + 12345] * 2, -1), 2 ** 1000, 3 * 2 ** 998 + 12345),
+    (poly_from_roots(1, [2 ** 999 + 1] * 2, 0), 2 ** 1001, None),
+    ([2 ** 1000 + 7, -1], 2 ** 1001, 2 ** 1000 + 8),
+])
+def test_first_negative_cases(c, hi, expected):
+    assert reward._first_negative(c, hi) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-60, 60), min_size=1, max_size=13),
+    st.builds(poly_from_roots, st.sampled_from([-2, -1, 1, 2, 4]),
+              st.lists(st.integers(0, 120), max_size=12), st.integers(-3, 3))),
+    st.integers(0, 120))
+def test_first_negative_matches_direct_evaluation(c, hi):
+    # degree <= 12 = 2p at p = 6; integer roots and small offsets give ties,
+    # double roots and dips between integers
+    expected = next((t for t in range(hi + 1) if poly_value(c, t) < 0), None)
+    assert reward._first_negative(c, hi) == expected
 
 
 @pytest.mark.parametrize("p, q, alpha, expected", [
