@@ -139,7 +139,7 @@ def greedy_rollout_value(inst: MdpInstance, s: MdpState) -> float:
     Terminal states are worth 0: the payout sits on the entering transition,
     which a rollout starting at the terminal never takes.
     """
-    if inst.satisfiable is False or s.is_terminal:
+    if inst.wstar is None or s.is_terminal:
         return 0.0
     while not s.is_terminal:
         s = transition(inst, s, greedy_action(inst, s))
@@ -152,7 +152,7 @@ def greedy_rollout_value(inst: MdpInstance, s: MdpState) -> float:
 def tree_optimal_values(inst: MdpInstance, states, children):
     """Optimal values for every node of an enumerated tree in one bottom-up
     pass (children indices always exceed the parent's)."""
-    if inst.satisfiable is False:
+    if inst.wstar is None:
         return [0.0] * len(states)
     values = [0.0] * len(states)
     for i in range(len(states) - 1, -1, -1):
@@ -225,14 +225,16 @@ class _BudgetExhausted(Exception):
 
 
 class ReductionOracle(SatOracle):
-    """Monitored simulator: every state handed out is screened for the
-    gap-satisfied terminal, which `mdp` enters when the satisfaction threshold
-    is met, and total oracle queries are budgeted (a query that would take the
-    total past the budget is refused before it runs)."""
+    """Monitored simulator, an instance without w* and so with zero reward
+    everywhere: every state handed out is screened for the gap-satisfied
+    terminal, which `mdp` enters when the satisfaction threshold is met, and
+    total oracle queries are budgeted (a query that would take the total past
+    the budget is refused before it runs)."""
 
     def __init__(self, instance: MdpInstance, seed: int, budget: int):
-        if instance.mode != MODE_SIMULATOR:
-            raise ParameterError("the reduction runs against the simulator")
+        if instance.wstar is not None:
+            raise ParameterError(
+                "the reduction runs against the simulator, which holds no wstar")
         super().__init__(instance, seed)
         self.budget = budget
 

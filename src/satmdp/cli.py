@@ -113,7 +113,9 @@ def cmd_gen(args) -> int:
     metadata = {
         "v": f.v, "m": f.m, "b_achieved": occurrence_bound(f),
         "h": params.h, "H": params.H, "d": inst.d,
-        "satisfiable": inst.satisfiable,
+        # undecided in simulator mode, which never solves the formula
+        "satisfiable": (None if args.mode == mdp.MODE_SIMULATOR
+                        else inst.wstar is not None),
         "wstar": _bits(inst.wstar_assignment()),
     }
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -48,7 +48,7 @@ def random_satisfiable_instance(seed: int, v: int, h: int, p: int = 2,
         if occurrence_bound(f) > b:
             continue
         inst = build_instance(f, params)
-        if not inst.satisfiable or initial_state(inst).is_terminal:
+        if inst.wstar is None or initial_state(inst).is_terminal:
             continue
         try:
             enumerate_reachable(inst, budget=tree_budget)

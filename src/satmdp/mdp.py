@@ -11,6 +11,11 @@ unsatisfied-clause mask, rebuilt in O(v) by OR-ing one per-variable mask per
 variable. Rewards are paid on the transition that terminates; terminal states
 themselves have zero features and zero continuation value.
 
+The instance's satisfying assignment w* is the only state a reward reads. An
+instance without one pays 0 on every transition: that is the MDP of a formula
+with no satisfying assignment, and so also the zero-reward simulator of the
+RL-to-SAT reduction, which `build_instance` never gives a w*.
+
 A state is one immutable record, built once per step. Its `stage` is
 STAGE_ONE, STAGE_TWO or, at a terminal, the terminal kind (LAST_LEVEL or
 GAP_SATISFIED). Its identity is a fixed-size summary of the round plus a
@@ -92,8 +97,9 @@ class MdpState(NamedTuple):
 
 
 class MdpInstance:
-    """Immutable bundle of formula, parameters, optional satisfying assignment,
-    and per-variable clause tables:
+    """Immutable bundle of formula, parameters, optional satisfying assignment
+    `wstar` (a bitmask; None pays 0 everywhere), start assignment and
+    per-variable clause tables:
 
     - `true_bits[x]`: the clauses x's literal satisfies when x is false, and
       when x is true (a pair of clause bitmasks);
@@ -103,18 +109,15 @@ class MdpInstance:
       z, then +1 if x occurs positively and -1 if negated.
     """
 
-    __slots__ = ("formula", "params", "mode", "wstar", "satisfiable", "d",
-                 "start", "all_mask", "all_clauses", "clause_vars_sorted",
-                 "true_bits", "occ_clause_bits", "recount",
-                 "gap_threshold_count")
+    __slots__ = ("formula", "params", "wstar", "d", "start", "all_mask",
+                 "all_clauses", "clause_vars_sorted", "true_bits",
+                 "occ_clause_bits", "recount", "gap_threshold_count")
 
-    def __init__(self, formula: Formula, params: RewardParams, mode: str,
-                 wstar: int | None, satisfiable: bool | None, start: int):
+    def __init__(self, formula: Formula, params: RewardParams,
+                 wstar: int | None, start: int):
         self.formula = formula
         self.params = params
-        self.mode = mode
         self.wstar = wstar
-        self.satisfiable = satisfiable
         self.d = feature_dim(formula.v, params.p)
         self.start = start
         self.all_mask = (1 << formula.v) - 1
@@ -149,8 +152,11 @@ class MdpInstance:
 
 def build_instance(f: Formula, params: RewardParams, wstar=None,
                    mode: str = MODE_FULL, start=None) -> MdpInstance:
-    """Validate the formula against the construction's requirements and resolve
-    the satisfying assignment (brute force at desk scale when not supplied)."""
+    """Validate the formula against the construction's requirements and fix
+    the instance's w*. Full mode takes a supplied w*, brute-forces one at
+    v <= EXHAUSTIVE_LIMIT (None if the formula is unsatisfiable) or refuses
+    past that. Simulator mode never resolves w* and refuses a supplied one,
+    so the simulator pays 0 everywhere and knows nothing of a solution."""
     if mode not in (MODE_FULL, MODE_SIMULATOR):
         raise ParameterError(f"unknown mode {mode!r}")
     if not f.strict:
@@ -165,26 +171,18 @@ def build_instance(f: Formula, params: RewardParams, wstar=None,
     if bound > params.b:
         raise FormulaError(f"occurrence bound {bound} exceeds b={params.b}")
 
-    satisfiable: bool | None
-    if wstar is not None:
+    if mode == MODE_SIMULATOR:
+        if wstar is not None:
+            raise ParameterError("the simulator takes no wstar: it pays 0 everywhere")
+        wstar_mask = None
+    elif wstar is not None:
         wstar = tuple(wstar)
         if len(wstar) != f.v:
             raise ParameterError("wstar has wrong length")
         wstar_mask = mask_from_assignment(wstar)
-        satisfiable = True
     elif f.v <= EXHAUSTIVE_LIMIT:
         sol = brute_force_sat(f)
-        if sol is None:
-            wstar_mask = None
-            satisfiable = False
-        else:
-            wstar_mask = mask_from_assignment(sol)
-            satisfiable = True
-    elif mode == MODE_SIMULATOR:
-        # The simulator never prices last-level rewards, so it stays usable
-        # when satisfiability is undecided.
-        wstar_mask = None
-        satisfiable = None
+        wstar_mask = None if sol is None else mask_from_assignment(sol)
     else:
         raise ResourceLimitError(
             f"cannot define rewards: no wstar given and v={f.v} exceeds the "
@@ -197,7 +195,7 @@ def build_instance(f: Formula, params: RewardParams, wstar=None,
         if len(start) != f.v:
             raise ParameterError("start assignment has wrong length")
         start_mask = mask_from_assignment(start)
-    inst = MdpInstance(f, params, mode, wstar_mask, satisfiable, start_mask)
+    inst = MdpInstance(f, params, wstar_mask, start_mask)
     if wstar is not None and _unsat_mask(inst, wstar_mask):
         raise ParameterError("supplied wstar does not satisfy the formula")
     return inst
@@ -292,29 +290,19 @@ def _terminal_mean(inst: MdpInstance, s: MdpState) -> float:
 
 def exact_expected_reward(inst: MdpInstance, s: MdpState) -> float:
     """Mean of the terminal Bernoulli at s, with free coordinates corrected to
-    the planted assignment. Full mode with a satisfying assignment only."""
+    the instance's w*; refused on an instance without one, which pays 0."""
     if not s.is_terminal:
         raise ParameterError("exact_expected_reward needs a terminal state")
-    if inst.satisfiable is False:
-        raise ParameterError("rewards are identically zero: formula unsatisfiable")
-    if inst.mode != MODE_FULL:
-        raise ParameterError("exact rewards are defined on the full MDP, not the simulator")
     if inst.wstar is None:
-        raise ParameterError("no satisfying assignment available")
+        raise ParameterError("no satisfying assignment: every reward is 0")
     return _terminal_mean(inst, s)
 
 
 def reward_mean(inst: MdpInstance, nxt: MdpState) -> float:
-    """Bernoulli mean paid on the transition into nxt (0 when non-terminal)."""
-    if not nxt.is_terminal:
+    """Bernoulli mean paid on the transition into nxt: 0 when nxt is
+    non-terminal or the instance has no w*."""
+    if not nxt.is_terminal or inst.wstar is None:
         return 0.0
-    if inst.satisfiable is False:
-        return 0.0
-    if inst.mode == MODE_SIMULATOR and nxt.terminal_kind == LAST_LEVEL:
-        return 0.0
-    if inst.wstar is None:
-        raise InvariantViolation(
-            "cannot price a gap-satisfied terminal without a satisfying assignment")
     return _terminal_mean(inst, nxt)
 
 

@@ -1,5 +1,7 @@
 import pytest
 
+import satmdp.cli
+import satmdp.mdp
 from satmdp.cnf import formula_from_ints
 from satmdp.mdp import build_instance
 from satmdp.reward import params_for_rounds
@@ -41,3 +43,16 @@ def figure_formula():
 def figure_instance(figure_formula):
     params = params_for_rounds(v=5, h=2, p=2, q=2)
     return build_instance(figure_formula, params)
+
+
+@pytest.fixture
+def sat_solves(monkeypatch):
+    """Every formula the package hands to the exhaustive SAT oracle from here
+    on, through each module that imports it."""
+    calls = []
+    for module in (satmdp.mdp, satmdp.cli):
+        def spy(f, real=module.brute_force_sat):
+            calls.append(f)
+            return real(f)
+        monkeypatch.setattr(module, "brute_force_sat", spy)
+    return calls

@@ -60,7 +60,7 @@ def exact_value_dp(inst, s, node_budget: int = 2_000_000) -> float:
     The terminal Bernoulli mean is credited on the transition entering the
     terminal state; terminal states themselves are worth 0.
     """
-    if inst.satisfiable is False:
+    if inst.wstar is None:
         return 0.0
     if s.is_terminal:
         return 0.0
@@ -156,7 +156,7 @@ def test_exact_value_dp_unsat_and_budget(figure_instance):
     f = strictify(formula_from_ints(1, [[1], [-1]], strict=False))
     params = params_for_rounds(v=f.v, h=1, p=2, q=2, b=8)
     inst = build_instance(f, params)
-    assert inst.satisfiable is False
+    assert inst.wstar is None
     assert exact_value_dp(inst, initial_state(inst)) == 0.0
     with pytest.raises(ResourceLimitError):
         exact_value_dp(figure_instance, initial_state(figure_instance),
@@ -195,6 +195,16 @@ def test_a_sat_yes_on_satisfiable_and_witness_is_verified():
         >= inst.gap_threshold_count
     # completeness within one episode: few hundred oracle calls at most
     assert sum(result.queries.values()) <= 2 * inst.params.H + 4
+
+
+def test_a_sat_never_solves_its_formula(sat_solves):
+    inst, wstar, _ = random_satisfiable_instance(47, v=6, h=2,
+                                                 epsilon=1 / 16, b=8)
+    sat_solves.clear()
+    result = a_sat(inst.formula, greedy_reference_learner(wstar), inst.params,
+                   seed=3)
+    assert result.answer == "YES"
+    assert sat_solves == []
 
 
 def test_a_sat_no_on_gap_unsatisfiable():

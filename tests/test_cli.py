@@ -164,6 +164,37 @@ def test_gen_unsat_zero_reward_mode(tmp_path, unsat_cnf):
     assert meta["satisfiable"] is False and meta["wstar"] is None
 
 
+def test_simulator_bundle_pays_zero_everywhere(tmp_path, cnf_file, capsys):
+    bundle = tmp_path / "bundle"
+    assert main(["gen", "--cnf", str(cnf_file), "--out", str(bundle),
+                 "--q", "2", "--rounds", "2", "--mode", "simulator",
+                 "--start", "01000"]) == 0
+    meta = read_json(bundle / "instance.json")["metadata"]
+    assert meta["satisfiable"] is None and meta["wstar"] is None
+    out = tmp_path / "rr"
+    assert main(["run", "--instance", str(bundle / "instance.json"),
+                 "--agent", "random", "--episodes", "40", "--seed", "3",
+                 "--out", str(out)]) == 0
+    outcomes = read_json(out / "report.json")["outcomes"]
+    assert "gap_satisfied" in outcomes["terminal_kinds"]
+    assert outcomes["episode_rewards"] == [0] * 40
+    lines = (out / "trajectories.jsonl").read_text().splitlines()
+    assert {json.loads(line)["reward"] for line in lines} == {0}
+    capsys.readouterr()
+    assert main(["run", "--instance", str(bundle / "instance.json"),
+                 "--agent", "greedy", "--out", str(tmp_path / "rg")]) == 2
+    assert "greedy agent needs a satisfying assignment" in capsys.readouterr().err
+
+
+def test_gen_simulator_refuses_wstar(tmp_path, cnf_file, capsys):
+    out = tmp_path / "bundle"
+    assert main(["gen", "--cnf", str(cnf_file), "--out", str(out),
+                 "--q", "2", "--rounds", "2", "--mode", "simulator",
+                 "--wstar", "11111"]) == 2
+    assert "simulator takes no wstar" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_deterministic_reports(tmp_path, cnf_file):
     bundle = tmp_path / "bundle"
     assert main(["gen", "--cnf", str(cnf_file), "--out", str(bundle),
@@ -294,6 +325,14 @@ def test_reduce_yes_on_satisfiable(tmp_path, cnf_file, capsys):
     report = read_json(tmp_path / "rep.json")
     assert report["answer"] == "YES"
     assert capsys.readouterr().out.strip().endswith("YES")
+
+
+def test_reduce_greedy_solves_the_formula_once(tmp_path, cnf_file, sat_solves):
+    # once for the greedy learner's target; the simulator solves nothing
+    assert main(["reduce", "--cnf", str(cnf_file), "--learner", "greedy",
+                 "--q", "2", "--rounds", "2",
+                 "--out", str(tmp_path / "rep.json")]) == 0
+    assert len(sat_solves) == 1
 
 
 def test_reduce_no_on_gap_unsat(tmp_path, capsys):

@@ -27,6 +27,7 @@ from satmdp.mdp import (
     exact_expected_reward,
     features_state,
     initial_state,
+    reward_mean,
     stage_one_floor,
     state_digest,
     transition,
@@ -55,7 +56,7 @@ def two_round_game():
 def test_build_instance_metadata(figure_instance):
     assert figure_instance.d == 31
     assert figure_instance.params.H == 10
-    assert figure_instance.satisfiable is True
+    assert figure_instance.wstar is not None
     assert satisfied_count(figure_instance.formula,
                            figure_instance.wstar_assignment()) == 5
 
@@ -76,6 +77,9 @@ def test_build_instance_validations(figure_formula):
     with pytest.raises(ParameterError):
         # satisfies only 2 of 5 clauses
         build_instance(figure_formula, params, wstar=(-1, 1, -1, -1, -1))
+    with pytest.raises(ParameterError, match="simulator takes no wstar"):
+        build_instance(figure_formula, params, mode=MODE_SIMULATOR,
+                       wstar=brute_force_sat(figure_formula))
 
 
 def test_unsatisfiable_formula_zero_reward_mode():
@@ -84,7 +88,7 @@ def test_unsatisfiable_formula_zero_reward_mode():
     f = strictify(formula_from_ints(1, [[1], [-1]], strict=False))
     params = params_for_rounds(v=f.v, h=2, p=2, q=4, b=8)  # x sits in all 8 clauses
     inst = build_instance(f, params)
-    assert inst.satisfiable is False and inst.wstar is None
+    assert inst.wstar is None
     oracle = SatOracle(inst, seed=3)
     s = oracle.initial_state()
     while not s.is_terminal:
@@ -429,33 +433,38 @@ def test_simulator_last_level_rewards_zero(figure_formula):
             s = nxt
 
 
-def test_simulator_pays_gap_satisfied_rewards(figure_formula):
-    # only the last layer is zeroed; reaching the threshold still pays
-    from satmdp.agents import greedy_action
+def test_simulator_pays_zero_at_gap_satisfied_terminals(figure_formula):
+    # greedy toward a satisfying assignment the simulator is never told: every
+    # episode ends gap-satisfied, where the full MDP pays and the simulator not
+    from satmdp.agents import greedy_policy
     params = params_for_rounds(v=5, h=2, p=2, q=2)
-    sim = build_instance(figure_formula, params, mode=MODE_SIMULATOR,
-                         start=(-1, 1, -1, -1, -1))
+    start = (-1, 1, -1, -1, -1)
+    wstar = brute_force_sat(figure_formula)
+    sim = build_instance(figure_formula, params, mode=MODE_SIMULATOR, start=start)
+    full = build_instance(figure_formula, params, start=start)
+    assert sim.wstar is None
+    policy = greedy_policy(sim, wstar)
     oracle = SatOracle(sim, seed=17)
     ones = 0
     for _ in range(300):
         s = oracle.initial_state()
         while not s.is_terminal:
-            a = greedy_action(sim, s)
-            nxt, r = oracle.step(s, a)
+            prev, a = s, policy(s)
+            s, r = oracle.step(prev, a)
             ones += r
-            s = nxt
         assert s.terminal_kind == GAP_SATISFIED
-    assert ones > 0
+        assert reward_mean(sim, s) == 0.0 < reward_mean(full, s)
+        assert oracle.sample_reward_batch(prev, a, 1000) == 0
+    assert ones == 0
 
 
-def test_simulator_cannot_price_gap_terminal_without_wstar():
-    # satisfiability undecided (v over the exhaustive limit, no wstar):
-    # transitions and features work, pricing a threshold terminal does not
-    from satmdp.errors import InvariantViolation
+def test_simulator_prices_gap_terminal_at_v30_zero():
+    # v over the exhaustive limit and no wstar: transitions and features
+    # work, and the threshold terminal is priced 0 without any solve
     f, planted = regular_planted_formula(30, seed=3)
     params = params_for_rounds(v=30, h=2, p=2, q=2, epsilon=1 / 16, b=6)
     sim = build_instance(f, params, mode=MODE_SIMULATOR)
-    assert sim.satisfiable is None and sim.wstar is None
+    assert sim.wstar is None
     from satmdp.agents import greedy_policy
     s = initial_state(sim)
     assert not s.is_terminal
@@ -463,9 +472,10 @@ def test_simulator_cannot_price_gap_terminal_without_wstar():
         prev, act = s, greedy_policy(sim, planted)(s)
         s = transition(sim, s, act)
     assert s.terminal_kind == GAP_SATISFIED
+    assert reward_mean(sim, s) == 0.0
     oracle = SatOracle(sim, seed=0)
-    with pytest.raises(InvariantViolation):
-        oracle.sample_reward_batch(prev, act, 1)
+    assert oracle.sample_reward_batch(prev, act, 1000) == 0
+    assert oracle.step(prev, act)[1] == 0
 
 
 def test_terminal_means_are_valid_probabilities():
