@@ -32,7 +32,6 @@ from .mdp import (
     STAGE_ONE,
     MdpInstance,
     MdpState,
-    Trajectory,
     build_instance,
     exact_expected_reward,
     features_state,
@@ -175,18 +174,19 @@ def tree_optimal_values(inst: MdpInstance, states, children):
 # --- rollouts ---------------------------------------------------------------------
 
 
-def rollout(oracle: SatOracle, policy) -> Trajectory:
-    """Run a policy (a callable from state to action) to termination."""
+def rollout(oracle: SatOracle, policy):
+    """Run a policy (a callable from state to action) to termination, yielding
+    (state, action, reward sample, next state) as each step is taken."""
     s = oracle.initial_state()
-    records = []
-    while not oracle.is_terminal(s):
-        if len(records) >= oracle.horizon:
-            raise InvariantViolation("episode exceeded the horizon without terminating")
+    for _ in range(oracle.horizon):
+        if oracle.is_terminal(s):
+            return
         a = policy(s)
         nxt, reward = oracle.step(s, a)
-        records.append((s, a, reward))
+        yield s, a, reward, nxt
         s = nxt
-    return Trajectory(tuple(records), s)
+    if not oracle.is_terminal(s):
+        raise InvariantViolation("episode exceeded the horizon without terminating")
 
 
 def _walk(oracle, start, path):

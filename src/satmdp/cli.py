@@ -234,14 +234,16 @@ def cmd_run(args) -> int:
     kinds = []
     with open(out_dir / "trajectories.jsonl", "w") as fh:
         for _episode in range(args.episodes):
-            traj = agents.rollout(oracle, policy)
-            for step, (s, a, r) in enumerate(traj.records):
+            total = 0
+            # _build_instance refuses a terminal start, so every episode steps
+            for s, a, r, nxt in agents.rollout(oracle, policy):
                 # the bytes json.dumps writes for this dict of ints and a hex string
-                fh.write(f'{{"step": {step}, "state_digest": '
+                fh.write(f'{{"step": {s.step}, "state_digest": '
                          f'"{mdp.state_digest(inst, s)}", "action": {a}, '
                          f'"reward": {r}}}\n')
-            totals.append(traj.total_reward())
-            kinds.append(traj.terminal_kind)
+                total += r
+            totals.append(total)
+            kinds.append(nxt.terminal_kind)
     config = {"instance": str(args.instance), "agent": args.agent,
               "episodes": args.episodes}
     outcomes = {"episode_rewards": totals, "terminal_kinds": kinds,

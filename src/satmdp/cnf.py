@@ -7,10 +7,12 @@ padded with trailing 0s. `formula_from_ints` is the constructor and checks the
 clauses; `Formula.clauses` rebuilds them as `Clause`/`Literal` tuples on every
 access, for readers outside the package.
 
-Assignments are tuples over {-1, +1}: -1 is false, +1 is true. The exhaustive
-oracles enumerate all 2^v assignments with numpy, mapping variable 0 to the most
-significant bit so that numeric index order equals lexicographic order with
-false < true.
+Assignments are tuples over {-1, +1}: -1 is false, +1 is true. One exhaustive
+Max-SAT sweep counts the unsatisfied clauses of all 2^v assignments with numpy,
+mapping variable 0 to the most significant bit so that numeric index order
+equals lexicographic order with false < true. Its witness is the first
+maximiser, so it also answers SAT: when it satisfies every clause, it is the
+lexicographically smallest satisfying assignment.
 """
 from __future__ import annotations
 
@@ -275,20 +277,15 @@ def _check_exhaustive_limit(f: Formula):
 
 
 def brute_force_sat(f: Formula) -> Assignment | None:
-    """Lexicographically smallest satisfying assignment, or None if unsatisfiable."""
-    _check_exhaustive_limit(f)
-    idx = np.arange(1 << f.v, dtype=np.uint32)
-    any_unsat = np.zeros(1 << f.v, dtype=bool)
-    for mask, pattern in _clause_subcubes(f):
-        any_unsat |= (idx & np.uint32(mask)) == np.uint32(pattern)
-    sat = ~any_unsat
-    if not sat.any():
-        return None
-    return _index_to_assignment(int(np.argmax(sat)), f.v)
+    """Lexicographically smallest satisfying assignment, or None if unsatisfiable:
+    the Max-SAT witness when it satisfies every clause."""
+    best, witness = brute_force_max_sat(f)
+    return witness if best == f.m else None
 
 
 def brute_force_max_sat(f: Formula) -> tuple[int, Assignment]:
-    """Maximum satisfied-clause count over all assignments, with a witness."""
+    """Maximum satisfied-clause count over all assignments, with the
+    lexicographically smallest witness."""
     _check_exhaustive_limit(f)
     idx = np.arange(1 << f.v, dtype=np.uint32)
     # narrowest type that holds m, so the count cannot wrap

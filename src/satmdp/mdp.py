@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -348,21 +347,6 @@ def encode_state(inst: MdpInstance, s: MdpState) -> bytes:
 
 def state_digest(inst: MdpInstance, s: MdpState) -> str:
     return encode_state(inst, s).hex()
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Rollout record: (state, action, reward sample) per step plus the final state."""
-
-    records: tuple
-    final_state: MdpState
-
-    @property
-    def terminal_kind(self):
-        return self.final_state.terminal_kind
-
-    def total_reward(self):
-        return sum(r for _, _, r in self.records)
 
 
 def enumerate_reachable(inst: MdpInstance, budget: int = 500_000):

@@ -178,11 +178,30 @@ def test_rollout_semantics(figure_formula):
     params = params_for_rounds(v=5, h=2, p=2, q=2, epsilon=0.125)
     inst = build_instance(figure_formula, params, start=(-1, 1, -1, -1, -1))
     oracle = SatOracle(inst, seed=1)
-    traj = rollout(oracle, greedy_policy(inst))
-    assert traj.final_state.is_terminal
-    assert traj.terminal_kind == GAP_SATISFIED
-    assert 1 < len(traj.records) <= inst.params.H
-    assert all(r == 0 for _, _, r in traj.records[:-1])
+    steps = list(rollout(oracle, greedy_policy(inst)))
+    final = steps[-1][3]
+    assert final.is_terminal
+    assert final.terminal_kind == GAP_SATISFIED
+    assert 1 < len(steps) <= inst.params.H
+    assert all(r == 0 for _, _, r, _ in steps[:-1])
+
+
+def test_rollout_streams_each_step_as_taken(figure_instance):
+    oracle = SatOracle(figure_instance, seed=0)
+    next(rollout(oracle, greedy_policy(figure_instance)))
+    # the initial state plus one step: nothing beyond the first step is played
+    assert oracle.counters == {"transition": 2, "reward": 1, "feature": 0}
+
+
+def test_rollout_refuses_an_episode_past_the_horizon(figure_formula):
+    params = params_for_rounds(v=5, h=2, p=2, q=2, epsilon=0.125)
+    inst = build_instance(figure_formula, params, start=(-1, 1, -1, -1, -1))
+    oracle = SatOracle(inst, seed=1)
+    oracle.horizon = 1
+    steps = rollout(oracle, greedy_policy(inst))
+    assert not next(steps)[3].is_terminal
+    with pytest.raises(InvariantViolation, match="horizon"):
+        next(steps)
 
 
 def test_a_sat_yes_on_satisfiable_and_witness_is_verified():
@@ -557,7 +576,8 @@ def test_horizon_split_policy_golden():
 
 def test_sat_oracle_exposes_query_counters(figure_instance):
     oracle = SatOracle(figure_instance, seed=0)
-    rollout(oracle, greedy_policy(figure_instance))
+    for _ in rollout(oracle, greedy_policy(figure_instance)):
+        pass
     counts = oracle.counters
     assert counts["transition"] >= 1 and counts["reward"] >= 1
     assert sum(counts.values()) == counts["transition"] + counts["reward"] \

@@ -214,19 +214,49 @@ def test_run_deterministic_reports(tmp_path, cnf_file):
     assert set(first) == {"step", "state_digest", "action", "reward"}
 
 
-def test_trajectory_lines_are_json_dumps_bytes(tmp_path):
+@pytest.fixture
+def planted_bundle(tmp_path):
+    """Full-mode bundle of the v=15 regular planted formula (seed 3)."""
     from satmdp.cnf import to_dimacs
     from satmdp.instances import regular_planted_formula
     f, planted = regular_planted_formula(15, seed=3)
     cnf = tmp_path / "f15.cnf"
     cnf.write_text(to_dimacs(f))
-    bundle = tmp_path / "bundle"
+    bundle = tmp_path / "bundle15"
     assert main(["gen", "--cnf", str(cnf), "--out", str(bundle),
                  "--q", "2", "--rounds", "2", "--epsilon", "0.0625",
                  "--wstar", "".join("1" if x == 1 else "0" for x in planted)]) == 0
+    return bundle
+
+
+# sha256 over the trajectory bytes and report outcomes of the three runs below,
+# recorded while episodes were still buffered whole before being written: pins
+# every step line, reward draw, policy draw and query count of `satmdp run`
+RUN_GOLDEN = "708bdc496b52f68eca7033bfd4a26e3bb596a56112ed0abd2e5fc260d65b0daa"
+
+
+def test_run_golden(tmp_path, cnf_file, planted_bundle):
+    figure = tmp_path / "bundle"
+    assert main(["gen", "--cnf", str(cnf_file), "--out", str(figure),
+                 "--q", "2", "--rounds", "2"]) == 0
+    digest = hashlib.sha256()
+    for k, (bundle, agent, episodes, seed) in enumerate((
+            (figure, "greedy", 3, 11), (planted_bundle, "random", 4, 5),
+            (planted_bundle, "greedy", 4, 5))):
+        out = tmp_path / f"run{k}"
+        assert main(["run", "--instance", str(bundle / "instance.json"),
+                     "--agent", agent, "--episodes", str(episodes),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        digest.update((out / "trajectories.jsonl").read_bytes())
+        outcomes = read_json(out / "report.json")["outcomes"]
+        digest.update(json.dumps(outcomes, sort_keys=True).encode())
+    assert digest.hexdigest() == RUN_GOLDEN
+
+
+def test_trajectory_lines_are_json_dumps_bytes(tmp_path, planted_bundle):
     for agent in ("random", "greedy"):
         out = tmp_path / agent
-        assert main(["run", "--instance", str(bundle / "instance.json"),
+        assert main(["run", "--instance", str(planted_bundle / "instance.json"),
                      "--agent", agent, "--episodes", "4", "--seed", "5",
                      "--out", str(out)]) == 0
         lines = (out / "trajectories.jsonl").read_text().splitlines(keepends=True)

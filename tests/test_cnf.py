@@ -247,11 +247,14 @@ def test_satisfied_count_matches_oracle_random(data):
     f = formula_from_ints(v, int_clauses, strict=False)
     a = tuple(data.draw(st.sampled_from((-1, 1))) for _ in range(v))
     assert satisfied_count(f, a) == brute_satisfied_count(int_clauses, a)
-    # max-sat really is the max over every assignment
+    # max-sat really is the max over every assignment, and its witness is the
+    # first maximiser in lexicographic order, which brute_force_sat relies on
+    counts = [(b, brute_satisfied_count(int_clauses, b)) for b in all_assignments(v)]
     best, witness = brute_force_max_sat(f)
-    assert best == max(brute_satisfied_count(int_clauses, b)
-                       for b in all_assignments(v))
+    assert best == max(c for _, c in counts)
     assert satisfied_count(f, witness) == best
+    assert witness == next(b for b, c in counts if c == best)
+    assert brute_force_sat(f) == next((b for b, c in counts if c == m), None)
 
 
 @settings(max_examples=40, deadline=None)
