@@ -339,6 +339,7 @@ def greedy_on_q(q: dict, oracle):
 
 MIN_ROLLOUTS = 64  # reward samples per distinct policy, at the least
 COVER_BUDGET = 60_000_000  # largest lattice cover epsilon_net_search enumerates
+BLOCK_ROWS = 16_384  # candidates scored together when slabs are small
 
 
 def cover_radius(eps: float, horizon: int, dim: int) -> float:
@@ -352,45 +353,71 @@ def cover_spacing(eps: float, horizon: int, dim: int) -> float:
 
 
 def _lattice_ball_slabs(dim: int, spacing: float, radius: float):
-    """Yield the lattice points with norm <= radius as (n, dim) slabs, one per
-    value x0 of the first coordinate (at dim 1, the whole ball is one slab).
+    """Yield the lattice points with norm <= radius as (dim, n) blocks of
+    whole slabs, a slab being the points at one value x0 of the first
+    coordinate; x0 ascends through the blocks. At dim 1, the whole ball is one
+    (1, n) block.
 
     The (dim - 1)-dimensional rest of the grid is stable-sorted by squared
-    norm once, so the slab at x0 is the prefix of it within r^2 - x0^2,
-    written behind x0 into one reused buffer: memory is O(|rest| * dim), with
-    no per-slab mask or gather. Each slab is a view of that buffer, valid
-    until the next one is yielded; copy it to keep it."""
+    norm once, so the slab at x0 is the prefix of it within r^2 - x0^2. The
+    prefixes are stored as columns behind x0 in one (dim, widest slab)
+    buffer. A slab of at least BLOCK_ROWS points is yielded as a view of that
+    buffer, with no copy; runs of smaller consecutive slabs are copied
+    together into one reused (dim, BLOCK_ROWS) block. Memory is
+    O(max(BLOCK_ROWS, |slab|) * dim), with no per-slab mask or gather. Each
+    block is valid until the next one is yielded; copy it to keep it."""
     reach = int(math.floor(radius / spacing))
     axis = np.arange(-reach, reach + 1, dtype=np.float64) * spacing
     if dim == 1:
-        pts = axis[np.abs(axis) <= radius][:, None]
-        if len(pts):
+        pts = axis[np.abs(axis) <= radius][None, :]
+        if pts.shape[1]:
             yield pts
         return
     rest = np.stack(np.meshgrid(*([axis] * (dim - 1)), indexing="ij"),
                     axis=-1).reshape(-1, dim - 1)
     rest_sq = np.einsum("ij,ij->i", rest, rest)
     order = np.argsort(rest_sq, kind="stable")
-    rest_sq = rest_sq[order]
-    slab = np.empty((len(rest), dim))
-    slab[:, 1:] = rest[order]
     r2 = radius * radius
+    # no slab is wider than the one at x0 = 0
+    widest = int(np.searchsorted(rest_sq[order], r2, side="right"))
+    order = order[:widest]
+    rest_sq = rest_sq[order]
+    slab = np.empty((dim, widest))
+    slab[1:] = rest[order].T
+    del rest, order
+    block = np.empty((dim, BLOCK_ROWS))
+    fill = 0
     for x0 in axis:
         n = int(np.searchsorted(rest_sq, r2 - x0 * x0, side="right"))
-        if n:
-            slab[:n, 0] = x0
-            yield slab[:n]
+        if not n:
+            continue
+        if fill and fill + n > BLOCK_ROWS:
+            yield block[:, :fill]
+            fill = 0
+        if n >= BLOCK_ROWS:
+            slab[0, :n] = x0
+            yield slab[:, :n]
+            continue
+        block[0, fill:fill + n] = x0
+        block[1:, fill:fill + n] = slab[1:, :n]
+        fill += n
+    if fill:
+        yield block[:, :fill]
 
 
 def _first_argmax(scores: np.ndarray) -> np.ndarray:
-    """np.argmax(scores, axis=1) column by column, which is cheaper than an
-    argmax along rows of a few entries; the lowest column wins ties."""
-    best = scores[:, 0].copy()
-    acts = np.zeros(len(scores), dtype=np.intp)
-    for a in range(1, scores.shape[1]):
-        col = scores[:, a]
-        acts[col > best] = a
-        np.maximum(best, col, out=best)
+    """np.argmax(scores, axis=0) of a (k, n) score table, row by row and
+    without branches, in the smallest unsigned type that holds k - 1: an
+    argmax down columns of a few entries is far slower. The comparisons are
+    np.argmax's, so the lowest row wins ties, signed zeros included."""
+    k = len(scores)
+    best = scores[0].copy()
+    acts = np.zeros(scores.shape[1], dtype=np.min_scalar_type(k - 1))
+    for a in range(1, k):
+        row = scores[a]
+        # acts < a here, so a - acts does not wrap
+        acts += (row > best).view(np.uint8) * (a - acts).astype(acts.dtype)
+        np.maximum(best, row, out=best)
     return acts
 
 
@@ -403,9 +430,19 @@ def epsilon_net_search(oracle, eps: float, delta: float):
     estimate depends only on the trajectory), so rollouts are spent per
     distinct policy, each sampled enough for a delta/|cover| union bound.
 
-    The cover is streamed slab by slab (one value of the first coordinate at a
-    time) and each slab is split into trajectories group by group, so memory is
-    O(|slab| * d) = O((2 * radius / spacing)^(d-1) * d), not the whole ball.
+    The cover is streamed as (d, n) blocks of whole slabs (a slab is one value
+    of the first coordinate) and each block is split into trajectories group
+    by group: a group's scores are the (k, n) table features @ candidates, and
+    its candidates are partitioned by their first argmax action. Memory is
+    O(max(BLOCK_ROWS, |slab|) * d), with |slab| <= (2 * radius / spacing)^(d-1),
+    not the whole ball.
+
+    Near-ties are decided by float rounding. toys.ToyLinearMdp at d = 2 plants
+    sibling features that are equal in exact arithmetic, and apart by rounding
+    alone, whenever two siblings share a quantized value and a noise sign. A
+    lattice point's exact score gap between such siblings can be ~1e-17, and
+    which of them wins then depends on the BLAS kernel path that the point's
+    position in its group takes.
     """
     d, H = oracle.dim, oracle.horizon
     spacing = cover_spacing(eps, H, d)
@@ -437,20 +474,22 @@ def epsilon_net_search(oracle, eps: float, delta: float):
         return True
 
     cover_points = 0
-    for slab in _lattice_ball_slabs(d, spacing, radius):
-        cover_points += len(slab)
-        groups = [] if settle(s0, (), len(slab)) else [(s0, slab, ())]
+    for block in _lattice_ball_slabs(d, spacing, radius):
+        n = block.shape[1]
+        cover_points += n
+        groups = [] if settle(s0, (), n) else [(s0, block, ())]
         while groups:
             s, cands, prefix = groups.pop()
-            acts = _first_argmax(cands @ sa_features(s).T)
-            counts = np.bincount(acts, minlength=oracle.num_actions)
-            for a, count in enumerate(counts.tolist()):
+            acts = _first_argmax(sa_features(s) @ cands)
+            for a in range(oracle.num_actions):
+                chosen = acts == a
+                count = int(np.count_nonzero(chosen))
                 if not count:
                     continue
                 nxt, path = oracle.transition(s, a), prefix + (a,)
                 # only groups that go on are copied out
                 if not settle(nxt, path, count):
-                    groups.append((nxt, cands.compress(acts == a, axis=0), path))
+                    groups.append((nxt, cands.compress(chosen, axis=1), path))
 
     n_unique = len(trajectory_counts)
     n_roll = max(MIN_ROLLOUTS,
@@ -567,10 +606,13 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
         for e in bases[-1]
     ])
     max_residual = 0.0
+    # a level every path ends before has an empty basis, never expanded against
+    mats = [np.stack([e.features for e in basis], axis=1) if basis else None
+            for basis in bases]
 
     def expand(feat, level_idx):
         nonlocal max_residual
-        mat = np.stack([e.features for e in bases[level_idx]], axis=1)
+        mat = mats[level_idx]
         alpha, *_ = np.linalg.lstsq(mat, feat, rcond=None)
         resid = float(np.linalg.norm(mat @ alpha - feat))
         max_residual = max(max_residual, resid)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from satmdp import agents
 from satmdp.agents import (
     ReductionOracle,
     SatOracle,
@@ -444,28 +445,54 @@ def sorted_rows(pts):
     return pts[np.lexsort(pts.T[::-1])]
 
 
-@pytest.mark.parametrize("dim, eps, horizon", [(1, 0.1, 3), (2, 0.2, 3), (3, 0.5, 2)])
-def test_lattice_ball_slabs_match_full_cube(dim, eps, horizon):
+def ball_blocks(dim, eps, horizon):
+    """The blocks of one ball, checked against the full cube and against the
+    block contract; returns each block's first coordinates and their counts."""
     spacing = cover_spacing(eps, horizon, dim)
     radius = 1.0 + spacing * math.sqrt(dim) / 2
-    # a slab is only valid until the next one is yielded
-    slabs = [slab.copy() for slab in _lattice_ball_slabs(dim, spacing, radius)]
-    got = np.concatenate(slabs)
-    assert np.array_equal(sorted_rows(got),
+    # a block is only valid until the next one is yielded
+    blocks = [block.copy() for block in _lattice_ball_slabs(dim, spacing, radius)]
+    assert all(block.shape[0] == dim for block in blocks)
+    got = np.concatenate(blocks, axis=1)
+    assert np.array_equal(sorted_rows(got.T),
                           sorted_rows(brute_ball(dim, spacing, radius)))
-    if dim > 1:
-        # one slab per first coordinate, each with that coordinate throughout
-        firsts = [slab[0, 0] for slab in slabs]
-        assert all((slab[:, 0] == slab[0, 0]).all() for slab in slabs)
-        assert firsts == sorted(set(firsts))
+    if dim == 1:
+        assert len(blocks) == 1
+        return []
+    firsts = [np.unique(block[0], return_counts=True) for block in blocks]
+    # blocks of whole slabs: x0 ascends through the blocks, every x0 lies in
+    # exactly one block, and no block exceeds max(BLOCK_ROWS, its largest slab)
+    assert (np.diff(got[0]) >= 0).all()
+    every = np.concatenate([x0s for x0s, _ in firsts])
+    assert len(every) == len(np.unique(every))
+    assert all(block.shape[1] <= max(agents.BLOCK_ROWS, widths.max())
+               for block, (_, widths) in zip(blocks, firsts))
+    return firsts
 
 
-def test_epsilon_net_grouping_matches_per_candidate_walk():
+BALLS = [(1, 0.1, 3), (2, 0.2, 3), (3, 0.5, 2)]
+
+
+@pytest.mark.parametrize("dim, eps, horizon", BALLS)
+def test_lattice_ball_slabs_match_full_cube(dim, eps, horizon):
+    # at dim > 1 every slab of these balls is narrower than BLOCK_ROWS, so
+    # they are copied into shared blocks
+    assert all(len(x0s) > 1 for x0s, _ in ball_blocks(dim, eps, horizon))
+
+
+@pytest.mark.parametrize("dim, eps, horizon", BALLS)
+def test_lattice_ball_slabs_match_full_cube_in_small_blocks(dim, eps, horizon,
+                                                            monkeypatch):
+    # at 64 rows the slabs of 64 points or more are yielded as views
+    monkeypatch.setattr(agents, "BLOCK_ROWS", 64)
+    firsts = ball_blocks(dim, eps, horizon)
+    assert dim == 1 or any(widths.max() >= 64 for _, widths in firsts)
+
+
+def assert_grouping_matches_walk(toy, eps):
     # dual route: the grouped candidate-to-trajectory mapping must agree with
     # walking every point of the ball, enumerated from the full cube
-    toy = ToyLinearMdp(depth=3, num_actions=3, dim=2, structure_seed=5,
-                       reward_seed=77)
-    eps, delta = 0.2, 0.1
+    delta = 0.1
     _actions, info = epsilon_net_search(toy, eps=eps, delta=delta)
     spacing = cover_spacing(eps, toy.horizon, toy.dim)
     radius = 1.0 + spacing * math.sqrt(toy.dim) / 2
@@ -487,16 +514,46 @@ def test_epsilon_net_grouping_matches_per_candidate_walk():
     assert brute == info["trajectory_counts"]
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+def test_epsilon_net_grouping_matches_per_candidate_walk():
+    toy = ToyLinearMdp(depth=3, num_actions=3, dim=2, structure_seed=5,
+                       reward_seed=77)
+    assert_grouping_matches_walk(toy, eps=0.2)
+
+
+def test_epsilon_net_grouping_matches_per_candidate_walk_at_d3(monkeypatch):
+    # the ball holds 16,831 points in 31 slabs of 89 to 793: at 512 rows the
+    # two narrowest slabs at each end share a block, the next four are copied
+    # alone and the rest are yielded as views
+    monkeypatch.setattr(agents, "BLOCK_ROWS", 512)
+    toy = ToyLinearMdp(depth=2, num_actions=3, dim=3, structure_seed=7,
+                       reward_seed=77)
+    assert_grouping_matches_walk(toy, eps=0.8)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 300])
 def test_first_argmax_matches_numpy_argmax(k):
     rng = np.random.default_rng(k)
     # few distinct integer values, so most rows hold ties
     scores = rng.integers(-2, 3, size=(5_000, k)).astype(np.float64)
+    # then rows whose maximum is planted at a random column, and tied at a
+    # later one in about half of them, so the first argmax reaches every column
+    planted = rng.integers(-2, 3, size=(5_000, k)).astype(np.float64)
+    rows = np.arange(len(planted))
+    first = rng.integers(0, k, size=len(planted))
+    planted[rows, first] = 3.0
+    tied = rows[(first < k - 1) & (rng.random(len(planted)) < 0.5)]
+    planted[tied, rng.integers(first[tied] + 1, k)] = 3.0
+    scores = np.concatenate([scores, planted])
     signed_zero = (scores == 0) & (rng.random(scores.shape) < 0.5)
     scores[signed_zero] = -0.0
     assert np.signbit(scores[scores == 0]).any()
     assert not np.signbit(scores[scores == 0]).all()
-    assert np.array_equal(_first_argmax(scores), np.argmax(scores, axis=1))
+    expected = np.argmax(scores, axis=1)
+    assert expected.max() == k - 1
+    # scores are laid out (k, n): one row per action
+    acts = _first_argmax(np.ascontiguousarray(scores.T))
+    assert acts.dtype == np.min_scalar_type(k - 1)
+    assert np.array_equal(acts, expected)
 
 
 def test_horizon_split_rejects_zero_feature_layers(figure_formula):
