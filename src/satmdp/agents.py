@@ -9,8 +9,10 @@ The baselines and the reduction call an oracle through these names only;
 - `initial_state()`, `transition(s, a)`, `is_terminal(s)`: deterministic moves;
 - `sample_reward_batch(s, a, count)`: the sum of `count` reward samples at (s, a);
 - `features_sa(s, a)`: the feature vector of the pair (s, a);
-- `digest(s)`: a hashable key of the state s;
 - `num_actions`, `horizon`, `dim`: k, H and d.
+
+States are hashable and are their own keys: two are equal exactly when they
+are one node of the oracle's tree.
 
 A learner for the reduction is a callable on the oracle. It returns None, or
 an action path that `a_sat` then executes from the initial state, since the
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -37,7 +40,6 @@ from .mdp import (
     features_state,
     initial_state,
     reward_mean,
-    state_digest,
     transition,
 )
 
@@ -96,9 +98,6 @@ class SatOracle:
 
     def is_terminal(self, s):
         return s.is_terminal
-
-    def digest(self, s):
-        return state_digest(self.instance, s)
 
 
 # --- greedy reference policy ------------------------------------------------------
@@ -269,7 +268,9 @@ def a_sat(f, learner, params, budget: int = 1_000_000, seed: int = 0) -> AsatRes
     simulator. YES is answered only for an independently re-verified assignment
     satisfying more than a (1-eps) fraction of clauses; everything else
     (learner completion, budget exhaustion) answers NO. An action path the
-    learner returns is executed from the initial state before answering."""
+    learner returns is executed from the initial state before answering.
+    `seed` keys a reward RNG that never draws (every simulator reward is 0),
+    so it decides nothing."""
     inst = build_instance(f, params, mode=MODE_SIMULATOR)
     oracle = ReductionOracle(inst, seed, budget)
     try:
@@ -318,16 +319,14 @@ def random_learner(episodes: int, seed: int = 0):
 
 
 def greedy_on_q(q: dict, oracle):
-    """Argmax policy over a {(state digest, action): value} table; ties break
+    """Argmax policy over a {(state, action): value} table; ties break
     toward the lowest action index; missing entries raise, naming the state."""
 
     def policy(s):
-        key = oracle.digest(s)
-
         def value(a):
-            if (key, a) not in q:
-                raise ParameterError(f"no Q estimate for state {key!r} action {a}")
-            return q[(key, a)]
+            if (s, a) not in q:
+                raise ParameterError(f"no Q estimate for state {s!r} action {a}")
+            return q[(s, a)]
 
         # max keeps the first of equal values
         return max(range(oracle.num_actions), key=value)
@@ -453,16 +452,10 @@ def epsilon_net_search(oracle, eps: float, delta: float):
             f"lattice cover needs ~{size} points, over budget {COVER_BUDGET}")
 
     s0 = oracle.initial_state()
-    feature_cache: dict = {}
 
+    @cache
     def sa_features(s):
-        key = oracle.digest(s)
-        entry = feature_cache.get(key)
-        if entry is None:
-            entry = np.stack([oracle.features_sa(s, a)
-                              for a in range(oracle.num_actions)])
-            feature_cache[key] = entry
-        return entry
+        return np.stack([oracle.features_sa(s, a) for a in range(oracle.num_actions)])
 
     trajectory_counts: dict = {}
 
@@ -542,9 +535,8 @@ def _segment_levels(horizon: int, from_level: int = 0):
     if root * root != horizon:
         raise ParameterError(
             f"horizon {horizon} is not a perfect square; pad the MDP or refuse")
-    levels = sorted({lvl for lvl in range(0, horizon, root)
-                     if lvl >= from_level} | {from_level, horizon - 1})
-    return [lvl for lvl in levels if lvl >= from_level]
+    return sorted({lvl for lvl in range(0, horizon, root)
+                   if lvl >= from_level} | {from_level, horizon - 1})
 
 
 @dataclass
@@ -561,7 +553,7 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
     Builds one <= d sized basis of state-action features per segment boundary,
     learns terminal-layer Q by repeated reward sampling, and back-propagates
     through exact basis expansions combined with sampled path rewards. Returns
-    ({(digest, action): estimate} at the query state, info).
+    ({(state, action): estimate} at the query state, info).
     """
     s0 = oracle.initial_state() if start is None else start
     k = oracle.num_actions
@@ -641,13 +633,12 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
         q_values[t] = np.array([backward_estimate(e, t) for e in bases[t]])
 
     qest = {}
-    d0 = oracle.digest(s0)
     basis0 = {e.action: i for i, e in enumerate(bases[0])}
     for a in range(k):
         if a in basis0:
-            qest[(d0, a)] = float(q_values[0][basis0[a]])
+            qest[(s0, a)] = float(q_values[0][basis0[a]])
         else:
-            qest[(d0, a)] = expand(root_pairs[a].features, 0)
+            qest[(s0, a)] = expand(root_pairs[a].features, 0)
     info = {"basis_sizes": [len(b) for b in bases],
             "max_residual": max_residual,
             "terminal_samples": n_term,

@@ -33,6 +33,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
+LINEARITY_CASES = ((4, 2), (5, 2))  # (v, h) of verify-claims' tiny instances
 
 
 def _params_from_args(args, v: int) -> reward.RewardParams:
@@ -106,7 +107,7 @@ def cmd_gen(args) -> int:
         "cnf_sha256": hashlib.sha256(data).hexdigest(),
         "p": params.p, "q": params.q, "alpha": params.alpha, "h": params.h,
         "epsilon": params.epsilon, "b": params.b,
-        "mode": args.mode, "seed": args.seed,
+        "mode": args.mode,
         "start_assignment": args.start,
         "wstar": args.wstar,
     }
@@ -122,7 +123,7 @@ def cmd_gen(args) -> int:
     (out_dir / "instance.json").write_text(
         json.dumps({"config": config, "metadata": metadata}, indent=2,
                    sort_keys=True) + "\n")
-    report = reporting.make_report("gen", config, args.seed, metadata,
+    report = reporting.make_report("gen", config, None, metadata,
                                    time.perf_counter() - t0)
     _write_report(report, str(out_dir / "report.json"))
     print(f"instance written to {out_dir}/instance.json "
@@ -155,13 +156,13 @@ def load_instance_bundle(path: str) -> mdp.MdpInstance:
     return _build_instance(f, params, wstar=wstar, mode=mode, start=start)
 
 
-def _linearity_suite(seed: int, cases=((4, 2), (5, 2))) -> dict:
+def _linearity_suite(seed: int) -> dict:
     """Max deviation between the feature/theta inner product and the greedy
     value, and between the DP optimum and the greedy value, on tiny instances."""
     max_lin = 0.0
     max_opt = 0.0
     states_checked = 0
-    for i, (v, h) in enumerate(cases):
+    for i, (v, h) in enumerate(LINEARITY_CASES):
         # wrapped, so the largest --seed still gives valid Philox keys
         inst, wstar, _ = instances.random_satisfiable_instance(
             (seed + i) % 2**128, v=v, h=h, tree_budget=8_000)
@@ -317,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--mode", choices=[mdp.MODE_FULL, mdp.MODE_SIMULATOR],
                     default=mdp.MODE_FULL)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--start", default=None,
                     help="start assignment as a 0/1 string (default all-false)")
     sp.add_argument("--wstar", default=None,
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify_claims)
 
     sp = sub.add_parser("run", help="roll out an agent on an instance bundle")
-    sp.add_argument("--instance", "--config", dest="instance", required=True)
+    sp.add_argument("--instance", required=True)
     sp.add_argument("--agent", choices=["greedy", "random"], default="greedy")
     sp.add_argument("--episodes", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)

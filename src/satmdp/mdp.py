@@ -309,8 +309,7 @@ def features_state(inst: MdpInstance, s: MdpState) -> np.ndarray:
     """Coefficient vector of the greedy value polynomial; zero at terminals."""
     if s.is_terminal:
         return np.zeros(inst.d)
-    return to_feature_vector(greedy_value_poly(s, inst.params),
-                             inst.formula.v, inst.params.p)
+    return to_feature_vector(greedy_value_poly(s, inst.params), inst.formula.v)
 
 
 def stage_one_floor(inst: MdpInstance, round_start: int) -> int:

@@ -121,16 +121,13 @@ def feature_dim(v: int, p: int) -> int:
     return sum(math.comb(v, i) for i in range(min(2 * p, v) + 1))
 
 
-def to_feature_vector(poly: MultilinearPoly, v: int, p: int) -> np.ndarray:
+def to_feature_vector(poly: MultilinearPoly, v: int) -> np.ndarray:
     """Dense coefficient vector under the canonical subset enumeration."""
-    if poly.coef.shape != (2 * p + 1, 2 * p + 1):
-        raise ParameterError(
-            f"polynomial of degree {len(poly.coef) - 1} does not fit dimension for p={p}")
-    masks, sizes = _subset_masks(v, min(2 * p, v))
+    k = len(poly.coef)  # 2p + 1
+    masks, sizes = _subset_masks(v, min(k - 1, v))
     n_free, n_true = _popcounts(masks, poly.free, poly.w)
     # cell (parity, j, k) of the signed table, flat, in the smallest integer
     # type that holds it; 0.0 - c keeps the zero cells +0.0
-    k = len(poly.coef)
     cell = np.min_scalar_type(2 * k * k).type
     signed = np.concatenate((poly.coef, 0.0 - poly.coef), axis=None)
     return signed.take((n_true & 1) * cell(k * k) + n_free * cell(k - 1) + sizes)

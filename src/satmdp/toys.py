@@ -105,9 +105,6 @@ class ToyLinearMdp:
             raise ParameterError("no state-action features at a terminal state")
         return self._psi_sa[self._node(s + (a,)) - 1]
 
-    def digest(self, s):
-        return s
-
     # --- exact evaluation for tests ---
 
     def v_star(self, s=()) -> float:
@@ -116,7 +113,7 @@ class ToyLinearMdp:
         return float(self._value[self._node(s)])
 
     def q_star_table(self) -> dict:
-        """{(digest, action): Q*} over every non-terminal state, in post-order:
+        """{(state, action): Q*} over every non-terminal state, in post-order:
         the pairs below a child come before the pair that enters it."""
         k, value = self.num_actions, self._value.tolist()
         table = {}

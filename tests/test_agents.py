@@ -329,6 +329,18 @@ def test_greedy_on_q_ties_and_missing():
         greedy_on_q({}, toy)(())
 
 
+def test_greedy_on_q_keys_on_sat_states(figure_instance):
+    oracle = SatOracle(figure_instance, seed=0)
+    s0 = oracle.initial_state()
+    q = {(s0, 0): 0.25, (s0, 1): 0.5, (s0, 2): 0.5}
+    # an equal state from another call finds the same entries
+    assert greedy_on_q(q, oracle)(oracle.initial_state()) == 1
+    q[(s0, 0)] = 0.75
+    assert greedy_on_q(q, oracle)(s0) == 0
+    with pytest.raises(ParameterError, match="no Q estimate"):
+        greedy_on_q({}, oracle)(s0)
+
+
 def test_greedy_on_q_with_exact_q_is_optimal():
     toy = ToyLinearMdp(depth=3, num_actions=3, dim=2, structure_seed=3,
                        reward_seed=4)

@@ -43,7 +43,11 @@ def test_gen_writes_bundle(tmp_path, cnf_file):
     assert bundle["config"]["cnf_path"] == "../figure.cnf"
     assert bundle["config"]["cnf_sha256"] == \
         hashlib.sha256(cnf_file.read_bytes()).hexdigest()
-    validate_report(read_json(out / "report.json"))
+    # gen draws nothing, so it takes no seed
+    assert "seed" not in bundle["config"]
+    report = read_json(out / "report.json")
+    validate_report(report)
+    assert report["seed"] is None
 
 
 def test_bundle_runs_from_another_directory(tmp_path, monkeypatch):
@@ -294,10 +298,6 @@ def test_run_refuses_episodes_below_one(tmp_path, cnf_file, capsys, count):
 
 def _seed_argv(command, tmp_path, cnf_file):
     """A valid invocation of `command` minus --seed, and the path it writes."""
-    if command == "gen":
-        out = tmp_path / "bundle"
-        return ["gen", "--cnf", str(cnf_file), "--out", str(out),
-                "--q", "2", "--rounds", "2"], out
     if command == "verify-claims":
         out = tmp_path / "claims.json"
         return ["verify-claims", "--v", "12", "--out", str(out)], out
@@ -313,7 +313,7 @@ def _seed_argv(command, tmp_path, cnf_file):
             "--learner", "random", "--out", str(out)], out
 
 
-@pytest.mark.parametrize("command", ["gen", "verify-claims", "run", "reduce"])
+@pytest.mark.parametrize("command", ["verify-claims", "run", "reduce"])
 @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
 def test_seed_outside_philox_key_range_is_refused(tmp_path, cnf_file, capsys,
                                                   command, seed):
@@ -329,6 +329,18 @@ def test_largest_seed_is_accepted(tmp_path, cnf_file, command):
     argv, out = _seed_argv(command, tmp_path, cnf_file)
     assert main([*argv, "--seed", str(2**128 - 1)]) == 0
     assert out.exists()
+
+
+def test_gen_seed_and_run_config_are_unrecognized(tmp_path, cnf_file, capsys):
+    bundle = tmp_path / "bundle"
+    for argv in (["gen", "--cnf", str(cnf_file), "--out", str(bundle), "--seed", "1"],
+                 ["run", "--instance", str(bundle / "instance.json"),
+                  "--out", str(tmp_path / "rollouts"), "--config", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not bundle.exists()
 
 
 @pytest.mark.parametrize("flags, named", [

@@ -227,7 +227,8 @@ def test_tree_property_and_digest_uniqueness():
     inst, _, _ = random_satisfiable_instance(23, v=5, h=2, epsilon=0.125)
     states, children = enumerate_reachable(inst, budget=20_000)
     digests = [state_digest(inst, s) for s in states]
-    assert len(set(digests)) == len(states)
+    # states are oracle keys: distinct nodes stay distinct without digests
+    assert len(set(states)) == len(set(digests)) == len(states)
     # each non-root state has exactly one parent
     parent_of = {}
     for i, edges in enumerate(children):

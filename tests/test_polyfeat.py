@@ -54,7 +54,7 @@ def test_greedy_value_poly_matches_walsh_expansion(v):
     for s in states:
         values = np.array([_greedy_value_at(s, params, x) for x in points])
         walsh = chi.T @ values / 2 ** v
-        got = to_feature_vector(greedy_value_poly(s, params), v, params.p)
+        got = to_feature_vector(greedy_value_poly(s, params), v)
         np.testing.assert_allclose(got, walsh[:d], rtol=0, atol=1e-12)
         # degree <= 2p: nothing above the feature dimension
         assert np.abs(walsh[d:]).max(initial=0.0) <= 1e-12
@@ -89,9 +89,7 @@ def test_greedy_value_poly_matches_reward_at_wstar():
     for s in states:
         if s.is_terminal:
             continue
-        # to_feature_vector refuses a polynomial of another degree than 2p
-        psi = to_feature_vector(greedy_value_poly(s, inst.params), 5,
-                                inst.params.p)
+        psi = to_feature_vector(greedy_value_poly(s, inst.params), 5)
         assert inner_product(psi, theta) == pytest.approx(
             greedy_rollout_value(inst, s), abs=1e-9)
 
@@ -104,8 +102,7 @@ def test_greedy_value_poly_terminal_equals_exact_reward():
     assert terminals
     theta = theta_vector(wstar, 5, inst.params.p)
     for s in terminals:
-        psi = to_feature_vector(greedy_value_poly(s, inst.params), 5,
-                                inst.params.p)
+        psi = to_feature_vector(greedy_value_poly(s, inst.params), 5)
         assert inner_product(psi, theta) == pytest.approx(
             exact_expected_reward(inst, s), abs=1e-12)
 
