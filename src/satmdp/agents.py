@@ -541,7 +541,7 @@ def _segment_levels(horizon: int, from_level: int = 0):
 
 @dataclass
 class _BasisEntry:
-    path: tuple      # action string from the query state
+    state: object    # the state the action is taken at
     action: int
     features: np.ndarray
 
@@ -558,7 +558,7 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
     s0 = oracle.initial_state() if start is None else start
     k = oracle.num_actions
     levels = _segment_levels(oracle.horizon, from_level)
-    root_pairs = [_BasisEntry((), a, np.asarray(oracle.features_sa(s0, a)))
+    root_pairs = [_BasisEntry(s0, a, np.asarray(oracle.features_sa(s0, a)))
                   for a in range(k)]
     bases: list[list[_BasisEntry]] = []
     kept = select_independent([e.features for e in root_pairs])
@@ -569,13 +569,12 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
         candidates = []
         for entry in bases[t - 1]:
             for tail in product(range(k), repeat=gap - 1):
-                path = entry.path + (entry.action,) + tail
-                s = _walk(oracle, s0, path)
+                s = _walk(oracle, entry.state, (entry.action,) + tail)
                 if oracle.is_terminal(s):
                     continue
                 for a in range(k):
                     candidates.append(
-                        _BasisEntry(path, a, np.asarray(oracle.features_sa(s, a))))
+                        _BasisEntry(s, a, np.asarray(oracle.features_sa(s, a))))
         kept = select_independent([e.features for e in candidates])
         if candidates and not kept:
             # e.g. oracles that zero out features on terminal-entering pairs:
@@ -594,7 +593,7 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
 
     q_values: list[np.ndarray] = [None] * len(bases)
     q_values[-1] = np.array([
-        oracle.sample_reward_batch(_walk(oracle, s0, e.path), e.action, n_term) / n_term
+        oracle.sample_reward_batch(e.state, e.action, n_term) / n_term
         for e in bases[-1]
     ])
     max_residual = 0.0
@@ -616,10 +615,9 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
 
     def backward_estimate(entry: _BasisEntry, t: int) -> float:
         gap = levels[t + 1] - levels[t]
-        anchor = _walk(oracle, s0, entry.path)
         best = -math.inf
         for tail in product(range(k), repeat=gap - 1):
-            kappa, s = _estimate_kappa(oracle, anchor, (entry.action,) + tail,
+            kappa, s = _estimate_kappa(oracle, entry.state, (entry.action,) + tail,
                                        KAPPA_SAMPLES)
             if oracle.is_terminal(s):
                 best = max(best, kappa)

@@ -8,7 +8,9 @@ the satisfied count only through clauses whose other two literals are false,
 so each step costs O(b) over per-variable clause tables. At the root and at
 each round rollover every variable is free again, so the eligible mask is the
 unsatisfied-clause mask, rebuilt in O(v) by OR-ing one per-variable mask per
-variable. Rewards are paid on the transition that terminates; terminal states
+variable. The tables depend on the formula alone: `clause_tables` builds them
+once per distinct formula, keyed by its content, and its instances share them.
+Rewards are paid on the transition that terminates; terminal states
 themselves have zero features and zero continuation value.
 
 The instance's satisfying assignment w* is the only state a reward reads. An
@@ -27,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -95,17 +98,62 @@ class MdpState(NamedTuple):
         return self.stage if self.is_terminal else None
 
 
-class MdpInstance:
-    """Immutable bundle of formula, parameters, optional satisfying assignment
-    `wstar` (a bitmask; None pays 0 everywhere), start assignment and
-    per-variable clause tables:
+class ClauseTables(NamedTuple):
+    """The engine's per-variable clause tables of one strict formula:
 
+    - `clause_vars_sorted[c]`: clause c's three variables, ascending (the
+      stage-one actions 0, 1, 2);
     - `true_bits[x]`: the clauses x's literal satisfies when x is false, and
       when x is true (a pair of clause bitmasks);
     - `occ_clause_bits[x]`: the clauses containing x (the OR of the pair);
     - `recount[x]`: per clause containing x, its other two literals as
       (1 << y, w & (1 << y) at which y's literal is false) and likewise for
       z, then +1 if x occurs positively and -1 if negated.
+    """
+
+    clause_vars_sorted: tuple
+    true_bits: tuple
+    occ_clause_bits: tuple
+    recount: tuple
+
+
+# a run plays one formula; the bound keeps a sweep over many from holding
+# every formula's tables alive
+@lru_cache(maxsize=8)
+def clause_tables(formula: Formula) -> ClauseTables:
+    """The clause tables of a strict formula, built in one pass over its
+    clauses and shared by every instance of a content-equal formula (a
+    `Formula` hashes and compares by content, so a copy parsed again from the
+    same file hits the cache). Call it only on a formula `build_instance` has
+    validated: the pass assumes 3 distinct variables per clause."""
+    var_bits = [1 << x for x in range(formula.v)]
+    true_bits = [[0, 0] for _ in range(formula.v)]
+    recount = [[] for _ in range(formula.v)]
+    clause_vars = np.abs(formula.lits) - 1
+    for ci, (x, y, z), (nx, ny, nz) in zip(
+            range(formula.m), clause_vars.tolist(), (formula.lits < 0).tolist()):
+        cbit = 1 << ci
+        xb, yb, zb = var_bits[x], var_bits[y], var_bits[z]
+        xf, yf, zf = xb if nx else 0, yb if ny else 0, zb if nz else 0
+        true_bits[x][not nx] |= cbit
+        true_bits[y][not ny] |= cbit
+        true_bits[z][not nz] |= cbit
+        recount[x].append((yb, yf, zb, zf, -1 if nx else 1))
+        recount[y].append((xb, xf, zb, zf, -1 if ny else 1))
+        recount[z].append((xb, xf, yb, yf, -1 if nz else 1))
+    return ClauseTables(
+        clause_vars_sorted=tuple(map(tuple, np.sort(clause_vars, axis=1).tolist())),
+        true_bits=tuple(tuple(pair) for pair in true_bits),
+        occ_clause_bits=tuple(f | t for f, t in true_bits),
+        recount=tuple(map(tuple, recount)))
+
+
+class MdpInstance:
+    """Immutable bundle of formula, parameters, optional satisfying assignment
+    `wstar` (a bitmask; None pays 0 everywhere), start assignment and the
+    formula's `ClauseTables`, whose four tables it carries as attributes of
+    the same names. The tables are built once per distinct formula and shared
+    by all its instances; `d` and `gap_threshold_count` follow the params.
     """
 
     __slots__ = ("formula", "params", "wstar", "d", "start", "all_mask",
@@ -121,26 +169,8 @@ class MdpInstance:
         self.start = start
         self.all_mask = (1 << formula.v) - 1
         self.all_clauses = (1 << formula.m) - 1
-        var_bits = [1 << x for x in range(formula.v)]
-        true_bits = [[0, 0] for _ in range(formula.v)]
-        recount = [[] for _ in range(formula.v)]
-        clause_vars = np.abs(formula.lits) - 1
-        # one pass over the strict clauses (3 literals on 3 distinct variables)
-        for ci, (x, y, z), (nx, ny, nz) in zip(
-                range(formula.m), clause_vars.tolist(), (formula.lits < 0).tolist()):
-            cbit = 1 << ci
-            xb, yb, zb = var_bits[x], var_bits[y], var_bits[z]
-            xf, yf, zf = xb if nx else 0, yb if ny else 0, zb if nz else 0
-            true_bits[x][not nx] |= cbit
-            true_bits[y][not ny] |= cbit
-            true_bits[z][not nz] |= cbit
-            recount[x].append((yb, yf, zb, zf, -1 if nx else 1))
-            recount[y].append((xb, xf, zb, zf, -1 if ny else 1))
-            recount[z].append((xb, xf, yb, yf, -1 if nz else 1))
-        self.clause_vars_sorted = tuple(map(tuple, np.sort(clause_vars, axis=1).tolist()))
-        self.true_bits = tuple(tuple(pair) for pair in true_bits)
-        self.occ_clause_bits = tuple(f | t for f, t in true_bits)
-        self.recount = tuple(map(tuple, recount))
+        (self.clause_vars_sorted, self.true_bits, self.occ_clause_bits,
+         self.recount) = clause_tables(formula)
         self.gap_threshold_count = gap_threshold_count(formula.m, params.epsilon)
 
     def wstar_assignment(self):

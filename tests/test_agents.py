@@ -625,6 +625,25 @@ def test_horizon_split_policy_reaches_near_optimal():
     assert replay == actions
 
 
+class _TransitionCountingToy(ToyLinearMdp):
+    transitions = 0
+
+    def transition(self, s, a):
+        self.transitions += 1
+        return super().transition(s, a)
+
+
+@pytest.mark.parametrize("horizon, transitions", [(4, 20), (9, 112), (16, 432)])
+def test_horizon_split_walks_from_each_basis_state(horizon, transitions):
+    """Every basis walk starts at the state its entry's action is taken at,
+    so one root estimate takes these transitions (34, 194 and 798 when each
+    walk replayed its action path from the query state)."""
+    toy = _TransitionCountingToy(depth=horizon, num_actions=2, dim=2,
+                                 structure_seed=3, reward_seed=1)
+    horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=20_000)
+    assert toy.transitions == transitions
+
+
 # sha256 of the repr of the runs below, recorded before the tail walks of
 # horizon_split_q were merged: pins every sample, expansion and argmax
 HORIZON_SPLIT_GOLDEN = "c82201087b9c6ae323fc3f8fd20d6ae67958af4cf41f7183538d8bfe6bd10bc6"

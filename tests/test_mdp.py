@@ -8,7 +8,10 @@ from satmdp.cnf import (
     assignment_from_mask,
     brute_force_sat,
     formula_from_ints,
+    gap_threshold_count,
+    parse_dimacs,
     satisfied_count,
+    to_dimacs,
 )
 from satmdp.errors import (
     FormulaError,
@@ -22,6 +25,7 @@ from satmdp.mdp import (
     STAGE_ONE,
     STAGE_TWO,
     build_instance,
+    clause_tables,
     encode_state,
     enumerate_reachable,
     exact_expected_reward,
@@ -276,6 +280,53 @@ def test_clause_tables_golden():
               inst.clause_vars_sorted)
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == \
         "2203d065852d811bda4766983237bfd56de968d9a1eeeba91c577b95a68cbec1"
+
+
+def test_content_equal_formulas_share_one_table_record():
+    """A formula parsed again from its DIMACS text is another object with the
+    same content: its instances, full or simulator, under any epsilon, read
+    the very same tables, while the gap threshold follows each one's params."""
+    f, planted = regular_planted_formula(768, seed=7)
+    copy = parse_dimacs(to_dimacs(f))
+    assert copy is not f and copy == f
+    full = build_instance(
+        f, params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6),
+        wstar=planted)
+    sims = [build_instance(
+        copy, params_for_rounds(v=768, h=2, p=2, q=4, epsilon=eps, b=6),
+        mode=MODE_SIMULATOR) for eps in (1 / 64, 1 / 8)]
+    record = clause_tables(f)
+    assert clause_tables(copy) is record
+    for inst in [full] + sims:
+        for name, table in zip(record._fields, record):
+            assert getattr(inst, name) is table
+    assert [inst.gap_threshold_count for inst in [full] + sims] == \
+        [gap_threshold_count(f.m, eps) for eps in (1 / 64, 1 / 64, 1 / 8)]
+    assert sims[0].gap_threshold_count != sims[1].gap_threshold_count
+
+
+def test_formula_one_literal_apart_gets_its_own_tables():
+    f, _ = regular_planted_formula(69, seed=5)
+    lits = f.lits.copy()
+    lits[0, 0] = -lits[0, 0]
+    g = formula_from_ints(f.v, lits.tolist())
+    params = params_for_rounds(v=69, h=2, p=2, q=4, epsilon=1 / 64, b=6)
+    fi = build_instance(f, params, mode=MODE_SIMULATOR)
+    gi = build_instance(g, params, mode=MODE_SIMULATOR)
+    assert clause_tables(g) is not clause_tables(f)
+    assert gi.true_bits != fi.true_bits and gi.recount != fi.recount
+    assert gi.clause_vars_sorted == fi.clause_vars_sorted
+    assert gi.occ_clause_bits == fi.occ_clause_bits
+
+
+def test_clause_table_cache_stays_within_its_bound():
+    bound = clause_tables.cache_info().maxsize
+    params = params_for_rounds(v=15, h=2, p=2, q=2, epsilon=1 / 16, b=6)
+    for seed in range(bound + 3):
+        f, planted = regular_planted_formula(15, seed=seed)
+        build_instance(f, params, wstar=planted)
+        assert clause_tables.cache_info().currsize <= bound
+    assert clause_tables.cache_info().currsize == bound
 
 
 def test_incremental_eligibility_matches_recompute():
