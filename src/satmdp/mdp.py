@@ -382,25 +382,22 @@ def enumerate_reachable(inst: MdpInstance, budget: int = 500_000):
     """Breadth-first enumeration of the whole tree (tiny instances only).
 
     Returns (states, children) where children[i] lists (action, state index)
-    for every action. Raises InvariantViolation if any state is reachable from
+    for every action. Each distinct move is one transition and each state one
+    encoding: a stage-one node takes actions 0, 1, 2 (three variables, three
+    children), a stage-two node takes 0 and 1, and its keep-alias 2 shares
+    action 0's child. Raises InvariantViolation if any state is reachable from
     two different parents, which would contradict the tree structure.
     """
     root = initial_state(inst)
     states = [root]
     seen = {encode_state(inst, root): 0}
     children: list[list] = []
-    idx = 0
-    while idx < len(states):
-        s = states[idx]
+    for s in states:  # grows as the walk appends: breadth-first order
         edges = []
         if not s.is_terminal:
-            local = {}
-            for a in (0, 1, 2):
+            for a in ((0, 1, 2) if s.stage == STAGE_ONE else (0, 1)):
                 nxt = transition(inst, s, a)
                 key = encode_state(inst, nxt)
-                if key in local:
-                    edges.append((a, local[key]))
-                    continue
                 if key in seen:
                     raise InvariantViolation(
                         "state reached from two different parents; transition "
@@ -408,11 +405,10 @@ def enumerate_reachable(inst: MdpInstance, budget: int = 500_000):
                 if len(states) >= budget:
                     raise ResourceLimitError(
                         f"reachable-state enumeration exceeded budget {budget}")
+                seen[key] = len(states)
+                edges.append((a, len(states)))
                 states.append(nxt)
-                j = len(states) - 1
-                seen[key] = j
-                local[key] = j
-                edges.append((a, j))
+            if s.stage == STAGE_TWO:
+                edges.append((2, edges[0][1]))
         children.append(edges)
-        idx += 1
     return states, children

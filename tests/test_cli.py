@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import satmdp
 from conftest import FIGURE_DIMACS
 from satmdp.cli import main
 from satmdp.reporting import (
@@ -528,6 +533,13 @@ def test_report_schema_rejects_malformed():
     bad["config_hash"] = "nope"
     with pytest.raises(Exception):
         validate_report(bad)
+
+
+def test_cli_import_leaves_jsonschema_to_the_first_report():
+    env = dict(os.environ, PYTHONPATH=str(Path(satmdp.__file__).parents[1]))
+    code = ("import sys, satmdp.cli; "
+            "assert 'jsonschema' not in sys.modules, 'loaded at import'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_report_schema_is_valid_draft_2020_12():

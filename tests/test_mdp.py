@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from satmdp import mdp
 from satmdp.agents import SatOracle
 from satmdp.cnf import (
     assignment_from_mask,
@@ -15,6 +16,7 @@ from satmdp.cnf import (
 )
 from satmdp.errors import (
     FormulaError,
+    InvariantViolation,
     ParameterError,
     ResourceLimitError,
 )
@@ -244,6 +246,89 @@ def test_tree_property_and_digest_uniqueness():
 def test_enumerate_respects_budget(figure_instance):
     with pytest.raises(ResourceLimitError):
         enumerate_reachable(figure_instance, budget=2)
+
+
+def test_enumerate_budget_is_the_state_count():
+    inst, _, _ = random_satisfiable_instance(23, v=5, h=2, epsilon=0.125)
+    states, _ = enumerate_reachable(inst, budget=20_000)
+    assert any(s.stage == STAGE_TWO for s in states)
+    assert enumerate_reachable(inst, budget=len(states))[0] == states
+    with pytest.raises(ResourceLimitError):
+        enumerate_reachable(inst, budget=len(states) - 1)
+
+
+def test_enumerate_refuses_a_state_with_two_parents(monkeypatch):
+    # every depth-one node's action 0 leads to the first such child made,
+    # so the second depth-one node reaches a state that already has a parent
+    inst, _, _ = random_satisfiable_instance(23, v=5, h=2, epsilon=0.125)
+    real, merged = mdp.transition, []
+
+    def transition_merging_depth_two(inst, s, a):
+        nxt = real(inst, s, a)
+        if s.step == 1 and a == 0:
+            merged.append(nxt)
+            return merged[0]
+        return nxt
+
+    monkeypatch.setattr(mdp, "transition", transition_merging_depth_two)
+    with pytest.raises(InvariantViolation, match="two different parents"):
+        enumerate_reachable(inst, budget=20_000)
+    assert len(merged) == 2 and merged[0] != merged[1]
+
+
+def _pool_trees():
+    """The criterion-1 pool (50 instances, seeds 1000 + k) and the 16
+    tree_sweep instances (per (v, h, eps), the first seed 1000 + k,
+    1016 + k, ... whose tree has at least 32 states), with their trees."""
+    combos = [(v, h, eps) for v in (4, 5, 6, 7) for h in (2, 3)
+              for eps in (0.25, 0.125)]
+    built = {}
+
+    def tree(seed):
+        if seed not in built:
+            v, h, eps = combos[(seed - 1000) % len(combos)]
+            inst, _, _ = random_satisfiable_instance(
+                seed, v=v, h=h, p=2, q=4, epsilon=eps, tree_budget=20_000)
+            built[seed] = inst, *enumerate_reachable(inst, budget=20_000)
+        return built[seed]
+
+    pool = [tree(1000 + k) for k in range(50)]
+    sweep = []
+    for k in range(len(combos)):
+        seed = 1000 + k
+        while len(tree(seed)[1]) < 32:
+            seed += len(combos)
+        sweep.append(tree(seed))
+    return pool, sweep
+
+
+# sha256 over every state's encode_state bytes and repr(children), tree by
+# tree, of the criterion-1 pool and the tree_sweep instances
+POOL_TREES_SHA256 = "7d1b26b8f4c7456e43cf24b4f0fd1f28f61a647ee51094b763572417eb728420"
+SWEEP_TREES_SHA256 = "348954ed40706bb357a95ba2970b5346a58ed7c3578f10a2892d7836628e1388"
+
+
+def test_pool_trees_golden_and_edge_shape():
+    pool, sweep = _pool_trees()
+    digests = []
+    for trees in (pool, sweep):
+        h = hashlib.sha256()
+        for inst, states, children in trees:
+            for s in states:
+                h.update(encode_state(inst, s))
+            h.update(repr(children).encode())
+            for s, edges in zip(states, children):
+                if s.is_terminal:
+                    assert edges == []
+                    continue
+                actions, kids = zip(*edges)
+                assert actions == (0, 1, 2)
+                if s.stage == STAGE_ONE:
+                    assert len(set(kids)) == 3
+                else:
+                    assert kids[0] == kids[2] != kids[1]
+        digests.append(h.hexdigest())
+    assert digests == [POOL_TREES_SHA256, SWEEP_TREES_SHA256]
 
 
 def test_states_at_different_steps_are_distinct():
