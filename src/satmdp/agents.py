@@ -36,7 +36,6 @@ from .mdp import (
     MdpInstance,
     MdpState,
     build_instance,
-    exact_expected_reward,
     features_state,
     initial_state,
     reward_mean,
@@ -141,7 +140,7 @@ def greedy_rollout_value(inst: MdpInstance, s: MdpState) -> float:
         return 0.0
     while not s.is_terminal:
         s = transition(inst, s, greedy_action(inst, s))
-    return exact_expected_reward(inst, s)
+    return reward_mean(inst, s)
 
 
 # --- exact DP oracle --------------------------------------------------------------
@@ -149,24 +148,13 @@ def greedy_rollout_value(inst: MdpInstance, s: MdpState) -> float:
 
 def tree_optimal_values(inst: MdpInstance, states, children):
     """Optimal values for every node of an enumerated tree in one bottom-up
-    pass (children indices always exceed the parent's)."""
-    if inst.wstar is None:
-        return [0.0] * len(states)
+    pass (children indices always exceed the parent's). Values start at 0,
+    which no payout undercuts, so a terminal, having no children, stays 0; a
+    stage-two keep-alias repeats action 0's child, which the max ignores."""
     values = [0.0] * len(states)
     for i in range(len(states) - 1, -1, -1):
-        s = states[i]
-        if s.is_terminal:
-            continue
-        best = -math.inf
-        seen = set()
         for _a, j in children[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            child = states[j]
-            paid = exact_expected_reward(inst, child) if child.is_terminal else 0.0
-            best = max(best, paid + values[j])
-        values[i] = best
+            values[i] = max(values[i], reward_mean(inst, states[j]) + values[j])
     return values
 
 

@@ -26,7 +26,7 @@ from .errors import (
     ResourceLimitError,
     SatMdpError,
 )
-from .polyfeat import inner_product, theta_vector
+from .polyfeat import theta_vector
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -171,8 +171,7 @@ def _linearity_suite(seed: int) -> dict:
         optimal = agents.tree_optimal_values(inst, states, children)
         for s, opt_val in zip(states, optimal):
             greedy_val = agents.greedy_rollout_value(inst, s)
-            lin = abs(inner_product(mdp.features_state(inst, s), theta)
-                      - greedy_val)
+            lin = abs(float(mdp.features_state(inst, s) @ theta) - greedy_val)
             max_lin = max(max_lin, lin)
             max_opt = max(max_opt, abs(opt_val - greedy_val))
             states_checked += 1

@@ -40,6 +40,8 @@ def random_satisfiable_instance(seed: int, v: int, h: int, p: int = 2,
     satisfaction threshold and the full reachable tree must enumerate within
     tree_budget states.
     """
+    if v < 3:
+        raise ParameterError("need v >= 3: every clause has 3 distinct variables")
     params = params_for_rounds(v=v, h=h, p=p, q=q, epsilon=epsilon, b=b)
     rng = np.random.Generator(np.random.Philox(key=seed))
     for attempt in range(1, MAX_ATTEMPTS + 1):
@@ -93,6 +95,8 @@ def random_gap_unsat_formula(rng: np.random.Generator, v: int) -> Formula:
     holds since at least one clause always fails."""
     if v < 6:
         raise ParameterError("need v >= 6 to keep occurrence bounds when padding")
+    if v > 16:
+        raise ParameterError("need v <= 16: m is drawn from [v, 16]")
     block_vars = sorted(int(x) for x in rng.choice(v, size=3, replace=False))
     clauses = []
     for bits in range(8):

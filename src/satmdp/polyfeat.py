@@ -140,10 +140,3 @@ def theta_vector(wstar, v: int, p: int) -> np.ndarray:
     neg_mask = ((1 << v) - 1) ^ mask_from_assignment(wstar)
     masks, _sizes = _subset_masks(v, min(2 * p, v))
     return 1.0 - 2.0 * (_popcounts(masks, neg_mask)[0] & 1)
-
-
-def inner_product(features: np.ndarray, theta: np.ndarray) -> float:
-    if features.shape != theta.shape:
-        raise ParameterError(
-            f"dimension mismatch: {features.shape} vs {theta.shape}")
-    return float(np.dot(features, theta))

@@ -24,15 +24,13 @@ NOISE_SCALE = 0.6
 
 class ToyLinearMdp:
     def __init__(self, depth: int, num_actions: int, dim: int,
-                 structure_seed: int = 0, reward_seed: int = 1,
-                 bernoulli: bool = True):
+                 structure_seed: int = 0, reward_seed: int = 1):
         if depth < 1 or num_actions < 2 or dim < 1:
             raise ParameterError("need depth >= 1, k >= 2, d >= 1")
         k = num_actions
         self.horizon = depth
         self.num_actions = k
         self.dim = dim
-        self.bernoulli = bernoulli
         self._rng = np.random.Generator(np.random.Philox(key=reward_seed))
 
         struct = np.random.Generator(np.random.Philox(key=structure_seed))
@@ -89,8 +87,6 @@ class ToyLinearMdp:
 
     def sample_reward_batch(self, s, a, count):
         mean = self.exact_mean(s, a)
-        if not self.bernoulli:
-            return mean * count
         if mean == 0.0:
             return 0
         return int(self._rng.binomial(count, mean))

@@ -41,13 +41,13 @@ from satmdp.mdp import (
     build_instance,
     encode_state,
     enumerate_reachable,
-    exact_expected_reward,
     features_state,
     initial_state,
+    reward_mean,
     stage_one_floor,
     transition,
 )
-from satmdp.polyfeat import inner_product, theta_vector
+from satmdp.polyfeat import theta_vector
 from satmdp.reward import (
     find_min_passing_v,
     log_degree,
@@ -100,8 +100,7 @@ def linearity_sweep():
         optimal = tree_optimal_values(inst, states, children)
         for s, opt in zip(states, optimal):
             greedy_val = greedy_rollout_value(inst, s)
-            lin_err = abs(inner_product(features_state(inst, s), theta)
-                          - greedy_val)
+            lin_err = abs(float(features_state(inst, s) @ theta) - greedy_val)
             max_lin = max(max_lin, lin_err)
             max_opt = max(max_opt, abs(opt - greedy_val))
         total_states += len(states)
@@ -203,7 +202,7 @@ def test_criterion_5_reward_decay():
             continue
         if stage_one_run < floor:  # final (h-th) round also completed
             stage_violations += 1
-        if exact_expected_reward(inst, s) > bound:
+        if reward_mean(inst, s) > bound:
             mean_violations += 1
     ok = (mean_violations == 0 and stage_violations == 0
           and early_terminations == 0)

@@ -36,11 +36,12 @@ from satmdp.instances import (
 )
 from satmdp.mdp import (
     GAP_SATISFIED,
+    MODE_SIMULATOR,
     STAGE_ONE,
     build_instance,
     enumerate_reachable,
-    exact_expected_reward,
     initial_state,
+    reward_mean,
     transition,
 )
 from satmdp.reward import params_for_rounds
@@ -61,8 +62,6 @@ def exact_value_dp(inst, s, node_budget: int = 2_000_000) -> float:
     The terminal Bernoulli mean is credited on the transition entering the
     terminal state; terminal states themselves are worth 0.
     """
-    if inst.wstar is None:
-        return 0.0
     if s.is_terminal:
         return 0.0
     visited = 0
@@ -87,7 +86,7 @@ def exact_value_dp(inst, s, node_budget: int = 2_000_000) -> float:
             raise ResourceLimitError(
                 f"DP subtree exceeded node budget {node_budget}")
         if nxt.is_terminal:
-            frame[3] = max(frame[3], exact_expected_reward(inst, nxt))
+            frame[3] = max(frame[3], reward_mean(inst, nxt))
         else:
             stack.append([nxt, distinct_actions(nxt), 0, 0.0])
     return result
@@ -150,6 +149,23 @@ def test_exact_value_dp_matches_bottom_up_and_greedy():
         assert exact_value_dp(inst, s) == pytest.approx(expect, abs=1e-12)
     for s, expect in zip(states, bottom_up):
         assert greedy_rollout_value(inst, s) == pytest.approx(expect, abs=1e-9)
+
+
+# sha256 over, tree by tree of the criterion-1 pool: repr of
+# tree_optimal_values on the instance and on its simulator twin, then repr of
+# greedy_rollout_value at every state on each
+POOL_VALUES_SHA256 = "becd18ff20ad7c5d2b39ee44a69121bafca16955e9c924aaae52a7941daded93"
+
+
+def test_pool_values_golden(pool_trees):
+    pool, _sweep = pool_trees
+    h = hashlib.sha256()
+    for inst, states, children in pool:
+        twin = build_instance(inst.formula, inst.params, mode=MODE_SIMULATOR)
+        for game in (inst, twin):
+            h.update(repr(tree_optimal_values(game, states, children)).encode())
+            h.update(repr([greedy_rollout_value(game, s) for s in states]).encode())
+    assert h.hexdigest() == POOL_VALUES_SHA256
 
 
 def test_exact_value_dp_unsat_and_budget(figure_instance):
@@ -234,6 +250,22 @@ def test_a_sat_no_on_gap_unsatisfiable():
     params = params_for_rounds(v=7, h=2, p=2, q=4, epsilon=1 / 16, b=8)
     result = a_sat(f, random_learner(episodes=4, seed=1), params, seed=1)
     assert result.answer == "NO" and result.witness is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_gap_unsat_formula(np.random.default_rng(0), v=5),
+    lambda: random_gap_unsat_formula(np.random.default_rng(0), v=17),
+    lambda: random_satisfiable_instance(0, v=2, h=2),
+], ids=["gap-unsat-v5", "gap-unsat-v17", "satisfiable-v2"])
+def test_generators_refuse_out_of_domain_v(make):
+    with pytest.raises(ParameterError, match="need v"):
+        make()
+
+
+def test_gap_unsat_formula_at_largest_v():
+    f = random_gap_unsat_formula(np.random.default_rng(0), v=16)
+    assert f.m == 16
+    assert check_gap_promise(f, 1 / 16).kind is PromiseKind.GAP_UNSATISFIABLE
 
 
 def test_a_sat_budget_exhaustion_answers_no():
@@ -600,7 +632,9 @@ def test_horizon_split_rejects_non_square_horizon():
 
 def test_horizon_split_exact_on_deterministic_rewards():
     toy = ToyLinearMdp(depth=4, num_actions=3, dim=2, structure_seed=5,
-                       reward_seed=11, bernoulli=False)
+                       reward_seed=11)
+    # every batch sums to exactly count * mean: no sampling noise
+    toy.sample_reward_batch = lambda s, a, count: toy.exact_mean(s, a) * count
     qest, info = horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=200)
     q_star = toy.q_star_table()
     for a in range(3):

@@ -30,7 +30,6 @@ from satmdp.mdp import (
     clause_tables,
     encode_state,
     enumerate_reachable,
-    exact_expected_reward,
     features_state,
     initial_state,
     reward_mean,
@@ -276,40 +275,14 @@ def test_enumerate_refuses_a_state_with_two_parents(monkeypatch):
     assert len(merged) == 2 and merged[0] != merged[1]
 
 
-def _pool_trees():
-    """The criterion-1 pool (50 instances, seeds 1000 + k) and the 16
-    tree_sweep instances (per (v, h, eps), the first seed 1000 + k,
-    1016 + k, ... whose tree has at least 32 states), with their trees."""
-    combos = [(v, h, eps) for v in (4, 5, 6, 7) for h in (2, 3)
-              for eps in (0.25, 0.125)]
-    built = {}
-
-    def tree(seed):
-        if seed not in built:
-            v, h, eps = combos[(seed - 1000) % len(combos)]
-            inst, _, _ = random_satisfiable_instance(
-                seed, v=v, h=h, p=2, q=4, epsilon=eps, tree_budget=20_000)
-            built[seed] = inst, *enumerate_reachable(inst, budget=20_000)
-        return built[seed]
-
-    pool = [tree(1000 + k) for k in range(50)]
-    sweep = []
-    for k in range(len(combos)):
-        seed = 1000 + k
-        while len(tree(seed)[1]) < 32:
-            seed += len(combos)
-        sweep.append(tree(seed))
-    return pool, sweep
-
-
 # sha256 over every state's encode_state bytes and repr(children), tree by
 # tree, of the criterion-1 pool and the tree_sweep instances
 POOL_TREES_SHA256 = "7d1b26b8f4c7456e43cf24b4f0fd1f28f61a647ee51094b763572417eb728420"
 SWEEP_TREES_SHA256 = "348954ed40706bb357a95ba2970b5346a58ed7c3578f10a2892d7836628e1388"
 
 
-def test_pool_trees_golden_and_edge_shape():
-    pool, sweep = _pool_trees()
+def test_pool_trees_golden_and_edge_shape(pool_trees):
+    pool, sweep = pool_trees
     digests = []
     for trees in (pool, sweep):
         h = hashlib.sha256()
@@ -476,21 +449,29 @@ def test_exact_expected_reward_uses_extended_assignment(figure_start_instance):
     start = (-1, 1, -1, -1, -1)
     dist = sum(1 for a, b in zip(start, wstar) if a != b)
     if s.n == 1:
-        assert exact_expected_reward(inst, s) == pytest.approx(
+        assert reward_mean(inst, s) == pytest.approx(
             g(1, dist, inst.params), abs=1e-12)
 
 
-def test_exact_expected_reward_mode_errors(figure_formula):
+def test_reward_mean_zero_off_terminal_and_without_wstar(figure_formula):
+    # the same walk on a full instance and its simulator twin: 0 before the
+    # terminal, 0 at the simulator's terminal, the terminal mean at the full
+    # instance's, from the distances coordinate by coordinate
     params = params_for_rounds(v=5, h=2, p=2, q=2)
-    sim = build_instance(figure_formula, params, mode=MODE_SIMULATOR)
-    s = initial_state(sim)
-    while not s.is_terminal:
-        s = transition(sim, s, 1)
-    with pytest.raises(ParameterError):
-        exact_expected_reward(sim, s)
     full = build_instance(figure_formula, params)
-    with pytest.raises(ParameterError):
-        exact_expected_reward(full, initial_state(full))  # not terminal
+    sim = build_instance(figure_formula, params, mode=MODE_SIMULATOR)
+    s = initial_state(full)
+    while not s.is_terminal:
+        assert reward_mean(full, s) == 0.0
+        s = transition(full, s, 1)
+    assert reward_mean(sim, s) == 0.0
+    w, wstar = assignment_from_mask(s.w, 5), full.wstar_assignment()
+    within = sum(a != b for a, b in zip(assignment_from_mask(s.w_round, 5), w))
+    off = [i for i in range(5) if w[i] != wstar[i]]
+    free_d = sum(1 for i in off if (s.free >> i) & 1)
+    mean = expected_reward(s.round_dists, s.n, within, free_d,
+                           len(off) - free_d, params)
+    assert reward_mean(full, s) == mean > 0.0
 
 
 def test_extended_assignment_distance_split():
@@ -509,7 +490,7 @@ def test_extended_assignment_distance_split():
     within = sum(1 for a, b in zip(assignment_from_mask(s.w_round, 3), w) if a != b)
     free_d = sum(1 for i in free if w[i] != 1)
     used_d = sum(1 for i in range(3) if i not in free and w[i] != 1)
-    assert exact_expected_reward(inst, s) == pytest.approx(
+    assert reward_mean(inst, s) == pytest.approx(
         expected_reward(s.round_dists, s.n, within, free_d, used_d, inst.params))
 
 
@@ -547,7 +528,7 @@ def test_bernoulli_mean_matches_exact_reward(figure_start_instance):
     while not s.is_terminal:
         prev, act = s, greedy_action(inst, s)
         s = transition(inst, s, act)
-    mean = exact_expected_reward(inst, s)
+    mean = reward_mean(inst, s)
     oracle = SatOracle(inst, seed=99)
     n = 40_000
     ones = oracle.sample_reward_batch(prev, act, n)
@@ -622,7 +603,7 @@ def test_terminal_means_are_valid_probabilities():
         states, _ = enumerate_reachable(inst, budget=20_000)
         for s in states:
             if s.is_terminal:
-                assert 0.0 <= exact_expected_reward(inst, s) <= 1.0
+                assert 0.0 <= reward_mean(inst, s) <= 1.0
 
 
 def test_simulator_matches_full_transitions_and_features(figure_formula):

@@ -5,20 +5,18 @@ import numpy as np
 import pytest
 
 from satmdp.cnf import assignment_from_mask, hamming
-from satmdp.errors import ParameterError
 from satmdp.agents import greedy_rollout_value
 from satmdp.mdp import (
     build_instance,
     enumerate_reachable,
-    exact_expected_reward,
     features_state,
     initial_state,
+    reward_mean,
     transition,
 )
 from satmdp.polyfeat import (
     feature_dim,
     greedy_value_poly,
-    inner_product,
     theta_vector,
     to_feature_vector,
 )
@@ -77,11 +75,6 @@ def test_theta_vector_entries():
     assert len(theta) == feature_dim(4, 1)
 
 
-def test_inner_product_dimension_check():
-    with pytest.raises(ParameterError):
-        inner_product(np.zeros(3), np.zeros(4))
-
-
 def test_greedy_value_poly_matches_reward_at_wstar():
     inst, wstar, _ = random_satisfiable_instance(11, v=5, h=2, epsilon=0.125)
     theta = theta_vector(wstar, 5, inst.params.p)
@@ -90,7 +83,7 @@ def test_greedy_value_poly_matches_reward_at_wstar():
         if s.is_terminal:
             continue
         psi = to_feature_vector(greedy_value_poly(s, inst.params), 5)
-        assert inner_product(psi, theta) == pytest.approx(
+        assert psi @ theta == pytest.approx(
             greedy_rollout_value(inst, s), abs=1e-9)
 
 
@@ -103,8 +96,8 @@ def test_greedy_value_poly_terminal_equals_exact_reward():
     theta = theta_vector(wstar, 5, inst.params.p)
     for s in terminals:
         psi = to_feature_vector(greedy_value_poly(s, inst.params), 5)
-        assert inner_product(psi, theta) == pytest.approx(
-            exact_expected_reward(inst, s), abs=1e-12)
+        assert psi @ theta == pytest.approx(
+            reward_mean(inst, s), abs=1e-12)
 
 
 def test_features_span_two_mask_words():
@@ -124,7 +117,7 @@ def test_features_span_two_mask_words():
         s = initial_state(inst)
         while not s.is_terminal:
             if s.step % 8 == 0:
-                assert inner_product(features_state(inst, s), theta) == \
+                assert features_state(inst, s) @ theta == \
                     pytest.approx(greedy_rollout_value(inst, s), abs=1e-12)
                 checked += 1
             s = transition(inst, s, int(rng.integers(0, 3)))

@@ -80,14 +80,6 @@ def test_rewards_only_on_final_transition(toy):
     assert toy.exact_mean(s, toy.optimal_path[-1]) > 0
 
 
-def test_deterministic_rewards_mode():
-    det = ToyLinearMdp(depth=2, num_actions=2, dim=2, structure_seed=1,
-                       reward_seed=2, bernoulli=False)
-    s = det.transition((), 0)
-    mean = det.exact_mean(s, 1)
-    assert det.sample_reward_batch(s, 1, 10) == pytest.approx(10 * mean)
-
-
 def test_bernoulli_sampling_matches_mean(toy):
     s = ()
     for a in toy.optimal_path[:-1]:
