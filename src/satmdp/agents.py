@@ -149,11 +149,13 @@ def greedy_rollout_value(inst: MdpInstance, s: MdpState) -> float:
 def tree_optimal_values(inst: MdpInstance, states, children):
     """Optimal values for every node of an enumerated tree in one bottom-up
     pass (children indices always exceed the parent's). Values start at 0,
-    which no payout undercuts, so a terminal, having no children, stays 0; a
-    stage-two keep-alias repeats action 0's child, which the max ignores."""
+    which no payout undercuts, so a terminal, having no children, stays 0.
+    Each distinct child is read once: a stage-two node's last edge, the
+    keep-alias 2, repeats action 0's child and is skipped."""
     values = [0.0] * len(states)
     for i in range(len(states) - 1, -1, -1):
-        for _a, j in children[i]:
+        edges = children[i] if states[i].stage == STAGE_ONE else children[i][:2]
+        for _a, j in edges:
             values[i] = max(values[i], reward_mean(inst, states[j]) + values[j])
     return values
 

@@ -13,6 +13,14 @@ once per distinct formula, keyed by its content, and its instances share them.
 Rewards are paid on the transition that terminates; terminal states
 themselves have zero features and zero continuation value.
 
+The two value-layer quantities are computed once per distinct round summary,
+each by its owner, in an `lru_cache` bounded at 1024 entries: the terminal
+mean behind `reward_mean` by `reward.expected_reward`, keyed on (params,
+round_dists, n, within-round flips, free and used disagreements with w*), and
+the greedy coefficient table behind `features_state` by
+`polyfeat.greedy_value_poly`, keyed on (params, n, round_dists, within-round
+flips, free-variable count).
+
 The instance's satisfying assignment w* is the only state a reward reads. An
 instance without one pays 0 on every transition: that is the MDP of a formula
 with no satisfying assignment, and so also the zero-reward simulator of the

@@ -22,6 +22,12 @@ d = sum_{i<=2p} C(v, i). Each subset is a row of ceil(v/64) uint64 words, so
 two popcount passes, |S&F| and the parity of |S&T|, read every feature off
 the table. `terms` is a range of length sum C(|F|, j) * C(|U|, k) over the
 non-zero cells: the non-zero monomial count a traced benchmark run reports.
+
+The table and `terms` depend on the state only through its round summary
+(params, n, round_dists, hamming(w_round, w), |F|), which many states of a
+game tree share: `_coefficient_table` builds them once per summary, in an
+`lru_cache` bounded at 1024 entries, and every state of that summary reads
+the same read-only `coef`.
 """
 from __future__ import annotations
 
@@ -47,12 +53,11 @@ class MultilinearPoly(NamedTuple):
     terms: range
 
 
-@lru_cache(maxsize=4096)
 def _symmetric_coefficients(params: RewardParams, i: int, offset: int,
-                            n: int) -> tuple:
+                            n: int) -> list:
     """a_0..a_p with g(i, offset + (n + s)/2) = sum_j a_j e_j(z) for z in
-    {-1,+1}^n and s = sum(z). Cached: the states of one game tree share few
-    (i, offset, n), and 98% of a tree sweep's calls repeat one."""
+    {-1,+1}^n and s = sum(z). It runs only when `_coefficient_table` builds
+    a table, twice per build, so its O(p^2) flops need no cache of their own."""
     p = params.p
     c = -1.0 / params.scale(i)
     x0, x1 = c * (offset + n / 2.0), c / 2.0  # g's argument is x0 + x1 * s
@@ -62,7 +67,7 @@ def _symmetric_coefficients(params: RewardParams, i: int, offset: int,
         acc = [float(j == 0)
                + (x0 * acc[j] + x1 * (j * pad[j] + (n - j) * pad[j + 2])) / k
                for j in range(p + 1)]
-    return tuple(acc)
+    return acc
 
 
 def greedy_value_poly(state, params: RewardParams) -> MultilinearPoly:
@@ -70,14 +75,25 @@ def greedy_value_poly(state, params: RewardParams) -> MultilinearPoly:
     the unknown satisfying assignment, in the closed form of the module
     docstring. Never reads the instance's satisfying assignment.
     """
-    n, p = state.n, params.p
+    coef, terms = _coefficient_table(params, state.n, state.round_dists,
+                                     hamming(state.w_round, state.w),
+                                     state.free.bit_count())
+    return MultilinearPoly(coef, state.free, state.w, terms)
+
+
+# a game tree's states share few round summaries (the largest tree_sweep
+# tree, 13,219 states, has 302 distinct ones), so the bound holds a whole tree's
+@lru_cache(maxsize=1024)
+def _coefficient_table(params: RewardParams, n: int, round_dists: tuple,
+                       flips: int, n_free: int) -> tuple:
+    """The read-only coef table and the terms range of every state in round n
+    after round_dists, with `flips` flips so far and n_free free variables."""
+    p = params.p
     scalar = 1.0
-    for i, d in enumerate(state.round_dists, start=1):
+    for i, d in enumerate(round_dists, start=1):
         scalar *= g(i, d, params)
-    n_free = state.free.bit_count()
     n_used = params.v - n_free
-    a = _symmetric_coefficients(params, n, hamming(state.w_round, state.w),
-                                n_free)
+    a = _symmetric_coefficients(params, n, flips, n_free)
     b = _symmetric_coefficients(params, n + 1, 0, n_used)
     cells = [[scalar * aj * bk for bk in b] for aj in a]
     terms = sum(math.comb(n_free, j) * math.comb(n_used, k)
@@ -85,7 +101,8 @@ def greedy_value_poly(state, params: RewardParams) -> MultilinearPoly:
                 if c != 0.0)
     coef = np.zeros((2 * p + 1, 2 * p + 1))
     coef[:p + 1, :p + 1] = cells
-    return MultilinearPoly(coef, state.free, state.w, range(terms))
+    coef.flags.writeable = False
+    return coef, range(terms)
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from satmdp import agents
+from satmdp import agents, polyfeat, reward
 from satmdp.agents import (
     ReductionOracle,
     SatOracle,
@@ -26,7 +26,12 @@ from satmdp.agents import (
     select_independent,
     tree_optimal_values,
 )
-from satmdp.cnf import formula_from_ints, mask_from_assignment, satisfied_count
+from satmdp.cnf import (
+    formula_from_ints,
+    hamming,
+    mask_from_assignment,
+    satisfied_count,
+)
 from satmdp.errors import InvariantViolation, ParameterError, ResourceLimitError
 from satmdp.gapsat import PromiseKind, check_gap_promise
 from satmdp.instances import (
@@ -40,6 +45,7 @@ from satmdp.mdp import (
     STAGE_ONE,
     build_instance,
     enumerate_reachable,
+    features_state,
     initial_state,
     reward_mean,
     transition,
@@ -166,6 +172,42 @@ def test_pool_values_golden(pool_trees):
             h.update(repr(tree_optimal_values(game, states, children)).encode())
             h.update(repr([greedy_rollout_value(game, s) for s in states]).encode())
     assert h.hexdigest() == POOL_VALUES_SHA256
+
+
+def test_value_caches_build_each_round_summary_once(pool_trees, monkeypatch):
+    """A tree_sweep pass over the 16 sweep trees, from cleared caches, builds
+    one terminal mean per distinct terminal round summary and one coefficient
+    table per distinct non-terminal one, each table from two calls of
+    `_symmetric_coefficients`."""
+    _pool, sweep = pool_trees
+    symmetric_calls = []
+
+    def spy(*args, real=polyfeat._symmetric_coefficients):
+        symmetric_calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyfeat, "_symmetric_coefficients", spy)
+    reward._terminal_mean.cache_clear()
+    polyfeat._coefficient_table.cache_clear()
+    means, tables = set(), set()
+    for inst, states, children in sweep:
+        tree_optimal_values(inst, states, children)
+        for s in states:
+            features_state(inst, s)
+            greedy_rollout_value(inst, s)
+            flips = hamming(s.w_round, s.w)
+            if s.is_terminal:
+                diff = s.w ^ inst.wstar
+                means.add((inst.params, s.round_dists, s.n, flips,
+                           (diff & s.free).bit_count(),
+                           (diff & ~s.free & inst.all_mask).bit_count()))
+            else:
+                tables.add((inst.params, s.n, s.round_dists, flips,
+                            s.free.bit_count()))
+    assert (len(means), len(tables)) == (1524, 1076)
+    assert reward._terminal_mean.cache_info().misses == len(means)
+    assert polyfeat._coefficient_table.cache_info().misses == len(tables)
+    assert len(symmetric_calls) == 2 * len(tables)
 
 
 def test_exact_value_dp_unsat_and_budget(figure_instance):

@@ -304,6 +304,20 @@ def test_pool_trees_golden_and_edge_shape(pool_trees):
     assert digests == [POOL_TREES_SHA256, SWEEP_TREES_SHA256]
 
 
+# sha256 over features_state(...).tobytes() at every state, tree by tree, of
+# the criterion-1 pool and then the tree_sweep instances
+POOL_FEATURES_SHA256 = "bf640b67dabc01f0ffc1f6e54c2bee9bb566f8bc2b535e9dcd9cddc166f51589"
+
+
+def test_pool_features_golden(pool_trees):
+    pool, sweep = pool_trees
+    h = hashlib.sha256()
+    for inst, states, _children in pool + sweep:
+        for s in states:
+            h.update(features_state(inst, s).tobytes())
+    assert h.hexdigest() == POOL_FEATURES_SHA256
+
+
 def test_states_at_different_steps_are_distinct():
     inst, _, _ = random_satisfiable_instance(29, v=4, h=2, epsilon=0.125)
     states, _ = enumerate_reachable(inst, budget=20_000)

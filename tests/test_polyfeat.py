@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from satmdp import polyfeat
 from satmdp.cnf import assignment_from_mask, hamming
 from satmdp.agents import greedy_rollout_value
 from satmdp.mdp import (
@@ -143,3 +144,40 @@ def test_features_never_read_wstar():
         assert features_state(inst1, s).tobytes() == \
             features_state(inst2, s).tobytes()
 
+
+
+def test_terms_count_the_nonzero_features(pool_trees):
+    pool, _sweep = pool_trees
+    for inst, states, _children in pool:
+        for s in states:
+            if not s.is_terminal:
+                poly = greedy_value_poly(s, inst.params)
+                assert len(poly.terms) == np.count_nonzero(
+                    to_feature_vector(poly, inst.formula.v))
+
+
+def test_states_of_one_round_summary_share_one_read_only_table(pool_trees):
+    inst, states, _children = max(pool_trees[0], key=lambda tree: len(tree[1]))
+    by_summary = {}
+    for s in states:
+        if not s.is_terminal:
+            key = (s.n, s.round_dists, hamming(s.w_round, s.w),
+                   s.free.bit_count())
+            by_summary.setdefault(key, []).append(
+                greedy_value_poly(s, inst.params))
+    shared = [polys for polys in by_summary.values() if len(polys) > 1]
+    assert shared
+    for polys in shared:
+        assert all(poly.coef is polys[0].coef for poly in polys)
+    coef = shared[0][0].coef
+    with pytest.raises(ValueError, match="read-only"):
+        coef[0, 0] = 1.0
+
+
+def test_coefficient_table_cache_stays_within_its_bound():
+    bound = polyfeat._coefficient_table.cache_info().maxsize
+    params = params_for_rounds(v=100, h=2, p=2, q=4)
+    for k in range(bound + 3):  # bound + 3 distinct round summaries
+        polyfeat._coefficient_table(params, 1, (), k % 101, k // 101)
+        assert polyfeat._coefficient_table.cache_info().currsize <= bound
+    assert polyfeat._coefficient_table.cache_info().currsize == bound
