@@ -148,14 +148,12 @@ def greedy_rollout_value(inst: MdpInstance, s: MdpState) -> float:
 
 def tree_optimal_values(inst: MdpInstance, states, children):
     """Optimal values for every node of an enumerated tree in one bottom-up
-    pass (children indices always exceed the parent's). Values start at 0,
-    which no payout undercuts, so a terminal, having no children, stays 0.
-    Each distinct child is read once: a stage-two node's last edge, the
-    keep-alias 2, repeats action 0's child and is skipped."""
+    pass (children indices always exceed the parent's): a running max of
+    payout plus value over the node's distinct children. Values start at 0,
+    which no payout undercuts, so a terminal, having no children, stays 0."""
     values = [0.0] * len(states)
     for i in range(len(states) - 1, -1, -1):
-        edges = children[i] if states[i].stage == STAGE_ONE else children[i][:2]
-        for _a, j in edges:
+        for j in children[i]:
             values[i] = max(values[i], reward_mean(inst, states[j]) + values[j])
     return values
 

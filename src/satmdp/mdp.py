@@ -15,11 +15,14 @@ themselves have zero features and zero continuation value.
 
 The two value-layer quantities are computed once per distinct round summary,
 each by its owner, in an `lru_cache` bounded at 1024 entries: the terminal
-mean behind `reward_mean` by `reward.expected_reward`, keyed on (params,
-round_dists, n, within-round flips, free and used disagreements with w*), and
-the greedy coefficient table behind `features_state` by
+mean behind `reward_mean` by `reward.expected_reward`, keyed on its arguments
+(round_dists, n, within-round flips, free and used disagreements with w*,
+params), and the greedy coefficient table behind `features_state` by
 `polyfeat.greedy_value_poly`, keyed on (params, n, round_dists, within-round
 flips, free-variable count).
+
+At stage two actions 0 and 2 both keep the offered variable; only
+`transition` knows it, and `enumerate_reachable` lists each move once.
 
 The instance's satisfying assignment w* is the only state a reward reads. An
 instance without one pays 0 on every transition: that is the MDP of a formula
@@ -325,7 +328,7 @@ def reward_mean(inst: MdpInstance, nxt: MdpState) -> float:
         return 0.0
     diff = nxt.w ^ inst.wstar
     free_d = (diff & nxt.free).bit_count()
-    used_d = (diff & inst.all_mask & ~nxt.free).bit_count()
+    used_d = (diff & ~nxt.free).bit_count()
     return expected_reward(nxt.round_dists, nxt.n, hamming(nxt.w_round, nxt.w),
                            free_d, used_d, inst.params)
 
@@ -381,19 +384,18 @@ def state_digest(inst: MdpInstance, s: MdpState) -> str:
 def enumerate_reachable(inst: MdpInstance, budget: int = 500_000):
     """Breadth-first enumeration of the whole tree (tiny instances only).
 
-    Returns (states, children) where children[i] lists (action, state index)
-    for every action. Each distinct move is one transition and each state one
-    encoding: a stage-one node takes actions 0, 1, 2 (three variables, three
-    children), a stage-two node takes 0 and 1, and its keep-alias 2 shares
-    action 0's child. Raises InvariantViolation if any state is reachable from
-    two different parents, which would contradict the tree structure.
+    Returns (states, children) where children[i] lists node i's distinct
+    child indices in action order: three for a stage-one node, two (keep,
+    flip) for a stage-two node, whose keep-alias 2 only `transition` knows,
+    none for a terminal. Raises InvariantViolation if any state is reachable
+    from two different parents, which would contradict the tree structure.
     """
     root = initial_state(inst)
     states = [root]
-    seen = {encode_state(inst, root): 0}
-    children: list[list] = []
+    seen = {encode_state(inst, root)}
+    children: list[list[int]] = []
     for s in states:  # grows as the walk appends: breadth-first order
-        edges = []
+        kids = []
         if not s.is_terminal:
             for a in ((0, 1, 2) if s.stage == STAGE_ONE else (0, 1)):
                 nxt = transition(inst, s, a)
@@ -405,10 +407,8 @@ def enumerate_reachable(inst: MdpInstance, budget: int = 500_000):
                 if len(states) >= budget:
                     raise ResourceLimitError(
                         f"reachable-state enumeration exceeded budget {budget}")
-                seen[key] = len(states)
-                edges.append((a, len(states)))
+                seen.add(key)
+                kids.append(len(states))
                 states.append(nxt)
-            if s.stage == STAGE_TWO:
-                edges.append((2, edges[0][1]))
-        children.append(edges)
+        children.append(kids)
     return states, children

@@ -111,21 +111,16 @@ def g(i: int, x: float, params: RewardParams) -> float:
     return taylor_exp(params.p, -x / params.scale(i))
 
 
-def expected_reward(round_dists, n: int, within_round: int, free_dist: int,
-                    used_dist: int, params: RewardParams) -> float:
-    """Terminal Bernoulli mean: product of past-round factors, the current-round
-    factor at (flips so far + free disagreements), and the next-round factor at
-    the used disagreements. Memoized on the round summary (see _terminal_mean)."""
-    return _terminal_mean(params, tuple(round_dists), n, within_round,
-                          free_dist, used_dist)
-
-
 # a game tree's terminals share few round summaries (the largest tree_sweep
 # tree, 13,219 states, has 475 distinct ones), so the bound holds a whole
 # tree's; a refused call raises, and lru_cache stores no exception
 @lru_cache(maxsize=1024)
-def _terminal_mean(params: RewardParams, round_dists: tuple, n: int,
-                   within_round: int, free_dist: int, used_dist: int) -> float:
+def expected_reward(round_dists: tuple, n: int, within_round: int,
+                    free_dist: int, used_dist: int, params: RewardParams) -> float:
+    """Terminal Bernoulli mean: product of past-round factors, the current-round
+    factor at (flips so far + free disagreements), and the next-round factor at
+    the used disagreements. Memoized on the round summary, keyed on the
+    arguments in order, so `round_dists` is a tuple."""
     v = params.v
     if not 1 <= n <= params.h:
         raise ParameterError(f"terminal round {n} outside [1, {params.h}]")

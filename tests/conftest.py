@@ -64,7 +64,8 @@ def pool_trees():
     """The criterion-1 pool (50 instances, seeds 1000 + k) and the 16
     tree_sweep instances (per (v, h, eps), the first seed 1000 + k,
     1016 + k, ... whose tree has at least 32 states), each as
-    (instance, states, children)."""
+    (instance, states, children) from `enumerate_reachable`: children[i]
+    holds node i's distinct child indices in action order."""
     combos = [(v, h, eps) for v in (4, 5, 6, 7) for h in (2, 3)
               for eps in (0.25, 0.125)]
     built = {}

@@ -281,7 +281,7 @@ def test_criterion_7_simulator_consistency():
             states_compared += 1
         oracle = SatOracle(sim, seed=i)
         for idx, s in enumerate(sim_states):
-            for a, j in sim_children[idx]:
+            for a, j in enumerate(sim_children[idx]):
                 child = sim_states[j]
                 if child.is_terminal and child.terminal_kind == LAST_LEVEL:
                     if oracle.sample_reward_batch(s, a, 1) != 0:

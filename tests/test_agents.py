@@ -187,7 +187,7 @@ def test_value_caches_build_each_round_summary_once(pool_trees, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(polyfeat, "_symmetric_coefficients", spy)
-    reward._terminal_mean.cache_clear()
+    reward.expected_reward.cache_clear()
     polyfeat._coefficient_table.cache_clear()
     means, tables = set(), set()
     for inst, states, children in sweep:
@@ -205,7 +205,7 @@ def test_value_caches_build_each_round_summary_once(pool_trees, monkeypatch):
                 tables.add((inst.params, s.n, s.round_dists, flips,
                             s.free.bit_count()))
     assert (len(means), len(tables)) == (1524, 1076)
-    assert reward._terminal_mean.cache_info().misses == len(means)
+    assert reward.expected_reward.cache_info().misses == len(means)
     assert polyfeat._coefficient_table.cache_info().misses == len(tables)
     assert len(symmetric_calls) == 2 * len(tables)
 

@@ -236,8 +236,8 @@ def test_tree_property_and_digest_uniqueness():
     assert len(set(states)) == len(set(digests)) == len(states)
     # each non-root state has exactly one parent
     parent_of = {}
-    for i, edges in enumerate(children):
-        for _a, j in edges:
+    for i, kids in enumerate(children):
+        for j in kids:
             assert parent_of.setdefault(j, i) == i
     assert set(parent_of) == set(range(1, len(states)))
 
@@ -277,8 +277,8 @@ def test_enumerate_refuses_a_state_with_two_parents(monkeypatch):
 
 # sha256 over every state's encode_state bytes and repr(children), tree by
 # tree, of the criterion-1 pool and the tree_sweep instances
-POOL_TREES_SHA256 = "7d1b26b8f4c7456e43cf24b4f0fd1f28f61a647ee51094b763572417eb728420"
-SWEEP_TREES_SHA256 = "348954ed40706bb357a95ba2970b5346a58ed7c3578f10a2892d7836628e1388"
+POOL_TREES_SHA256 = "c50114fd83976f209a77a7f2d05fefd8e68bf4b782b1b218e159bc799448dd85"
+SWEEP_TREES_SHA256 = "dec13e49f679de6acd0f396e318c1cbb0f2b93e038d2b06f3a0c31e04aeed458"
 
 
 def test_pool_trees_golden_and_edge_shape(pool_trees):
@@ -290,18 +290,20 @@ def test_pool_trees_golden_and_edge_shape(pool_trees):
             for s in states:
                 h.update(encode_state(inst, s))
             h.update(repr(children).encode())
-            for s, edges in zip(states, children):
-                if s.is_terminal:
-                    assert edges == []
-                    continue
-                actions, kids = zip(*edges)
-                assert actions == (0, 1, 2)
-                if s.stage == STAGE_ONE:
-                    assert len(set(kids)) == 3
-                else:
-                    assert kids[0] == kids[2] != kids[1]
+            for s, kids in zip(states, children):
+                moves = 0 if s.is_terminal else 3 if s.stage == STAGE_ONE else 2
+                assert len(set(kids)) == len(kids) == moves
+                assert all(type(j) is int for j in kids)
         digests.append(h.hexdigest())
     assert digests == [POOL_TREES_SHA256, SWEEP_TREES_SHA256]
+    # the children are the engine's moves, and a stage-two node's keep-alias
+    # 2 lands on action 0's child
+    for inst, states, children in sweep:
+        for s, kids in zip(states, children):
+            for a, j in enumerate(kids):
+                assert states[j] == transition(inst, s, a)
+            if s.stage == STAGE_TWO:
+                assert transition(inst, s, 2) == states[kids[0]]
 
 
 # sha256 over features_state(...).tobytes() at every state, tree by tree, of

@@ -145,21 +145,13 @@ def test_expected_reward_refusals_are_not_cached():
             expected_reward((7,), 2, 0, 0, 0, params)
 
 
-def test_expected_reward_takes_a_list_of_distances():
-    params = params_for_rounds(v=6, h=3, p=2, q=4)
-    assert expected_reward([2, 4], 3, 1, 2, 3, params) == \
-        expected_reward((2, 4), 3, 1, 2, 3, params) == \
-        (g(1, 2, params) * g(2, 4, params) * g(3, 1 + 2, params)
-         * g(4, 3, params))
-
-
 def test_terminal_mean_cache_stays_within_its_bound():
-    bound = reward._terminal_mean.cache_info().maxsize
+    bound = expected_reward.cache_info().maxsize
     params = params_for_rounds(v=100, h=2, p=2, q=4)
     for k in range(bound + 3):  # bound + 3 distinct round summaries
         expected_reward((k % 101,), 2, k // 101, 0, 0, params)
-        assert reward._terminal_mean.cache_info().currsize <= bound
-    assert reward._terminal_mean.cache_info().currsize == bound
+        assert expected_reward.cache_info().currsize <= bound
+    assert expected_reward.cache_info().currsize == bound
 
 
 def test_claim_range_passes_default_parameterizations():
