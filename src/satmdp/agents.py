@@ -160,6 +160,18 @@ def tree_optimal_values(inst: MdpInstance, states, children):
 
 # --- rollouts ---------------------------------------------------------------------
 
+ACTION_BLOCK = 4096  # actions random_actions draws from its generator at a time
+
+
+def random_actions(rng: np.random.Generator, k: int):
+    """Uniform actions in range(k), drawn from `rng` ACTION_BLOCK at a time
+    (read at each refill). A block of N yields the N actions that N calls of
+    `int(rng.integers(0, k))` return, and leaves `rng` where those calls do,
+    so reading the stream in blocks changes no action. The rest of a block is
+    played by the next episode that draws from this iterator, never dropped."""
+    while True:
+        yield from rng.integers(0, k, size=ACTION_BLOCK).tolist()
+
 
 def rollout(oracle: SatOracle, policy):
     """Run a policy (a callable from state to action) to termination, yielding
@@ -296,9 +308,10 @@ def random_learner(episodes: int, seed: int = 0):
     could output, it already played through the screening oracle."""
 
     def learn(oracle):
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        actions = random_actions(np.random.Generator(np.random.Philox(key=seed)),
+                                 oracle.num_actions)
         for _ in range(episodes):
-            _play(oracle, lambda _s: int(rng.integers(0, oracle.num_actions)))
+            _play(oracle, lambda _s: next(actions))
 
     return learn
 

@@ -223,10 +223,12 @@ def cmd_run(args) -> int:
     else:
         # a child of the seed, so the policy shares no bits with the
         # oracle's Philox(key=seed) reward stream
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
+        actions = agents.random_actions(
+            np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0]),
+            oracle.num_actions)
 
         def policy(_s):
-            return int(rng.integers(0, 3))
+            return next(actions)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -18,6 +18,7 @@ from satmdp.agents import (
     greedy_reference_learner,
     greedy_rollout_value,
     horizon_split_policy,
+    random_actions,
     random_learner,
     tree_optimal_values,
 )
@@ -177,7 +178,7 @@ def test_criterion_5_reward_decay():
     assert start_sat < inst.gap_threshold_count
     floor = stage_one_floor(inst, round_start=start_sat)
     bound = (1 - params.epsilon / (6 * params.b * v ** (params.q - 2))) ** params.h
-    rng = np.random.Generator(np.random.Philox(key=2027))
+    actions = random_actions(np.random.Generator(np.random.Philox(key=2027)), 3)
     mean_violations = 0
     stage_violations = 0
     early_terminations = 0
@@ -188,7 +189,7 @@ def test_criterion_5_reward_decay():
         round_start_sat = s.sat_count
         while not s.is_terminal:
             in_stage_one = s.stage == STAGE_ONE
-            s = transition(inst, s, int(rng.integers(0, 3)))
+            s = transition(inst, s, next(actions))
             if in_stage_one:
                 stage_one_run += 1
             if not s.is_terminal and s.step % v == 0:

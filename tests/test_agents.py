@@ -1,5 +1,6 @@
 import hashlib
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from satmdp.agents import (
     greedy_rollout_value,
     horizon_split_policy,
     horizon_split_q,
+    random_actions,
     random_learner,
     rollout,
     select_independent,
@@ -50,7 +52,7 @@ from satmdp.mdp import (
     reward_mean,
     transition,
 )
-from satmdp.reward import params_for_rounds
+from satmdp.reward import log_degree, params_for_rounds
 from satmdp.toys import ToyLinearMdp
 
 
@@ -208,6 +210,30 @@ def test_value_caches_build_each_round_summary_once(pool_trees, monkeypatch):
     assert reward.expected_reward.cache_info().misses == len(means)
     assert polyfeat._coefficient_table.cache_info().misses == len(tables)
     assert len(symmetric_calls) == 2 * len(tables)
+
+
+def test_greedy_optimal_on_whole_trees_v4_to_7_p4_q2():
+    """Greedy optimality in the second parameterization, q=2 and
+    p=log_degree(v), which is 4 for v 4-7: |V* - V_greedy| at every state of
+    48 whole trees (v 4-7, h 2-3, seeds 1000+k, 75,902 states), so this
+    covers whole trees, not a sample. Linearity is not checked: 2p >= v
+    here, so the features span every function of x and it holds trivially."""
+    combos = [(v, h, eps) for v in (4, 5, 6, 7) for h in (2, 3)
+              for eps in (0.25, 0.125)]
+    worst, total = 0.0, 0
+    for k in range(48):
+        v, h, eps = combos[k % len(combos)]
+        p = log_degree(v)
+        assert p == 4 and 2 * p >= v
+        inst, _, _ = random_satisfiable_instance(
+            1000 + k, v=v, h=h, p=p, q=2, epsilon=eps, tree_budget=20_000)
+        states, children = enumerate_reachable(inst, budget=20_000)
+        optimal = tree_optimal_values(inst, states, children)
+        for s, opt in zip(states, optimal):
+            worst = max(worst, abs(opt - greedy_rollout_value(inst, s)))
+        total += len(states)
+    assert total == 75_902
+    assert worst <= 1e-9
 
 
 def test_exact_value_dp_unsat_and_budget(figure_instance):
@@ -386,6 +412,24 @@ def test_a_sat_learners_golden():
     assert [r.answer for r in runs] == ["YES"] * 3 + ["NO"] * 3 + ["YES", "NO"] * 2
     assert _sha256([(r.answer, r.witness, sorted(r.queries.items()))
                     for r in runs]) == A_SAT_GOLDEN
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("make", [
+    lambda s: np.random.default_rng(np.random.SeedSequence(s).spawn(1)[0]),
+    lambda s: np.random.Generator(np.random.Philox(key=s)),
+], ids=["seedsequence-child", "philox"])
+def test_random_actions_match_scalar_draws(make, k):
+    """Blocks give the actions of one scalar draw each, across block ends,
+    and a consumed block leaves the generator where its scalar draws do."""
+    for seed in (0, 5):
+        blocks, scalar = make(seed), make(seed)
+        actions = list(islice(random_actions(blocks, k), 10_000))
+        assert actions == [int(scalar.integers(0, k)) for _ in actions]
+        blocks, scalar = make(seed), make(seed)
+        block = list(islice(random_actions(blocks, k), agents.ACTION_BLOCK))
+        assert block == [int(scalar.integers(0, k)) for _ in block]
+        assert blocks.random() == scalar.random()
 
 
 def test_reduction_oracle_requires_simulator(figure_instance):

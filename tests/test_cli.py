@@ -262,6 +262,38 @@ def test_run_golden(tmp_path, cnf_file, planted_bundle):
     assert digest.hexdigest() == RUN_GOLDEN
 
 
+def test_random_play_carries_a_block_into_the_next_episode(tmp_path, planted_bundle,
+                                                         monkeypatch):
+    """Random actions come in blocks whose rest the next episode plays, so a
+    block of 7, which ends inside episodes, plays what the default block
+    does: `run --agent random` and the random learner of `a_sat` alike."""
+    from satmdp import agents
+    from satmdp.agents import a_sat, random_learner
+    from satmdp.instances import regular_planted_formula
+    from satmdp.reward import params_for_rounds
+    f, _ = regular_planted_formula(15, seed=3)
+    params = params_for_rounds(v=15, h=2, p=2, q=2, epsilon=1 / 32)
+
+    def play():
+        out = tmp_path / f"block{agents.ACTION_BLOCK}"
+        assert main(["run", "--instance", str(planted_bundle / "instance.json"),
+                     "--agent", "random", "--episodes", "4", "--seed", "5",
+                     "--out", str(out)]) == 0
+        reduced = [a_sat(f, random_learner(4, seed=i), params, seed=i)
+                   for i in range(4)]
+        return ((out / "trajectories.jsonl").read_bytes(),
+                read_json(out / "report.json")["outcomes"],
+                [(r.answer, r.witness, r.queries) for r in reduced])
+
+    default = play()
+    monkeypatch.setattr(agents, "ACTION_BLOCK", 7)
+    assert play() == default
+    # some episode of the run ends inside a block of 7, leaving a rest to carry
+    steps = [json.loads(line)["step"] for line in default[0].splitlines()]
+    ends = [k for k, step in enumerate(steps) if k and step == 0]
+    assert len(ends) == 3 and any(end % 7 for end in ends)
+
+
 def test_trajectory_lines_are_json_dumps_bytes(tmp_path, planted_bundle):
     for agent in ("random", "greedy"):
         out = tmp_path / agent
