@@ -17,9 +17,12 @@ The two value-layer quantities are computed once per distinct round summary,
 each by its owner, in an `lru_cache` bounded at 1024 entries: the terminal
 mean behind `reward_mean` by `reward.expected_reward`, keyed on its arguments
 (round_dists, n, within-round flips, free and used disagreements with w*,
-params), and the greedy coefficient table behind `features_state` by
-`polyfeat.greedy_value_poly`, keyed on (params, n, round_dists, within-round
-flips, free-variable count).
+params), and the greedy coefficient table with its flat signed table behind
+`features_state` by `polyfeat.greedy_value_poly`, keyed on (params, n,
+round_dists, within-round flips, free-variable count). `RewardParams` hashes
+its fields once, when it is built, so neither cache rehashes them on a lookup.
+Per state, `features_state` pays only for its popcounts, read one mask word at
+a time, and one `take` from the shared signed table.
 
 At stage two actions 0 and 2 both keep the offered variable; only
 `transition` knows it, and `enumerate_reachable` lists each move once.

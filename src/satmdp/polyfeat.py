@@ -16,18 +16,23 @@ scalar * a_{|S&F|} * b_{|S&U|} * (-1)^{|S&T|}, T the variables true in w, of
 degree at most 2p.
 
 `MultilinearPoly` holds that closed form: coef[j, k] = scalar * a_j * b_k
-(zero for j > p or k > p), the free mask and w. Features follow the canonical
-subset order (size ascending, lexicographic within a size), of dimension
-d = sum_{i<=2p} C(v, i). Each subset is a row of ceil(v/64) uint64 words, so
-two popcount passes, |S&F| and the parity of |S&T|, read every feature off
-the table. `terms` is a range of length sum C(|F|, j) * C(|U|, k) over the
-non-zero cells: the non-zero monomial count a traced benchmark run reports.
+(zero for j > p or k > p), the signed table (coef, then 0.0 - coef, flat),
+the free mask and w. Features follow the canonical subset order (size
+ascending, lexicographic within a size), of dimension d = sum_{i<=2p} C(v, i).
+Each subset is a column of ceil(v/64) uint64 words, and |S&F| and |S&T| are
+popcounts against one word of the mask at a time, summed over the words; the
+feature of S is the signed table's cell (|S&T| mod 2, |S&F|, |S&U|), one
+`take` with an index built in the smallest unsigned type that holds the
+table's 2(2p+1)^2 cells (uint16 from p = 6 on). `terms` is a range of length
+sum C(|F|, j) * C(|U|, k) over the non-zero cells: the non-zero monomial count
+a traced benchmark run reports.
 
-The table and `terms` depend on the state only through its round summary
+The tables and `terms` depend on the state only through its round summary
 (params, n, round_dists, hamming(w_round, w), |F|), which many states of a
 game tree share: `_coefficient_table` builds them once per summary, in an
 `lru_cache` bounded at 1024 entries, and every state of that summary reads
-the same read-only `coef`.
+the same read-only `coef` and signed table. A state pays only for its own
+popcounts, its index and the `take`, which returns a fresh vector.
 """
 from __future__ import annotations
 
@@ -42,12 +47,16 @@ from .cnf import hamming, mask_from_assignment
 from .errors import ParameterError
 from .reward import RewardParams, g
 
+_WORD = 0xFFFF_FFFF_FFFF_FFFF
+
 
 class MultilinearPoly(NamedTuple):
     """The greedy value polynomial in closed form: the coefficient of x_S is
-    coef[|S&free|, |S&~free|], negated when |S&w| is odd."""
+    coef[|S&free|, |S&~free|], negated when |S&w| is odd. `signed` is the
+    flat read-only table of both signs, coef then 0.0 - coef."""
 
     coef: np.ndarray
+    signed: np.ndarray
     free: int
     w: int
     terms: range
@@ -75,10 +84,10 @@ def greedy_value_poly(state, params: RewardParams) -> MultilinearPoly:
     the unknown satisfying assignment, in the closed form of the module
     docstring. Never reads the instance's satisfying assignment.
     """
-    coef, terms = _coefficient_table(params, state.n, state.round_dists,
-                                     hamming(state.w_round, state.w),
-                                     state.free.bit_count())
-    return MultilinearPoly(coef, state.free, state.w, terms)
+    coef, signed, terms = _coefficient_table(
+        params, state.n, state.round_dists, hamming(state.w_round, state.w),
+        state.free.bit_count())
+    return MultilinearPoly(coef, signed, state.free, state.w, terms)
 
 
 # a game tree's states share few round summaries (the largest tree_sweep
@@ -86,8 +95,9 @@ def greedy_value_poly(state, params: RewardParams) -> MultilinearPoly:
 @lru_cache(maxsize=1024)
 def _coefficient_table(params: RewardParams, n: int, round_dists: tuple,
                        flips: int, n_free: int) -> tuple:
-    """The read-only coef table and the terms range of every state in round n
-    after round_dists, with `flips` flips so far and n_free free variables."""
+    """The read-only coef and signed tables and the terms range of every
+    state in round n after round_dists, with `flips` flips so far and n_free
+    free variables."""
     p = params.p
     scalar = 1.0
     for i, d in enumerate(round_dists, start=1):
@@ -101,17 +111,22 @@ def _coefficient_table(params: RewardParams, n: int, round_dists: tuple,
                 if c != 0.0)
     coef = np.zeros((2 * p + 1, 2 * p + 1))
     coef[:p + 1, :p + 1] = cells
-    coef.flags.writeable = False
-    return coef, range(terms)
+    # 0.0 - c keeps the zero cells +0.0
+    signed = np.concatenate((coef, 0.0 - coef), axis=None)
+    coef.flags.writeable = signed.flags.writeable = False
+    return coef, signed, range(terms)
 
 
 @lru_cache(maxsize=None)
-def _subset_masks(v: int, max_size: int) -> tuple:
-    """The canonical subsets of size <= max_size as a read-only uint64 array
-    of shape (ceil(v/64), d), word k holding variables 64k..64k+63, and their
-    read-only uint8 sizes."""
-    counts = [math.comb(v, size) for size in range(max_size + 1)]
-    sizes = np.repeat(np.arange(max_size + 1, dtype=np.uint8), counts)
+def _subset_masks(v: int, k: int) -> tuple:
+    """The canonical subsets of size < k (and <= v) as a read-only uint64
+    array of shape (ceil(v/64), d), word i holding variables 64i..64i+63,
+    with the layout of a flat signed (2, k, k) table: the subsets' read-only
+    sizes and the k - 1 and k^2 multipliers, all in the smallest unsigned
+    type that holds 2k^2, the table's length."""
+    counts = [math.comb(v, size) for size in range(min(k - 1, v) + 1)]
+    cell = np.min_scalar_type(2 * k * k).type
+    sizes = np.repeat(np.arange(len(counts), dtype=cell), counts)
     masks = np.zeros((-(-v // 64), len(sizes)), dtype=np.uint64)
     start = 0
     for size, count in enumerate(counts):
@@ -122,15 +137,16 @@ def _subset_masks(v: int, max_size: int) -> tuple:
             masks[var // 64, cols] |= np.uint64(1) << (var % 64).astype(np.uint64)
         start += count
     masks.flags.writeable = sizes.flags.writeable = False
-    return masks, sizes
+    return masks, sizes, cell(k - 1), cell(k * k)
 
 
-def _popcounts(masks: np.ndarray, *ms: int) -> np.ndarray:
-    """|S & m| for every mask m and every subset S of `masks`, summed over
-    the words; shape (len(ms), d)."""
-    words = np.array([[[(m >> (64 * k)) & 0xFFFF_FFFF_FFFF_FFFF]
-                       for k in range(len(masks))] for m in ms], dtype=np.uint64)
-    return np.bitwise_count(masks & words).sum(axis=1, dtype=np.uint8)
+def _popcount(masks: np.ndarray, m: int) -> np.ndarray:
+    """|S & m| for every subset S of `masks`, as uint8, one word at a time."""
+    count = np.bitwise_count(masks[0] & np.uint64(m & _WORD))
+    for word in masks[1:]:
+        m >>= 64
+        count += np.bitwise_count(word & np.uint64(m & _WORD))
+    return count
 
 
 def feature_dim(v: int, p: int) -> int:
@@ -140,14 +156,14 @@ def feature_dim(v: int, p: int) -> int:
 
 def to_feature_vector(poly: MultilinearPoly, v: int) -> np.ndarray:
     """Dense coefficient vector under the canonical subset enumeration."""
-    k = len(poly.coef)  # 2p + 1
-    masks, sizes = _subset_masks(v, min(k - 1, v))
-    n_free, n_true = _popcounts(masks, poly.free, poly.w)
-    # cell (parity, j, k) of the signed table, flat, in the smallest integer
-    # type that holds it; 0.0 - c keeps the zero cells +0.0
-    cell = np.min_scalar_type(2 * k * k).type
-    signed = np.concatenate((poly.coef, 0.0 - poly.coef), axis=None)
-    return signed.take((n_true & 1) * cell(k * k) + n_free * cell(k - 1) + sizes)
+    masks, sizes, free_step, sign_step = _subset_masks(v, len(poly.coef))
+    # flat cell (|S&T| mod 2) k^2 + |S&F| (k - 1) + |S| of the signed table,
+    # which is (parity, |S&F|, |S&U|), built in the cell type: in place on the
+    # uint8 popcounts it would wrap past 255 from p = 6 on
+    index = (_popcount(masks, poly.w) & 1) * sign_step
+    index += _popcount(masks, poly.free) * free_step
+    index += sizes
+    return poly.signed.take(index)
 
 
 def theta_vector(wstar, v: int, p: int) -> np.ndarray:
@@ -155,5 +171,5 @@ def theta_vector(wstar, v: int, p: int) -> np.ndarray:
     if len(wstar) != v:
         raise ParameterError(f"assignment length {len(wstar)} != v={v}")
     neg_mask = ((1 << v) - 1) ^ mask_from_assignment(wstar)
-    masks, _sizes = _subset_masks(v, min(2 * p, v))
-    return 1.0 - 2.0 * (_popcounts(masks, neg_mask)[0] & 1)
+    masks = _subset_masks(v, 2 * p + 1)[0]
+    return 1.0 - 2.0 * (_popcount(masks, neg_mask) & 1)

@@ -13,7 +13,7 @@ coefficients or searched exactly for its first negative round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,6 +35,8 @@ class RewardParams:
     b: int = 6
     # v^(q-1), the factor every round scale shares
     scale_base: float = field(init=False, repr=False, compare=False)
+    # the hash of the compared fields: the value-layer caches key on params
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, low in (("v", 1), ("p", 0), ("q", 2), ("h", 1), ("b", 1)):
@@ -50,6 +52,11 @@ class RewardParams:
         if not self.alpha > 0:
             raise ParameterError(f"alpha must be > 0, got {self.alpha}")
         object.__setattr__(self, "scale_base", _scale_base(self.v, self.q))
+        object.__setattr__(self, "_hash", hash(tuple(
+            getattr(self, f.name) for f in fields(self) if f.compare)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def H(self) -> int:

@@ -236,6 +236,40 @@ def test_greedy_optimal_on_whole_trees_v4_to_7_p4_q2():
     assert worst <= 1e-9
 
 
+@pytest.mark.parametrize("v, d, sampled", [(15, 32_647, 466),
+                                            (18, 249_528, 326)])
+def test_greedy_linear_and_bellman_on_sampled_states_p6_q2(v, d, sampled):
+    """Linearity and greedy optimality in the second parameterization at
+    (v, p, q) = (15, 6, 2) and (18, 6, 2), where 2p < v, so the features do
+    not span every function of x. This checks a sample, not a whole tree:
+    the non-terminal states of 20 random-play episodes (actions from
+    default_rng(0)) on regular_planted_formula(v, seed=3) at h=2, eps=1/64.
+    At each, <phi(s), theta> matches the greedy rollout to 1e-12 relative,
+    and no action improves on the greedy value in one step:
+    r(s, a) + V_greedy(s') <= V_greedy(s) for all three actions."""
+    f, planted = regular_planted_formula(v, seed=3)
+    params = params_for_rounds(v=v, h=2, p=log_degree(v), q=2,
+                               epsilon=1 / 64, b=6)
+    inst = build_instance(f, params, wstar=planted)
+    assert (params.p, inst.d) == (6, d) and 2 * params.p < v
+    theta = polyfeat.theta_vector(planted, v, params.p)
+    actions = random_actions(np.random.default_rng(0), 3)
+    checked = 0
+    for _episode in range(20):
+        s = initial_state(inst)
+        while not s.is_terminal:
+            value = greedy_rollout_value(inst, s)
+            assert features_state(inst, s) @ theta == pytest.approx(
+                value, rel=1e-12, abs=0)
+            for a in range(3):
+                child = transition(inst, s, a)
+                step = reward_mean(inst, child) + greedy_rollout_value(inst, child)
+                assert step <= value * (1 + 1e-12)
+            checked += 1
+            s = transition(inst, s, next(actions))
+    assert checked == sampled
+
+
 def test_exact_value_dp_unsat_and_budget(figure_instance):
     from satmdp.gapsat import strictify
     f = strictify(formula_from_ints(1, [[1], [-1]], strict=False))

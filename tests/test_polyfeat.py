@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from satmdp import polyfeat
 from satmdp.cnf import assignment_from_mask, hamming
-from satmdp.agents import greedy_rollout_value
+from satmdp.agents import greedy_rollout_value, random_actions
 from satmdp.mdp import (
     build_instance,
     enumerate_reachable,
@@ -22,7 +23,7 @@ from satmdp.polyfeat import (
     to_feature_vector,
 )
 from satmdp.instances import random_satisfiable_instance, regular_planted_formula
-from satmdp.reward import g, params_for_rounds
+from satmdp.reward import g, log_degree, params_for_rounds
 
 
 def _greedy_value_at(s, params, x):
@@ -125,6 +126,33 @@ def test_features_span_two_mask_words():
     assert checked >= 30
 
 
+# sha256 over features_state(...).tobytes() at every non-terminal state of
+# the first two random-play episodes (actions from default_rng(0), 46 states)
+# of regular_planted_formula(15, seed=3) at q=2, h=2, eps=1/64 and
+# p=log_degree(15)=6: d = 32,647, and the signed table's 2 * 13^2 = 338 cells
+# take a uint16 index
+P6_FEATURES_SHA256 = "a5fe22875cb4dcbbf9cba9b3156457c6f941677381b58dfe51793dba036e5f5f"
+
+
+def test_features_golden_at_p6_with_uint16_cells():
+    f, planted = regular_planted_formula(15, seed=3)
+    params = params_for_rounds(v=15, h=2, p=log_degree(15), q=2,
+                               epsilon=1 / 64, b=6)
+    inst = build_instance(f, params, wstar=planted)
+    assert (params.p, inst.d) == (6, 32_647)
+    actions = random_actions(np.random.default_rng(0), 3)
+    h = hashlib.sha256()
+    checked = 0
+    for _episode in range(2):
+        s = initial_state(inst)
+        while not s.is_terminal:
+            h.update(features_state(inst, s).tobytes())
+            checked += 1
+            s = transition(inst, s, next(actions))
+    assert checked == 46
+    assert h.hexdigest() == P6_FEATURES_SHA256
+
+
 def test_features_never_read_wstar():
     # same formula, two different satisfying assignments: identical features
     from satmdp.cnf import brute_force_sat, formula_from_ints, satisfied_count
@@ -156,22 +184,42 @@ def test_terms_count_the_nonzero_features(pool_trees):
                     to_feature_vector(poly, inst.formula.v))
 
 
-def test_states_of_one_round_summary_share_one_read_only_table(pool_trees):
+def _shared_summaries(pool_trees):
+    """The largest criterion-1 tree's instance and its round summaries held
+    by more than one non-terminal state, as lists of those states."""
     inst, states, _children = max(pool_trees[0], key=lambda tree: len(tree[1]))
     by_summary = {}
     for s in states:
         if not s.is_terminal:
             key = (s.n, s.round_dists, hamming(s.w_round, s.w),
                    s.free.bit_count())
-            by_summary.setdefault(key, []).append(
-                greedy_value_poly(s, inst.params))
-    shared = [polys for polys in by_summary.values() if len(polys) > 1]
+            by_summary.setdefault(key, []).append(s)
+    shared = [group for group in by_summary.values() if len(group) > 1]
     assert shared
-    for polys in shared:
+    return inst, shared
+
+
+def test_states_of_one_round_summary_share_one_read_only_table(pool_trees):
+    inst, shared = _shared_summaries(pool_trees)
+    for group in shared:
+        polys = [greedy_value_poly(s, inst.params) for s in group]
         assert all(poly.coef is polys[0].coef for poly in polys)
-    coef = shared[0][0].coef
+        assert all(poly.signed is polys[0].signed for poly in polys)
+    poly = greedy_value_poly(shared[0][0], inst.params)
     with pytest.raises(ValueError, match="read-only"):
-        coef[0, 0] = 1.0
+        poly.coef[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        poly.signed[0] = 1.0
+
+
+def test_a_mutated_feature_vector_leaves_the_shared_table_intact(pool_trees):
+    inst, shared = _shared_summaries(pool_trees)
+    first, second = shared[0][:2]
+    expected = [features_state(inst, s).tobytes() for s in (first, second)]
+    phi = features_state(inst, first)
+    phi[:] = -1.0
+    assert features_state(inst, second).tobytes() == expected[1]
+    assert features_state(inst, first).tobytes() == expected[0]
 
 
 def test_coefficient_table_cache_stays_within_its_bound():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -98,6 +99,18 @@ def test_params_refuse_non_integer_counts_and_infinite_alpha(key, value):
     RewardParams(**fields)
     with pytest.raises(ParameterError, match=key):
         RewardParams(**{**fields, key: value})
+
+
+def test_params_hash_is_computed_once_over_the_compared_fields():
+    fields = dict(v=5, p=2, q=4, alpha=1 / 16, h=2, epsilon=0.25, b=6)
+    params, twin = RewardParams(**fields), RewardParams(**fields)
+    assert params == twin and params is not twin
+    # the hash a frozen dataclass generates: its compared fields, in order
+    assert hash(params) == hash(twin) == hash(tuple(fields.values()))
+    longer = dataclasses.replace(params, h=3)
+    assert longer == RewardParams(**{**fields, "h": 3}) != params
+    assert hash(longer) == hash(RewardParams(**{**fields, "h": 3}))
+    assert hash(longer) != hash(params)
 
 
 def test_log_degree_natural_log():
