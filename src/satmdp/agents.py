@@ -46,8 +46,10 @@ from .mdp import (
 class SatOracle:
     """Oracle view of a SAT-derived instance: a seeded counter-based RNG for
     reward samples plus query counters for the transition / reward / feature
-    interfaces. Every query is charged through `_charge` and every successor
-    is computed once through `_successor`."""
+    interfaces. Every query is charged through `_charge` before it runs, and
+    every successor it prices or hands out is computed once, by `_successor`.
+    The per-kind `counters` are the whole record: this oracle keeps no
+    budget and no running total."""
 
     num_actions = 3
 
@@ -225,10 +227,13 @@ class _BudgetExhausted(Exception):
 
 class ReductionOracle(SatOracle):
     """Monitored simulator, an instance without w* and so with zero reward
-    everywhere: every state handed out is screened for the gap-satisfied
-    terminal, which `mdp` enters when the satisfaction threshold is met, and
-    total oracle queries are budgeted (a query that would take the total past
-    the budget is refused before it runs)."""
+    everywhere. Its `_successor` takes the engine step and screens the state
+    it makes for the gap-satisfied terminal, which `mdp` enters when the
+    satisfaction threshold is met, before any pricing, so a witness always
+    wins; the initial state is screened the same way. Total oracle queries
+    are budgeted: `total` is kept equal to `sum(counters.values())` as each
+    query is charged, in O(1), and a query that would take it past the
+    budget is refused before it runs."""
 
     def __init__(self, instance: MdpInstance, seed: int, budget: int):
         if instance.wstar is not None:
@@ -236,23 +241,26 @@ class ReductionOracle(SatOracle):
                 "the reduction runs against the simulator, which holds no wstar")
         super().__init__(instance, seed)
         self.budget = budget
+        self.total = 0
 
     def _charge(self, kind, count=1):
-        if sum(self.counters.values()) + count > self.budget:
+        total = self.total + count
+        if total > self.budget:
             raise _BudgetExhausted
-        super()._charge(kind, count)
+        self.total = total
+        self.counters[kind] += count
 
     def _successor(self, s, a):
-        # screened before any pricing, so a witness always wins
-        return self._screen(super()._successor(s, a))
+        nxt = transition(self.instance, s, a)
+        if nxt.stage == GAP_SATISFIED:
+            raise _WitnessFound(nxt.w)
+        return nxt
 
-    def _screen(self, s: MdpState) -> MdpState:
+    def initial_state(self):
+        s = super().initial_state()
         if s.stage == GAP_SATISFIED:
             raise _WitnessFound(s.w)
         return s
-
-    def initial_state(self):
-        return self._screen(super().initial_state())
 
 
 @dataclass

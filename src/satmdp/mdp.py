@@ -36,12 +36,17 @@ A state is one immutable record, built once per step. Its `stage` is
 STAGE_ONE, STAGE_TWO or, at a terminal, the terminal kind (LAST_LEVEL or
 GAP_SATISFIED). Its identity is a fixed-size summary of the round plus a
 16-byte move-chain digest: each transition hashes its parent's chain with the
-move it makes, so encoding a state costs the same at every step.
+move it makes, so encoding a state costs the same at every step. The chain is
+blake2b(parent chain + move as 4 big-endian bytes, digest_size=16), hashed on
+a copy of one pre-built empty blake2b state, which gives the same bytes as a
+fresh hasher without building one per step; the move's bytes are read from
+`move_bytes(v)`, a table of 2v entries.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -76,6 +81,12 @@ MODE_FULL = "full"
 MODE_SIMULATOR = "simulator"
 
 _STAGE_TAGS = {STAGE_ONE: 1, STAGE_TWO: 2, LAST_LEVEL: 3, GAP_SATISFIED: 4}
+# encode_state's fixed header: n, stage tag, cursor (0xFFFFFFFF at a terminal)
+_HEADER = struct.Struct(">IBI")
+# copied, never updated: a copy hashes as a fresh blake2b(digest_size=16)
+_EMPTY_CHAIN = hashlib.blake2b(digest_size=16)
+# builds a record from a field tuple without MdpState.__new__'s Python frame
+_new_state = tuple.__new__
 
 
 class MdpState(NamedTuple):
@@ -162,17 +173,28 @@ def clause_tables(formula: Formula) -> ClauseTables:
         recount=tuple(map(tuple, recount)))
 
 
+@lru_cache(maxsize=8)
+def move_bytes(v: int) -> tuple:
+    """The 2v moves (variable, flipped) of a v-variable instance as the 4
+    big-endian bytes of 2 * variable + flipped, built once per v and shared
+    by its instances: `transition` hashes one into each chain."""
+    return tuple(k.to_bytes(4, "big") for k in range(2 * v))
+
+
 class MdpInstance:
     """Immutable bundle of formula, parameters, optional satisfying assignment
     `wstar` (a bitmask; None pays 0 everywhere), start assignment and the
     formula's `ClauseTables`, whose four tables it carries as attributes of
     the same names. The tables are built once per distinct formula and shared
     by all its instances; `d` and `gap_threshold_count` follow the params.
+    `move_bytes[2 * var + flip]` is the move that `transition` hashes into
+    the chain (`move_bytes(v)`, shared likewise).
     """
 
     __slots__ = ("formula", "params", "wstar", "d", "start", "all_mask",
                  "all_clauses", "clause_vars_sorted", "true_bits",
-                 "occ_clause_bits", "recount", "gap_threshold_count")
+                 "occ_clause_bits", "recount", "gap_threshold_count",
+                 "move_bytes")
 
     def __init__(self, formula: Formula, params: RewardParams,
                  wstar: int | None, start: int):
@@ -186,6 +208,7 @@ class MdpInstance:
         (self.clause_vars_sorted, self.true_bits, self.occ_clause_bits,
          self.recount) = clause_tables(formula)
         self.gap_threshold_count = gap_threshold_count(formula.m, params.epsilon)
+        self.move_bytes = move_bytes(formula.v)
 
     def wstar_assignment(self):
         if self.wstar is None:
@@ -303,8 +326,10 @@ def transition(inst: MdpInstance, s: MdpState, a: int) -> MdpState:
             if w & yb == yf and w & zb == zf:
                 gain += sign
         sat += gain if w & bit else -gain
-    chain = hashlib.blake2b(chain + (var * 2 + flip).to_bytes(4, "big"),
-                            digest_size=16).digest()
+    hasher = _EMPTY_CHAIN.copy()
+    hasher.update(chain)
+    hasher.update(inst.move_bytes[2 * var + flip])
+    chain = hasher.digest()
 
     if sat >= inst.gap_threshold_count:
         stage, cursor, eligible = GAP_SATISFIED, None, 0
@@ -319,8 +344,8 @@ def transition(inst: MdpInstance, s: MdpState, a: int) -> MdpState:
         n, w_round, free = n + 1, w, inst.all_mask
         eligible = _unsat_mask(inst, w)
         stage, cursor = _stage_fields(eligible, free)
-    return MdpState(n, stage, cursor, w, w_round, free, round_dists, step + 1,
-                    chain, sat, eligible)
+    return _new_state(MdpState, (n, stage, cursor, w, w_round, free, round_dists,
+                                 step + 1, chain, sat, eligible))
 
 
 def reward_mean(inst: MdpInstance, nxt: MdpState) -> float:
@@ -363,20 +388,18 @@ def stage_one_floor(inst: MdpInstance, round_start: int) -> int:
 
 def encode_state(inst: MdpInstance, s: MdpState) -> bytes:
     """Fixed-order canonical byte encoding; equal bytes iff equal states."""
-    v = inst.formula.v
-    nb = (v + 7) // 8
+    nb = (inst.formula.v + 7) // 8
+    n, stage, cursor, w, w_round, free, round_dists, _, chain, _, _ = s
     parts = [
-        s.n.to_bytes(4, "big"),
-        _STAGE_TAGS[s.stage].to_bytes(1, "big"),
-        (0xFFFFFFFF if s.cursor is None else s.cursor).to_bytes(4, "big"),
-        s.w.to_bytes(nb, "big"),
-        s.free.to_bytes(nb, "big"),
-        s.w_round.to_bytes(nb, "big"),
-        len(s.round_dists).to_bytes(2, "big"),
+        _HEADER.pack(n, _STAGE_TAGS[stage], 0xFFFFFFFF if cursor is None else cursor),
+        w.to_bytes(nb, "big"),
+        free.to_bytes(nb, "big"),
+        w_round.to_bytes(nb, "big"),
+        len(round_dists).to_bytes(2, "big"),
     ]
-    for d in s.round_dists:
+    for d in round_dists:
         parts.append(d.to_bytes(4, "big"))
-    parts.append(s.chain)
+    parts.append(chain)
     return b"".join(parts)
 
 

@@ -390,6 +390,37 @@ def test_a_sat_budget_exhaustion_answers_no():
     assert sum(result.queries.values()) <= 10
 
 
+def test_a_sat_budget_boundary_and_running_total():
+    """A greedy-reference run that takes Q queries answers YES at budget Q and
+    NO at Q - 1, where the witness-finding transition is refused; after every
+    run the oracle's running total is the sum of its counters."""
+    inst, wstar, _ = random_satisfiable_instance(53, v=6, h=2,
+                                                 epsilon=1 / 16, b=8)
+    f768, planted = regular_planted_formula(768, seed=7)
+    params768 = params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6)
+    for f, params, target in ((inst.formula, inst.params, wstar),
+                              (f768, params768, planted)):
+        oracles = []
+
+        def learner(oracle):
+            oracles.append(oracle)
+            return greedy_reference_learner(target)(oracle)
+
+        def run(budget):
+            result = a_sat(f, learner, params, budget=budget, seed=0)
+            oracle = oracles[-1]
+            assert oracle.total == sum(oracle.counters.values()) <= budget
+            assert result.queries == oracle.counters
+            return result
+
+        q = sum(run(1_000_000).queries.values())
+        at = run(q)
+        assert at.answer == "YES" and at.note == "" and oracles[-1].total == q
+        below = run(q - 1)
+        assert below.answer == "NO" and below.note == "budget exhausted"
+        assert below.witness is None and oracles[-1].total == q - 1
+
+
 def test_a_sat_executes_the_path_a_learner_returns():
     """A path the learner never played, here the greedy path to w* worked out
     on the instance outside the oracle, is walked from the initial state."""

@@ -262,6 +262,33 @@ def test_run_golden(tmp_path, cnf_file, planted_bundle):
     assert digest.hexdigest() == RUN_GOLDEN
 
 
+# sha256 over the trajectory bytes and report outcomes of one random and one
+# greedy run on the criterion-5 bundle (v=768): every mask there spans 96
+# bytes, where RUN_GOLDEN's fit in two
+RUN_GOLDEN_768 = "e66b8a738f398e52ee8e0477dd11632858469bc708ef02fe20972184a6446113"
+
+
+def test_run_golden_768(tmp_path):
+    from satmdp.cnf import to_dimacs
+    from satmdp.instances import regular_planted_formula
+    f, planted = regular_planted_formula(768, seed=7)
+    cnf = tmp_path / "f768.cnf"
+    cnf.write_text(to_dimacs(f))
+    bundle = tmp_path / "bundle768"
+    assert main(["gen", "--cnf", str(cnf), "--out", str(bundle),
+                 "--rounds", "2", "--epsilon", str(1 / 64), "--b", "6",
+                 "--wstar", "".join("1" if x == 1 else "0" for x in planted)]) == 0
+    digest = hashlib.sha256()
+    for agent, seed in (("random", 3), ("greedy", 4)):
+        out = tmp_path / agent
+        assert main(["run", "--instance", str(bundle / "instance.json"),
+                     "--agent", agent, "--seed", str(seed), "--out", str(out)]) == 0
+        digest.update((out / "trajectories.jsonl").read_bytes())
+        outcomes = read_json(out / "report.json")["outcomes"]
+        digest.update(json.dumps(outcomes, sort_keys=True).encode())
+    assert digest.hexdigest() == RUN_GOLDEN_768
+
+
 def test_random_play_carries_a_block_into_the_next_episode(tmp_path, planted_bundle,
                                                          monkeypatch):
     """Random actions come in blocks whose rest the next episode plays, so a

@@ -26,6 +26,7 @@ from satmdp.mdp import (
     MODE_SIMULATOR,
     STAGE_ONE,
     STAGE_TWO,
+    MdpState,
     build_instance,
     clause_tables,
     encode_state,
@@ -226,6 +227,42 @@ def test_encode_state_golden(figure_instance, two_round_game):
             s = transition(two_round_game, s, int(rng.integers(0, 3)))
             add(two_round_game, s)
     assert h.hexdigest() == ENCODING_SHA256
+
+
+def _assert_chain_rule(inst, parent, a, s):
+    """s's chain is blake2b(parent chain + 4-byte move, digest_size=16), the
+    move (2 * variable + flipped) worked out from the clause's literals."""
+    if parent.stage == STAGE_ONE:
+        var = sorted(abs(int(lit)) - 1 for lit in inst.formula.lits[parent.cursor])[a]
+        flip = True
+    else:
+        var, flip = parent.cursor, a == 1
+    assert type(s) is MdpState
+    assert s.chain == hashlib.blake2b(
+        parent.chain + (var * 2 + flip).to_bytes(4, "big"), digest_size=16).digest()
+
+
+def test_chain_rule_on_the_figure_tree_and_a_v768_episode(figure_instance):
+    """The chain rule itself, at every step: ENCODING_SHA256 pins it only at
+    v <= 15."""
+    states, children = enumerate_reachable(figure_instance)
+    assert type(states[0]) is MdpState and states[0].chain == bytes(16)
+    for parent, kids in zip(states, children):
+        # children list the actions in order; stage two's keep-alias 2 is not one
+        for a, j in enumerate(kids):
+            _assert_chain_rule(figure_instance, parent, a, states[j])
+    f, planted = regular_planted_formula(768, seed=7)
+    inst = build_instance(
+        f, params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6),
+        wstar=planted)
+    rng = np.random.default_rng(11)
+    s, steps = initial_state(inst), 0
+    while not s.is_terminal:
+        a = int(rng.integers(0, 3))
+        nxt = transition(inst, s, a)
+        _assert_chain_rule(inst, s, a, nxt)
+        s, steps = nxt, steps + 1
+    assert steps == inst.params.H
 
 
 def test_tree_property_and_digest_uniqueness():
