@@ -347,7 +347,9 @@ def greedy_on_q(q: dict, oracle):
 
 MIN_ROLLOUTS = 64  # reward samples per distinct policy, at the least
 COVER_BUDGET = 60_000_000  # largest lattice cover epsilon_net_search enumerates
-BLOCK_ROWS = 16_384  # candidates scored together when slabs are small
+LINE_CHUNK = 8_192  # root lines searched together, in whole z_0 slabs
+UNIT_ROUNDOFF = 2.0 ** -53
+BOUND_FLOOR = 2.0 ** -1000  # added to each rounding bound: covers underflow
 
 
 def cover_radius(eps: float, horizon: int, dim: int) -> float:
@@ -360,73 +362,136 @@ def cover_spacing(eps: float, horizon: int, dim: int) -> float:
     return cover_radius(eps, horizon, dim) / math.sqrt(dim)
 
 
-def _lattice_ball_slabs(dim: int, spacing: float, radius: float):
-    """Yield the lattice points with norm <= radius as (dim, n) blocks of
-    whole slabs, a slab being the points at one value x0 of the first
-    coordinate; x0 ascends through the blocks. At dim 1, the whole ball is one
-    (1, n) block.
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """math.isqrt of each entry of a nonnegative int64 array: the float square
+    root, corrected by one where it rounded across an integer."""
+    root = np.sqrt(x).astype(np.int64)
+    root -= root * root > x
+    root += (root + 1) * (root + 1) <= x
+    return root
 
-    The (dim - 1)-dimensional rest of the grid is stable-sorted by squared
-    norm once, so the slab at x0 is the prefix of it within r^2 - x0^2. The
-    prefixes are stored as columns behind x0 in one (dim, widest slab)
-    buffer. A slab of at least BLOCK_ROWS points is yielded as a view of that
-    buffer, with no copy; runs of smaller consecutive slabs are copied
-    together into one reused (dim, BLOCK_ROWS) block. Memory is
-    O(max(BLOCK_ROWS, |slab|) * dim), with no per-slab mask or gather. Each
-    block is valid until the next one is yielded; copy it to keep it."""
-    reach = int(math.floor(radius / spacing))
-    axis = np.arange(-reach, reach + 1, dtype=np.float64) * spacing
+
+def _lattice_lines(dim: int, bound: int):
+    """Yield the lines of the integer ball sum(z ** 2) <= bound as (rest, reach)
+    chunks. A line fixes z_0 .. z_{d-2}, a column of `rest` ((d - 1, n) floats
+    holding integers), and its last coordinate runs over [-reach, reach], with
+    reach = isqrt(bound - |rest|^2). A chunk holds whole slabs (a slab is the
+    lines at one z_0), z_0 ascending, and at most LINE_CHUNK lines unless one
+    slab alone is wider. At dim 1 the ball is one line with an empty rest.
+
+    The (d - 2)-dimensional cube under the slabs is sorted by squared norm once,
+    so the slab at z_0 is the prefix of it within bound - z_0^2."""
+    top = math.isqrt(bound)
     if dim == 1:
-        pts = axis[np.abs(axis) <= radius][None, :]
-        if pts.shape[1]:
-            yield pts
+        yield np.empty((0, 1)), np.array([top])
         return
-    rest = np.stack(np.meshgrid(*([axis] * (dim - 1)), indexing="ij"),
-                    axis=-1).reshape(-1, dim - 1)
-    rest_sq = np.einsum("ij,ij->i", rest, rest)
-    order = np.argsort(rest_sq, kind="stable")
-    r2 = radius * radius
-    # no slab is wider than the one at x0 = 0
-    widest = int(np.searchsorted(rest_sq[order], r2, side="right"))
-    order = order[:widest]
-    rest_sq = rest_sq[order]
-    slab = np.empty((dim, widest))
-    slab[1:] = rest[order].T
-    del rest, order
-    block = np.empty((dim, BLOCK_ROWS))
-    fill = 0
-    for x0 in axis:
-        n = int(np.searchsorted(rest_sq, r2 - x0 * x0, side="right"))
-        if not n:
-            continue
-        if fill and fill + n > BLOCK_ROWS:
-            yield block[:, :fill]
-            fill = 0
-        if n >= BLOCK_ROWS:
-            slab[0, :n] = x0
-            yield slab[:, :n]
-            continue
-        block[0, fill:fill + n] = x0
-        block[1:, fill:fill + n] = slab[1:, :n]
-        fill += n
-    if fill:
-        yield block[:, :fill]
+    inner = np.array(list(product(range(-top, top + 1), repeat=dim - 2)),
+                     dtype=np.int64)
+    inner_sq = (inner * inner).sum(axis=1)
+    order = np.argsort(inner_sq, kind="stable")
+    inner, inner_sq = inner[order], inner_sq[order]
+    firsts = np.arange(-top, top + 1)
+    widths = np.searchsorted(inner_sq, bound - firsts * firsts, side="right")
+
+    def chunk(start, stop):
+        ws = widths[start:stop]
+        first = np.repeat(firsts[start:stop], ws)
+        pick = np.arange(ws.sum()) - np.repeat(np.cumsum(ws) - ws, ws)
+        rest = np.vstack([first, inner[pick].T]).astype(np.float64)
+        return rest, _isqrt(bound - first * first - inner_sq[pick])
+
+    start = total = 0
+    for i, width in enumerate(widths.tolist()):
+        if total and total + width > LINE_CHUNK:
+            yield chunk(start, i)
+            start, total = i, 0
+        total += width
+    yield chunk(start, len(widths))
 
 
-def _first_argmax(scores: np.ndarray) -> np.ndarray:
-    """np.argmax(scores, axis=0) of a (k, n) score table, row by row and
-    without branches, in the smallest unsigned type that holds k - 1: an
-    argmax down columns of a few entries is far slower. The comparisons are
-    np.argmax's, so the lowest row wins ties, signed zeros included."""
-    k = len(scores)
-    best = scores[0].copy()
-    acts = np.zeros(scores.shape[1], dtype=np.min_scalar_type(k - 1))
-    for a in range(1, k):
-        row = scores[a]
-        # acts < a here, so a - acts does not wrap
-        acts += (row > best).view(np.uint8) * (a - acts).astype(acts.dtype)
-        np.maximum(best, row, out=best)
-    return acts
+def _exact_table(table: np.ndarray) -> list:
+    """The doubles of a 2-D array as Python ints over one common power-of-two
+    denominator, row by row."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in table.tolist()]
+    den = max(q for row in ratios for _, q in row)
+    return [[p * (den // q) for p, q in row] for row in ratios]
+
+
+def _pair_cuts(features: np.ndarray, rest: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray):
+    """Where each action pair a < b splits each line of a group, decided
+    exactly for the scores <features[a], z>, z = (rest column, t) and t in
+    [lo, hi].
+
+    On one line the pair's score difference g(t) = c + h t is linear, so the
+    points where a wins (g >= 0: ties go to the lower action) form a half-line.
+    The pair's upper action, a when h >= 0 and b otherwise, takes the points
+    t >= cut and its lower action the points t < cut, with the cut clipped to
+    [lo, hi + 1]. Returns (cuts (P, n) int64, upper (P,), lower (P,), the
+    number of cuts taken from integers), the P pairs in combinations order.
+
+    Floats propose each cut and certify it by the signs of g at the cut and at
+    its neighbour. There g~ = fl(sum_j D~_j z_j), summed in a fixed order, with
+    D~ = fl(features[a] - features[b]) = D (1 + delta), |delta| <= u. So
+    |g - g~| <= (gamma_d + u / (1 - u)) sum_j |D~_j z_j| (Higham 2002, 3.1),
+    which the bound used, 2 (d + 2) u times the float sum plus BOUND_FLOOR,
+    covers together with its own rounding. The float sign of h is exact. A
+    cut whose signs the bound cannot settle, exact ties included, is computed
+    from Python ints."""
+    pair_a, pair_b = np.triu_indices(len(features), 1)
+    diff = features[pair_a] - features[pair_b]
+    gamma = 2 * (features.shape[1] + 2) * UNIT_ROUNDOFF
+    top = hi + 1
+    cuts = np.empty((len(diff), len(lo)), dtype=np.int64)
+    c, size, term = np.empty(len(lo)), np.empty(len(lo)), np.empty(len(lo))
+    unsure = []
+    for p, row in enumerate(diff.tolist()):
+        *coefs, h = row
+        c.fill(0.0)
+        size.fill(0.0)
+        for dj, zj in zip(coefs, rest):
+            np.multiply(zj, dj, out=term)
+            c += term
+            size += np.abs(term, out=term)
+        if h == 0:
+            bound = size * gamma + BOUND_FLOOR
+            wins = c > bound
+            cuts[p] = np.where(wins, lo, top)
+            settled = wins | (c < -bound)
+        else:
+            t = c * (-1.0 / h)
+            if h > 0:
+                np.ceil(t, out=t)
+            else:
+                np.floor(t, out=t)
+                t += 1
+            np.clip(t, lo, top, out=t)
+            cuts[p] = t
+            g_at = t * h + c
+            g_below = (t - 1) * h + c
+            np.abs(t, out=term)
+            bound = ((term + 1) * abs(h) + size) * gamma + BOUND_FLOOR
+            if h < 0:
+                g_at, g_below = -g_at, -g_below
+            # the upper action wins at the cut, the lower one just below it
+            settled = (((t > hi) | (g_at > bound))
+                       & ((t <= lo) | (g_below < -bound)))
+        unsure.extend((p, i) for i in np.flatnonzero(~settled).tolist())
+    if unsure:
+        ints = _exact_table(features)
+        for p, i in unsure:
+            d_int = [x - y for x, y in zip(ints[pair_a[p]], ints[pair_b[p]])]
+            c = sum(dj * int(zj) for dj, zj in zip(d_int, rest[:, i].tolist()))
+            h, first, last = d_int[-1], int(lo[i]), int(hi[i])
+            if h > 0:
+                cut = -(c // h)
+            elif h < 0:
+                cut = c // -h + 1
+            else:
+                cut = first if c >= 0 else last + 1
+            cuts[p, i] = min(max(cut, first), last + 1)
+    upper = np.where(diff[:, -1] >= 0, pair_a, pair_b)
+    return cuts, upper, pair_a + pair_b - upper, len(unsure)
 
 
 def epsilon_net_search(oracle, eps: float, delta: float):
@@ -434,37 +499,49 @@ def epsilon_net_search(oracle, eps: float, delta: float):
     every candidate to the trajectory its argmax-of-features policy induces,
     and keep the empirically best trajectory.
 
+    The cover is the integer ball sum(z ** 2) <= B, B = floor((radius /
+    spacing)^2), scaled by the spacing. The point theta = spacing * z takes, at
+    each state, the lowest action a that maximises the exact real
+    <features_sa(s, a), z> over the stored doubles. So a point's trajectory
+    never depends on rounding, on BLAS or on the points searched with it.
+
+    Points are counted per line, not one by one: a line fixes every coordinate
+    of z but the last, and on it every action pair splits at one integer cut
+    (`_pair_cuts`), so each action takes one interval of the line. Groups of
+    lines carry their intervals down the tree; the root lines come in chunks
+    of whole z_0 slabs (`_lattice_lines`), so memory grows with LINE_CHUNK,
+    not with the ball.
+
     Candidates inducing the same action sequence share one estimate (the
     estimate depends only on the trajectory), so rollouts are spent per
     distinct policy, each sampled enough for a delta/|cover| union bound.
 
-    The cover is streamed as (d, n) blocks of whole slabs (a slab is one value
-    of the first coordinate) and each block is split into trajectories group
-    by group: a group's scores are the (k, n) table features @ candidates, and
-    its candidates are partitioned by their first argmax action. Memory is
-    O(max(BLOCK_ROWS, |slab|) * d), with |slab| <= (2 * radius / spacing)^(d-1),
-    not the whole ball.
-
-    Near-ties are decided by float rounding. toys.ToyLinearMdp at d = 2 plants
-    sibling features that are equal in exact arithmetic, and apart by rounding
-    alone, whenever two siblings share a quantized value and a noise sign. A
-    lattice point's exact score gap between such siblings can be ~1e-17, and
-    which of them wins then depends on the BLAS kernel path that the point's
-    position in its group takes.
+    `info` counts the work: cover points and lines, distinct policies and
+    their point counts, cuts taken from integers (`exact_cuts`), oracle
+    transitions (each tree edge the search walks once, then every rollout
+    step), `features_sa` calls and reward samples.
     """
-    d, H = oracle.dim, oracle.horizon
+    d, H, k = oracle.dim, oracle.horizon, oracle.num_actions
     spacing = cover_spacing(eps, H, d)
     radius = 1.0 + spacing * math.sqrt(d) / 2  # margin so ball points keep a cover point
-    size = (2 * int(math.floor(radius / spacing)) + 1) ** d
+    bound = math.floor((radius / spacing) ** 2)
+    size = (2 * math.isqrt(bound) + 1) ** d
     if size > COVER_BUDGET:
         raise ResourceLimitError(
             f"lattice cover needs ~{size} points, over budget {COVER_BUDGET}")
 
     s0 = oracle.initial_state()
+    work = {"transitions": 0, "feature_calls": 0}
 
     @cache
     def sa_features(s):
-        return np.stack([oracle.features_sa(s, a) for a in range(oracle.num_actions)])
+        work["feature_calls"] += k
+        return np.stack([oracle.features_sa(s, a) for a in range(k)])
+
+    @cache
+    def child(s, a):
+        work["transitions"] += 1
+        return oracle.transition(s, a)
 
     trajectory_counts: dict = {}
 
@@ -475,23 +552,30 @@ def epsilon_net_search(oracle, eps: float, delta: float):
         trajectory_counts[path] = trajectory_counts.get(path, 0) + count
         return True
 
-    cover_points = 0
-    for block in _lattice_ball_slabs(d, spacing, radius):
-        n = block.shape[1]
-        cover_points += n
-        groups = [] if settle(s0, (), n) else [(s0, block, ())]
+    cover_points = lines = exact_cuts = 0
+    for rest, reach in _lattice_lines(d, bound):
+        points = int((2 * reach + 1).sum())
+        cover_points += points
+        lines += len(reach)
+        groups = [] if settle(s0, (), points) else [(s0, (), rest, -reach, reach)]
         while groups:
-            s, cands, prefix = groups.pop()
-            acts = _first_argmax(sa_features(s) @ cands)
-            for a in range(oracle.num_actions):
-                chosen = acts == a
-                count = int(np.count_nonzero(chosen))
+            s, prefix, rest, lo, hi = groups.pop()
+            cuts, upper, lower, exact = _pair_cuts(sa_features(s), rest, lo, hi)
+            exact_cuts += exact
+            for a in range(k):
+                a_lo, a_hi = lo, hi
+                for p in np.flatnonzero(upper == a):
+                    a_lo = np.maximum(a_lo, cuts[p])
+                for p in np.flatnonzero(lower == a):
+                    a_hi = np.minimum(a_hi, cuts[p] - 1)
+                keep = a_hi >= a_lo
+                count = int((a_hi - a_lo + 1)[keep].sum())
                 if not count:
                     continue
-                nxt, path = oracle.transition(s, a), prefix + (a,)
+                nxt, path = child(s, a), prefix + (a,)
                 # only groups that go on are copied out
                 if not settle(nxt, path, count):
-                    groups.append((nxt, cands.compress(chosen, axis=1), path))
+                    groups.append((nxt, path, rest[:, keep], a_lo[keep], a_hi[keep]))
 
     n_unique = len(trajectory_counts)
     n_roll = max(MIN_ROLLOUTS,
@@ -499,12 +583,16 @@ def epsilon_net_search(oracle, eps: float, delta: float):
                            / (2 * eps * eps)))
     best_actions, best_est = None, -math.inf
     for actions in sorted(trajectory_counts):
+        # a trajectory ends where the tree does, so its rollout takes every step
         total, _ = _estimate_kappa(oracle, s0, actions, n_roll)
+        work["transitions"] += len(actions)
         if total > best_est:
             best_actions, best_est = list(actions), total
-    info = {"cover_points": cover_points, "unique_policies": n_unique,
-            "rollouts_per_policy": n_roll, "best_estimate": best_est,
-            "trajectory_counts": dict(trajectory_counts)}
+    info = {"cover_points": cover_points, "lines": lines,
+            "unique_policies": n_unique, "rollouts_per_policy": n_roll,
+            "best_estimate": best_est, "trajectory_counts": dict(trajectory_counts),
+            "exact_cuts": exact_cuts, **work,
+            "reward_samples": n_roll * sum(map(len, trajectory_counts))}
     return best_actions, info
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
-from itertools import islice
+from fractions import Fraction
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from satmdp import agents, polyfeat, reward
 from satmdp.agents import (
     ReductionOracle,
     SatOracle,
-    _first_argmax,
-    _lattice_ball_slabs,
+    _lattice_lines,
+    _pair_cuts,
     a_sat,
     cover_radius,
     cover_spacing,
@@ -600,7 +601,8 @@ def test_epsilon_net_finds_planted_policy():
 
 # cover_points and trajectory_counts of the three criterion-8 specs at
 # eps = delta = 0.1; the features depend only on structure_seed, so any reward
-# seed gives the same counts
+# seed gives the same counts. Each point's trajectory is decided exactly:
+# `exact_walk`, too slow at this eps for every run, reproduces both d = 2 specs
 EPSILON_NET_GOLDEN = [
     (dict(depth=3, num_actions=3, dim=2, structure_seed=5), 45_765,
      {(0, 0, 0): 1, (0, 0, 1): 12_213, (0, 0, 2): 1_383, (0, 2, 0): 428,
@@ -609,9 +611,8 @@ EPSILON_NET_GOLDEN = [
     (dict(depth=4, num_actions=3, dim=2, structure_seed=9), 81_173,
      {(0, 0, 0, 0): 1, (0, 0, 0, 2): 1_276, (0, 0, 2, 1): 11_313,
       (0, 0, 2, 2): 22_974, (0, 1, 1, 2): 695, (1, 0, 0, 0): 430,
-      (1, 0, 2, 1): 217, (1, 0, 2, 2): 6_778, (1, 1, 1, 2): 8_659,
-      (2, 0, 0, 2): 3_074, (2, 0, 1, 0): 8_604, (2, 0, 1, 2): 15_324,
-      (2, 0, 2, 2): 1_828}),
+      (1, 0, 2, 2): 6_995, (1, 1, 1, 2): 8_659, (2, 0, 0, 2): 3_074,
+      (2, 0, 1, 0): 8_604, (2, 0, 1, 2): 15_324, (2, 0, 2, 2): 1_828}),
     (dict(depth=2, num_actions=3, dim=3, structure_seed=7), 7_394_773,
      {(0, 0): 132_992, (0, 1): 1_639_123, (0, 2): 959_574, (1, 1): 515_921,
       (1, 2): 935_539, (2, 0): 1_201_123, (2, 1): 1_832_688, (2, 2): 177_813}),
@@ -627,86 +628,127 @@ def test_epsilon_net_counts_golden(spec, cover_points, counts):
     assert info["unique_policies"] == len(counts)
 
 
-def brute_ball(dim, spacing, radius):
-    """Lattice points of norm <= radius from the full integer cube, with no
-    slabs or sorting: the reference the slab generator is checked against."""
-    reach = math.ceil(radius / spacing) + 1
-    ints = np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
-    pts = ints * spacing
-    return pts[np.einsum("ij,ij->i", pts, pts) <= radius * radius]
+# the work of the three criterion-8 searches (reward seed 1): root lines, cuts
+# taken from integers, oracle transitions (distinct tree edges walked, then
+# every rollout step), features_sa calls (k per state scored) and reward
+# samples (rollouts per policy times the summed trajectory lengths)
+EPSILON_NET_WORK = [
+    (EPSILON_NET_GOLDEN[0][0],
+     dict(lines=241, exact_cuts=9, transitions=44, feature_calls=27,
+          reward_samples=18_549)),
+    (EPSILON_NET_GOLDEN[1][0],
+     dict(lines=321, exact_cuts=446, transitions=77, feature_calls=54,
+          reward_samples=34_368)),
+    (EPSILON_NET_GOLDEN[2][0],
+     dict(lines=45_877, exact_cuts=6, transitions=27, feature_calls=12,
+          reward_samples=15_056)),
+]
 
 
-def sorted_rows(pts):
-    return pts[np.lexsort(pts.T[::-1])]
+@pytest.mark.parametrize("spec,work", EPSILON_NET_WORK)
+def test_epsilon_net_counts_its_work(spec, work):
+    toy = ToyLinearMdp(reward_seed=1, **spec)
+    _actions, info = epsilon_net_search(toy, eps=0.1, delta=0.1)
+    assert {key: info[key] for key in work} == work
+    paths = info["trajectory_counts"]
+    assert info["reward_samples"] == (info["rollouts_per_policy"]
+                                      * sum(map(len, paths)))
+    assert info["feature_calls"] % toy.num_actions == 0
 
 
-def ball_blocks(dim, eps, horizon):
-    """The blocks of one ball, checked against the full cube and against the
-    block contract; returns each block's first coordinates and their counts."""
+def cover_bound(eps, horizon, dim):
+    """The integer ball bound B of the epsilon-net cover: floor((R / s)^2)."""
     spacing = cover_spacing(eps, horizon, dim)
     radius = 1.0 + spacing * math.sqrt(dim) / 2
-    # a block is only valid until the next one is yielded
-    blocks = [block.copy() for block in _lattice_ball_slabs(dim, spacing, radius)]
-    assert all(block.shape[0] == dim for block in blocks)
-    got = np.concatenate(blocks, axis=1)
-    assert np.array_equal(sorted_rows(got.T),
-                          sorted_rows(brute_ball(dim, spacing, radius)))
-    if dim == 1:
-        assert len(blocks) == 1
-        return []
-    firsts = [np.unique(block[0], return_counts=True) for block in blocks]
-    # blocks of whole slabs: x0 ascends through the blocks, every x0 lies in
-    # exactly one block, and no block exceeds max(BLOCK_ROWS, its largest slab)
-    assert (np.diff(got[0]) >= 0).all()
-    every = np.concatenate([x0s for x0s, _ in firsts])
-    assert len(every) == len(np.unique(every))
-    assert all(block.shape[1] <= max(agents.BLOCK_ROWS, widths.max())
-               for block, (_, widths) in zip(blocks, firsts))
-    return firsts
+    return math.floor((radius / spacing) ** 2)
+
+
+def brute_ball(dim, bound):
+    """Integer points z with sum(z ** 2) <= bound from the full integer cube,
+    with no lines, slabs or sorting: the reference for the line generator."""
+    top = math.isqrt(bound)
+    ints = np.indices((2 * top + 1,) * dim).reshape(dim, -1).T - top
+    return ints[(ints * ints).sum(axis=1) <= bound]
 
 
 BALLS = [(1, 0.1, 3), (2, 0.2, 3), (3, 0.5, 2)]
 
 
 @pytest.mark.parametrize("dim, eps, horizon", BALLS)
-def test_lattice_ball_slabs_match_full_cube(dim, eps, horizon):
-    # at dim > 1 every slab of these balls is narrower than BLOCK_ROWS, so
-    # they are copied into shared blocks
-    assert all(len(x0s) > 1 for x0s, _ in ball_blocks(dim, eps, horizon))
+def test_lattice_lines_match_full_cube(dim, eps, horizon):
+    # every line's reach is isqrt(bound - |rest|^2), no line repeats, and the
+    # lines' points are exactly the ball; these balls hold 121 to 64,373
+    # points on at most 1,941 lines, so each is one chunk
+    bound = cover_bound(eps, horizon, dim)
+    chunks = list(_lattice_lines(dim, bound))
+    assert len(chunks) == 1
+    rest, reach = chunks[0]
+    assert rest.shape == (dim - 1, len(reach))
+    lines = rest.T.astype(np.int64).tolist()
+    assert len(set(map(tuple, lines))) == len(lines)
+    points = []
+    for line, m in zip(lines, reach.tolist()):
+        assert m == math.isqrt(bound - sum(z * z for z in line))
+        points += [(*line, t) for t in range(-m, m + 1)]
+    assert sorted(points) == sorted(map(tuple, brute_ball(dim, bound).tolist()))
 
 
-@pytest.mark.parametrize("dim, eps, horizon", BALLS)
-def test_lattice_ball_slabs_match_full_cube_in_small_blocks(dim, eps, horizon,
-                                                            monkeypatch):
-    # at 64 rows the slabs of 64 points or more are yielded as views
-    monkeypatch.setattr(agents, "BLOCK_ROWS", 64)
-    firsts = ball_blocks(dim, eps, horizon)
-    assert dim == 1 or any(widths.max() >= 64 for _, widths in firsts)
+# the balls of the three criterion-8 covers; only the d = 3 one, 45,877 lines
+# in 241 slabs of 1 to 241 lines, takes more than one chunk
+COVER_BALLS = [(2, 0.1, 3, 241, 45_765), (2, 0.1, 4, 321, 81_173),
+               (3, 0.1, 2, 45_877, 7_394_773)]
+
+
+@pytest.mark.parametrize("dim, eps, horizon, lines, points", COVER_BALLS)
+def test_lattice_lines_come_in_chunks_of_whole_slabs(dim, eps, horizon, lines,
+                                                     points):
+    chunks = list(_lattice_lines(dim, cover_bound(eps, horizon, dim)))
+    firsts = np.concatenate([rest[0] for rest, _ in chunks])
+    assert len(firsts) == lines
+    assert sum(int((2 * reach + 1).sum()) for _, reach in chunks) == points
+    # z_0 ascends through the chunks, every z_0 lies in exactly one chunk,
+    # and no chunk holds more than LINE_CHUNK lines
+    assert (np.diff(firsts) >= 0).all()
+    per_chunk = [set(rest[0].tolist()) for rest, _ in chunks]
+    assert sum(map(len, per_chunk)) == len(set().union(*per_chunk))
+    assert all(len(reach) <= agents.LINE_CHUNK for _, reach in chunks)
+    assert (len(chunks) > 1) == (lines > agents.LINE_CHUNK)
+
+
+def integer_table(rows):
+    """Features as Python ints over one common denominator, through Fractions:
+    the exact scores of the reference walks."""
+    fracs = [[Fraction(x) for x in row] for row in np.asarray(rows).tolist()]
+    den = math.lcm(*(x.denominator for row in fracs for x in row))
+    return [[int(x * den) for x in row] for row in fracs]
+
+
+def exact_walk(toy, eps):
+    """cover_points and trajectory_counts from every point of the ball on its
+    own: at each state the lowest action with the largest exact score
+    <features_sa(s, a), z>, over integer tables."""
+    bound = cover_bound(eps, toy.horizon, toy.dim)
+    tables, counts = {}, {}
+    points = brute_ball(toy.dim, bound).tolist()
+    for z in points:
+        s = ()
+        while not toy.is_terminal(s):
+            if s not in tables:
+                tables[s] = integer_table([toy.features_sa(s, a)
+                                           for a in range(toy.num_actions)])
+            scores = [sum(f * x for f, x in zip(row, z)) for row in tables[s]]
+            # max() returns the first maximum: ties go to the lowest action
+            s = toy.transition(s, max(range(toy.num_actions),
+                                      key=scores.__getitem__))
+        counts[s] = counts.get(s, 0) + 1
+    return len(points), counts
 
 
 def assert_grouping_matches_walk(toy, eps):
-    # dual route: the grouped candidate-to-trajectory mapping must agree with
-    # walking every point of the ball, enumerated from the full cube
-    delta = 0.1
-    _actions, info = epsilon_net_search(toy, eps=eps, delta=delta)
-    spacing = cover_spacing(eps, toy.horizon, toy.dim)
-    radius = 1.0 + spacing * math.sqrt(toy.dim) / 2
-    brute = {}
-    total = 0
-    for theta in brute_ball(toy.dim, spacing, radius):
-        total += 1
-        s, trail = (), []
-        while not toy.is_terminal(s):
-            scores = [float(np.dot(theta, toy.features_sa(s, a)))
-                      for a in range(toy.num_actions)]
-            best = max(range(toy.num_actions), key=lambda a: scores[a])
-            # max() returns the first maximum, matching np.argmax
-            trail.append(best)
-            s = toy.transition(s, best)
-        key = tuple(trail)
-        brute[key] = brute.get(key, 0) + 1
-    assert total == info["cover_points"]
-    assert brute == info["trajectory_counts"]
+    # dual route: the line-by-line counts must equal walking every point
+    _actions, info = epsilon_net_search(toy, eps=eps, delta=0.1)
+    assert exact_walk(toy, eps) == (info["cover_points"],
+                                    info["trajectory_counts"])
 
 
 def test_epsilon_net_grouping_matches_per_candidate_walk():
@@ -715,40 +757,80 @@ def test_epsilon_net_grouping_matches_per_candidate_walk():
     assert_grouping_matches_walk(toy, eps=0.2)
 
 
-def test_epsilon_net_grouping_matches_per_candidate_walk_at_d3(monkeypatch):
-    # the ball holds 16,831 points in 31 slabs of 89 to 793: at 512 rows the
-    # two narrowest slabs at each end share a block, the next four are copied
-    # alone and the rest are yielded as views
-    monkeypatch.setattr(agents, "BLOCK_ROWS", 512)
+def test_epsilon_net_grouping_matches_per_candidate_walk_at_d3():
+    # the ball holds 16,831 points on 793 lines in 31 slabs
     toy = ToyLinearMdp(depth=2, num_actions=3, dim=3, structure_seed=7,
                        reward_seed=77)
     assert_grouping_matches_walk(toy, eps=0.8)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 300])
-def test_first_argmax_matches_numpy_argmax(k):
-    rng = np.random.default_rng(k)
-    # few distinct integer values, so most rows hold ties
-    scores = rng.integers(-2, 3, size=(5_000, k)).astype(np.float64)
-    # then rows whose maximum is planted at a random column, and tied at a
-    # later one in about half of them, so the first argmax reaches every column
-    planted = rng.integers(-2, 3, size=(5_000, k)).astype(np.float64)
-    rows = np.arange(len(planted))
-    first = rng.integers(0, k, size=len(planted))
-    planted[rows, first] = 3.0
-    tied = rows[(first < k - 1) & (rng.random(len(planted)) < 0.5)]
-    planted[tied, rng.integers(first[tied] + 1, k)] = 3.0
-    scores = np.concatenate([scores, planted])
-    signed_zero = (scores == 0) & (rng.random(scores.shape) < 0.5)
-    scores[signed_zero] = -0.0
-    assert np.signbit(scores[scores == 0]).any()
-    assert not np.signbit(scores[scores == 0]).all()
-    expected = np.argmax(scores, axis=1)
-    assert expected.max() == k - 1
-    # scores are laid out (k, n): one row per action
-    acts = _first_argmax(np.ascontiguousarray(scores.T))
-    assert acts.dtype == np.min_scalar_type(k - 1)
-    assert np.array_equal(acts, expected)
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_epsilon_net_decides_each_point_exactly(depth):
+    # toys._plant gives siblings features that are equal in exact arithmetic
+    # and apart by rounding alone; a float argmax per point decided 10 of these
+    # 36 specs by rounding (at depth 3, k 4, structure seed 3 it put 181
+    # points on (0, 0, 0), which the exact walk gives 1)
+    for k, seed in product([2, 3, 4], range(4)):
+        toy = ToyLinearMdp(depth=depth, num_actions=k, dim=2,
+                           structure_seed=seed, reward_seed=1)
+        assert_grouping_matches_walk(toy, eps=0.4)
+
+
+# the cover at d = 1, 2, 3 (k = 3, H = 2, eps = 0.1, structure seed 3): the
+# measured (1/eps)^d work of the search, point by point equal to the exact walk
+# where that walk is small
+@pytest.mark.parametrize("dim, cover_points, lines", [
+    (1, 81, 1), (2, 20_461, 161), (3, 7_394_773, 45_877)])
+def test_epsilon_net_cover_across_dims(dim, cover_points, lines):
+    toy = ToyLinearMdp(depth=2, num_actions=3, dim=dim, structure_seed=3,
+                       reward_seed=1)
+    _actions, info = epsilon_net_search(toy, eps=0.1, delta=0.1)
+    assert (info["cover_points"], info["lines"]) == (cover_points, lines)
+    if dim < 3:
+        assert exact_walk(toy, 0.1) == (cover_points, info["trajectory_counts"])
+
+
+def fraction_sides(features, rest, lo, hi):
+    """{(pair, line, t): a wins} for every pair a < b, line and t in [lo, hi],
+    from the features as Fractions."""
+    fracs = [[Fraction(x) for x in row] for row in features.tolist()]
+    sides = {}
+    for p, (a, b) in enumerate(combinations(range(len(fracs)), 2)):
+        diff = [x - y for x, y in zip(fracs[a], fracs[b])]
+        for i, line in enumerate(rest.T.astype(np.int64).tolist()):
+            c = sum(dj * z for dj, z in zip(diff, line))
+            for t in range(int(lo[i]), int(hi[i]) + 1):
+                sides[p, i, t] = c + diff[-1] * t >= 0
+    return sides
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_cuts_match_exact_scores(seed):
+    rng = np.random.default_rng(seed)
+    # tenths, which no double holds: many score differences on a line are
+    # rounding residues near 0
+    features = rng.integers(-9, 10, size=(5, 3)) / 10
+    features[1, -1] = features[0, -1]  # h = 0 on the pair (0, 1)
+    features[2] = [0.5, -0.25, 0.75]  # dyadic: exact ties on lattice points
+    # near-identical siblings, apart by rounding alone: 0.1 * 3 != 0.3
+    features[3] = [0.3, 0.7, -0.1]
+    features[4] = 0.1 * np.array([3.0, 7.0, -1.0])
+    n = 200
+    rest = rng.integers(-30, 31, size=(2, n)).astype(np.float64)
+    lo = rng.integers(-30, 5, size=n)
+    hi = lo + rng.integers(0, 30, size=n)
+    cuts, upper, lower, exact = _pair_cuts(features, rest, lo, hi)
+    pairs = list(combinations(range(5), 2))
+    assert cuts.shape == (len(pairs), n)
+    assert sorted(zip(upper.tolist(), lower.tolist())) == sorted(
+        (a, b) if features[a, -1] >= features[b, -1] else (b, a)
+        for a, b in pairs)
+    assert ((cuts >= lo) & (cuts <= hi + 1)).all()
+    # the float certificate leaves some cuts to Python ints
+    assert exact > 0
+    for (p, i, t), a_wins in fraction_sides(features, rest, lo, hi).items():
+        upper_side = t >= cuts[p, i]
+        assert a_wins == (upper_side == (upper[p] == pairs[p][0])), (p, i, t)
 
 
 def test_horizon_split_rejects_zero_feature_layers(figure_formula):
