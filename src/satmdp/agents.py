@@ -1,8 +1,12 @@
 """Policies and algorithms against deterministic linear-feature MDP oracles:
 the seeded, query-counting oracle of a SAT instance, the distance-greedy
-reference policy, exact optimal values over a game tree, the RL-to-SAT
-reduction driver, and the two brute-force RL baselines (lattice-cover policy
-search and the horizon-split basis algorithm).
+reference policy, the RL-to-SAT reduction driver, and the two brute-force RL
+baselines (lattice-cover policy search and the horizon-split basis algorithm).
+
+Two bottom-up passes over an enumerated game tree give values at every node
+at once: `tree_optimal_values` (V*, backward induction) and
+`tree_greedy_values` (the greedy policy's value, equal to
+`greedy_rollout_value` at each node).
 
 The baselines and the reduction call an oracle through these names only;
 `SatOracle` and `toys.ToyLinearMdp` both provide them:
@@ -133,7 +137,8 @@ def greedy_policy(inst: MdpInstance, wstar=None):
 
 
 def greedy_rollout_value(inst: MdpInstance, s: MdpState) -> float:
-    """Exact expected future reward of the greedy policy from s (no sampling).
+    """Exact expected future reward of the greedy policy from s (no sampling):
+    the single-state reference that `tree_greedy_values` must equal.
 
     Terminal states are worth 0: the payout sits on the entering transition,
     which a rollout starting at the terminal never takes.
@@ -157,6 +162,21 @@ def tree_optimal_values(inst: MdpInstance, states, children):
     for i in range(len(states) - 1, -1, -1):
         for j in children[i]:
             values[i] = max(values[i], reward_mean(inst, states[j]) + values[j])
+    return values
+
+
+def tree_greedy_values(inst: MdpInstance, states, children):
+    """`greedy_rollout_value` at every node of an enumerated tree in one
+    bottom-up pass: a node is worth its greedy child's payout plus that
+    child's value. A terminal, having no children, stays 0, and so does every
+    node of an instance without w*."""
+    values = [0.0] * len(states)
+    if inst.wstar is None:
+        return values
+    for i in range(len(states) - 1, -1, -1):
+        if children[i]:
+            j = children[i][greedy_action(inst, states[i])]
+            values[i] = reward_mean(inst, states[j]) + values[j]
     return values
 
 

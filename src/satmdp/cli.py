@@ -169,8 +169,8 @@ def _linearity_suite(seed: int) -> dict:
         theta = theta_vector(wstar, v, inst.params.p)
         states, children = mdp.enumerate_reachable(inst, budget=8_000)
         optimal = agents.tree_optimal_values(inst, states, children)
-        for s, opt_val in zip(states, optimal):
-            greedy_val = agents.greedy_rollout_value(inst, s)
+        greedy = agents.tree_greedy_values(inst, states, children)
+        for s, opt_val, greedy_val in zip(states, optimal, greedy):
             lin = abs(float(mdp.features_state(inst, s) @ theta) - greedy_val)
             max_lin = max(max_lin, lin)
             max_opt = max(max_opt, abs(opt_val - greedy_val))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import satmdp.cli
@@ -59,30 +61,46 @@ def sat_solves(monkeypatch):
     return calls
 
 
+POOL_COMBOS = [(v, h, eps) for v in (4, 5, 6, 7) for h in (2, 3)
+               for eps in (0.25, 0.125)]
+
+
+def pool_tree(seed):
+    """(instance, states, children) for seed 1000 + k, k cycling through
+    POOL_COMBOS (p=2, q=4): children[i] holds node i's distinct child
+    indices in action order."""
+    v, h, eps = POOL_COMBOS[(seed - 1000) % len(POOL_COMBOS)]
+    inst, _, _ = random_satisfiable_instance(
+        seed, v=v, h=h, p=2, q=4, epsilon=eps, tree_budget=20_000)
+    return inst, *enumerate_reachable(inst, budget=20_000)
+
+
 @pytest.fixture(scope="session")
-def pool_trees():
-    """The criterion-1 pool (50 instances, seeds 1000 + k) and the 16
-    tree_sweep instances (per (v, h, eps), the first seed 1000 + k,
-    1016 + k, ... whose tree has at least 32 states), each as
-    (instance, states, children) from `enumerate_reachable`: children[i]
-    holds node i's distinct child indices in action order."""
-    combos = [(v, h, eps) for v in (4, 5, 6, 7) for h in (2, 3)
-              for eps in (0.25, 0.125)]
-    built = {}
+def criterion_1_pool():
+    """The criterion-1 pool, built once per session: the 50 trees of seeds
+    1000 + k, and the seconds their build took, which criterion 1 counts."""
+    t0 = time.perf_counter()
+    pool = [pool_tree(1000 + k) for k in range(50)]
+    return pool, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def pool_trees(criterion_1_pool):
+    """The criterion-1 pool and the 16 tree_sweep instances (per (v, h, eps),
+    the first seed 1000 + k, 1016 + k, ... whose tree has at least 32
+    states), each as `pool_tree` builds it."""
+    pool, _seconds = criterion_1_pool
+    built = {1000 + k: tree for k, tree in enumerate(pool)}
 
     def tree(seed):
         if seed not in built:
-            v, h, eps = combos[(seed - 1000) % len(combos)]
-            inst, _, _ = random_satisfiable_instance(
-                seed, v=v, h=h, p=2, q=4, epsilon=eps, tree_budget=20_000)
-            built[seed] = inst, *enumerate_reachable(inst, budget=20_000)
+            built[seed] = pool_tree(seed)
         return built[seed]
 
-    pool = [tree(1000 + k) for k in range(50)]
     sweep = []
-    for k in range(len(combos)):
+    for k in range(len(POOL_COMBOS)):
         seed = 1000 + k
         while len(tree(seed)[1]) < 32:
-            seed += len(combos)
+            seed += len(POOL_COMBOS)
         sweep.append(tree(seed))
     return pool, sweep

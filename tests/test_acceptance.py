@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 1 and 2 share a pool of 50 seeded random satisfiable instances whose
-per-state sweeps are computed once in a module fixture. Run with `pytest -s
+Criteria 1 and 2 share a pool of 50 seeded random satisfiable instances, built
+once per session in `conftest.criterion_1_pool`, whose per-state sweeps are
+computed once in a module fixture. Run with `pytest -s
 tests/test_acceptance.py` to see the per-criterion lines.
 """
 import time
@@ -9,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import POOL_COMBOS
 from satmdp import reward
 from satmdp.agents import (
     SatOracle,
@@ -16,10 +18,10 @@ from satmdp.agents import (
     epsilon_net_search,
     greedy_on_q,
     greedy_reference_learner,
-    greedy_rollout_value,
     horizon_split_policy,
     random_actions,
     random_learner,
+    tree_greedy_values,
     tree_optimal_values,
 )
 from satmdp.cnf import (
@@ -72,42 +74,36 @@ def report(num, name, passed, detail=""):
 
 
 @pytest.fixture(scope="module")
-def linearity_sweep():
-    """50 seeded random satisfiable gap-checked instances, v in 4..7 and
-    h in {2,3} (p=2, q=4); per-state greedy values, DP optima, and
-    feature/theta inner products over the full reachable tree."""
+def linearity_sweep(criterion_1_pool):
+    """The 50 seeded random satisfiable gap-checked instances of the shared
+    criterion-1 pool, v in 4..7 and h in {2,3} (p=2, q=4); greedy values,
+    DP optima, and feature/theta inner products over each full reachable
+    tree. `elapsed` counts the pool's build."""
+    pool, build_seconds = criterion_1_pool
     t0 = time.perf_counter()
-    combos = [(v, h, eps) for v in (4, 5, 6, 7) for h in (2, 3)
-              for eps in (0.25, 0.125)]
     # claim gate: the structural inequalities hold for every parameterization
-    for v, h, _eps in combos:
+    for v, h, _eps in POOL_COMBOS:
         params = params_for_rounds(v=v, h=h, p=2, q=4)
         assert verify_claim_monotone_step(params).passed
         assert verify_claim_range(params).passed
     max_lin = 0.0
     max_opt = 0.0
     total_states = 0
-    instances_used = 0
-    seed = 0
-    while instances_used < 50:
-        v, h, eps = combos[instances_used % len(combos)]
-        inst, wstar, _ = random_satisfiable_instance(
-            1000 + seed, v=v, h=h, p=2, q=4, epsilon=eps, tree_budget=20_000)
-        assert check_gap_promise(inst.formula, eps).kind is PromiseKind.SATISFIABLE
-        seed += 1
-        instances_used += 1
-        theta = theta_vector(wstar, v, 2)
-        states, children = enumerate_reachable(inst, budget=20_000)
+    for inst, states, children in pool:
+        params = inst.params
+        assert check_gap_promise(inst.formula, params.epsilon).kind \
+            is PromiseKind.SATISFIABLE
+        theta = theta_vector(inst.wstar_assignment(), params.v, params.p)
         optimal = tree_optimal_values(inst, states, children)
-        for s, opt in zip(states, optimal):
-            greedy_val = greedy_rollout_value(inst, s)
+        greedy = tree_greedy_values(inst, states, children)
+        for s, opt, greedy_val in zip(states, optimal, greedy):
             lin_err = abs(float(features_state(inst, s) @ theta) - greedy_val)
             max_lin = max(max_lin, lin_err)
             max_opt = max(max_opt, abs(opt - greedy_val))
         total_states += len(states)
-    elapsed = time.perf_counter() - t0
+    elapsed = build_seconds + time.perf_counter() - t0
     return {"max_lin": max_lin, "max_opt": max_opt, "states": total_states,
-            "instances": instances_used, "elapsed": elapsed}
+            "instances": len(pool), "elapsed": elapsed}
 
 
 def test_criterion_1_linearity(linearity_sweep):

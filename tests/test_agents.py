@@ -27,6 +27,7 @@ from satmdp.agents import (
     random_learner,
     rollout,
     select_independent,
+    tree_greedy_values,
     tree_optimal_values,
 )
 from satmdp.cnf import (
@@ -156,13 +157,25 @@ def test_exact_value_dp_matches_bottom_up_and_greedy():
     bottom_up = tree_optimal_values(inst, states, children)
     for s, expect in list(zip(states, bottom_up))[:80]:
         assert exact_value_dp(inst, s) == pytest.approx(expect, abs=1e-12)
-    for s, expect in zip(states, bottom_up):
-        assert greedy_rollout_value(inst, s) == pytest.approx(expect, abs=1e-9)
+    assert tree_greedy_values(inst, states, children) == pytest.approx(
+        bottom_up, abs=1e-9)
+
+
+def test_tree_greedy_values_equal_the_rollout_at_every_pool_state(pool_trees):
+    """The one comparison of the bottom-up greedy pass with its single-state
+    reference: bit-equal at every state of the 50 criterion-1 trees, on each
+    instance and on its w*-less simulator twin."""
+    pool, _sweep = pool_trees
+    for inst, states, children in pool:
+        twin = build_instance(inst.formula, inst.params, mode=MODE_SIMULATOR)
+        for game in (inst, twin):
+            assert tree_greedy_values(game, states, children) == \
+                [greedy_rollout_value(game, s) for s in states]
 
 
 # sha256 over, tree by tree of the criterion-1 pool: repr of
 # tree_optimal_values on the instance and on its simulator twin, then repr of
-# greedy_rollout_value at every state on each
+# the greedy value at every state on each (tree_greedy_values)
 POOL_VALUES_SHA256 = "becd18ff20ad7c5d2b39ee44a69121bafca16955e9c924aaae52a7941daded93"
 
 
@@ -173,7 +186,7 @@ def test_pool_values_golden(pool_trees):
         twin = build_instance(inst.formula, inst.params, mode=MODE_SIMULATOR)
         for game in (inst, twin):
             h.update(repr(tree_optimal_values(game, states, children)).encode())
-            h.update(repr([greedy_rollout_value(game, s) for s in states]).encode())
+            h.update(repr(tree_greedy_values(game, states, children)).encode())
     assert h.hexdigest() == POOL_VALUES_SHA256
 
 
@@ -197,6 +210,7 @@ def test_value_caches_build_each_round_summary_once(pool_trees, monkeypatch):
         tree_optimal_values(inst, states, children)
         for s in states:
             features_state(inst, s)
+            # a rollout per state, as perfbench's tree_sweep pass runs it
             greedy_rollout_value(inst, s)
             flips = hamming(s.w_round, s.w)
             if s.is_terminal:
@@ -230,8 +244,8 @@ def test_greedy_optimal_on_whole_trees_v4_to_7_p4_q2():
             1000 + k, v=v, h=h, p=p, q=2, epsilon=eps, tree_budget=20_000)
         states, children = enumerate_reachable(inst, budget=20_000)
         optimal = tree_optimal_values(inst, states, children)
-        for s, opt in zip(states, optimal):
-            worst = max(worst, abs(opt - greedy_rollout_value(inst, s)))
+        greedy = tree_greedy_values(inst, states, children)
+        worst = max(worst, max(abs(o - g) for o, g in zip(optimal, greedy)))
         total += len(states)
     assert total == 75_902
     assert worst <= 1e-9
@@ -259,6 +273,7 @@ def test_greedy_linear_and_bellman_on_sampled_states_p6_q2(v, d, sampled):
     for _episode in range(20):
         s = initial_state(inst)
         while not s.is_terminal:
+            # sampled states, not a whole tree: no tree pass to read
             value = greedy_rollout_value(inst, s)
             assert features_state(inst, s) @ theta == pytest.approx(
                 value, rel=1e-12, abs=0)

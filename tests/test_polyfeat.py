@@ -7,7 +7,7 @@ import pytest
 
 from satmdp import polyfeat
 from satmdp.cnf import assignment_from_mask, hamming
-from satmdp.agents import greedy_rollout_value, random_actions
+from satmdp.agents import greedy_rollout_value, random_actions, tree_greedy_values
 from satmdp.mdp import (
     build_instance,
     enumerate_reachable,
@@ -80,13 +80,13 @@ def test_theta_vector_entries():
 def test_greedy_value_poly_matches_reward_at_wstar():
     inst, wstar, _ = random_satisfiable_instance(11, v=5, h=2, epsilon=0.125)
     theta = theta_vector(wstar, 5, inst.params.p)
-    states, _children = enumerate_reachable(inst, budget=10_000)
-    for s in states:
+    states, children = enumerate_reachable(inst, budget=10_000)
+    greedy = tree_greedy_values(inst, states, children)
+    for s, value in zip(states, greedy):
         if s.is_terminal:
             continue
         psi = to_feature_vector(greedy_value_poly(s, inst.params), 5)
-        assert psi @ theta == pytest.approx(
-            greedy_rollout_value(inst, s), abs=1e-9)
+        assert psi @ theta == pytest.approx(value, abs=1e-9)
 
 
 def test_greedy_value_poly_terminal_equals_exact_reward():
