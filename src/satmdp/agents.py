@@ -211,26 +211,29 @@ def rollout(oracle: SatOracle, policy):
 
 
 def _walk(oracle, start, path):
-    """State reached by a fixed action path, stopping early at a terminal."""
-    s = start
+    """State reached by a fixed action path, stopping early at a terminal, and
+    the transitions taken."""
+    s, steps = start, 0
     for a in path:
         if oracle.is_terminal(s):
-            return s
+            break
         s = oracle.transition(s, a)
-    return s
+        steps += 1
+    return s, steps
 
 
 def _estimate_kappa(oracle, start, path, samples: int):
-    """Mean reward collected along a fixed action path (batched sampling), and
-    the state the path reaches, stopping early at a terminal."""
-    total = 0.0
-    s = start
+    """Mean reward collected along a fixed action path (batched sampling), the
+    state the path reaches, stopping early at a terminal, and the transitions
+    taken."""
+    total, s, steps = 0.0, start, 0
     for a in path:
         if oracle.is_terminal(s):
             break
         total += oracle.sample_reward_batch(s, a, samples) / samples
         s = oracle.transition(s, a)
-    return total, s
+        steps += 1
+    return total, s, steps
 
 
 # --- RL-to-SAT reduction ----------------------------------------------------------
@@ -366,7 +369,7 @@ def greedy_on_q(q: dict, oracle):
 # --- lattice-cover policy search --------------------------------------------------
 
 MIN_ROLLOUTS = 64  # reward samples per distinct policy, at the least
-COVER_BUDGET = 60_000_000  # largest lattice cover epsilon_net_search enumerates
+LINE_BUDGET = 10_000_000  # most lattice lines epsilon_net_search searches
 LINE_CHUNK = 8_192  # root lines searched together, in whole z_0 slabs
 UNIT_ROUNDOFF = 2.0 ** -53
 BOUND_FLOOR = 2.0 ** -1000  # added to each rounding bound: covers underflow
@@ -545,10 +548,12 @@ def epsilon_net_search(oracle, eps: float, delta: float):
     spacing = cover_spacing(eps, H, d)
     radius = 1.0 + spacing * math.sqrt(d) / 2  # margin so ball points keep a cover point
     bound = math.floor((radius / spacing) ** 2)
-    size = (2 * math.isqrt(bound) + 1) ** d
-    if size > COVER_BUDGET:
+    # the search costs per line: bound the lines by those of the cube
+    line_bound = (2 * math.isqrt(bound) + 1) ** (d - 1)
+    if line_bound > LINE_BUDGET:
         raise ResourceLimitError(
-            f"lattice cover needs ~{size} points, over budget {COVER_BUDGET}")
+            f"lattice cover needs up to {line_bound} lines, over budget "
+            f"{LINE_BUDGET} lines")
 
     s0 = oracle.initial_state()
     work = {"transitions": 0, "feature_calls": 0}
@@ -604,7 +609,7 @@ def epsilon_net_search(oracle, eps: float, delta: float):
     best_actions, best_est = None, -math.inf
     for actions in sorted(trajectory_counts):
         # a trajectory ends where the tree does, so its rollout takes every step
-        total, _ = _estimate_kappa(oracle, s0, actions, n_roll)
+        total, _, _ = _estimate_kappa(oracle, s0, actions, n_roll)
         work["transitions"] += len(actions)
         if total > best_est:
             best_actions, best_est = list(actions), total
@@ -624,17 +629,17 @@ PIVOT_TOL = 1e-10  # smallest residual norm kept as a new basis direction
 
 
 def select_independent(vectors):
-    """Indices of a maximal independent subset by elimination with pivoting:
+    """Indices of a maximal independent subset of `vectors` (the rows of a 2-D
+    array, or a list of equal-length vectors) by elimination with pivoting:
     repeatedly keep the vector with the largest residual against the running
     orthonormal basis, stopping at pivot tolerance PIVOT_TOL.
 
     Pivoting matters beyond rank: it keeps the chosen basis well-conditioned so
     downstream least-squares expansion coefficients stay small and sampled
     estimation noise is not amplified."""
-    mat = np.array(vectors, dtype=np.float64)
-    if mat.size == 0:
+    residuals = np.array(vectors, dtype=np.float64)
+    if residuals.size == 0:
         return []
-    residuals = mat.copy()
     kept = []
     while True:
         norms = np.linalg.norm(residuals, axis=1)
@@ -656,13 +661,6 @@ def _segment_levels(horizon: int, from_level: int = 0):
                    if lvl >= from_level} | {from_level, horizon - 1})
 
 
-@dataclass
-class _BasisEntry:
-    state: object    # the state the action is taken at
-    action: int
-    features: np.ndarray
-
-
 def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: int = 0,
                     sample_cap: int = 50_000):
     """Q estimates at a state via sqrt(H)-segment feature bases.
@@ -671,36 +669,64 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
     learns terminal-layer Q by repeated reward sampling, and back-propagates
     through exact basis expansions combined with sampled path rewards. Returns
     ({(state, action): estimate} at the query state, info).
+
+    The forward pass walks every (basis pair, tail) path once and reads the
+    features of every action at its end, one row each of the next level's
+    candidate matrix. The backward pass expands a whole level against its basis
+    in one least-squares solve, checks every column's residual against
+    RESIDUAL_TOL, and walks each path again only to sample its rewards. The
+    root's actions outside its basis are expanded the same way.
+
+    `info` counts the work: oracle transitions (every step of the forward and
+    the backward walks), `features_sa` calls (each (state, action) pair is
+    read once) and reward samples, beside the basis sizes, the largest
+    residual and the terminal sample count.
     """
     s0 = oracle.initial_state() if start is None else start
     k = oracle.num_actions
     levels = _segment_levels(oracle.horizon, from_level)
-    root_pairs = [_BasisEntry(s0, a, np.asarray(oracle.features_sa(s0, a)))
-                  for a in range(k)]
-    bases: list[list[_BasisEntry]] = []
-    kept = select_independent([e.features for e in root_pairs])
-    bases.append([root_pairs[i] for i in kept])
+    work = {"transitions": 0, "feature_calls": 0, "reward_samples": 0}
 
-    for t in range(1, len(levels)):
-        gap = levels[t] - levels[t - 1]
-        candidates = []
-        for entry in bases[t - 1]:
-            for tail in product(range(k), repeat=gap - 1):
-                s = _walk(oracle, entry.state, (entry.action,) + tail)
-                if oracle.is_terminal(s):
-                    continue
-                for a in range(k):
-                    candidates.append(
-                        _BasisEntry(s, a, np.asarray(oracle.features_sa(s, a))))
-        kept = select_independent([e.features for e in candidates])
-        if candidates and not kept:
+    def candidates(states):
+        """Every (state, action) pair of `states` and their features, one row each."""
+        pairs = [(s, a) for s in states for a in range(k)]
+        work["feature_calls"] += len(pairs)
+        feats = np.array([oracle.features_sa(s, a) for s, a in pairs],
+                         dtype=np.float64).reshape(len(pairs), oracle.dim)
+        return pairs, feats
+
+    def tails(t):
+        """The action paths after a basis pair's own action, level t to t + 1."""
+        return product(range(k), repeat=levels[t + 1] - levels[t] - 1)
+
+    pairs, feats = candidates([s0])
+    level_feats = [feats]  # each level's candidate features
+    ended = [None]  # from level 1: per (basis pair, tail) walk, did it end?
+    bases, mats = [], []
+    for t in range(len(levels)):
+        kept = select_independent(feats)
+        if pairs and not kept:
             # e.g. oracles that zero out features on terminal-entering pairs:
             # their Q values are not linear in the features there, and nothing
             # can be expanded against an empty basis
             raise InvariantViolation(
                 f"no independent state-action features at level {levels[t]}; "
                 "the estimator needs features that carry the Q values")
-        bases.append([candidates[i] for i in kept])
+        bases.append([pairs[i] for i in kept])
+        mats.append(feats[kept].T)
+        if t + 1 == len(levels):
+            break
+        states, ends = [], []
+        for s, a in bases[t]:
+            for tail in tails(t):
+                end, steps = _walk(oracle, s, (a,) + tail)
+                work["transitions"] += steps
+                ends.append(oracle.is_terminal(end))
+                if not ends[-1]:
+                    states.append(end)
+        pairs, feats = candidates(states)
+        level_feats.append(feats)
+        ended.append(ends)
 
     segments = len(levels) - 1
     total_pairs = sum(len(b) for b in bases) + k
@@ -709,56 +735,52 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
     n_term = min(theoretical, sample_cap)
 
     q_values: list[np.ndarray] = [None] * len(bases)
-    q_values[-1] = np.array([
-        oracle.sample_reward_batch(e.state, e.action, n_term) / n_term
-        for e in bases[-1]
-    ])
+    q_values[-1] = np.array([oracle.sample_reward_batch(s, a, n_term) / n_term
+                             for s, a in bases[-1]])
+    work["reward_samples"] += n_term * len(bases[-1])
     max_residual = 0.0
-    # a level every path ends before has an empty basis, never expanded against
-    mats = [np.stack([e.features for e in basis], axis=1) if basis else None
-            for basis in bases]
 
-    def expand(feat, level_idx):
+    def expand(feats, t):
+        """Q values of feature rows, expanded against level t's basis."""
         nonlocal max_residual
-        mat = mats[level_idx]
-        alpha, *_ = np.linalg.lstsq(mat, feat, rcond=None)
-        resid = float(np.linalg.norm(mat @ alpha - feat))
-        max_residual = max(max_residual, resid)
-        if resid > RESIDUAL_TOL:
+        if not len(feats):  # a level every path ends before
+            return np.empty(0)
+        alpha, *_ = np.linalg.lstsq(mats[t], feats.T, rcond=None)
+        resid = np.linalg.norm(mats[t] @ alpha - feats.T, axis=0)
+        worst = float(resid.max())
+        max_residual = max(max_residual, worst)
+        if worst > RESIDUAL_TOL:
             raise InvariantViolation(
-                f"feature expansion residual {resid:.3e} exceeds {RESIDUAL_TOL}; "
+                f"feature expansion residual {worst:.3e} exceeds {RESIDUAL_TOL}; "
                 "inconsistent basis system")
-        return float(alpha @ q_values[level_idx])
-
-    def backward_estimate(entry: _BasisEntry, t: int) -> float:
-        gap = levels[t + 1] - levels[t]
-        best = -math.inf
-        for tail in product(range(k), repeat=gap - 1):
-            kappa, s = _estimate_kappa(oracle, entry.state, (entry.action,) + tail,
-                                       KAPPA_SAMPLES)
-            if oracle.is_terminal(s):
-                best = max(best, kappa)
-                continue
-            for a in range(k):
-                feat = np.asarray(oracle.features_sa(s, a))
-                best = max(best, kappa + expand(feat, t + 1))
-        return best
+        return q_values[t] @ alpha
 
     for t in range(segments - 1, -1, -1):
-        q_values[t] = np.array([backward_estimate(e, t) for e in bases[t]])
+        # the best action's value at the end of each walk that goes on
+        best_next = iter(expand(level_feats[t + 1], t + 1).reshape(-1, k)
+                         .max(axis=1).tolist())
+        ends = iter(ended[t + 1])
+        estimates = []
+        for s, a in bases[t]:
+            best = -math.inf
+            for tail in tails(t):
+                kappa, _, steps = _estimate_kappa(oracle, s, (a,) + tail,
+                                                  KAPPA_SAMPLES)
+                work["transitions"] += steps
+                work["reward_samples"] += KAPPA_SAMPLES * steps
+                best = max(best, kappa if next(ends) else kappa + next(best_next))
+            estimates.append(best)
+        q_values[t] = np.array(estimates)
 
-    qest = {}
-    basis0 = {e.action: i for i, e in enumerate(bases[0])}
-    for a in range(k):
-        if a in basis0:
-            qest[(s0, a)] = float(q_values[0][basis0[a]])
-        else:
-            qest[(s0, a)] = expand(root_pairs[a].features, 0)
+    root_q = {a: float(q) for (_, a), q in zip(bases[0], q_values[0])}
+    rest = [a for a in range(k) if a not in root_q]
+    root_q.update(zip(rest, expand(level_feats[0][rest], 0).tolist()))
+    qest = {(s0, a): root_q[a] for a in range(k)}
     info = {"basis_sizes": [len(b) for b in bases],
             "max_residual": max_residual,
             "terminal_samples": n_term,
             "theoretical_terminal_samples": theoretical,
-            "levels": levels}
+            "levels": levels, **work}
     return qest, info
 
 

@@ -791,18 +791,21 @@ def test_epsilon_net_decides_each_point_exactly(depth):
         assert_grouping_matches_walk(toy, eps=0.4)
 
 
-# the cover at d = 1, 2, 3 (k = 3, H = 2, eps = 0.1, structure seed 3): the
-# measured (1/eps)^d work of the search, point by point equal to the exact walk
-# where that walk is small
-@pytest.mark.parametrize("dim, cover_points, lines", [
-    (1, 81, 1), (2, 20_461, 161), (3, 7_394_773, 45_877)])
-def test_epsilon_net_cover_across_dims(dim, cover_points, lines):
+# the cover at d = 1, 2, 3 (eps = 0.1) and d = 4 (eps = 0.2), with k = 3,
+# H = 2 and structure seed 3: the measured (1/eps)^d work of the search, point
+# by point equal to the exact walk where that walk is small; a convolution of
+# the one-dimensional square counts gives the same points and lines
+@pytest.mark.parametrize("dim, eps, cover_points, lines", [
+    (1, 0.1, 81, 1), (2, 0.1, 20_461, 161), (3, 0.1, 7_394_773, 45_877),
+    (4, 0.2, 212_357_353, 2_224_701)],
+    ids=["1-81-1", "2-20461-161", "3-7394773-45877", "4-212357353-2224701"])
+def test_epsilon_net_cover_across_dims(dim, eps, cover_points, lines):
     toy = ToyLinearMdp(depth=2, num_actions=3, dim=dim, structure_seed=3,
                        reward_seed=1)
-    _actions, info = epsilon_net_search(toy, eps=0.1, delta=0.1)
+    _actions, info = epsilon_net_search(toy, eps=eps, delta=0.1)
     assert (info["cover_points"], info["lines"]) == (cover_points, lines)
     if dim < 3:
-        assert exact_walk(toy, 0.1) == (cover_points, info["trajectory_counts"])
+        assert exact_walk(toy, eps) == (cover_points, info["trajectory_counts"])
 
 
 def fraction_sides(features, rest, lo, hi):
@@ -871,6 +874,20 @@ def test_epsilon_net_refuses_oversized_cover():
         epsilon_net_search(toy, eps=0.01, delta=0.1)
 
 
+def test_epsilon_net_budgets_lines_before_building_the_lattice(monkeypatch):
+    # d = 4 at eps = 0.01: a cube of 3,203 ** 3 lines, far over LINE_BUDGET
+    def no_lattice(dim, bound):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(agents, "_lattice_lines", no_lattice)
+    toy = _CountingToy(depth=2, num_actions=3, dim=4, structure_seed=7,
+                       reward_seed=1)
+    with pytest.raises(ResourceLimitError,
+                       match="needs up to 32860246427 lines, over budget"):
+        epsilon_net_search(toy, eps=0.01, delta=0.1)
+    assert toy.feature_pairs == [] and toy.transitions == 0
+
+
 def test_horizon_split_rejects_non_square_horizon():
     toy = ToyLinearMdp(depth=3, num_actions=2, dim=2, structure_seed=1,
                        reward_seed=1)
@@ -907,28 +924,81 @@ def test_horizon_split_policy_reaches_near_optimal():
     assert replay == actions
 
 
-class _TransitionCountingToy(ToyLinearMdp):
-    transitions = 0
+class _CountingToy(ToyLinearMdp):
+    """Records the transitions, feature reads and reward samples asked of it."""
+    transitions = reward_samples = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.feature_pairs = []
 
     def transition(self, s, a):
         self.transitions += 1
         return super().transition(s, a)
 
+    def features_sa(self, s, a):
+        self.feature_pairs.append((s, a))
+        return super().features_sa(s, a)
 
-@pytest.mark.parametrize("horizon, transitions", [(4, 20), (9, 112), (16, 432)])
-def test_horizon_split_walks_from_each_basis_state(horizon, transitions):
+    def sample_reward_batch(self, s, a, count):
+        self.reward_samples += count
+        return super().sample_reward_batch(s, a, count)
+
+
+@pytest.mark.parametrize("horizon, transitions, feature_calls, reward_samples", [
+    (4, 20, 14, 40_640), (9, 112, 42, 43_584), (16, 432, 114, 53_824)],
+    ids=["4-20", "9-112", "16-432"])
+def test_horizon_split_walks_from_each_basis_state(horizon, transitions,
+                                                   feature_calls, reward_samples):
     """Every basis walk starts at the state its entry's action is taken at,
     so one root estimate takes these transitions (34, 194 and 798 when each
-    walk replayed its action path from the query state)."""
-    toy = _TransitionCountingToy(depth=horizon, num_actions=2, dim=2,
-                                 structure_seed=3, reward_seed=1)
-    horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=20_000)
-    assert toy.transitions == transitions
+    walk replayed its action path from the query state). Each (state, action)
+    pair's features are read once (26, 82 and 226 reads when the backward
+    pass read them again), and `info` counts what the oracle saw."""
+    toy = _CountingToy(depth=horizon, num_actions=2, dim=2, structure_seed=3,
+                       reward_seed=1)
+    _qest, info = horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=20_000)
+    assert len(set(toy.feature_pairs)) == len(toy.feature_pairs)
+    seen = (toy.transitions, len(toy.feature_pairs), toy.reward_samples)
+    counted = (info["transitions"], info["feature_calls"], info["reward_samples"])
+    assert seen == counted == (transitions, feature_calls, reward_samples)
 
 
-# sha256 of the repr of the runs below, recorded before the tail walks of
-# horizon_split_q were merged: pins every sample, expansion and argmax
-HORIZON_SPLIT_GOLDEN = "c82201087b9c6ae323fc3f8fd20d6ae67958af4cf41f7183538d8bfe6bd10bc6"
+def test_horizon_split_checks_every_expansion_residual(monkeypatch):
+    toy = ToyLinearMdp(depth=9, num_actions=3, dim=4, structure_seed=21,
+                       reward_seed=1)
+    solves, lstsq = [], np.linalg.lstsq
+
+    def recorded(mat, rhs, rcond=None):
+        alpha, *rest = lstsq(mat, rhs, rcond=rcond)
+        solves.append((mat, rhs, alpha))
+        return (alpha, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    _qest, info = horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=200)
+    # at most one solve per level, with every vector it expands as a column
+    assert len(solves) <= len(info["levels"])
+    largest = max(float(np.linalg.norm(mat @ alpha - rhs, axis=0).max())
+                  for mat, rhs, alpha in solves)
+    assert info["max_residual"] == largest > 0
+    # under any real residual: every expansion fails the check
+    monkeypatch.setattr(agents, "RESIDUAL_TOL", -1.0)
+    with pytest.raises(InvariantViolation, match="feature expansion residual"):
+        horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=200)
+    # one ulp under the reported largest residual: exactly that column fails,
+    # so info reports the largest residual that is checked
+    monkeypatch.setattr(agents, "RESIDUAL_TOL", float(np.nextafter(largest, 0)))
+    with pytest.raises(InvariantViolation, match=f"residual {largest:.3e} exceeds"):
+        horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=200)
+    monkeypatch.setattr(agents, "RESIDUAL_TOL", largest)
+    assert horizon_split_q(toy, eps=0.2, delta=0.1,
+                           sample_cap=200)[1]["max_residual"] == largest
+
+
+# sha256 of the repr of the runs below, recorded when each level's expansions
+# became one least-squares solve: pins every sample, expansion, argmax and
+# work counter
+HORIZON_SPLIT_GOLDEN = "e16cf22b0e864b7e9a1799e2d6cd6c73a340a9eee8710e293a171ebfebf7c920"
 
 
 def test_horizon_split_policy_golden():
