@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -212,28 +212,23 @@ def rollout(oracle: SatOracle, policy):
 
 def _walk(oracle, start, path):
     """State reached by a fixed action path, stopping early at a terminal, and
-    the transitions taken."""
-    s, steps = start, 0
+    the (state, action) steps taken."""
+    s, steps = start, []
     for a in path:
         if oracle.is_terminal(s):
             break
+        steps.append((s, a))
         s = oracle.transition(s, a)
-        steps += 1
     return s, steps
 
 
-def _estimate_kappa(oracle, start, path, samples: int):
-    """Mean reward collected along a fixed action path (batched sampling), the
-    state the path reaches, stopping early at a terminal, and the transitions
-    taken."""
-    total, s, steps = 0.0, start, 0
-    for a in path:
-        if oracle.is_terminal(s):
-            break
+def _mean_reward(oracle, steps, samples: int) -> float:
+    """Mean reward collected over (state, action) steps, `samples` draws each,
+    sampled in step order."""
+    total = 0.0
+    for s, a in steps:
         total += oracle.sample_reward_batch(s, a, samples) / samples
-        s = oracle.transition(s, a)
-        steps += 1
-    return total, s, steps
+    return total
 
 
 # --- RL-to-SAT reduction ----------------------------------------------------------
@@ -537,12 +532,14 @@ def epsilon_net_search(oracle, eps: float, delta: float):
 
     Candidates inducing the same action sequence share one estimate (the
     estimate depends only on the trajectory), so rollouts are spent per
-    distinct policy, each sampled enough for a delta/|cover| union bound.
+    distinct policy, each sampled enough for a delta/|cover| union bound. A
+    rollout samples rewards along the states the search already reached, so
+    it takes no transition.
 
     `info` counts the work: cover points and lines, distinct policies and
     their point counts, cuts taken from integers (`exact_cuts`), oracle
-    transitions (each tree edge the search walks once, then every rollout
-    step), `features_sa` calls and reward samples.
+    transitions (each tree edge the search walks, once), `features_sa` calls
+    and reward samples.
     """
     d, H, k = oracle.dim, oracle.horizon, oracle.num_actions
     spacing = cover_spacing(eps, H, d)
@@ -608,9 +605,9 @@ def epsilon_net_search(oracle, eps: float, delta: float):
                            / (2 * eps * eps)))
     best_actions, best_est = None, -math.inf
     for actions in sorted(trajectory_counts):
-        # a trajectory ends where the tree does, so its rollout takes every step
-        total, _, _ = _estimate_kappa(oracle, s0, actions, n_roll)
-        work["transitions"] += len(actions)
+        # the trajectory's states, all read from the edges `child` cached
+        states = accumulate(actions, child, initial=s0)
+        total = _mean_reward(oracle, zip(states, actions), n_roll)
         if total > best_est:
             best_actions, best_est = list(actions), total
     info = {"cover_points": cover_points, "lines": lines,
@@ -670,17 +667,18 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
     through exact basis expansions combined with sampled path rewards. Returns
     ({(state, action): estimate} at the query state, info).
 
-    The forward pass walks every (basis pair, tail) path once and reads the
-    features of every action at its end, one row each of the next level's
-    candidate matrix. The backward pass expands a whole level against its basis
-    in one least-squares solve, checks every column's residual against
-    RESIDUAL_TOL, and walks each path again only to sample its rewards. The
+    The forward pass walks every (basis pair, tail) path once, keeps its
+    (state, action) steps and whether it ended, and reads the features of
+    every action at its end, one row each of the next level's candidate
+    matrix. The backward pass takes no transition: it expands a whole level
+    against its basis in one least-squares solve, checks every column's
+    residual against RESIDUAL_TOL, and samples each kept path's rewards. The
     root's actions outside its basis are expanded the same way.
 
-    `info` counts the work: oracle transitions (every step of the forward and
-    the backward walks), `features_sa` calls (each (state, action) pair is
-    read once) and reward samples, beside the basis sizes, the largest
-    residual and the terminal sample count.
+    `info` counts the work: oracle transitions (every step of the forward
+    walks), `features_sa` calls (each (state, action) pair is read once) and
+    reward samples, beside the basis sizes, the largest residual and the
+    terminal sample count.
     """
     s0 = oracle.initial_state() if start is None else start
     k = oracle.num_actions
@@ -701,7 +699,7 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
 
     pairs, feats = candidates([s0])
     level_feats = [feats]  # each level's candidate features
-    ended = [None]  # from level 1: per (basis pair, tail) walk, did it end?
+    walks = [None]  # from level 1: per (basis pair, tail) walk, (steps, ended)
     bases, mats = [], []
     for t in range(len(levels)):
         kept = select_independent(feats)
@@ -716,17 +714,18 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
         mats.append(feats[kept].T)
         if t + 1 == len(levels):
             break
-        states, ends = [], []
+        states, level_walks = [], []
         for s, a in bases[t]:
             for tail in tails(t):
                 end, steps = _walk(oracle, s, (a,) + tail)
-                work["transitions"] += steps
-                ends.append(oracle.is_terminal(end))
-                if not ends[-1]:
+                work["transitions"] += len(steps)
+                ended = oracle.is_terminal(end)
+                level_walks.append((steps, ended))
+                if not ended:
                     states.append(end)
         pairs, feats = candidates(states)
         level_feats.append(feats)
-        ended.append(ends)
+        walks.append(level_walks)
 
     segments = len(levels) - 1
     total_pairs = sum(len(b) for b in bases) + k
@@ -759,18 +758,14 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
         # the best action's value at the end of each walk that goes on
         best_next = iter(expand(level_feats[t + 1], t + 1).reshape(-1, k)
                          .max(axis=1).tolist())
-        ends = iter(ended[t + 1])
         estimates = []
-        for s, a in bases[t]:
-            best = -math.inf
-            for tail in tails(t):
-                kappa, _, steps = _estimate_kappa(oracle, s, (a,) + tail,
-                                                  KAPPA_SAMPLES)
-                work["transitions"] += steps
-                work["reward_samples"] += KAPPA_SAMPLES * steps
-                best = max(best, kappa if next(ends) else kappa + next(best_next))
-            estimates.append(best)
-        q_values[t] = np.array(estimates)
+        for steps, ended in walks[t + 1]:
+            kappa = _mean_reward(oracle, steps, KAPPA_SAMPLES)
+            work["reward_samples"] += KAPPA_SAMPLES * len(steps)
+            estimates.append(kappa if ended else kappa + next(best_next))
+        # each basis pair's best tail
+        q_values[t] = np.array(estimates).reshape(
+            len(bases[t]), k ** (levels[t + 1] - levels[t] - 1)).max(axis=1)
 
     root_q = {a: float(q) for (_, a), q in zip(bases[0], q_values[0])}
     rest = [a for a in range(k) if a not in root_q]

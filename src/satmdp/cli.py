@@ -37,7 +37,7 @@ LINEARITY_CASES = ((4, 2), (5, 2))  # (v, h) of verify-claims' tiny instances
 
 
 def _params_from_args(args, v: int) -> reward.RewardParams:
-    if getattr(args, "rounds", None) is not None:
+    if args.rounds is not None:
         return reward.params_for_rounds(v=v, h=args.rounds, p=args.p, q=args.q,
                                         epsilon=args.epsilon, b=args.b)
     return reward.params_from_alpha(v=v, p=args.p, q=args.q, alpha=args.alpha,

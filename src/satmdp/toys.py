@@ -1,9 +1,10 @@
 """Hand-built deterministic tree MDPs with exactly linear optimal values.
 
 States are action tuples; a single Bernoulli payout arrives on the transition
-out of depth H-1. Features are planted as Q*(s,a) * theta + noise orthogonal to
-theta, so Q* and V* are exactly linear, feature norms stay <= 1, and only the
-theta direction carries value signal. Leaf means are quantized with one
+out of depth H-1. Only state-action pairs have features (`features_sa`, the
+one feature name of the oracle protocol), planted as Q*(s,a) * theta + noise
+orthogonal to theta, so Q* is exactly linear, feature norms stay <= 1, and
+only the theta direction carries value signal. Leaf means are quantized with one
 designated optimal path well above the rest, keeping action gaps large enough
 for sampled estimates to resolve.
 
@@ -49,10 +50,10 @@ class ToyLinearMdp:
             children = self._value[first + width:first + width * (k + 1)]
             self._value[first:first + width] = children.reshape(width, k).max(axis=1)
 
-        # per internal node: the raw vector of the state, then one per action;
-        # the pair (s, a) is stored at the node it enters, whose value is Q*(s, a)
+        # per internal node: one raw vector per action after one unused slot,
+        # kept so the stream keeps its layout; the pair (s, a) is stored at
+        # the node it enters, whose value is Q*(s, a)
         raw = struct.normal(size=(internal, 1 + k, dim))
-        self._psi_s = _plant(self._value[:internal], raw[:, 0], self.theta_star)
         self._psi_sa = _plant(self._value[1:], raw[:, 1:].reshape(-1, dim),
                               self.theta_star)
 
@@ -90,11 +91,6 @@ class ToyLinearMdp:
         if mean == 0.0:
             return 0
         return int(self._rng.binomial(count, mean))
-
-    def features(self, s):
-        if self.is_terminal(s):
-            return np.zeros(self.dim)
-        return self._psi_s[self._node(s)]
 
     def features_sa(self, s, a):
         if self.is_terminal(s):

@@ -644,18 +644,19 @@ def test_epsilon_net_counts_golden(spec, cover_points, counts):
 
 
 # the work of the three criterion-8 searches (reward seed 1): root lines, cuts
-# taken from integers, oracle transitions (distinct tree edges walked, then
-# every rollout step), features_sa calls (k per state scored) and reward
-# samples (rollouts per policy times the summed trajectory lengths)
+# taken from integers, oracle transitions (distinct tree edges walked; the
+# rollouts read those edges and take none), features_sa calls (k per state
+# scored) and reward samples (rollouts per policy times the summed trajectory
+# lengths)
 EPSILON_NET_WORK = [
     (EPSILON_NET_GOLDEN[0][0],
-     dict(lines=241, exact_cuts=9, transitions=44, feature_calls=27,
+     dict(lines=241, exact_cuts=9, transitions=17, feature_calls=27,
           reward_samples=18_549)),
     (EPSILON_NET_GOLDEN[1][0],
-     dict(lines=321, exact_cuts=446, transitions=77, feature_calls=54,
+     dict(lines=321, exact_cuts=446, transitions=29, feature_calls=54,
           reward_samples=34_368)),
     (EPSILON_NET_GOLDEN[2][0],
-     dict(lines=45_877, exact_cuts=6, transitions=27, feature_calls=12,
+     dict(lines=45_877, exact_cuts=6, transitions=11, feature_calls=12,
           reward_samples=15_056)),
 ]
 
@@ -669,6 +670,17 @@ def test_epsilon_net_counts_its_work(spec, work):
     assert info["reward_samples"] == (info["rollouts_per_policy"]
                                       * sum(map(len, paths)))
     assert info["feature_calls"] % toy.num_actions == 0
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _work in EPSILON_NET_WORK])
+def test_epsilon_net_takes_each_transition_once(spec):
+    """The rollouts sample rewards along the edges the search walked, so the
+    oracle is asked each (state, action) transition once, and `info` counts
+    what it was asked."""
+    toy = _CountingToy(reward_seed=1, **spec)
+    _actions, info = epsilon_net_search(toy, eps=0.1, delta=0.1)
+    asked = toy.transition_pairs
+    assert len(set(asked)) == len(asked) == info["transitions"]
 
 
 def cover_bound(eps, horizon, dim):
@@ -885,7 +897,7 @@ def test_epsilon_net_budgets_lines_before_building_the_lattice(monkeypatch):
     with pytest.raises(ResourceLimitError,
                        match="needs up to 32860246427 lines, over budget"):
         epsilon_net_search(toy, eps=0.01, delta=0.1)
-    assert toy.feature_pairs == [] and toy.transitions == 0
+    assert toy.feature_pairs == toy.transition_pairs == []
 
 
 def test_horizon_split_rejects_non_square_horizon():
@@ -926,14 +938,15 @@ def test_horizon_split_policy_reaches_near_optimal():
 
 class _CountingToy(ToyLinearMdp):
     """Records the transitions, feature reads and reward samples asked of it."""
-    transitions = reward_samples = 0
+    reward_samples = 0
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.transition_pairs = []
         self.feature_pairs = []
 
     def transition(self, s, a):
-        self.transitions += 1
+        self.transition_pairs.append((s, a))
         return super().transition(s, a)
 
     def features_sa(self, s, a):
@@ -946,20 +959,22 @@ class _CountingToy(ToyLinearMdp):
 
 
 @pytest.mark.parametrize("horizon, transitions, feature_calls, reward_samples", [
-    (4, 20, 14, 40_640), (9, 112, 42, 43_584), (16, 432, 114, 53_824)],
-    ids=["4-20", "9-112", "16-432"])
+    (4, 10, 14, 40_640), (9, 56, 42, 43_584), (16, 216, 114, 53_824)],
+    ids=["4-10", "9-56", "16-216"])
 def test_horizon_split_walks_from_each_basis_state(horizon, transitions,
                                                    feature_calls, reward_samples):
-    """Every basis walk starts at the state its entry's action is taken at,
-    so one root estimate takes these transitions (34, 194 and 798 when each
-    walk replayed its action path from the query state). Each (state, action)
-    pair's features are read once (26, 82 and 226 reads when the backward
-    pass read them again), and `info` counts what the oracle saw."""
+    """Every basis walk starts at the state its entry's action is taken at
+    and is walked once, in the forward pass, so one root estimate takes these
+    transitions (34, 194 and 798 when each walk replayed its action path from
+    the query state; 20, 112 and 432 when the backward pass walked each path
+    again to sample its rewards). Each (state, action) pair's features are
+    read once (26, 82 and 226 reads when the backward pass read them again),
+    and `info` counts what the oracle saw."""
     toy = _CountingToy(depth=horizon, num_actions=2, dim=2, structure_seed=3,
                        reward_seed=1)
     _qest, info = horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=20_000)
     assert len(set(toy.feature_pairs)) == len(toy.feature_pairs)
-    seen = (toy.transitions, len(toy.feature_pairs), toy.reward_samples)
+    seen = (len(toy.transition_pairs), len(toy.feature_pairs), toy.reward_samples)
     counted = (info["transitions"], info["feature_calls"], info["reward_samples"])
     assert seen == counted == (transitions, feature_calls, reward_samples)
 
@@ -995,10 +1010,10 @@ def test_horizon_split_checks_every_expansion_residual(monkeypatch):
                            sample_cap=200)[1]["max_residual"] == largest
 
 
-# sha256 of the repr of the runs below, recorded when each level's expansions
-# became one least-squares solve: pins every sample, expansion, argmax and
-# work counter
-HORIZON_SPLIT_GOLDEN = "e16cf22b0e864b7e9a1799e2d6cd6c73a340a9eee8710e293a171ebfebf7c920"
+# sha256 of the repr of the runs below, recorded when the backward pass
+# stopped walking each path again (only `transitions` moved): pins every
+# sample, expansion, argmax and work counter
+HORIZON_SPLIT_GOLDEN = "1b1f7959eceb689eb83be5f27af7c46675680da7663cc06b231bb9852e69d794"
 
 
 def test_horizon_split_policy_golden():

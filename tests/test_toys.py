@@ -26,8 +26,6 @@ def test_planted_linearity(planted_toy):
     for (s, a), q in toy.q_star_table().items():
         assert np.dot(toy.theta_star, toy.features_sa(s, a)) == pytest.approx(
             q, abs=1e-12)
-        assert np.dot(toy.theta_star, toy.features(s)) == pytest.approx(
-            toy.v_star(s), abs=1e-12)
 
 
 def test_feature_norms_at_most_one(planted_toy):
@@ -35,7 +33,6 @@ def test_feature_norms_at_most_one(planted_toy):
     assert np.linalg.norm(toy.theta_star) == pytest.approx(1.0)
     for (s, a) in toy.q_star_table():
         assert np.linalg.norm(toy.features_sa(s, a)) <= 1.0 + 1e-12
-        assert np.linalg.norm(toy.features(s)) <= 1.0 + 1e-12
 
 
 def test_bellman_consistency(planted_toy):
@@ -95,7 +92,8 @@ def test_terminal_interface(toy):
     assert toy.is_terminal(leaf)
     with pytest.raises(ParameterError):
         toy.transition(leaf, 0)
-    assert not toy.features(leaf).any()
+    with pytest.raises(ParameterError):
+        toy.features_sa(leaf, 0)
     # an action outside range(k) would index another node of the tree
     with pytest.raises(ParameterError):
         toy.features_sa((), toy.num_actions)
