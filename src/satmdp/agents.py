@@ -415,7 +415,9 @@ def _lattice_lines(dim: int, bound: int):
         ws = widths[start:stop]
         first = np.repeat(firsts[start:stop], ws)
         pick = np.arange(ws.sum()) - np.repeat(np.cumsum(ws) - ws, ws)
-        rest = np.vstack([first, inner[pick].T]).astype(np.float64)
+        # C order: at d >= 4 the stack of inner's transpose is F-ordered, and
+        # the cut passes read rest row by row
+        rest = np.vstack([first, inner[pick].T]).astype(np.float64, order="C")
         return rest, _isqrt(bound - first * first - inner_sq[pick])
 
     start = total = 0
@@ -435,6 +437,13 @@ def _exact_table(table: np.ndarray) -> list:
     return [[p * (den // q) for p, q in row] for row in ratios]
 
 
+@cache
+def _action_pairs(k: int):
+    """The action pairs a < b of k actions as two index arrays, in
+    combinations order."""
+    return np.triu_indices(k, 1)
+
+
 def _pair_cuts(features: np.ndarray, rest: np.ndarray, lo: np.ndarray,
                hi: np.ndarray):
     """Where each action pair a < b splits each line of a group, decided
@@ -448,53 +457,71 @@ def _pair_cuts(features: np.ndarray, rest: np.ndarray, lo: np.ndarray,
     [lo, hi + 1]. Returns (cuts (P, n) int64, upper (P,), lower (P,), the
     number of cuts taken from integers), the P pairs in combinations order.
 
-    Floats propose each cut and certify it by the signs of g at the cut and at
-    its neighbour. There g~ = fl(sum_j D~_j z_j), summed in a fixed order, with
-    D~ = fl(features[a] - features[b]) = D (1 + delta), |delta| <= u. So
-    |g - g~| <= (gamma_d + u / (1 - u)) sum_j |D~_j z_j| (Higham 2002, 3.1),
-    which the bound used, 2 (d + 2) u times the float sum plus BOUND_FLOOR,
-    covers together with its own rounding. The float sign of h is exact. A
-    cut whose signs the bound cannot settle, exact ties included, is computed
-    from Python ints."""
-    pair_a, pair_b = np.triu_indices(len(features), 1)
+    Two rows equal as reals give D~ = fl(features[a] - features[b]) = 0
+    exactly: every point is a tie, which a wins, so the cut is lo on every
+    line, with no float or integer test.
+
+    Otherwise floats propose each cut and certify it by the signs of g at the
+    cut t and at t - 1, with one bound per pair for the whole group. There
+    g~(t) = fl(sum_j D~_j z_j), summed in a fixed order, g~(t - 1) =
+    fl(g~(t) - h~), and D~ = D (1 + delta), |delta| <= u. With S_t =
+    sum_j |D~_j z_j|, |g(t) - g~(t)| <= (gamma_d + u / (1 - u)) S_t (Higham
+    2002, 3.1), and the subtraction adds at most u ((1 + gamma_d) S_t + |h~|).
+    Every S_t and |h~| the test reads is at most S = sum_{j < d - 1} |D~_j|
+    Z_j + |h~| T, with Z_j the group's largest |z_j| and T >= 1 its largest
+    |t| in [lo, hi + 1]. For d u <= 2^-10 the error is then at most
+    (1.001 d + 3.01) u S, while the bound used, 2 (d + 2) u S~ + BOUND_FLOOR
+    with S~ = fl(S) >= (1 - gamma_d) S and two more roundings, is at least
+    1.99 (d + 2) u S; BOUND_FLOOR covers underflow, at most 2^-1075 per
+    product. So a cut the shared bound settles is exact, as is the float sign
+    of h. A cut it cannot settle, exact ties included, is computed from
+    Python ints."""
+    pair_a, pair_b = _action_pairs(len(features))
     diff = features[pair_a] - features[pair_b]
     gamma = 2 * (features.shape[1] + 2) * UNIT_ROUNDOFF
     top = hi + 1
+    # the group's largest |z_j| for each fixed coordinate j, then T
+    scale = [*np.abs(rest).max(axis=1).tolist(),
+             max(int(np.abs(lo).max()), int(np.abs(top).max()))]
     cuts = np.empty((len(diff), len(lo)), dtype=np.int64)
-    c, size, term = np.empty(len(lo)), np.empty(len(lo)), np.empty(len(lo))
+    # c stays 0 at d = 1, where a line has no fixed coordinates
+    c, t, term = np.zeros(len(lo)), np.empty(len(lo)), np.empty(len(lo))
     unsure = []
     for p, row in enumerate(diff.tolist()):
+        if not any(row):
+            cuts[p] = lo
+            continue
         *coefs, h = row
-        c.fill(0.0)
-        size.fill(0.0)
-        for dj, zj in zip(coefs, rest):
-            np.multiply(zj, dj, out=term)
-            c += term
-            size += np.abs(term, out=term)
+        bound = sum(abs(x) * m for x, m in zip(row, scale)) * gamma + BOUND_FLOOR
+        if coefs:
+            np.multiply(rest[0], coefs[0], out=c)
+        for dj, zj in zip(coefs[1:], rest[1:]):
+            c += np.multiply(zj, dj, out=term)
         if h == 0:
-            bound = size * gamma + BOUND_FLOOR
             wins = c > bound
             cuts[p] = np.where(wins, lo, top)
             settled = wins | (c < -bound)
         else:
-            t = c * (-1.0 / h)
+            np.multiply(c, -1.0 / h, out=t)
             if h > 0:
                 np.ceil(t, out=t)
             else:
                 np.floor(t, out=t)
                 t += 1
-            np.clip(t, lo, top, out=t)
+            np.maximum(t, lo, out=t)
+            np.minimum(t, top, out=t)
             cuts[p] = t
-            g_at = t * h + c
-            g_below = (t - 1) * h + c
-            np.abs(t, out=term)
-            bound = ((term + 1) * abs(h) + size) * gamma + BOUND_FLOOR
-            if h < 0:
-                g_at, g_below = -g_at, -g_below
+            g_at = np.multiply(t, h, out=term)
+            g_at += c
+            g_below = g_at - h
             # the upper action wins at the cut, the lower one just below it
-            settled = (((t > hi) | (g_at > bound))
-                       & ((t <= lo) | (g_below < -bound)))
-        unsure.extend((p, i) for i in np.flatnonzero(~settled).tolist())
+            if h > 0:
+                sure_at, sure_below = g_at > bound, g_below < -bound
+            else:
+                sure_at, sure_below = g_at < -bound, g_below > bound
+            settled = (sure_at | (t > hi)) & (sure_below | (t <= lo))
+        if not settled.all():
+            unsure.extend((p, i) for i in np.flatnonzero(~settled).tolist())
     if unsure:
         ints = _exact_table(features)
         for p, i in unsure:
@@ -525,7 +552,10 @@ def epsilon_net_search(oracle, eps: float, delta: float):
 
     Points are counted per line, not one by one: a line fixes every coordinate
     of z but the last, and on it every action pair splits at one integer cut
-    (`_pair_cuts`), so each action takes one interval of the line. Groups of
+    (`_pair_cuts`), so each action takes one interval of the line. Floats
+    certify a group's cuts with one rounding bound per action pair and Python
+    ints decide the cuts it leaves open; a pair of equal feature rows ties at
+    every point, so its lower action takes each line with no test. Groups of
     lines carry their intervals down the tree; the root lines come in chunks
     of whole z_0 slabs (`_lattice_lines`), so memory grows with LINE_CHUNK,
     not with the ball.
@@ -584,20 +614,24 @@ def epsilon_net_search(oracle, eps: float, delta: float):
             s, prefix, rest, lo, hi = groups.pop()
             cuts, upper, lower, exact = _pair_cuts(sa_features(s), rest, lo, hi)
             exact_cuts += exact
+            # action a takes [a_lo, a_end) of each line: above the cuts it is
+            # the upper action of, below those it is the lower one of
+            a_lo, a_end = [lo] * k, [hi + 1] * k
+            for p, (up, down) in enumerate(zip(upper.tolist(), lower.tolist())):
+                a_lo[up] = np.maximum(a_lo[up], cuts[p])
+                a_end[down] = np.minimum(a_end[down], cuts[p])
             for a in range(k):
-                a_lo, a_hi = lo, hi
-                for p in np.flatnonzero(upper == a):
-                    a_lo = np.maximum(a_lo, cuts[p])
-                for p in np.flatnonzero(lower == a):
-                    a_hi = np.minimum(a_hi, cuts[p] - 1)
-                keep = a_hi >= a_lo
-                count = int((a_hi - a_lo + 1)[keep].sum())
+                count = int(np.maximum(a_end[a] - a_lo[a], 0).sum())
                 if not count:
                     continue
                 nxt, path = child(s, a), prefix + (a,)
                 # only groups that go on are copied out
                 if not settle(nxt, path, count):
-                    groups.append((nxt, path, rest[:, keep], a_lo[keep], a_hi[keep]))
+                    keep = a_end[a] > a_lo[a]
+                    # rest[:, keep] would come back F-ordered; compress keeps
+                    # each row contiguous for the cut passes
+                    groups.append((nxt, path, rest.compress(keep, axis=1),
+                                   a_lo[a][keep], a_end[a][keep] - 1))
 
     n_unique = len(trajectory_counts)
     n_roll = max(MIN_ROLLOUTS,
