@@ -10,9 +10,13 @@ for sampled estimates to resolve.
 
 The tree is stored as arrays in heap order: node 0 is the root and the
 children of node i are k*i+1 .. k*i+k, so every level lists its action paths
-in lexicographic order.
+in lexicographic order. The planted arrays depend only on (depth, k, dim,
+structure seed): `_planted` draws them once per such spec and every toy of the
+spec shares them read-only, so a toy owns only its reward stream.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,34 +32,12 @@ class ToyLinearMdp:
                  structure_seed: int = 0, reward_seed: int = 1):
         if depth < 1 or num_actions < 2 or dim < 1:
             raise ParameterError("need depth >= 1, k >= 2, d >= 1")
-        k = num_actions
         self.horizon = depth
-        self.num_actions = k
+        self.num_actions = num_actions
         self.dim = dim
         self._rng = np.random.Generator(np.random.Philox(key=reward_seed))
-
-        struct = np.random.Generator(np.random.Philox(key=structure_seed))
-        theta = struct.normal(size=dim)
-        self.theta_star = theta / np.linalg.norm(theta)
-        self.optimal_path = tuple(int(a) for a in struct.integers(0, k, size=depth))
-
-        # _value[i] is a leaf's mean payout or an internal node's V*; the
-        # means are quantized to 0.05 steps in [0.10, RUNNER_UP)
-        internal = (k ** depth - 1) // (k - 1)
-        levels = struct.integers(2, int(RUNNER_UP / 0.05) + 1, size=k ** depth)
-        self._value = np.concatenate([np.zeros(internal), levels * 0.05])
-        self._value[self._node(self.optimal_path)] = OPTIMAL_MEAN
-        for t in range(depth - 1, -1, -1):
-            first, width = (k ** t - 1) // (k - 1), k ** t
-            children = self._value[first + width:first + width * (k + 1)]
-            self._value[first:first + width] = children.reshape(width, k).max(axis=1)
-
-        # per internal node: one raw vector per action after one unused slot,
-        # kept so the stream keeps its layout; the pair (s, a) is stored at
-        # the node it enters, whose value is Q*(s, a)
-        raw = struct.normal(size=(internal, 1 + k, dim))
-        self._psi_sa = _plant(self._value[1:], raw[:, 1:].reshape(-1, dim),
-                              self.theta_star)
+        (self.theta_star, self.optimal_path, self._value,
+         self._psi_sa) = _planted(depth, num_actions, dim, structure_seed)
 
     def _node(self, s) -> int:
         """Heap index of the state s."""
@@ -66,25 +48,31 @@ class ToyLinearMdp:
             i = self.num_actions * i + 1 + a
         return i
 
-    # --- oracle interface ---
-
-    def initial_state(self):
-        return ()
-
-    def transition(self, s, a):
+    def _child(self, s, a):
+        """s + (a,), refused at a terminal state or for an action outside
+        range(k); the one check of transition and the reward calls."""
         if len(s) >= self.horizon:
             raise ParameterError("cannot act on a terminal state")
         if not 0 <= a < self.num_actions:
             raise ParameterError(f"action {a} out of range")
         return s + (a,)
 
+    # --- oracle interface ---
+
+    def initial_state(self):
+        return ()
+
+    def transition(self, s, a):
+        return self._child(s, a)
+
     def is_terminal(self, s) -> bool:
         return len(s) >= self.horizon
 
     def exact_mean(self, s, a) -> float:
-        if len(s) == self.horizon - 1:
-            return float(self._value[self._node(s + (a,))])
-        return 0.0
+        child = self._child(s, a)
+        if len(child) < self.horizon:
+            return 0.0
+        return float(self._value[self._node(child)])
 
     def sample_reward_batch(self, s, a, count):
         mean = self.exact_mean(s, a)
@@ -130,6 +118,44 @@ class ToyLinearMdp:
             total += self.exact_mean(s, a)
             s = self.transition(s, a)
         return total
+
+
+# criteria 8-10 and the baselines build each spec again for every reward seed;
+# the bound keeps a sweep over many specs from holding every tree alive
+@lru_cache(maxsize=8)
+def _planted(depth: int, k: int, dim: int, structure_seed: int) -> tuple:
+    """The planted half of a toy, drawn from the structure seed alone:
+    (theta_star, optimal_path, value, psi_sa), every array read-only, shared
+    by every toy of one (depth, k, dim, structure seed).
+
+    value[i] is a leaf's mean payout or an internal node's V*; the leaf means
+    are quantized to 0.05 steps in [0.10, RUNNER_UP), the optimal leaf's is
+    OPTIMAL_MEAN. psi_sa[i - 1] is the feature of the pair (s, a) that enters
+    node i, whose value is Q*(s, a)."""
+    struct = np.random.Generator(np.random.Philox(key=structure_seed))
+    theta = struct.normal(size=dim)
+    theta_star = theta / np.linalg.norm(theta)
+    optimal_path = tuple(int(a) for a in struct.integers(0, k, size=depth))
+
+    internal = (k ** depth - 1) // (k - 1)
+    levels = struct.integers(2, int(RUNNER_UP / 0.05) + 1, size=k ** depth)
+    value = np.concatenate([np.zeros(internal), levels * 0.05])
+    optimal = 0
+    for a in optimal_path:
+        optimal = k * optimal + 1 + a
+    value[optimal] = OPTIMAL_MEAN
+    for t in range(depth - 1, -1, -1):
+        first, width = (k ** t - 1) // (k - 1), k ** t
+        children = value[first + width:first + width * (k + 1)]
+        value[first:first + width] = children.reshape(width, k).max(axis=1)
+
+    # per internal node: one raw vector per action after one unused slot,
+    # kept so the stream keeps its layout
+    raw = struct.normal(size=(internal, 1 + k, dim))
+    psi_sa = _plant(value[1:], raw[:, 1:].reshape(-1, dim), theta_star)
+    theta_star.flags.writeable = False
+    value.flags.writeable = False
+    return theta_star, optimal_path, value, psi_sa
 
 
 def _plant(values: np.ndarray, raw: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -1,8 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from satmdp.errors import ParameterError
-from satmdp.toys import ToyLinearMdp
+from satmdp.toys import ToyLinearMdp, _planted
+
+# one sha256 over the planted draws of the criteria 8-10 and baselines specs
+# (depth, k, dim, structure seed): theta_star, the node values, the pair
+# features and the optimal path of each, in this order
+TOY_PLANTED_SPECS = [(3, 3, 2, 5), (4, 3, 2, 9), (2, 3, 3, 7), (4, 3, 2, 5),
+                     (9, 3, 4, 21)]
+TOY_PLANTED_SHA256 = \
+    "b20b35c92a07d498e5d144b2632b99449a820af21d7c2f97dde150ac16f25724"
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +107,18 @@ def test_terminal_interface(toy):
     # an action outside range(k) would index another node of the tree
     with pytest.raises(ParameterError):
         toy.features_sa((), toy.num_actions)
-    with pytest.raises(ParameterError):
-        toy.exact_mean(leaf[:-1], -1)
+    # the reward calls refuse what transition refuses, at every depth
+    for s in ((), leaf[:1], leaf[:-1]):
+        for a in (-1, toy.num_actions):
+            with pytest.raises(ParameterError):
+                toy.exact_mean(s, a)
+            with pytest.raises(ParameterError):
+                toy.sample_reward_batch(s, a, 10)
+    for a in range(toy.num_actions):
+        with pytest.raises(ParameterError):
+            toy.exact_mean(leaf, a)
+        with pytest.raises(ParameterError):
+            toy.sample_reward_batch(leaf, a, 10)
 
 
 def test_construction_validation():
@@ -106,3 +126,45 @@ def test_construction_validation():
         ToyLinearMdp(depth=0, num_actions=3, dim=2)
     with pytest.raises(ParameterError):
         ToyLinearMdp(depth=2, num_actions=1, dim=2)
+
+
+def test_planted_golden():
+    digest = hashlib.sha256()
+    for depth, k, dim, seed in TOY_PLANTED_SPECS:
+        toy = ToyLinearMdp(depth, k, dim, structure_seed=seed)
+        for part in (toy.theta_star, toy._value, toy._psi_sa):
+            digest.update(part.tobytes())
+        digest.update(bytes(toy.optimal_path))
+    assert digest.hexdigest() == TOY_PLANTED_SHA256
+
+
+def test_toys_of_one_structure_share_their_planted_arrays():
+    """A new reward seed is a new reward stream over the very same tree; a
+    new structure seed or dim is another tree."""
+    spec = dict(depth=4, num_actions=3, dim=2, structure_seed=9)
+    a = ToyLinearMdp(reward_seed=1, **spec)
+    b = ToyLinearMdp(reward_seed=2, **spec)
+    for name in ("theta_star", "optimal_path", "_value", "_psi_sa"):
+        assert getattr(a, name) is getattr(b, name)
+    s = a.optimal_path[:-1]
+    action = a.optimal_path[-1]
+    assert [a.sample_reward_batch(s, action, 100) for _ in range(5)] != \
+        [b.sample_reward_batch(s, action, 100) for _ in range(5)]
+    for other in (dict(spec, structure_seed=10), dict(spec, dim=3)):
+        c = ToyLinearMdp(reward_seed=1, **other)
+        for name in ("theta_star", "_value", "_psi_sa"):
+            assert getattr(c, name) is not getattr(a, name)
+
+
+def test_shared_planted_arrays_are_read_only(toy):
+    for array in (toy.theta_star, toy._value, toy._psi_sa):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_planted_cache_stays_within_its_bound():
+    bound = _planted.cache_info().maxsize
+    for seed in range(bound + 3):
+        ToyLinearMdp(depth=2, num_actions=2, dim=2, structure_seed=100 + seed)
+        assert _planted.cache_info().currsize <= bound
+    assert _planted.cache_info().currsize == bound
