@@ -31,8 +31,15 @@ The tables and `terms` depend on the state only through its round summary
 (params, n, round_dists, hamming(w_round, w), |F|), which many states of a
 game tree share: `_coefficient_table` builds them once per summary, in an
 `lru_cache` bounded at 1024 entries, and every state of that summary reads
-the same read-only `coef` and signed table. A state pays only for its own
-popcounts, its index and the `take`, which returns a fresh vector.
+the same read-only `coef` and signed table. The cell index depends on the state
+only through (v, 2p+1, w, free): `_cell_index_cache(v, 2p+1)` is an
+`lru_cache` keyed on (w, free) that builds each read-only index once, from the
+two popcounts, and holds at most INDEX_CACHE_BYTES (1 MiB) of them per
+(v, 2p+1). It hits where states repeat a (w, free) pair, as in whole small
+trees: the 16 tree_sweep trees hold 15,015 non-terminal states but only
+1,639 distinct pairs, counted tree by tree. It never hits on single states at
+large v: at v=48 it holds 4 indexes of 213,053 cells. A state pays for the
+lookup of its index and one `take`, which returns a fresh vector.
 """
 from __future__ import annotations
 
@@ -154,16 +161,37 @@ def feature_dim(v: int, p: int) -> int:
     return sum(math.comb(v, i) for i in range(min(2 * p, v) + 1))
 
 
+# bytes of cell index held per (v, 2p+1): at least 10,000 indexes at d <= 99,
+# 16 at v=15, p=6 (d=32,647, uint16) and 4 at v=48, p=2 (d=213,053)
+INDEX_CACHE_BYTES = 1 << 20
+
+
+# one entry per (v, 2p+1), as _subset_masks, whose masks each entry holds
+@lru_cache(maxsize=None)
+def _cell_index_cache(v: int, k: int):
+    """The cell-index function of subsets of size < k of v variables, in an
+    `lru_cache` holding at most INDEX_CACHE_BYTES of indexes."""
+    masks, sizes, free_step, sign_step = _subset_masks(v, k)
+
+    @lru_cache(maxsize=max(1, INDEX_CACHE_BYTES // sizes.nbytes))
+    def cell_index(w: int, free: int) -> np.ndarray:
+        """The read-only flat cell (|S&w| mod 2) k^2 + |S&free| (k - 1) + |S|
+        of the signed table, which is (parity, |S&F|, |S&U|), for every
+        subset S, built in the cell type: in place on the uint8 popcounts it
+        would wrap past 255 from p = 6 on."""
+        index = (_popcount(masks, w) & 1) * sign_step
+        index += _popcount(masks, free) * free_step
+        index += sizes
+        index.flags.writeable = False
+        return index
+
+    return cell_index
+
+
 def to_feature_vector(poly: MultilinearPoly, v: int) -> np.ndarray:
     """Dense coefficient vector under the canonical subset enumeration."""
-    masks, sizes, free_step, sign_step = _subset_masks(v, len(poly.coef))
-    # flat cell (|S&T| mod 2) k^2 + |S&F| (k - 1) + |S| of the signed table,
-    # which is (parity, |S&F|, |S&U|), built in the cell type: in place on the
-    # uint8 popcounts it would wrap past 255 from p = 6 on
-    index = (_popcount(masks, poly.w) & 1) * sign_step
-    index += _popcount(masks, poly.free) * free_step
-    index += sizes
-    return poly.signed.take(index)
+    cell_index = _cell_index_cache(v, len(poly.coef))
+    return poly.signed.take(cell_index(poly.w, poly.free))
 
 
 def theta_vector(wstar, v: int, p: int) -> np.ndarray:

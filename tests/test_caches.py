@@ -1,0 +1,45 @@
+"""Every functools cache in the package has a finite maxsize, or its key space
+is small by construction and stated here."""
+import importlib
+import inspect
+import pkgutil
+
+import satmdp
+
+# caches with no maxsize, each with the key space that bounds it
+UNBOUNDED = {
+    "satmdp.polyfeat._subset_masks": "one entry per (v, 2p+1)",
+    "satmdp.polyfeat._cell_index_cache": "one entry per (v, 2p+1), each a "
+                                         "cache of at most INDEX_CACHE_BYTES",
+    "satmdp.agents._action_pairs": "one entry per action count k",
+    "satmdp.reporting._validator": "takes no arguments",
+}
+
+
+def _package_caches():
+    """{qualified name: cache} for every module-level and class-level object
+    with `cache_info` defined in a satmdp module."""
+    caches = {}
+    for info in pkgutil.iter_modules(satmdp.__path__):
+        module = importlib.import_module(f"satmdp.{info.name}")
+        owners = [(module.__name__, vars(module))]
+        owners += [(f"{module.__name__}.{name}", vars(cls))
+                   for name, cls in vars(module).items()
+                   if inspect.isclass(cls) and cls.__module__ == module.__name__]
+        for prefix, namespace in owners:
+            for name, obj in namespace.items():
+                if (hasattr(obj, "cache_info")
+                        and getattr(obj, "__module__", None) == module.__name__):
+                    caches[f"{prefix}.{name}"] = obj
+    return caches
+
+
+def test_every_package_cache_is_bounded_or_states_its_key_space():
+    caches = _package_caches()
+    # the walk finds the bounded caches too
+    assert {"satmdp.polyfeat._coefficient_table",
+            "satmdp.reward.expected_reward",
+            "satmdp.toys._planted"} <= set(caches)
+    unbounded = {name for name, fn in caches.items()
+                 if fn.cache_parameters()["maxsize"] is None}
+    assert unbounded == set(UNBOUNDED)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -218,8 +219,12 @@ def test_a_mutated_feature_vector_leaves_the_shared_table_intact(pool_trees):
     expected = [features_state(inst, s).tobytes() for s in (first, second)]
     phi = features_state(inst, first)
     phi[:] = -1.0
+    cell_index = polyfeat._cell_index_cache(inst.formula.v, 2 * inst.params.p + 1)
+    hits = cell_index.cache_info().hits
     assert features_state(inst, second).tobytes() == expected[1]
     assert features_state(inst, first).tobytes() == expected[0]
+    # both read the cached indexes the mutated vector was taken with
+    assert cell_index.cache_info().hits == hits + 2
 
 
 def test_coefficient_table_cache_stays_within_its_bound():
@@ -229,3 +234,78 @@ def test_coefficient_table_cache_stays_within_its_bound():
         polyfeat._coefficient_table(params, 1, (), k % 101, k // 101)
         assert polyfeat._coefficient_table.cache_info().currsize <= bound
     assert polyfeat._coefficient_table.cache_info().currsize == bound
+
+
+@pytest.mark.parametrize("v, d", [(7, 99), (30, 31_931)])
+def test_cell_index_cache_stays_within_its_byte_budget(v, d):
+    polyfeat._cell_index_cache.cache_clear()
+    cell_index = polyfeat._cell_index_cache(v, 5)  # p = 2
+    bound = cell_index.cache_info().maxsize
+    nbytes = cell_index(0, 0).nbytes
+    assert nbytes == d  # uint8 cells
+    assert bound == polyfeat.INDEX_CACHE_BYTES // nbytes
+    held = [weakref.ref(cell_index(0, 0))]
+    for key in range(1, bound + 3):  # bound + 3 distinct (w, free) pairs
+        index = cell_index(key % 2 ** v, key // 2 ** v)
+        assert not index.flags.writeable
+        assert cell_index.cache_info().currsize * nbytes <= \
+            polyfeat.INDEX_CACHE_BYTES
+        held.append(weakref.ref(index))
+    del index
+    # only the cache keeps indexes alive, so the live ones are what it holds
+    alive = [ref() for ref in held if ref() is not None]
+    assert len(alive) == cell_index.cache_info().currsize == bound
+    assert sum(index.nbytes for index in alive) <= polyfeat.INDEX_CACHE_BYTES
+    with pytest.raises(ValueError, match="read-only"):
+        alive[0][0] = 1
+
+
+def test_cell_index_cache_builds_each_w_and_free_pair_once(pool_trees):
+    """Every non-terminal state of a tree, from a cleared cache, builds the
+    index of its (w, free) pair if no earlier state of the tree had that
+    pair, and reads the cached one if one did."""
+    pool, sweep = pool_trees
+
+    def sweep_tree(inst, states):
+        polyfeat._cell_index_cache.cache_clear()
+        inner = [s for s in states if not s.is_terminal]
+        for s in inner:
+            features_state(inst, s)
+        info = polyfeat._cell_index_cache(
+            inst.formula.v, 2 * inst.params.p + 1).cache_info()
+        distinct = len({(s.w, s.free) for s in inner})
+        assert (info.misses, info.hits) == (distinct, len(inner) - distinct)
+        return len(inner), distinct
+
+    inst, states, _children = max(pool, key=lambda tree: len(tree[1]))
+    inner, distinct = sweep_tree(inst, states)
+    assert distinct < inner
+    # a tree_sweep pass: 1,639 of its 15,015 non-terminal states build one
+    counts = [sweep_tree(inst, states) for inst, states, _children in sweep]
+    assert tuple(map(sum, zip(*counts))) == (15_015, 1_639)
+
+
+def test_cell_index_cache_never_hits_on_a_cycle_of_large_states():
+    # feature_map's shape: 24 states at v=48 (d = 213,053), one at every 4th
+    # step, cycled through twice; the cache holds 4 of them
+    v = 48
+    f, planted = regular_planted_formula(v, seed=1)
+    params = params_for_rounds(v=v, h=2, p=2, q=4, epsilon=1 / 64, b=6)
+    inst = build_instance(f, params, wstar=planted)
+    assert inst.d == 213_053
+    actions = random_actions(np.random.default_rng(1), 3)
+    steps = {}
+    while len(steps) < params.H // 4:
+        s = initial_state(inst)
+        while not s.is_terminal:
+            if s.step % 4 == 0:
+                steps.setdefault(s.step, s)
+            s = transition(inst, s, next(actions))
+    cycle = [steps[step] for step in sorted(steps)]
+    assert len({(s.w, s.free) for s in cycle}) == len(cycle) == 24
+    polyfeat._cell_index_cache.cache_clear()
+    for s in cycle + cycle:
+        features_state(inst, s)
+    info = polyfeat._cell_index_cache(v, 5).cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 48, 4)
+    assert info.currsize * inst.d <= polyfeat.INDEX_CACHE_BYTES
