@@ -3,7 +3,9 @@
 Random instance generation is rejection sampling with explicit gates: the
 formula must be satisfiable, within the occurrence bound, start below the
 satisfaction threshold (so the game does not end at the first state), and
-enumerate to a bounded tree. Everything is deterministic in the seed.
+have a game tree of at most a budget of states. That gate counts the tree's
+states with `mdp.tree_size`, once per round summary, and builds no tree.
+Everything is deterministic in the seed.
 """
 from __future__ import annotations
 
@@ -11,11 +13,14 @@ import numpy as np
 
 from .cnf import Formula, formula_from_ints, occurrence_bound
 from .errors import ParameterError, ResourceLimitError
-from .mdp import build_instance, enumerate_reachable, initial_state
+from .mdp import build_instance, initial_state, tree_size
 from .reward import params_for_rounds
 
 ALL_POSITIVE_FRACTION = 0.4  # share of all-positive clauses in a random formula
 MAX_ATTEMPTS = 500  # formulas drawn per random instance before giving up
+# the smallest tree the sampler can accept: a stage-one root, whose start is
+# below the threshold, and its three children
+MIN_TREE_STATES = 4
 
 
 def random_strict_formula(rng: np.random.Generator, v: int, m: int) -> Formula:
@@ -37,11 +42,17 @@ def random_satisfiable_instance(seed: int, v: int, h: int, p: int = 2,
     """A satisfiable, gap-checked instance whose game tree fits the budget.
 
     Returns (instance, wstar, attempts). The start must sit strictly below the
-    satisfaction threshold and the full reachable tree must enumerate within
-    tree_budget states.
+    satisfaction threshold and the game tree must hold at most tree_budget
+    states. The gate counts them with `tree_size` and builds no tree, so a
+    caller that needs the tree enumerates it once. A tree_budget below
+    MIN_TREE_STATES, which no instance can meet, is refused before any draw.
     """
     if v < 3:
         raise ParameterError("need v >= 3: every clause has 3 distinct variables")
+    if tree_budget < MIN_TREE_STATES:
+        raise ParameterError(
+            f"tree_budget={tree_budget} is below {MIN_TREE_STATES}, the "
+            f"smallest tree an instance can have: a root and its three children")
     params = params_for_rounds(v=v, h=h, p=p, q=q, epsilon=epsilon, b=b)
     rng = np.random.Generator(np.random.Philox(key=seed))
     for attempt in range(1, MAX_ATTEMPTS + 1):
@@ -52,9 +63,7 @@ def random_satisfiable_instance(seed: int, v: int, h: int, p: int = 2,
         inst = build_instance(f, params)
         if inst.wstar is None or initial_state(inst).is_terminal:
             continue
-        try:
-            enumerate_reachable(inst, budget=tree_budget)
-        except ResourceLimitError:
+        if tree_size(inst, tree_budget) is None:
             continue
         return inst, inst.wstar_assignment(), attempt
     raise ResourceLimitError(

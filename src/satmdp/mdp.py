@@ -31,6 +31,12 @@ never on single states at large v.
 At stage two actions 0 and 2 both keep the offered variable; only
 `transition` knows it, and `enumerate_reachable` lists each move once.
 
+`transition` reads neither `step` nor `chain` when it decides a move: it only
+increments the one and hashes the other onward. So the subtree below a state,
+and its size, depend only on the state's round summary, every field but
+those two. Distinct flip orders reach equal summaries, which `tree_size`
+counts once each, so it sizes a tree without building it.
+
 The instance's satisfying assignment w* is the only state a reward reads. An
 instance without one pays 0 on every transition: that is the MDP of a formula
 with no satisfying assignment, and so also the zero-reward simulator of the
@@ -442,3 +448,61 @@ def enumerate_reachable(inst: MdpInstance, budget: int = 500_000):
                 states.append(nxt)
         children.append(kids)
     return states, children
+
+
+def tree_size(inst: MdpInstance, budget: int) -> int | None:
+    """Number of states `enumerate_reachable(inst, budget)` would return, or
+    None where it would raise ResourceLimitError (more than `budget` states),
+    without building the tree.
+
+    The subtree below a state depends only on its round summary (see the
+    module docstring), so a post-order walk on an explicit stack expands each
+    distinct non-terminal summary once with `transition` and memoizes its
+    subtree size; a terminal child counts 1 and gets no frame. The walk stops
+    as soon as the states counted so far pass `budget`. Every memoized
+    summary was counted at least once, so the memo never outgrows the
+    budget. The tree-structure check stays in `enumerate_reachable`.
+    """
+    root = initial_state(inst)
+    if root.is_terminal:
+        # enumerate_reachable checks the budget only when it adds a child
+        return 1
+    sizes: dict[tuple, int] = {}
+    # a frame: [summary, iterator over its children, its subtree count so far]
+    frames = [[_summary(root), iter(_children(inst, root)), 1]]
+    counted = 1  # states counted so far: a lower bound on the tree's size
+    while True:
+        frame = frames[-1]
+        for child in frame[1]:
+            if child.stage == LAST_LEVEL or child.stage == GAP_SATISFIED:
+                frame[2] += 1
+                counted += 1
+                continue
+            key = _summary(child)
+            size = sizes.get(key)
+            if size is None:
+                frames.append([key, iter(_children(inst, child)), 1])
+                counted += 1
+                break
+            frame[2] += size
+            counted += size
+        else:
+            key, _, size = frames.pop()
+            if not frames:
+                return size if size <= budget else None
+            sizes[key] = size
+            frames[-1][2] += size
+        if counted > budget:
+            return None
+
+
+def _summary(s: MdpState) -> tuple:
+    """Every field of s but `step` and `chain`, which `transition` does not
+    read to decide a move."""
+    return s[:7] + s[9:]
+
+
+def _children(inst: MdpInstance, s: MdpState) -> list:
+    """A non-terminal state's distinct children, in action order."""
+    return [transition(inst, s, a)
+            for a in ((0, 1, 2) if s.stage == STAGE_ONE else (0, 1))]

@@ -897,6 +897,34 @@ def test_pair_cuts_settle_copied_rows_and_the_ball_rim():
         assert copied_exact == 2 * exact
 
 
+# near ties at d = 4 against a zero row, so D~ = D exactly: (D, the line's
+# fixed z, t), from a random search over z_j in [-60, 60], |D_j| in
+# [2^-4, 2^3] and t in [-60, -1], with the last D set to cancel the score at t
+NEAR_TIES = [
+    ([-2.6163057055507406, 0.08137700550247973, -0.09951876866999751,
+      5.778586506900772], [-55, -9, 45], -24),
+    ([0.19472150765200252, 2.3558378629103185, -0.13187304877382447,
+      3.37679851356977], [11, 56, 18], -39),
+]
+
+
+@pytest.mark.parametrize("row, line, t", NEAR_TIES)
+def test_pair_cuts_bound_settles_no_near_tie_its_floats_get_wrong(row, line, t):
+    """One line with lo = hi = t < 0 is its own group, so the group's S (from
+    its |z_j| and T = |t|) is the line's own S_t. The exact score at t is
+    0 <= g < u S_t, which a wins, while the floats propose the cut t + 1: only
+    the integer path gets this cut right. The shared bound is 12 u S here,
+    and an eighth of it, 1.5 u S, settles the wrong float cut."""
+    features = np.array([row, [0.0] * len(row)])
+    rest = np.array(line, dtype=np.float64).reshape(-1, 1)
+    lo = hi = np.array([t])
+    terms = [Fraction(x) * z for x, z in zip(row, [*line, t])]
+    s_t = sum(abs(x) for x in terms)
+    assert 0 <= sum(terms) < Fraction(agents.UNIT_ROUNDOFF) * s_t
+    cuts, exact = assert_cuts_match_fractions(features, rest, lo, hi)
+    assert cuts.tolist() == [[t]] and exact == 1
+
+
 def test_horizon_split_rejects_zero_feature_layers(figure_formula):
     # the SAT construction zeroes features on terminal-entering pairs, so its
     # last decision layer carries no usable basis; fail loudly, not silently

@@ -1,10 +1,13 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
+from conftest import POOL_COMBOS
 
-from satmdp import mdp
+from satmdp import instances, mdp
 from satmdp.agents import SatOracle
+from satmdp.cli import LINEARITY_CASES
 from satmdp.cnf import (
     assignment_from_mask,
     brute_force_sat,
@@ -37,6 +40,7 @@ from satmdp.mdp import (
     stage_one_floor,
     state_digest,
     transition,
+    tree_size,
 )
 from satmdp.instances import random_satisfiable_instance, regular_planted_formula
 from satmdp.reward import expected_reward, g, params_for_rounds
@@ -310,6 +314,106 @@ def test_enumerate_refuses_a_state_with_two_parents(monkeypatch):
     with pytest.raises(InvariantViolation, match="two different parents"):
         enumerate_reachable(inst, budget=20_000)
     assert len(merged) == 2 and merged[0] != merged[1]
+
+
+def _gate_attempts(monkeypatch, draw):
+    """(instance, budget, tree_size's answer) of every size-gate attempt the
+    sampler makes while `draw` runs."""
+    attempts, real = [], instances.tree_size
+
+    def spy(inst, budget):
+        size = real(inst, budget)
+        attempts.append((inst, budget, size))
+        return size
+
+    monkeypatch.setattr(instances, "tree_size", spy)
+    draw()
+    return attempts
+
+
+def _criterion_1_draws():
+    for k in range(50):
+        v, h, eps = POOL_COMBOS[k % len(POOL_COMBOS)]
+        random_satisfiable_instance(1000 + k, v=v, h=h, p=2, q=4, epsilon=eps,
+                                    tree_budget=20_000)
+
+
+def _linearity_draws():
+    for seed in range(8):
+        for i, (v, h) in enumerate(LINEARITY_CASES):
+            random_satisfiable_instance(seed + i, v=v, h=h, tree_budget=8_000)
+
+
+# (draws, gate attempts, attempts over budget)
+@pytest.mark.parametrize("draw, n_attempts, n_refused", [
+    (_criterion_1_draws, 54, 4), (_linearity_draws, 16, 0)])
+def test_tree_size_agrees_with_enumeration_on_every_gate_attempt(
+        monkeypatch, draw, n_attempts, n_refused):
+    attempts = _gate_attempts(monkeypatch, draw)
+    for inst, budget, size in attempts:
+        try:
+            expected = len(enumerate_reachable(inst, budget=budget)[0])
+        except ResourceLimitError:
+            expected = None
+        assert size == expected
+    assert len(attempts) == n_attempts
+    assert sum(size is None for _, _, size in attempts) == n_refused
+
+
+def test_tree_size_budget_is_the_state_count(criterion_1_pool):
+    pool, _seconds = criterion_1_pool
+    for inst, states, _children in pool:
+        n = len(states)
+        assert tree_size(inst, n) == tree_size(inst, 20_000) == n
+        assert tree_size(inst, n - 1) is None
+    # the smallest tree, a root and its three terminal children, is in the pool
+    assert min(len(states) for _, states, _ in pool) == 4
+
+
+def test_tree_size_walks_a_v768_tree_deeper_than_the_recursion_limit(
+        monkeypatch):
+    f, planted = regular_planted_formula(768, seed=7)
+    inst = build_instance(
+        f, params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6),
+        wstar=planted)
+    real, deepest = mdp.transition, [0]
+
+    def transition_recording_depth(inst, s, a):
+        deepest[0] = max(deepest[0], s.step)
+        return real(inst, s, a)
+
+    monkeypatch.setattr(mdp, "transition", transition_recording_depth)
+    assert tree_size(inst, 3_000) is None
+    assert deepest[0] == inst.params.H - 1 > sys.getrecursionlimit()
+
+
+def test_equal_round_summaries_root_equal_subtrees(criterion_1_pool):
+    """The fact tree_size rests on: states that differ only in `step` and
+    `chain` have equal clause counts, eligible masks and subtree sizes."""
+    pool, _seconds = criterion_1_pool
+    shared = 0
+    for _inst, states, children in pool:
+        sizes = [1] * len(states)
+        for i in reversed(range(len(states))):
+            sizes[i] += sum(sizes[j] for j in children[i])
+        seen = {}
+        for s, size in zip(states, sizes):
+            n, stage, cursor, w, w_round, free, round_dists, *_ = s
+            key = (n, stage, cursor, w, w_round, free, round_dists)
+            first = seen.setdefault(key, (s.sat_count, s.eligible, size))
+            assert first == (s.sat_count, s.eligible, size)
+        shared += len(states) - len(seen)
+    assert shared > 0
+
+
+@pytest.mark.parametrize("budget", [-1, 0, 1, 2, 3])
+def test_sampler_refuses_a_budget_no_tree_can_meet(monkeypatch, budget):
+    drawn = []
+    monkeypatch.setattr(instances, "random_strict_formula",
+                        lambda *args: drawn.append(args))
+    with pytest.raises(ParameterError, match="tree_budget"):
+        random_satisfiable_instance(1, v=5, h=2, tree_budget=budget)
+    assert drawn == []
 
 
 # sha256 over every state's encode_state bytes and repr(children), tree by
