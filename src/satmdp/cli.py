@@ -8,6 +8,7 @@ error (an unreadable or unwritable path included), 3 resource refusal,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -299,6 +300,10 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
+# built once per process: building it costs about 1 ms, a few percent of a
+# `satmdp run`; parse_args leaves it unchanged, and main looks the command
+# function up per call, so the parser binds none
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satmdp",
@@ -324,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--wstar", default=None,
                     help="satisfying assignment as a 0/1 string")
     add_params(sp)
-    sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("verify-claims", help="run the structural-claim verifiers")
     sp.add_argument("--v", type=int, default=50)
@@ -333,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=int, default=6)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_verify_claims)
 
     sp = sub.add_parser("run", help="roll out an agent on an instance bundle")
     sp.add_argument("--instance", required=True)
@@ -341,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--episodes", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_run)
 
     sp = sub.add_parser("reduce", help="decide a gap formula via the simulator")
     sp.add_argument("--cnf", required=True)
@@ -352,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     add_params(sp)
-    sp.set_defaults(func=cmd_reduce)
 
     sp = sub.add_parser("transform", help="bounded-occurrence rewrite of a formula")
     sp.add_argument("--cnf", required=True)
@@ -361,17 +362,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lenient", action="store_true",
                     help="accept clauses with fewer than 3 literals")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_transform)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = {"gen": cmd_gen, "verify-claims": cmd_verify_claims,
+               "run": cmd_run, "reduce": cmd_reduce,
+               "transform": cmd_transform}[args.command]
     try:
         if getattr(args, "seed", None) is not None:
             _require_seed(args.seed)
-        return args.func(args)
+        return command(args)
     except (ParseError, ParameterError, FormulaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,12 +14,16 @@ Rewards are paid on the transition that terminates; terminal states
 themselves have zero features and zero continuation value.
 
 The two value-layer quantities are computed once per distinct round summary,
-each by its owner, in an `lru_cache` bounded at 1024 entries: the terminal
+each by its owner, in an `lru_cache` bounded at 4096 entries: the terminal
 mean behind `reward_mean` by `reward.expected_reward`, keyed on its arguments
 (round_dists, n, within-round flips, free and used disagreements with w*,
 params), and the greedy coefficient table with its flat signed table behind
 `features_state` by `polyfeat.greedy_value_poly`, keyed on (params, n,
-round_dists, within-round flips, free-variable count). `RewardParams` hashes
+round_dists, within-round flips, free-variable count). Neither key reads the
+formula, so trees of the same params share summaries, and the bound holds
+those of a whole sweep of trees, not of one: a tree_sweep pass reads 1,076
+tables and 1,524 means, the criterion-1 pool 1,834 and 3,635, and an LRU
+cycled over more keys than it holds never hits. `RewardParams` hashes
 its fields once, when it is built, so neither cache rehashes them on a lookup.
 Per state, `features_state` pays for one lookup of its cell index and one
 `take` from the shared signed table. `polyfeat` builds the index from the

@@ -29,9 +29,11 @@ a traced benchmark run reports.
 
 The tables and `terms` depend on the state only through its round summary
 (params, n, round_dists, hamming(w_round, w), |F|), which many states of a
-game tree share: `_coefficient_table` builds them once per summary, in an
-`lru_cache` bounded at 1024 entries, and every state of that summary reads
-the same read-only `coef` and signed table. The cell index depends on the state
+game tree share, and which do not depend on the formula, so trees of the same
+params share them too: `_coefficient_table` builds them once per summary, in
+an `lru_cache` bounded at 4096 entries, which holds the distinct summaries of
+a whole sweep of trees, and every state of that summary reads the same
+read-only `coef` and signed table. The cell index depends on the state
 only through (v, 2p+1, w, free): `_cell_index_cache(v, 2p+1)` is an
 `lru_cache` keyed on (w, free) that builds each read-only index once, from the
 two popcounts, and holds at most INDEX_CACHE_BYTES (1 MiB) of them per
@@ -97,9 +99,13 @@ def greedy_value_poly(state, params: RewardParams) -> MultilinearPoly:
     return MultilinearPoly(coef, signed, state.free, state.w, terms)
 
 
-# a game tree's states share few round summaries (the largest tree_sweep
-# tree, 13,219 states, has 302 distinct ones), so the bound holds a whole tree's
-@lru_cache(maxsize=1024)
+# summaries do not depend on the formula, so a sweep over many trees of the
+# same params reuses them; the bound holds the whole sweep's, since an LRU
+# cycled over more keys than it holds never hits: the 16 tree_sweep trees
+# have 1,076 distinct summaries and the 50 criterion-1 trees 1,834. An entry
+# holds about 1 KB at p=2 (a tree_sweep pass, 1 MB), growing as (2p+1)^2
+# (about 4.5 KB at p=6)
+@lru_cache(maxsize=4096)
 def _coefficient_table(params: RewardParams, n: int, round_dists: tuple,
                        flips: int, n_free: int) -> tuple:
     """The read-only coef and signed tables and the terms range of every

@@ -118,10 +118,13 @@ def g(i: int, x: float, params: RewardParams) -> float:
     return taylor_exp(params.p, -x / params.scale(i))
 
 
-# a game tree's terminals share few round summaries (the largest tree_sweep
-# tree, 13,219 states, has 475 distinct ones), so the bound holds a whole
-# tree's; a refused call raises, and lru_cache stores no exception
-@lru_cache(maxsize=1024)
+# summaries do not depend on the formula, so a sweep over many trees of the
+# same params reuses them; the bound holds the whole sweep's, since an LRU
+# cycled over more keys than it holds never hits: the 16 tree_sweep trees
+# have 1,524 distinct terminal summaries and the 50 criterion-1 trees 3,635,
+# about 0.1 KB an entry (a tree_sweep pass, 0.11 MB); a refused call raises,
+# and lru_cache stores no exception
+@lru_cache(maxsize=4096)
 def expected_reward(round_dists: tuple, n: int, within_round: int,
                     free_dist: int, used_dist: int, params: RewardParams) -> float:
     """Terminal Bernoulli mean: product of past-round factors, the current-round

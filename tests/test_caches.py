@@ -4,7 +4,12 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import satmdp
+from satmdp import polyfeat, reward
+from satmdp.agents import tree_optimal_values
+from satmdp.mdp import features_state
 
 # caches with no maxsize, each with the key space that bounds it
 UNBOUNDED = {
@@ -13,6 +18,7 @@ UNBOUNDED = {
                                          "cache of at most INDEX_CACHE_BYTES",
     "satmdp.agents._action_pairs": "one entry per action count k",
     "satmdp.reporting._validator": "takes no arguments",
+    "satmdp.cli.build_parser": "takes no arguments",
 }
 
 
@@ -43,3 +49,27 @@ def test_every_package_cache_is_bounded_or_states_its_key_space():
     unbounded = {name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None}
     assert unbounded == set(UNBOUNDED)
+
+
+@pytest.mark.parametrize("trees, tables, means", [
+    ("sweep", 1_076, 1_524),  # the 16 tree_sweep trees
+    ("pool", 1_834, 3_635),   # the 50 criterion-1 trees
+])
+def test_a_second_pass_over_a_sweep_of_trees_builds_no_value(
+        pool_trees, trees, tables, means):
+    """Round summaries do not depend on the formula, so a sweep's trees
+    share them; the value caches hold a whole sweep's, and every pass after
+    the first reads each coefficient table and terminal mean from them."""
+    pool, sweep = pool_trees
+    polyfeat._coefficient_table.cache_clear()
+    reward.expected_reward.cache_clear()
+    misses = []
+    for _ in range(2):
+        for inst, states, children in {"sweep": sweep, "pool": pool}[trees]:
+            for s in states:
+                features_state(inst, s)
+            tree_optimal_values(inst, states, children)
+        misses.append((polyfeat._coefficient_table.cache_info().misses,
+                       reward.expected_reward.cache_info().misses))
+    # the first pass builds each distinct summary's value once, the second none
+    assert misses == [(tables, means)] * 2

@@ -565,6 +565,26 @@ def test_internal_error_has_its_own_exit_code(tmp_path, cnf_file, monkeypatch,
                  str(tmp_path / "claims.json")]) == 1
 
 
+def test_main_builds_its_parser_once_and_looks_commands_up_per_call(
+        cnf_file, monkeypatch, capsys):
+    from satmdp import cli
+    parser = cli.build_parser()
+    misses = cli.build_parser.cache_info().misses
+    assert main(["transform", "--cnf", str(cnf_file)]) == 0
+    # a command patched after the parser was built is the one that runs
+    monkeypatch.setattr(cli, "cmd_transform", lambda _args: 7)
+    assert main(["transform", "--cnf", str(cnf_file)]) == 7
+    assert cli.build_parser() is parser
+    assert cli.build_parser.cache_info().misses == misses
+    # a usage error leaves the shared parser as it was
+    with pytest.raises(SystemExit) as exc:
+        main(["transform"])
+    assert exc.value.code == 2
+    assert "--cnf" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(["transform", "--cnf", str(cnf_file)]) == 0
+
+
 def test_gen_refuses_undecidable_satisfiability(tmp_path):
     # v over the exhaustive limit, full mode, no wstar: cannot price rewards
     import numpy as np

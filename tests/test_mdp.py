@@ -497,6 +497,35 @@ def test_clause_tables_golden():
         "2203d065852d811bda4766983237bfd56de968d9a1eeeba91c577b95a68cbec1"
 
 
+def unsat_by_scan(f, w):
+    """Independent oracle: the mask of the clauses of f that w leaves
+    unsatisfied, from a scan of f.lits."""
+    value = np.array([(w >> i) & 1 for i in range(f.v)])
+    lit_true = (value[np.abs(f.lits) - 1] == 1) == (f.lits > 0)
+    return sum(1 << int(c) for c in np.flatnonzero(~lit_true.any(axis=1)))
+
+
+def test_unsat_mask_matches_a_clause_scan_at_v768():
+    """The eligible mask `_unsat_mask` rebuilds at the root and at a round
+    rollover, where every variable is free, is the unsatisfied-clause mask."""
+    f, planted = regular_planted_formula(768, seed=7)
+    params = params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6)
+    inst = build_instance(f, params, wstar=planted)
+    assert mdp._unsat_mask(inst, inst.wstar) == unsat_by_scan(f, inst.wstar) == 0
+    rng = np.random.default_rng(19)
+    for _ in range(3):
+        start = tuple(int(x) for x in rng.choice((-1, 1), size=f.v))
+        inst = build_instance(f, params, wstar=planted, start=start)
+        s = initial_state(inst)
+        assert mdp._unsat_mask(inst, s.w) == s.eligible == unsat_by_scan(f, s.w)
+        assert s.stage == STAGE_ONE and s.eligible.bit_count() > f.m // 16
+        while s.n == 1:
+            s = transition(inst, s, int(rng.integers(0, 3)))
+        assert s.stage == STAGE_ONE and s.free == inst.all_mask
+        assert s.w != inst.start
+        assert s.eligible == unsat_by_scan(f, s.w)
+
+
 def test_content_equal_formulas_share_one_table_record():
     """A formula parsed again from its DIMACS text is another object with the
     same content: its instances, full or simulator, under any epsilon, read
