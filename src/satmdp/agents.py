@@ -370,6 +370,18 @@ UNIT_ROUNDOFF = 2.0 ** -53
 BOUND_FLOOR = 2.0 ** -1000  # added to each rounding bound: covers underflow
 
 
+def _check_accuracy(eps: float, delta: float, sample_cap: int = 1):
+    """Refuse accuracy parameters the baselines cannot meet: eps must be
+    finite and positive, delta in (0, 1) and sample_cap at least 1. Both
+    baselines call it before they ask the oracle anything."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ParameterError(f"eps must be finite and positive, got {eps}")
+    if not 0 < delta < 1:
+        raise ParameterError(f"delta must be in (0, 1), got {delta}")
+    if not sample_cap >= 1:
+        raise ParameterError(f"sample_cap must be at least 1, got {sample_cap}")
+
+
 def cover_radius(eps: float, horizon: int, dim: int) -> float:
     return eps / (2 * horizon * math.sqrt(dim))
 
@@ -571,6 +583,7 @@ def epsilon_net_search(oracle, eps: float, delta: float):
     transitions (each tree edge the search walks, once), `features_sa` calls
     and reward samples.
     """
+    _check_accuracy(eps, delta)
     d, H, k = oracle.dim, oracle.horizon, oracle.num_actions
     spacing = cover_spacing(eps, H, d)
     radius = 1.0 + spacing * math.sqrt(d) / 2  # margin so ball points keep a cover point
@@ -714,6 +727,7 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
     reward samples, beside the basis sizes, the largest residual and the
     terminal sample count.
     """
+    _check_accuracy(eps, delta, sample_cap)
     s0 = oracle.initial_state() if start is None else start
     k = oracle.num_actions
     levels = _segment_levels(oracle.horizon, from_level)
@@ -817,6 +831,7 @@ def horizon_split_policy(oracle, eps: float, delta: float, sample_cap: int = 50_
     """Iterate the horizon-split estimator along the induced trajectory: at each
     visited state estimate Q, act on the argmax, repeat. Returns the action
     list, the accumulated Q table (covering every visited state), and info."""
+    _check_accuracy(eps, delta, sample_cap)
     s = oracle.initial_state()
     level = 0
     actions = []

@@ -13,24 +13,11 @@ once per distinct formula, keyed by its content, and its instances share them.
 Rewards are paid on the transition that terminates; terminal states
 themselves have zero features and zero continuation value.
 
-The two value-layer quantities are computed once per distinct round summary,
-each by its owner, in an `lru_cache` bounded at 4096 entries: the terminal
-mean behind `reward_mean` by `reward.expected_reward`, keyed on its arguments
-(round_dists, n, within-round flips, free and used disagreements with w*,
-params), and the greedy coefficient table with its flat signed table behind
-`features_state` by `polyfeat.greedy_value_poly`, keyed on (params, n,
-round_dists, within-round flips, free-variable count). Neither key reads the
-formula, so trees of the same params share summaries, and the bound holds
-those of a whole sweep of trees, not of one: a tree_sweep pass reads 1,076
-tables and 1,524 means, the criterion-1 pool 1,834 and 3,635, and an LRU
-cycled over more keys than it holds never hits. `RewardParams` hashes
-its fields once, when it is built, so neither cache rehashes them on a lookup.
-Per state, `features_state` pays for one lookup of its cell index and one
-`take` from the shared signed table. `polyfeat` builds the index from the
-state's popcounts once per (v, 2p+1, w, free), in an `lru_cache` holding at
-most 1 MiB of indexes per (v, 2p+1): it hits on the repeated (w, free) pairs
-of whole small trees (89% of a tree_sweep pass's non-terminal states) and
-never on single states at large v.
+The value layer's caches belong to their owners, which document their keys
+and bounds: the terminal mean behind `reward_mean` is
+`reward.expected_reward`'s, and the greedy coefficient table and the cell
+index behind `features_state` are `polyfeat.greedy_value_poly`'s and
+`polyfeat.to_feature_vector`'s.
 
 At stage two actions 0 and 2 both keep the offered variable; only
 `transition` knows it, and `enumerate_reachable` lists each move once.
@@ -38,8 +25,10 @@ At stage two actions 0 and 2 both keep the offered variable; only
 `transition` reads neither `step` nor `chain` when it decides a move: it only
 increments the one and hashes the other onward. So the subtree below a state,
 and its size, depend only on the state's round summary, every field but
-those two. Distinct flip orders reach equal summaries, which `tree_size`
-counts once each, so it sizes a tree without building it.
+those two. Every round is v steps, so a summary also fixes the state's depth.
+`tree_size` sizes a tree without building it, one level at a time: a level
+maps each summary to one state and the number of states that share it, and
+each entry is expanded once.
 
 The instance's satisfying assignment w* is the only state a reward reads. An
 instance without one pays 0 on every transition: that is the MDP of a formula
@@ -459,45 +448,28 @@ def tree_size(inst: MdpInstance, budget: int) -> int | None:
     None where it would raise ResourceLimitError (more than `budget` states),
     without building the tree.
 
-    The subtree below a state depends only on its round summary (see the
-    module docstring), so a post-order walk on an explicit stack expands each
-    distinct non-terminal summary once with `transition` and memoizes its
-    subtree size; a terminal child counts 1 and gets no frame. The walk stops
-    as soon as the states counted so far pass `budget`. Every memoized
-    summary was counted at least once, so the memo never outgrows the
-    budget. The tree-structure check stays in `enumerate_reachable`.
+    It counts one level at a time (see the module docstring): each distinct
+    round summary of a level is expanded once with `transition`, and the
+    number of states sharing it is added for every child. The count stops
+    as soon as it passes `budget`, so it takes at most budget + 2
+    transitions. The tree-structure check stays in `enumerate_reachable`.
     """
     root = initial_state(inst)
-    if root.is_terminal:
-        # enumerate_reachable checks the budget only when it adds a child
-        return 1
-    sizes: dict[tuple, int] = {}
-    # a frame: [summary, iterator over its children, its subtree count so far]
-    frames = [[_summary(root), iter(_children(inst, root)), 1]]
-    counted = 1  # states counted so far: a lower bound on the tree's size
-    while True:
-        frame = frames[-1]
-        for child in frame[1]:
-            if child.stage == LAST_LEVEL or child.stage == GAP_SATISFIED:
-                frame[2] += 1
-                counted += 1
-                continue
-            key = _summary(child)
-            size = sizes.get(key)
-            if size is None:
-                frames.append([key, iter(_children(inst, child)), 1])
-                counted += 1
-                break
-            frame[2] += size
-            counted += size
-        else:
-            key, _, size = frames.pop()
-            if not frames:
-                return size if size <= budget else None
-            sizes[key] = size
-            frames[-1][2] += size
-        if counted > budget:
-            return None
+    # enumerate_reachable checks the budget only when it adds a child, so a
+    # terminal root counts 1 at any budget
+    level = {} if root.is_terminal else {_summary(root): [root, 1]}
+    counted = 1
+    while level:
+        below = {}
+        for s, mult in level.values():
+            for child in _children(inst, s):
+                counted += mult
+                if child.stage != LAST_LEVEL and child.stage != GAP_SATISFIED:
+                    below.setdefault(_summary(child), [child, 0])[1] += mult
+            if counted > budget:
+                return None
+        level = below
+    return counted
 
 
 def _summary(s: MdpState) -> tuple:

@@ -584,6 +584,15 @@ def test_select_independent_spans_and_bounds():
     assert select_independent([np.zeros(3)]) == []
 
 
+@pytest.mark.parametrize("off_plane, rank", [(3e-11, 2), (3e-10, 3)])
+def test_select_independent_pivots_at_its_tolerance(off_plane, rank):
+    # PIVOT_TOL = 1e-10: a row 3e-11 off the plane of the others is rounding,
+    # not a new direction, and one 3e-10 off it is a direction; PIVOT_TOL / 10
+    # would keep the first and PIVOT_TOL * 10 drop the second
+    rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, off_plane]]
+    assert len(select_independent(rows)) == rank
+
+
 def test_cover_lattice_covers_unit_sphere():
     eps, H, d = 0.1, 3, 2
     r = cover_radius(eps, H, d)
@@ -1018,6 +1027,28 @@ class _CountingToy(ToyLinearMdp):
     def sample_reward_batch(self, s, a, count):
         self.reward_samples += count
         return super().sample_reward_batch(s, a, count)
+
+
+BAD_ACCURACY = [
+    (search, kwargs)
+    for search in (epsilon_net_search, horizon_split_q, horizon_split_policy)
+    for kwargs in ({"eps": 0}, {"eps": -0.1}, {"eps": math.inf},
+                   {"eps": math.nan}, {"delta": 0}, {"delta": -0.1},
+                   {"delta": 1})
+] + [(search, {"sample_cap": cap})
+     for search in (horizon_split_q, horizon_split_policy) for cap in (0, -1)]
+
+
+@pytest.mark.parametrize("search, kwargs", BAD_ACCURACY, ids=[
+    f"{search.__name__}-{key}={value}"
+    for search, kwargs in BAD_ACCURACY for key, value in kwargs.items()])
+def test_baselines_refuse_bad_accuracy_before_any_query(search, kwargs):
+    toy = _CountingToy(depth=4, num_actions=2, dim=2, structure_seed=3,
+                       reward_seed=1)
+    with pytest.raises(ParameterError, match="eps|delta|sample_cap"):
+        search(toy, **{"eps": 0.2, "delta": 0.1, **kwargs})
+    assert toy.transition_pairs == toy.feature_pairs == []
+    assert toy.reward_samples == 0
 
 
 @pytest.mark.parametrize("horizon, transitions, feature_calls, reward_samples", [

@@ -565,6 +565,29 @@ def test_internal_error_has_its_own_exit_code(tmp_path, cnf_file, monkeypatch,
                  str(tmp_path / "claims.json")]) == 1
 
 
+@pytest.mark.parametrize("lin_shift, opt_shift, passes", [
+    (5e-9, 0.0, True), (2e-8, 0.0, False), (0.0, 5e-10, True),
+    (0.0, 2e-9, False)])
+def test_linearity_suite_holds_its_thresholds(monkeypatch, lin_shift,
+                                              opt_shift, passes):
+    """verify-claims' suite fails a greedy value lin_shift off the features'
+    inner product past 1e-8, and an optimum opt_shift off the greedy value
+    past 1e-9, on its own instances."""
+    from satmdp import agents, cli
+
+    def shifted(values, shift):
+        return lambda *args: [x + shift for x in values(*args)]
+
+    monkeypatch.setattr(agents, "tree_greedy_values",
+                        shifted(agents.tree_greedy_values, lin_shift))
+    monkeypatch.setattr(agents, "tree_optimal_values",
+                        shifted(agents.tree_optimal_values, lin_shift + opt_shift))
+    result = cli._linearity_suite(0)
+    assert result["max_linearity_error"] == pytest.approx(lin_shift, abs=1e-12)
+    assert result["max_optimality_gap"] == pytest.approx(opt_shift, abs=1e-12)
+    assert result["pass"] is passes
+
+
 def test_main_builds_its_parser_once_and_looks_commands_up_per_call(
         cnf_file, monkeypatch, capsys):
     from satmdp import cli

@@ -1,5 +1,4 @@
 import hashlib
-import sys
 
 import numpy as np
 import pytest
@@ -331,6 +330,14 @@ def _gate_attempts(monkeypatch, draw):
     return attempts
 
 
+def _enumerated_size(inst, budget):
+    """The state count `enumerate_reachable` gives at `budget`, None where it refuses."""
+    try:
+        return len(enumerate_reachable(inst, budget=budget)[0])
+    except ResourceLimitError:
+        return None
+
+
 def _criterion_1_draws():
     for k in range(50):
         v, h, eps = POOL_COMBOS[k % len(POOL_COMBOS)]
@@ -351,11 +358,7 @@ def test_tree_size_agrees_with_enumeration_on_every_gate_attempt(
         monkeypatch, draw, n_attempts, n_refused):
     attempts = _gate_attempts(monkeypatch, draw)
     for inst, budget, size in attempts:
-        try:
-            expected = len(enumerate_reachable(inst, budget=budget)[0])
-        except ResourceLimitError:
-            expected = None
-        assert size == expected
+        assert size == _enumerated_size(inst, budget)
     assert len(attempts) == n_attempts
     assert sum(size is None for _, _, size in attempts) == n_refused
 
@@ -370,26 +373,46 @@ def test_tree_size_budget_is_the_state_count(criterion_1_pool):
     assert min(len(states) for _, states, _ in pool) == 4
 
 
-def test_tree_size_walks_a_v768_tree_deeper_than_the_recursion_limit(
-        monkeypatch):
+def test_tree_size_work_is_bounded_by_its_budget(monkeypatch):
+    # a v=768 tree far over budget: the count stops within one expansion of
+    # passing the budget, however deep the tree goes
     f, planted = regular_planted_formula(768, seed=7)
     inst = build_instance(
         f, params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6),
         wstar=planted)
-    real, deepest = mdp.transition, [0]
+    real, transitions = mdp.transition, [0]
 
-    def transition_recording_depth(inst, s, a):
-        deepest[0] = max(deepest[0], s.step)
+    def counting_transition(inst, s, a):
+        transitions[0] += 1
         return real(inst, s, a)
 
-    monkeypatch.setattr(mdp, "transition", transition_recording_depth)
+    monkeypatch.setattr(mdp, "transition", counting_transition)
     assert tree_size(inst, 3_000) is None
-    assert deepest[0] == inst.params.H - 1 > sys.getrecursionlimit()
+    assert transitions[0] <= 3_000 + 2
+
+
+def test_tree_size_matches_enumeration_at_the_edges(figure_formula,
+                                                    figure_instance):
+    # a start that meets the threshold: enumeration lists the terminal root
+    # at any budget, since it checks the budget only when it adds a child
+    params = params_for_rounds(v=5, h=2, p=2, q=2)
+    done = build_instance(figure_formula, params,
+                          start=figure_instance.wstar_assignment())
+    assert initial_state(done).is_terminal
+    for budget in range(4):
+        assert tree_size(done, budget) == _enumerated_size(done, budget) == 1
+    n = len(enumerate_reachable(figure_instance)[0])
+    for budget in (n, n - 1, 4):
+        assert tree_size(figure_instance, budget) == _enumerated_size(
+            figure_instance, budget)
+    assert tree_size(figure_instance, n - 1) is None
 
 
 def test_equal_round_summaries_root_equal_subtrees(criterion_1_pool):
-    """The fact tree_size rests on: states that differ only in `step` and
-    `chain` have equal clause counts, eligible masks and subtree sizes."""
+    """The facts tree_size rests on: states with equal round summaries (every
+    field but `step` and `chain`) have equal clause counts, eligible masks,
+    subtree sizes and steps, so one level of the count holds all of a
+    summary's states."""
     pool, _seconds = criterion_1_pool
     shared = 0
     for _inst, states, children in pool:
@@ -400,8 +423,8 @@ def test_equal_round_summaries_root_equal_subtrees(criterion_1_pool):
         for s, size in zip(states, sizes):
             n, stage, cursor, w, w_round, free, round_dists, *_ = s
             key = (n, stage, cursor, w, w_round, free, round_dists)
-            first = seen.setdefault(key, (s.sat_count, s.eligible, size))
-            assert first == (s.sat_count, s.eligible, size)
+            facts = (s.sat_count, s.eligible, size, s.step)
+            assert seen.setdefault(key, facts) == facts
         shared += len(states) - len(seen)
     assert shared > 0
 
