@@ -1,18 +1,20 @@
 """Hand-built deterministic tree MDPs with exactly linear optimal values.
 
-States are action tuples; a single Bernoulli payout arrives on the transition
-out of depth H-1. Only state-action pairs have features (`features_sa`, the
-one feature name of the oracle protocol), planted as Q*(s,a) * theta + noise
+A state is its node's heap index: node 0 is the root and the children of node
+i are k*i+1 .. k*i+k, so `transition(i, a)` is k*i+1+a, the internal nodes are
+0 .. (k^H-1)/(k-1) - 1 and every level lists its action paths in
+lexicographic order. Every query reads the planted arrays at an index; none
+walks an action path. A single Bernoulli payout arrives on the transition out
+of depth H-1. Only state-action pairs have features (`features_sa`, the one
+feature name of the oracle protocol), planted as Q*(s,a) * theta + noise
 orthogonal to theta, so Q* is exactly linear, feature norms stay <= 1, and
 only the theta direction carries value signal. Leaf means are quantized with one
 designated optimal path well above the rest, keeping action gaps large enough
 for sampled estimates to resolve.
 
-The tree is stored as arrays in heap order: node 0 is the root and the
-children of node i are k*i+1 .. k*i+k, so every level lists its action paths
-in lexicographic order. The planted arrays depend only on (depth, k, dim,
-structure seed): `_planted` draws them once per such spec and every toy of the
-spec shares them read-only, so a toy owns only its reward stream.
+The planted arrays are stored in heap order and depend only on (depth, k,
+dim, structure seed): `_planted` draws them once per such spec and every toy
+of the spec shares them read-only, so a toy owns only its reward stream.
 """
 from __future__ import annotations
 
@@ -35,44 +37,37 @@ class ToyLinearMdp:
         self.horizon = depth
         self.num_actions = num_actions
         self.dim = dim
+        self._internal = (num_actions ** depth - 1) // (num_actions - 1)
         self._rng = np.random.Generator(np.random.Philox(key=reward_seed))
         (self.theta_star, self.optimal_path, self._value,
          self._psi_sa) = _planted(depth, num_actions, dim, structure_seed)
 
-    def _node(self, s) -> int:
-        """Heap index of the state s."""
-        i = 0
-        for a in s:
-            if not 0 <= a < self.num_actions:
-                raise ParameterError(f"action {a} out of range")
-            i = self.num_actions * i + 1 + a
-        return i
-
-    def _child(self, s, a):
-        """s + (a,), refused at a terminal state or for an action outside
-        range(k); the one check of transition and the reward calls."""
-        if len(s) >= self.horizon:
-            raise ParameterError("cannot act on a terminal state")
+    def _child(self, s, a) -> int:
+        """Heap index of the child that a enters from s; the one check of every
+        (s, a) query, refusing a state that is no internal node (a terminal
+        leaf, or no node at all) and an action outside range(k)."""
+        if not 0 <= s < self._internal:
+            raise ParameterError(f"state {s} is not an internal node")
         if not 0 <= a < self.num_actions:
             raise ParameterError(f"action {a} out of range")
-        return s + (a,)
+        return self.num_actions * s + 1 + a
 
     # --- oracle interface ---
 
     def initial_state(self):
-        return ()
+        return 0
 
     def transition(self, s, a):
         return self._child(s, a)
 
     def is_terminal(self, s) -> bool:
-        return len(s) >= self.horizon
+        return s >= self._internal
 
     def exact_mean(self, s, a) -> float:
         child = self._child(s, a)
-        if len(child) < self.horizon:
+        if child < self._internal:
             return 0.0
-        return float(self._value[self._node(child)])
+        return float(self._value[child])
 
     def sample_reward_batch(self, s, a, count):
         mean = self.exact_mean(s, a)
@@ -81,16 +76,16 @@ class ToyLinearMdp:
         return int(self._rng.binomial(count, mean))
 
     def features_sa(self, s, a):
-        if self.is_terminal(s):
-            raise ParameterError("no state-action features at a terminal state")
-        return self._psi_sa[self._node(s + (a,)) - 1]
+        return self._psi_sa[self._child(s, a) - 1]
 
     # --- exact evaluation for tests ---
 
-    def v_star(self, s=()) -> float:
+    def v_star(self, s=0) -> float:
+        if not 0 <= s < len(self._value):
+            raise ParameterError(f"state {s} is not a node of the tree")
         if self.is_terminal(s):
             return 0.0
-        return float(self._value[self._node(s)])
+        return float(self._value[s])
 
     def q_star_table(self) -> dict:
         """{(state, action): Q*} over every non-terminal state, in post-order:
@@ -98,19 +93,19 @@ class ToyLinearMdp:
         k, value = self.num_actions, self._value.tolist()
         table = {}
 
-        def fill(s, i):
+        def fill(s):
             for a in range(k):
-                child = k * i + 1 + a
-                if len(s) + 1 < self.horizon:
-                    fill(s + (a,), child)
+                child = k * s + 1 + a
+                if child < self._internal:
+                    fill(child)
                 table[(s, a)] = value[child]
 
-        fill((), 0)
+        fill(0)
         return table
 
     def policy_value(self, actions) -> float:
         """Exact value of an explicit action sequence from the root."""
-        s = ()
+        s = 0
         total = 0.0
         for a in actions:
             if self.is_terminal(s):

@@ -37,6 +37,18 @@ def brute_satisfied_count(int_clauses, assignment):
     return count
 
 
+def random_lenient_formula(rng, v, m):
+    """m random clauses of 1 to 3 distinct variables of v, each literal signed
+    at random, built without the strict 3-CNF check."""
+    clauses = []
+    for _ in range(m):
+        width = int(rng.integers(1, 4))
+        variables = rng.choice(v, size=min(width, v), replace=False)
+        clauses.append([-(int(x) + 1) if rng.integers(0, 2) else int(x) + 1
+                        for x in variables])
+    return formula_from_ints(v, clauses, strict=False)
+
+
 @pytest.fixture
 def figure_formula():
     return formula_from_ints(5, FIGURE_CLAUSES)

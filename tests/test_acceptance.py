@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import POOL_COMBOS
+from conftest import POOL_COMBOS, random_lenient_formula
 from satmdp import reward
 from satmdp.agents import (
     SatOracle,
@@ -27,7 +27,6 @@ from satmdp.agents import (
 from satmdp.cnf import (
     brute_force_max_sat,
     brute_force_sat,
-    formula_from_ints,
     occurrence_bound,
     satisfied_count,
 )
@@ -367,7 +366,7 @@ def test_criterion_10_perturbed_q_policies():
             noise = rng.uniform(-bound, bound, size=len(exact)).tolist()
             q = {k: val + e for (k, val), e in zip(exact.items(), noise)}
             policy = greedy_on_q(q, toy)
-            s, actions = (), []
+            s, actions = toy.initial_state(), []
             while not toy.is_terminal(s):
                 a = policy(s)
                 actions.append(a)
@@ -382,16 +381,6 @@ def test_criterion_10_perturbed_q_policies():
 # ----------------------------------------------------------------- criterion 11
 
 
-def _random_lenient_formula(rng, v, m):
-    clauses = []
-    for _ in range(m):
-        width = int(rng.integers(1, 4))
-        variables = rng.choice(v, size=min(width, v), replace=False)
-        clauses.append([-(int(x) + 1) if rng.integers(0, 2) else int(x) + 1
-                        for x in variables])
-    return formula_from_ints(v, clauses, strict=False)
-
-
 def test_criterion_11_transform_properties():
     rng = np.random.default_rng(1111)
     checked = 0
@@ -399,7 +388,7 @@ def test_criterion_11_transform_properties():
     while checked < 200:
         v = int(rng.integers(3, 9))
         m = int(rng.integers(max(3, v), 2 * v + 3))
-        f = _random_lenient_formula(rng, v, m)
+        f = random_lenient_formula(rng, v, m)
         psi = bounded_occurrence_transform(f, 6)
         if psi.v > 22:
             continue  # keep the output brute-forceable

@@ -521,11 +521,12 @@ def test_reduction_oracle_requires_simulator(figure_instance):
 def test_greedy_on_q_ties_and_missing():
     toy = ToyLinearMdp(depth=2, num_actions=3, dim=2, structure_seed=3,
                        reward_seed=4)
-    q = {((), 0): 1.0, ((), 1): 1.0, ((), 2): 0.5}
+    root = toy.initial_state()
+    q = {(root, 0): 1.0, (root, 1): 1.0, (root, 2): 0.5}
     policy = greedy_on_q(q, toy)
-    assert policy(()) == 0  # tie broken toward the lowest action
+    assert policy(root) == 0  # tie broken toward the lowest action
     with pytest.raises(ParameterError, match="no Q estimate"):
-        greedy_on_q({}, toy)(())
+        greedy_on_q({}, toy)(root)
 
 
 def test_greedy_on_q_keys_on_sat_states(figure_instance):
@@ -544,7 +545,7 @@ def test_greedy_on_q_with_exact_q_is_optimal():
     toy = ToyLinearMdp(depth=3, num_actions=3, dim=2, structure_seed=3,
                        reward_seed=4)
     policy = greedy_on_q(toy.q_star_table(), toy)
-    s, actions = (), []
+    s, actions = toy.initial_state(), []
     while not toy.is_terminal(s):
         a = policy(s)
         actions.append(a)
@@ -563,7 +564,7 @@ def test_perturbed_q_keeps_policy_near_optimal():
     for _ in range(100):
         q = {k: val + rng.uniform(-bound, bound) for k, val in exact.items()}
         policy = greedy_on_q(q, toy)
-        s, actions = (), []
+        s, actions = toy.initial_state(), []
         while not toy.is_terminal(s):
             a = policy(s)
             actions.append(a)
@@ -771,16 +772,16 @@ def exact_walk(toy, eps):
     tables, counts = {}, {}
     points = brute_ball(toy.dim, bound).tolist()
     for z in points:
-        s = ()
+        s, path = toy.initial_state(), ()
         while not toy.is_terminal(s):
             if s not in tables:
                 tables[s] = integer_table([toy.features_sa(s, a)
                                            for a in range(toy.num_actions)])
             scores = [sum(f * x for f, x in zip(row, z)) for row in tables[s]]
             # max() returns the first maximum: ties go to the lowest action
-            s = toy.transition(s, max(range(toy.num_actions),
-                                      key=scores.__getitem__))
-        counts[s] = counts.get(s, 0) + 1
+            a = max(range(toy.num_actions), key=scores.__getitem__)
+            s, path = toy.transition(s, a), path + (a,)
+        counts[path] = counts.get(path, 0) + 1
     return len(points), counts
 
 
@@ -971,6 +972,23 @@ def test_epsilon_net_budgets_lines_before_building_the_lattice(monkeypatch):
     assert toy.feature_pairs == toy.transition_pairs == []
 
 
+def test_epsilon_net_line_budget_holds_at_its_bound(monkeypatch):
+    # the H = 3, k = 3, d = 2 criterion-8 spec at eps = 0.1: the cube bounds
+    # the cover's lines by 241, which the ball fills
+    spec = EPSILON_NET_WORK[0][0]
+    monkeypatch.setattr(agents, "LINE_BUDGET", 241)
+    _actions, info = epsilon_net_search(ToyLinearMdp(reward_seed=1, **spec),
+                                        eps=0.1, delta=0.1)
+    assert info["lines"] == 241
+    monkeypatch.setattr(agents, "LINE_BUDGET", 240)
+    toy = _CountingToy(reward_seed=1, **spec)
+    with pytest.raises(ResourceLimitError,
+                       match="needs up to 241 lines, over budget 240 lines"):
+        epsilon_net_search(toy, eps=0.1, delta=0.1)
+    assert toy.feature_pairs == toy.transition_pairs == []
+    assert toy.reward_samples == 0
+
+
 def test_horizon_split_rejects_non_square_horizon():
     toy = ToyLinearMdp(depth=3, num_actions=2, dim=2, structure_seed=1,
                        reward_seed=1)
@@ -985,8 +1003,9 @@ def test_horizon_split_exact_on_deterministic_rewards():
     toy.sample_reward_batch = lambda s, a, count: toy.exact_mean(s, a) * count
     qest, info = horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=200)
     q_star = toy.q_star_table()
+    root = toy.initial_state()
     for a in range(3):
-        assert qest[((), a)] == pytest.approx(q_star[((), a)], abs=1e-10)
+        assert qest[(root, a)] == pytest.approx(q_star[(root, a)], abs=1e-10)
     assert all(size <= toy.dim for size in info["basis_sizes"])
     assert info["max_residual"] <= 1e-8
 
@@ -999,7 +1018,7 @@ def test_horizon_split_policy_reaches_near_optimal():
     assert toy.policy_value(actions) >= toy.v_star() - 0.1
     # greedy over the accumulated table reproduces the same trajectory
     policy = greedy_on_q(q_all, toy)
-    s, replay = (), []
+    s, replay = toy.initial_state(), []
     while not toy.is_terminal(s):
         a = policy(s)
         replay.append(a)
@@ -1103,10 +1122,11 @@ def test_horizon_split_checks_every_expansion_residual(monkeypatch):
                            sample_cap=200)[1]["max_residual"] == largest
 
 
-# sha256 of the repr of the runs below, recorded when the backward pass
-# stopped walking each path again (only `transitions` moved): pins every
-# sample, expansion, argmax and work counter
-HORIZON_SPLIT_GOLDEN = "1b1f7959eceb689eb83be5f27af7c46675680da7663cc06b231bb9852e69d794"
+# sha256 of the repr of the runs below: pins every sample, expansion, argmax
+# and work counter. Re-pinned when toy states became heap indices: the runs
+# of action-path states hash to it once each key is mapped to its node's
+# heap index and the Q table sorted again
+HORIZON_SPLIT_GOLDEN = "9019b02fcca1afbc37fdfad5156cc7441e648948bf645a83577c8e0ddfb129d3"
 
 
 def test_horizon_split_policy_golden():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_lenient_formula
 from satmdp.cnf import (
     brute_force_max_sat,
     brute_force_sat,
@@ -15,16 +16,6 @@ from satmdp.gapsat import (
     strictify,
     transform_report,
 )
-
-
-def random_lenient_formula(rng, v, m):
-    clauses = []
-    for _ in range(m):
-        width = int(rng.integers(1, 4))
-        variables = rng.choice(v, size=min(width, v), replace=False)
-        clauses.append([-(int(x) + 1) if rng.integers(0, 2) else int(x) + 1
-                        for x in variables])
-    return formula_from_ints(v, clauses, strict=False)
 
 
 def test_identity_when_already_bounded(figure_formula):

@@ -361,6 +361,16 @@ def test_monotone_step_refuses_work_over_its_limits(monkeypatch):
         reward._monotone_grid_violation(params)
 
 
+def test_range_claim_refuses_points_over_its_limit(monkeypatch):
+    # v = 50 at p = 2, q = 4: one range check evaluates 2v + 1 = 101 points a row
+    params = params_from_alpha(50, p=2, q=4)
+    monkeypatch.setattr(reward, "MAX_RANGE", 101)
+    assert verify_claim_range(params).passed
+    monkeypatch.setattr(reward, "MAX_RANGE", 100)
+    with pytest.raises(ResourceLimitError, match="v=50: 2v \\+ 1 is over 100"):
+        verify_claim_range(params)
+
+
 def poly_value(c, t):
     return sum(cj * t ** j for j, cj in enumerate(c))
 

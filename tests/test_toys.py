@@ -1,4 +1,5 @@
 import hashlib
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,6 +14,11 @@ TOY_PLANTED_SPECS = [(3, 3, 2, 5), (4, 3, 2, 9), (2, 3, 3, 7), (4, 3, 2, 5),
                      (9, 3, 4, 21)]
 TOY_PLANTED_SHA256 = \
     "b20b35c92a07d498e5d144b2632b99449a820af21d7c2f97dde150ac16f25724"
+
+
+def walk(toy, actions):
+    """The state that `actions` reach from the root."""
+    return reduce(toy.transition, actions, toy.initial_state())
 
 
 @pytest.fixture(scope="module")
@@ -48,28 +54,27 @@ def test_feature_norms_at_most_one(planted_toy):
 def test_bellman_consistency(planted_toy):
     toy = planted_toy
     q_star = toy.q_star_table()
-    for path, _a in q_star:
-        assert toy.v_star(path) == pytest.approx(
-            max(q_star[(path, a)] for a in range(toy.num_actions)))
+    for s, _a in q_star:
+        assert toy.v_star(s) == pytest.approx(
+            max(q_star[(s, a)] for a in range(toy.num_actions)))
 
 
 def test_value_via_backward_induction_matches_q(toy):
     # independent oracle: brute-force over all completions
-    def best_leaf(path):
-        if len(path) == toy.horizon:
-            return 0.0
+    def best_leaf(s):
         best = -1.0
         for a in range(toy.num_actions):
-            child = path + (a,)
-            if len(child) == toy.horizon:
-                val = toy.exact_mean(path, a)
+            child = toy.transition(s, a)
+            if toy.is_terminal(child):
+                val = toy.exact_mean(s, a)
             else:
                 val = best_leaf(child)
             best = max(best, val)
         return best
 
-    assert toy.v_star(()) == pytest.approx(best_leaf(()))
-    assert toy.v_star(()) == 0.9
+    root = toy.initial_state()
+    assert toy.v_star(root) == pytest.approx(best_leaf(root))
+    assert toy.v_star(root) == 0.9
 
 
 def test_policy_value_follows_leaf_mean(toy):
@@ -80,7 +85,7 @@ def test_policy_value_follows_leaf_mean(toy):
 
 
 def test_rewards_only_on_final_transition(toy):
-    s = ()
+    s = toy.initial_state()
     for a in toy.optimal_path[:-1]:
         assert toy.exact_mean(s, a) == 0.0
         s = toy.transition(s, a)
@@ -88,9 +93,7 @@ def test_rewards_only_on_final_transition(toy):
 
 
 def test_bernoulli_sampling_matches_mean(toy):
-    s = ()
-    for a in toy.optimal_path[:-1]:
-        s = toy.transition(s, a)
+    s = walk(toy, toy.optimal_path[:-1])
     a = toy.optimal_path[-1]
     n = 50_000
     ones = toy.sample_reward_batch(s, a, n)
@@ -98,7 +101,8 @@ def test_bernoulli_sampling_matches_mean(toy):
 
 
 def test_terminal_interface(toy):
-    leaf = toy.optimal_path
+    path = toy.optimal_path
+    leaf = walk(toy, path)
     assert toy.is_terminal(leaf)
     with pytest.raises(ParameterError):
         toy.transition(leaf, 0)
@@ -106,9 +110,9 @@ def test_terminal_interface(toy):
         toy.features_sa(leaf, 0)
     # an action outside range(k) would index another node of the tree
     with pytest.raises(ParameterError):
-        toy.features_sa((), toy.num_actions)
+        toy.features_sa(toy.initial_state(), toy.num_actions)
     # the reward calls refuse what transition refuses, at every depth
-    for s in ((), leaf[:1], leaf[:-1]):
+    for s in (walk(toy, path[:t]) for t in (0, 1, len(path) - 1)):
         for a in (-1, toy.num_actions):
             with pytest.raises(ParameterError):
                 toy.exact_mean(s, a)
@@ -119,6 +123,47 @@ def test_terminal_interface(toy):
             toy.exact_mean(leaf, a)
         with pytest.raises(ParameterError):
             toy.sample_reward_batch(leaf, a, 10)
+
+
+def test_toy_refuses_states_outside_its_tree(planted_toy):
+    """Only the internal nodes 0 .. internal - 1 take an action; -1, every
+    leaf and every index past the tree would read another node's arrays or
+    none at all."""
+    toy = planted_toy
+    k = toy.num_actions
+    internal = (k ** toy.horizon - 1) // (k - 1)
+    nodes = internal + k ** toy.horizon
+    assert not toy.is_terminal(internal - 1) and toy.is_terminal(internal)
+    for s in [-1, *range(internal, nodes + k)]:
+        for a in range(k):
+            for query in (toy.transition, toy.exact_mean, toy.features_sa):
+                with pytest.raises(ParameterError, match="not an internal node"):
+                    query(s, a)
+            with pytest.raises(ParameterError, match="not an internal node"):
+                toy.sample_reward_batch(s, a, 10)
+    for s in (-1, nodes):
+        with pytest.raises(ParameterError, match="not a node"):
+            toy.v_star(s)
+    assert toy.v_star(nodes - 1) == 0.0
+
+
+def test_q_star_table_lists_its_pairs_in_post_order(planted_toy):
+    """Criterion 10 pairs its noise draws with the table's order: every
+    (internal node, action) pair once, each after every pair below the child
+    it enters, siblings in action order."""
+    toy = planted_toy
+
+    def post_order(s):
+        for a in range(toy.num_actions):
+            child = toy.transition(s, a)
+            if not toy.is_terminal(child):
+                yield from post_order(child)
+            yield s, a
+
+    expected = list(post_order(toy.initial_state()))
+    assert len(expected) == toy.num_actions * (
+        toy.num_actions ** toy.horizon - 1) // (toy.num_actions - 1)
+    assert list(toy.q_star_table()) == expected
 
 
 def test_construction_validation():
@@ -146,7 +191,7 @@ def test_toys_of_one_structure_share_their_planted_arrays():
     b = ToyLinearMdp(reward_seed=2, **spec)
     for name in ("theta_star", "optimal_path", "_value", "_psi_sa"):
         assert getattr(a, name) is getattr(b, name)
-    s = a.optimal_path[:-1]
+    s = walk(a, a.optimal_path[:-1])
     action = a.optimal_path[-1]
     assert [a.sample_reward_batch(s, action, 100) for _ in range(5)] != \
         [b.sample_reward_batch(s, action, 100) for _ in range(5)]
