@@ -1,15 +1,25 @@
-"""Run reports: a fixed JSON shape every CLI subcommand emits, validated
-against a published schema. Reports are reproducible from (config, seed);
-wallclock is the one volatile field.
+"""Run reports: a fixed JSON shape every CLI subcommand emits, checked
+against a published JSON Schema, `REPORT_SCHEMA` (Draft 2020-12). Reports are
+reproducible from (config, seed); wallclock is the one volatile field.
+
+`validate_report` reads its rules from `REPORT_SCHEMA` and applies them
+itself, each keyword with jsonschema's meaning, so no command imports
+jsonschema (80-136 ms and 3 MB per process on a 2-CPU box). The tests check
+that the two agree.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
+import numbers
+import re
+
+from .errors import InvariantViolation
+
+_DRAFT_2020_12 = "https://json-schema.org/draft/2020-12/schema"
 
 REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "$schema": _DRAFT_2020_12,
     "type": "object",
     "required": ["command", "config_hash", "seed", "outcomes", "wallclock_sec"],
     "properties": {
@@ -23,14 +33,43 @@ REPORT_SCHEMA = {
     "additionalProperties": False,
 }
 
-# built by the first report: importing jsonschema took 80-100 ms on a 2-CPU
-# Xeon, which a process that never reports should not pay. The schema itself is checked
-# against its metaschema by the tests, since that check alone costs several
-# ms per process.
-@functools.cache
-def _validator():
-    import jsonschema
-    return jsonschema.Draft202012Validator(REPORT_SCHEMA)
+# the Draft 2020-12 types the schema uses, as jsonschema checks them: a bool
+# is neither an integer nor a number, and an integer-valued float is an integer
+_JSON_TYPES = {
+    "null": lambda x: x is None,
+    "integer": lambda x: not isinstance(x, bool) and (
+        isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+    "number": lambda x: not isinstance(x, bool) and isinstance(x, numbers.Number),
+    "string": lambda x: isinstance(x, str),
+    "object": lambda x: isinstance(x, dict),
+}
+
+
+def _field_rules(schema: dict) -> list:
+    """[(field, type names, pattern or None)] of `schema`, which must be a
+    Draft 2020-12 object schema with `required`, `properties` and
+    `additionalProperties: false`, each field with a `type` and at most a
+    `pattern`. Any other keyword or value raises `InvariantViolation`, so an
+    edit to the schema cannot go unchecked."""
+    keywords = {"$schema", "type", "required", "properties",
+                "additionalProperties"}
+    if (set(schema) != keywords or schema["$schema"] != _DRAFT_2020_12
+            or schema["type"] != "object"
+            or schema["additionalProperties"] is not False):
+        raise InvariantViolation(
+            f"the report check reads {sorted(keywords)} of a Draft 2020-12 "
+            f"object schema with additionalProperties false, not {schema!r}")
+    rules = []
+    for name, rule in schema["properties"].items():
+        types = rule.get("type")
+        types = [types] if isinstance(types, str) else types
+        if (not set(rule) <= {"type", "pattern"} or not types
+                or not set(types) <= _JSON_TYPES.keys()):
+            raise InvariantViolation(
+                f"report field {name!r}: the check reads a JSON type or type "
+                f"list and a pattern, not {rule!r}")
+        rules.append((name, types, rule.get("pattern")))
+    return rules
 
 
 #: Fields a byte-level reproducibility comparison must ignore.
@@ -57,12 +96,32 @@ def make_report(command: str, config: dict, seed, outcomes: dict,
 
 
 def validate_report(report: dict):
-    """Raise the `jsonschema.ValidationError` that `jsonschema.validate` would,
-    without checking the schema again on every call."""
-    from jsonschema.exceptions import best_match
-    error = best_match(_validator().iter_errors(report))
-    if error is not None:
-        raise error
+    """Check `report` against `REPORT_SCHEMA`. A report is made by the package
+    itself, so one that breaks a rule is a bug: `InvariantViolation`, naming
+    the field and the rule."""
+    rules = _field_rules(REPORT_SCHEMA)
+    if not isinstance(report, dict):
+        raise InvariantViolation(f"a report is a JSON object, not {report!r}")
+    for name in REPORT_SCHEMA["required"]:
+        if name not in report:
+            raise InvariantViolation(f"report lacks the required field {name!r}")
+    extra = report.keys() - REPORT_SCHEMA["properties"].keys()
+    if extra:
+        raise InvariantViolation(
+            f"report fields {sorted(extra, key=repr)} are not in the schema, "
+            "which allows no others")
+    for name, types, pattern in rules:
+        if name not in report:
+            continue
+        value = report[name]
+        if not any(_JSON_TYPES[t](value) for t in types):
+            raise InvariantViolation(
+                f"report field {name!r}: {value!r} is not of type "
+                + " or ".join(types))
+        if pattern is not None and isinstance(value, str) \
+                and not re.search(pattern, value):
+            raise InvariantViolation(
+                f"report field {name!r}: {value!r} does not match {pattern!r}")
 
 
 def report_to_json(report: dict) -> str:

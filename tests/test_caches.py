@@ -17,7 +17,6 @@ UNBOUNDED = {
     "satmdp.polyfeat._cell_index_cache": "one entry per (v, 2p+1), each a "
                                          "cache of at most INDEX_CACHE_BYTES",
     "satmdp.agents._action_pairs": "one entry per action count k",
-    "satmdp.reporting._validator": "takes no arguments",
     "satmdp.cli.build_parser": "takes no arguments",
 }
 

@@ -1,3 +1,5 @@
+import copy
+import functools
 import hashlib
 import json
 import os
@@ -10,8 +12,11 @@ import pytest
 
 import satmdp
 from conftest import FIGURE_DIMACS
+from satmdp import reporting
 from satmdp.cli import main
+from satmdp.errors import InvariantViolation
 from satmdp.reporting import (
+    REPORT_SCHEMA,
     VOLATILE_FIELDS,
     config_hash,
     make_report,
@@ -24,6 +29,30 @@ def cnf_file(tmp_path):
     path = tmp_path / "figure.cnf"
     path.write_text(FIGURE_DIMACS)
     return path
+
+
+@functools.cache
+def _jsonschema_validator():
+    import jsonschema
+    return jsonschema.Draft202012Validator(REPORT_SCHEMA)
+
+
+@pytest.fixture(autouse=True)
+def reports_checked_by_jsonschema_too():
+    """Every report a test here makes is also checked by jsonschema, the
+    reference the package's check follows, which must reach the same verdict."""
+    def checked_twice(report):
+        expected = _jsonschema_validator().is_valid(report)
+        try:
+            validate_report(report)
+        except InvariantViolation:
+            assert not expected, f"jsonschema accepts {report!r}"
+            raise
+        assert expected, f"jsonschema refuses {report!r}"
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reporting, "validate_report", checked_twice)
+        yield
 
 
 def read_json(path):
@@ -633,15 +662,100 @@ def test_report_schema_rejects_malformed():
     validate_report(report)
     bad = dict(report)
     bad["config_hash"] = "nope"
-    with pytest.raises(Exception):
+    with pytest.raises(InvariantViolation,
+                       match="'config_hash': 'nope' does not match"):
         validate_report(bad)
 
 
-def test_cli_import_leaves_jsonschema_to_the_first_report():
+def test_a_report_that_fails_its_check_is_an_internal_error(cnf_file, capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr(reporting, "config_hash", lambda _config: "nope")
+    assert main(["transform", "--cnf", str(cnf_file)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: report field 'config_hash'")
+    assert "Traceback" not in err
+
+
+def _mutant(change):
+    """A valid report with `change` applied; a field changed to ... is dropped."""
+    report = make_report("x", {"a": 1}, 7, {"k": [1]}, 0.25, answer="YES")
+    for name, value in change.items():
+        if value is ...:
+            del report[name]
+        else:
+            report[name] = value
+    return report
+
+
+# a value of every JSON type, the bools, integer-valued floats and numpy scalars
+PROBES = [None, True, False, 0, -3, 1.0, 1.5, float("nan"), float("inf"),
+          np.int64(3), np.float64(2.0), "", "x", [], [1], {}, {"a": 1}]
+REPORT_MUTANTS = (
+    [("without " + name, {name: ...}) for name in REPORT_SCHEMA["properties"]]
+    + [("extra field", {"extra": 1})]
+    + [(f"{name}={value!r}", {name: value})
+       for name in REPORT_SCHEMA["properties"] for value in PROBES]
+    + [(f"config_hash {kind}", {"config_hash": value}) for kind, value in [
+        ("upper-case", "A" * 64), ("of 63 characters", "a" * 63),
+        ("of 65 characters", "a" * 65), ("ending in a newline", "a" * 64 + "\n")]])
+
+
+@pytest.mark.parametrize("change", [c for _, c in REPORT_MUTANTS],
+                         ids=[i for i, _ in REPORT_MUTANTS])
+def test_report_check_agrees_with_jsonschema_on_mutants(change):
+    report = _mutant(change)
+    if _jsonschema_validator().is_valid(report):
+        validate_report(report)
+    else:
+        with pytest.raises(InvariantViolation):
+            validate_report(report)
+
+
+def test_report_check_names_the_field_and_the_rule():
+    for change, message in [
+            ({"seed": True}, "'seed': True is not of type integer or null"),
+            ({"extra": 1}, "fields \\['extra'\\] are not in the schema"),
+            ({"command": ...}, "lacks the required field 'command'")]:
+        with pytest.raises(InvariantViolation, match=message):
+            validate_report(_mutant(change))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s.update(minProperties=1),
+    lambda s: s["properties"]["seed"].update(minimum=0),
+    lambda s: s["properties"]["seed"].update(type=["integer", "decimal"]),
+    lambda s: s.update(additionalProperties=True),
+    lambda s: s.update({"$schema": "http://json-schema.org/draft-07/schema#"}),
+], ids=["top-level keyword", "field keyword", "unknown type", "open object",
+        "other draft"])
+def test_report_check_refuses_a_schema_it_does_not_read(monkeypatch, edit):
+    report = _mutant({})
+    schema = copy.deepcopy(REPORT_SCHEMA)
+    edit(schema)
+    monkeypatch.setattr(reporting, "REPORT_SCHEMA", schema)
+    with pytest.raises(InvariantViolation, match="check reads"):
+        validate_report(report)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--cnf", "{cnf}", "--out", "{tmp}/b", "--q", "2", "--rounds", "2"],
+    ["run", "--instance", "{bundle}/instance.json", "--out", "{tmp}/r"],
+    ["reduce", "--cnf", "{cnf}", "--rounds", "2"],
+    ["transform", "--cnf", "{cnf}"],
+    ["verify-claims", "--v", "8", "--out", "{tmp}/claims.json"],
+], ids=lambda argv: argv[0])
+def test_no_subcommand_imports_jsonschema(tmp_path, cnf_file, argv):
+    bundle = tmp_path / "bundle"
+    assert main(["gen", "--cnf", str(cnf_file), "--out", str(bundle),
+                 "--q", "2", "--rounds", "2"]) == 0
+    argv = [a.format(cnf=cnf_file, tmp=tmp_path, bundle=bundle) for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(satmdp.__file__).parents[1]))
-    code = ("import sys, satmdp.cli; "
-            "assert 'jsonschema' not in sys.modules, 'loaded at import'")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    # a None entry makes `import jsonschema` raise ImportError
+    code = ("import sys; sys.modules['jsonschema'] = None; "
+            "from satmdp.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_report_schema_is_valid_draft_2020_12():
