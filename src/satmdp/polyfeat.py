@@ -27,6 +27,15 @@ table's 2(2p+1)^2 cells (uint16 from p = 6 on). `terms` is a range of length
 sum C(|F|, j) * C(|U|, k) over the non-zero cells: the non-zero monomial count
 a traced benchmark run reports.
 
+`_subset_masks(v, 2p+1)` builds the table of subset columns once per
+(v, 2p+1), layer by layer in numpy: the size-s subsets whose smallest element
+is i are variable i's bit OR-ed onto the last C(v-1-i, s-1) columns of the
+size-(s-1) layer, so each block is one `bitwise_or` written in place, about
+2p v calls in all (under 2 ms at v=48, p=2, d=213,053, on a 2-CPU box). A
+table over MASK_TABLE_BYTES (256 MiB) raises `ResourceLimitError` before
+anything is allocated: `theta_vector(w, 48, 8)` would take 30 TiB.
+`feature_dim` builds no table and answers at any v.
+
 The tables and `terms` depend on the state only through its round summary
 (params, n, round_dists, hamming(w_round, w), |F|), which many states of a
 game tree share, and which do not depend on the formula, so trees of the same
@@ -47,13 +56,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .cnf import hamming, mask_from_assignment
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .reward import RewardParams, g
 
 _WORD = 0xFFFF_FFFF_FFFF_FFFF
@@ -136,19 +144,37 @@ def _subset_masks(v: int, k: int) -> tuple:
     array of shape (ceil(v/64), d), word i holding variables 64i..64i+63,
     with the layout of a flat signed (2, k, k) table: the subsets' read-only
     sizes and the k - 1 and k^2 multipliers, all in the smallest unsigned
-    type that holds 2k^2, the table's length."""
+    type that holds 2k^2, the table's length.
+
+    The size-s subsets with smallest element i are {i} joined to each
+    (s-1)-subset above i, and those are the last C(v-1-i, s-1) of the size
+    s-1 subsets, in order. So the size-s layer is built block by block for
+    i = 0, 1, ...: one OR of variable i's bit onto that tail of the layer
+    before, written in place. A table over MASK_TABLE_BYTES raises
+    `ResourceLimitError` before anything is allocated."""
     counts = [math.comb(v, size) for size in range(min(k - 1, v) + 1)]
+    words = -(-v // 64)
+    nbytes = words * sum(counts) * 8
+    if nbytes > MASK_TABLE_BYTES:
+        raise ResourceLimitError(
+            f"subset masks at v={v}, 2p+1={k}: {nbytes:,} bytes is over "
+            f"MASK_TABLE_BYTES={MASK_TABLE_BYTES:,}")
     cell = np.min_scalar_type(2 * k * k).type
     sizes = np.repeat(np.arange(len(counts), dtype=cell), counts)
-    masks = np.zeros((-(-v // 64), len(sizes)), dtype=np.uint64)
-    start = 0
-    for size, count in enumerate(counts):
-        combos = np.fromiter(chain.from_iterable(combinations(range(v), size)),
-                             dtype=np.intp, count=size * count)
-        cols = np.arange(start, start + count)
-        for var in combos.reshape(count, size).T:  # one variable of each subset
-            masks[var // 64, cols] |= np.uint64(1) << (var % 64).astype(np.uint64)
-        start += count
+    masks = np.zeros((words, len(sizes)), dtype=np.uint64)
+    # bits[:, i] is variable i's bit, in its word
+    bits = np.zeros((words, v), dtype=np.uint64)
+    var = np.arange(v)
+    bits[var // 64, var] = np.uint64(1) << (var % 64).astype(np.uint64)
+    end = 1  # the end of the layer before, the empty set's
+    for size in range(1, len(counts)):
+        block = end
+        for i in range(v - size + 1):
+            n = math.comb(v - 1 - i, size - 1)
+            np.bitwise_or(masks[:, end - n:end], bits[:, i:i + 1],
+                          out=masks[:, block:block + n])
+            block += n
+        end = block
     masks.flags.writeable = sizes.flags.writeable = False
     return masks, sizes, cell(k - 1), cell(k * k)
 
@@ -170,6 +196,12 @@ def feature_dim(v: int, p: int) -> int:
 # bytes of cell index held per (v, 2p+1): at least 10,000 indexes at d <= 99,
 # 16 at v=15, p=6 (d=32,647, uint16) and 4 at v=48, p=2 (d=213,053)
 INDEX_CACHE_BYTES = 1 << 20
+
+# bytes of one subset mask table, ceil(v/64) * d * 8: 256 MiB admits d up
+# to 33.5M at one word (v=48 up to p=3, 108 MiB), v=128 at p=2 (168 MiB) and
+# v=768 at p=1 (27 MiB), and refuses v=130 at p=2 (268.4 MiB) and v=48 at
+# p=8 (30 TiB). A feature vector holds d floats, as large as a one-word table
+MASK_TABLE_BYTES = 1 << 28
 
 
 # one entry per (v, 2p+1), as _subset_masks, whose masks each entry holds

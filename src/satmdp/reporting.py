@@ -24,7 +24,9 @@ REPORT_SCHEMA = {
     "required": ["command", "config_hash", "seed", "outcomes", "wallclock_sec"],
     "properties": {
         "command": {"type": "string"},
-        "config_hash": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
+        # `$` also matches before a final newline, so maxLength holds the 64
+        "config_hash": {"type": "string", "pattern": "^[0-9a-f]{64}$",
+                        "maxLength": 64},
         "seed": {"type": ["integer", "null"]},
         "outcomes": {"type": "object"},
         "answer": {"type": ["string", "null"]},
@@ -46,11 +48,11 @@ _JSON_TYPES = {
 
 
 def _field_rules(schema: dict) -> list:
-    """[(field, type names, pattern or None)] of `schema`, which must be a
-    Draft 2020-12 object schema with `required`, `properties` and
-    `additionalProperties: false`, each field with a `type` and at most a
-    `pattern`. Any other keyword or value raises `InvariantViolation`, so an
-    edit to the schema cannot go unchecked."""
+    """[(field, type names, pattern or None, maxLength or None)] of `schema`,
+    which must be a Draft 2020-12 object schema with `required`, `properties`
+    and `additionalProperties: false`, each field with a `type` and at most a
+    `pattern` and a `maxLength`. Any other keyword or value raises
+    `InvariantViolation`, so an edit to the schema cannot go unchecked."""
     keywords = {"$schema", "type", "required", "properties",
                 "additionalProperties"}
     if (set(schema) != keywords or schema["$schema"] != _DRAFT_2020_12
@@ -63,12 +65,12 @@ def _field_rules(schema: dict) -> list:
     for name, rule in schema["properties"].items():
         types = rule.get("type")
         types = [types] if isinstance(types, str) else types
-        if (not set(rule) <= {"type", "pattern"} or not types
+        if (not set(rule) <= {"type", "pattern", "maxLength"} or not types
                 or not set(types) <= _JSON_TYPES.keys()):
             raise InvariantViolation(
                 f"report field {name!r}: the check reads a JSON type or type "
-                f"list and a pattern, not {rule!r}")
-        rules.append((name, types, rule.get("pattern")))
+                f"list, a pattern and a maxLength, not {rule!r}")
+        rules.append((name, types, rule.get("pattern"), rule.get("maxLength")))
     return rules
 
 
@@ -110,7 +112,7 @@ def validate_report(report: dict):
         raise InvariantViolation(
             f"report fields {sorted(extra, key=repr)} are not in the schema, "
             "which allows no others")
-    for name, types, pattern in rules:
+    for name, types, pattern, max_length in rules:
         if name not in report:
             continue
         value = report[name]
@@ -122,6 +124,10 @@ def validate_report(report: dict):
                 and not re.search(pattern, value):
             raise InvariantViolation(
                 f"report field {name!r}: {value!r} does not match {pattern!r}")
+        if max_length is not None and isinstance(value, str) \
+                and len(value) > max_length:
+            raise InvariantViolation(
+                f"report field {name!r}: {value!r} is longer than {max_length}")
 
 
 def report_to_json(report: dict) -> str:

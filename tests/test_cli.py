@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -710,6 +711,15 @@ def test_report_check_agrees_with_jsonschema_on_mutants(change):
         with pytest.raises(InvariantViolation):
             validate_report(report)
 
+
+def test_config_hash_ending_in_a_newline_is_refused_by_both_checks():
+    # `$` matches before a final newline, so the pattern alone admits it
+    report = _mutant({"config_hash": "a" * 64 + "\n"})
+    assert re.search(REPORT_SCHEMA["properties"]["config_hash"]["pattern"],
+                     report["config_hash"])
+    assert not _jsonschema_validator().is_valid(report)
+    with pytest.raises(InvariantViolation, match="'config_hash': .* is longer than 64"):
+        validate_report(report)
 
 def test_report_check_names_the_field_and_the_rule():
     for change, message in [

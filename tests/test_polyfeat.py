@@ -8,6 +8,7 @@ import pytest
 
 from satmdp import polyfeat
 from satmdp.cnf import assignment_from_mask, hamming
+from satmdp.errors import ResourceLimitError
 from satmdp.agents import greedy_rollout_value, random_actions, tree_greedy_values
 from satmdp.mdp import (
     build_instance,
@@ -18,6 +19,7 @@ from satmdp.mdp import (
     transition,
 )
 from satmdp.polyfeat import (
+    MASK_TABLE_BYTES,
     feature_dim,
     greedy_value_poly,
     theta_vector,
@@ -68,6 +70,90 @@ def test_feature_dim_bound():
                 math.comb(v, i) for i in range(min(2 * p, v) + 1))
             assert feature_dim(v, p) <= 2 * v ** (2 * p)
     assert feature_dim(5, 2) == 31
+
+
+def _reference_subset_masks(v, k):
+    """`polyfeat._subset_masks` as itertools.combinations gives it: every
+    subset's variables scattered into its column, one subset position at a
+    time."""
+    counts = [math.comb(v, size) for size in range(min(k - 1, v) + 1)]
+    cell = np.min_scalar_type(2 * k * k).type
+    sizes = np.repeat(np.arange(len(counts), dtype=cell), counts)
+    masks = np.zeros((-(-v // 64), len(sizes)), dtype=np.uint64)
+    start = 0
+    for size, count in enumerate(counts):
+        combos = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(v), size)),
+            dtype=np.intp, count=size * count)
+        cols = np.arange(start, start + count)
+        for var in combos.reshape(count, size).T:  # one variable of each subset
+            masks[var // 64, cols] |= np.uint64(1) << (var % 64).astype(np.uint64)
+        start += count
+    masks.flags.writeable = sizes.flags.writeable = False
+    return masks, sizes, cell(k - 1), cell(k * k)
+
+
+# every k up to v + 2 at small v (k - 1 > v included), both sides of each
+# word boundary, and feature_map's (48, 5) and the p=6 table (15, 13)
+MASK_GRID = ([(v, k) for v in range(1, 10) for k in range(1, v + 3)]
+             + [(v, 3) for v in (63, 64, 65, 128, 130)]
+             + [(v, 5) for v in (63, 64, 65)] + [(48, 5), (15, 13)])
+
+
+@pytest.mark.parametrize("v, k", MASK_GRID)
+def test_subset_masks_match_the_combinations_builder(v, k):
+    got = polyfeat._subset_masks.__wrapped__(v, k)
+    want = _reference_subset_masks(v, k)
+    for new, old in zip(got, want):
+        assert type(new) is type(old)
+        if isinstance(old, np.ndarray):
+            assert (new.dtype, new.shape) == (old.dtype, old.shape)
+            assert np.array_equal(new, old)
+            assert not new.flags.writeable
+        else:
+            assert new == old
+
+
+# sha256 over _subset_masks(v, k)[0].tobytes(), as the combinations builder
+# gave them
+MASK_SHA256 = {
+    (48, 5): "d856ab966d53beb7cafbd4543045c9980f99f4dcc02ee400eeb7a39be16c5524",
+    (66, 3): "6756edeab7b07ee66d1aa7178a6a5221b7ad3f074b7f4488d5d955a0c8f102c5",
+}
+
+
+@pytest.mark.parametrize("v, k", MASK_SHA256)
+def test_subset_masks_golden(v, k):
+    masks = polyfeat._subset_masks(v, k)[0]
+    assert hashlib.sha256(masks.tobytes()).hexdigest() == MASK_SHA256[v, k]
+
+
+def test_theta_vector_refuses_an_oversized_table():
+    # sum C(48, i) for i <= 16 subsets, one word each: 30 TiB
+    with pytest.raises(ResourceLimitError,
+                       match="v=48, 2p\\+1=17: 32,994,436,782,672 bytes is over "
+                             "MASK_TABLE_BYTES=268,435,456"):
+        theta_vector((1,) * 48, 48, 8)
+
+
+def test_subset_mask_bound_admits_its_exact_size(monkeypatch):
+    # (66, 3): two words of 2,212 subsets
+    nbytes = 2 * 2212 * 8
+    monkeypatch.setattr(polyfeat, "MASK_TABLE_BYTES", nbytes)
+    masks = polyfeat._subset_masks.__wrapped__(66, 3)[0]
+    assert masks.nbytes == nbytes
+    monkeypatch.setattr(polyfeat, "MASK_TABLE_BYTES", nbytes - 1)
+    with pytest.raises(ResourceLimitError, match=f"{nbytes:,} bytes is over"):
+        polyfeat._subset_masks.__wrapped__(66, 3)
+
+
+def test_feature_dim_needs_no_table_at_v768():
+    f, planted = regular_planted_formula(768, seed=7)
+    params = params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6)
+    d = sum(math.comb(768, i) for i in range(5))
+    assert 12 * d * 8 > MASK_TABLE_BYTES  # the table it would take
+    assert feature_dim(768, 2) == d
+    assert build_instance(f, params, wstar=planted).d == d
 
 
 def test_theta_vector_entries():
