@@ -16,25 +16,26 @@ scalar * a_{|S&F|} * b_{|S&U|} * (-1)^{|S&T|}, T the variables true in w, of
 degree at most 2p.
 
 `MultilinearPoly` holds that closed form: coef[j, k] = scalar * a_j * b_k
-(zero for j > p or k > p), the signed table (coef, then 0.0 - coef, flat),
-the free mask and w. Features follow the canonical subset order (size
-ascending, lexicographic within a size), of dimension d = sum_{i<=2p} C(v, i).
-Each subset is a column of ceil(v/64) uint64 words, and |S&F| and |S&T| are
-popcounts against one word of the mask at a time, summed over the words; the
-feature of S is the signed table's cell (|S&T| mod 2, |S&F|, |S&U|), one
-`take` with an index built in the smallest unsigned type that holds the
-table's 2(2p+1)^2 cells (uint16 from p = 6 on). `terms` is a range of length
-sum C(|F|, j) * C(|U|, k) over the non-zero cells: the non-zero monomial count
-a traced benchmark run reports.
+(zero for j > p or k > p), the flat signed table, the free mask and w.
+Features follow the canonical subset order (size ascending, lexicographic
+within a size), of dimension d = sum_{i<=2p} C(v, i). With k = 2p + 1 and 2^b
+the smallest power of two >= k^2, the signed table holds coef at [0, k^2) and
+0.0 - coef at [2^b, 2^b + k^2); the feature of S is its cell
+(|S&T| mod 2) 2^b + |S&F| k + |S&U|, a sum over S of
+delta_i = [i in T] 2^b + [i in F] k + [i in U] masked to the low b + 1 bits
+(|S&F| k + |S&U| < k^2 never carries into bit b), built in the smallest
+unsigned type that holds the sums (uint8 up to p = 2, uint16 at p = 3..15).
+`terms` is a range of length sum C(|F|, j) * C(|U|, k) over the non-zero
+cells: the non-zero monomial count a traced benchmark run reports.
 
-`_subset_masks(v, 2p+1)` builds the table of subset columns once per
-(v, 2p+1), layer by layer in numpy: the size-s subsets whose smallest element
-is i are variable i's bit OR-ed onto the last C(v-1-i, s-1) columns of the
-size-(s-1) layer, so each block is one `bitwise_or` written in place, about
-2p v calls in all (under 2 ms at v=48, p=2, d=213,053, on a 2-CPU box). A
-table over MASK_TABLE_BYTES (256 MiB) raises `ResourceLimitError` before
-anything is allocated: `theta_vector(w, 48, 8)` would take 30 TiB.
-`feature_dim` builds no table and answers at any v.
+The sums are built layer by layer: the size-s subsets whose smallest element
+is i are {i} joined to the last C(v-1-i, s-1) subsets of the size-(s-1)
+layer, so each block is one in-place `add` of delta_i onto that tail, about
+2p v calls (about 0.2 ms at v=48, p=2, d=213,053, on a 2-CPU box), listed
+once per (v, 2p+1) by `_subset_layout`. theta is the same sums' parity at
+delta_i = [w*_i = -1]. A dense vector over DENSE_VECTOR_BYTES (256 MiB) raises
+`ResourceLimitError` before anything is built (`theta_vector(w, 48, 8)` would
+take 30 TiB); `feature_dim` builds nothing and answers at any v.
 
 The tables and `terms` depend on the state only through its round summary
 (params, n, round_dists, hamming(w_round, w), |F|), which many states of a
@@ -44,13 +45,13 @@ an `lru_cache` bounded at 4096 entries, which holds the distinct summaries of
 a whole sweep of trees, and every state of that summary reads the same
 read-only `coef` and signed table. The cell index depends on the state
 only through (v, 2p+1, w, free): `_cell_index_cache(v, 2p+1)` is an
-`lru_cache` keyed on (w, free) that builds each read-only index once, from the
-two popcounts, and holds at most INDEX_CACHE_BYTES (1 MiB) of them per
+`lru_cache` keyed on (w, free) that builds each read-only index once, from its
+subset sums, and holds at most INDEX_CACHE_BYTES (1 MiB) of them per
 (v, 2p+1). It hits where states repeat a (w, free) pair, as in whole small
-trees: the 16 tree_sweep trees hold 15,015 non-terminal states but only
-1,639 distinct pairs, counted tree by tree. It never hits on single states at
-large v: at v=48 it holds 4 indexes of 213,053 cells. A state pays for the
-lookup of its index and one `take`, which returns a fresh vector.
+trees (the 16 tree_sweep trees hold 15,015 non-terminal states but 1,639
+distinct pairs, counted tree by tree), and never on single states at large v
+(at v=48 it holds 4 indexes of 213,053 cells). A state pays for the lookup of
+its index and one `take`, which returns a fresh vector.
 """
 from __future__ import annotations
 
@@ -60,17 +61,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cnf import hamming, mask_from_assignment
+from .cnf import TRUE, hamming
 from .errors import ParameterError, ResourceLimitError
 from .reward import RewardParams, g
-
-_WORD = 0xFFFF_FFFF_FFFF_FFFF
 
 
 class MultilinearPoly(NamedTuple):
     """The greedy value polynomial in closed form: the coefficient of x_S is
     coef[|S&free|, |S&~free|], negated when |S&w| is odd. `signed` is the
-    flat read-only table of both signs, coef then 0.0 - coef."""
+    flat read-only table of both signs (see the module docstring)."""
 
     coef: np.ndarray
     signed: np.ndarray
@@ -112,7 +111,7 @@ def greedy_value_poly(state, params: RewardParams) -> MultilinearPoly:
 # cycled over more keys than it holds never hits: the 16 tree_sweep trees
 # have 1,076 distinct summaries and the 50 criterion-1 trees 1,834. An entry
 # holds about 1 KB at p=2 (a tree_sweep pass, 1 MB), growing as (2p+1)^2
-# (about 4.5 KB at p=6)
+# (about 6 KB at p=6)
 @lru_cache(maxsize=4096)
 def _coefficient_table(params: RewardParams, n: int, round_dists: tuple,
                        flips: int, n_free: int) -> tuple:
@@ -132,60 +131,26 @@ def _coefficient_table(params: RewardParams, n: int, round_dists: tuple,
                 if c != 0.0)
     coef = np.zeros((2 * p + 1, 2 * p + 1))
     coef[:p + 1, :p + 1] = cells
-    # 0.0 - c keeps the zero cells +0.0
-    signed = np.concatenate((coef, 0.0 - coef), axis=None)
-    coef.flags.writeable = signed.flags.writeable = False
-    return coef, signed, range(terms)
+    coef.flags.writeable = False
+    return coef, _signed_table(coef), range(terms)
 
 
-@lru_cache(maxsize=None)
-def _subset_masks(v: int, k: int) -> tuple:
-    """The canonical subsets of size < k (and <= v) as a read-only uint64
-    array of shape (ceil(v/64), d), word i holding variables 64i..64i+63,
-    with the layout of a flat signed (2, k, k) table: the subsets' read-only
-    sizes and the k - 1 and k^2 multipliers, all in the smallest unsigned
-    type that holds 2k^2, the table's length.
-
-    The size-s subsets with smallest element i are {i} joined to each
-    (s-1)-subset above i, and those are the last C(v-1-i, s-1) of the size
-    s-1 subsets, in order. So the size-s layer is built block by block for
-    i = 0, 1, ...: one OR of variable i's bit onto that tail of the layer
-    before, written in place. A table over MASK_TABLE_BYTES raises
-    `ResourceLimitError` before anything is allocated."""
-    counts = [math.comb(v, size) for size in range(min(k - 1, v) + 1)]
-    words = -(-v // 64)
-    nbytes = words * sum(counts) * 8
-    if nbytes > MASK_TABLE_BYTES:
-        raise ResourceLimitError(
-            f"subset masks at v={v}, 2p+1={k}: {nbytes:,} bytes is over "
-            f"MASK_TABLE_BYTES={MASK_TABLE_BYTES:,}")
-    cell = np.min_scalar_type(2 * k * k).type
-    sizes = np.repeat(np.arange(len(counts), dtype=cell), counts)
-    masks = np.zeros((words, len(sizes)), dtype=np.uint64)
-    # bits[:, i] is variable i's bit, in its word
-    bits = np.zeros((words, v), dtype=np.uint64)
-    var = np.arange(v)
-    bits[var // 64, var] = np.uint64(1) << (var % 64).astype(np.uint64)
-    end = 1  # the end of the layer before, the empty set's
-    for size in range(1, len(counts)):
-        block = end
-        for i in range(v - size + 1):
-            n = math.comb(v - 1 - i, size - 1)
-            np.bitwise_or(masks[:, end - n:end], bits[:, i:i + 1],
-                          out=masks[:, block:block + n])
-            block += n
-        end = block
-    masks.flags.writeable = sizes.flags.writeable = False
-    return masks, sizes, cell(k - 1), cell(k * k)
+def _cell_layout(k: int) -> tuple:
+    """2^b, the smallest power of two >= k^2, and the cell type, the smallest
+    unsigned type that holds (k - 1)(2^b + k), the largest unmasked sum."""
+    sign = 1 << (k * k - 1).bit_length()
+    return sign, np.min_scalar_type((k - 1) * (sign + k)).type
 
 
-def _popcount(masks: np.ndarray, m: int) -> np.ndarray:
-    """|S & m| for every subset S of `masks`, as uint8, one word at a time."""
-    count = np.bitwise_count(masks[0] & np.uint64(m & _WORD))
-    for word in masks[1:]:
-        m >>= 64
-        count += np.bitwise_count(word & np.uint64(m & _WORD))
-    return count
+def _signed_table(coef: np.ndarray) -> np.ndarray:
+    """The flat read-only signed table of a (k, k) coef, 2^(b+1) cells:
+    coef at [0, k^2), 0.0 - coef (zero cells stay +0.0) at [2^b, 2^b + k^2)."""
+    sign = _cell_layout(len(coef))[0]
+    signed = np.zeros(2 * sign)
+    signed[:coef.size] = coef.flat
+    signed[sign:sign + coef.size] = 0.0 - coef.ravel()
+    signed.flags.writeable = False
+    return signed
 
 
 def feature_dim(v: int, p: int) -> int:
@@ -193,33 +158,68 @@ def feature_dim(v: int, p: int) -> int:
     return sum(math.comb(v, i) for i in range(min(2 * p, v) + 1))
 
 
+# bytes of one dense feature or theta vector, d * 8: admits v=48 up to p=3
+# (108 MiB), v=130 at p=2 (93.8 MB) and refuses v=48 at p=8 (30 TiB)
+DENSE_VECTOR_BYTES = 1 << 28
+
+
+# one entry per (v, 2p+1), each about 2p v blocks
+@lru_cache(maxsize=None)
+def _subset_layout(v: int, k: int) -> tuple:
+    """(d, blocks) of the canonical subsets of size < k (and <= v): block
+    (i, src, dst) puts at dst the size-s subsets with smallest element i,
+    {i} joined to the tail src, the last C(v-1-i, s-1) of the size-(s-1)
+    layer. A dense vector over DENSE_VECTOR_BYTES raises before any block."""
+    counts = [math.comb(v, size) for size in range(min(k - 1, v) + 1)]
+    d = sum(counts)
+    if d * 8 > DENSE_VECTOR_BYTES:
+        raise ResourceLimitError(
+            f"dense vector at v={v}, 2p+1={k}: {d * 8:,} bytes is over "
+            f"DENSE_VECTOR_BYTES={DENSE_VECTOR_BYTES:,}")
+    blocks = []
+    end = 1  # the end of the layer before, the empty set's
+    for size in range(1, len(counts)):
+        block = end
+        for i in range(v - size + 1):
+            n = math.comb(v - 1 - i, size - 1)
+            blocks.append((i, slice(end - n, end), slice(block, block + n)))
+            block += n
+        end = block
+    return d, tuple(blocks)
+
+
+def _subset_sums(delta: np.ndarray, k: int) -> np.ndarray:
+    """delta's sum over each canonical subset of size < k, in its dtype."""
+    d, blocks = _subset_layout(len(delta), k)
+    sums = np.zeros(d, delta.dtype)
+    for i, src, dst in blocks:
+        np.add(sums[src], delta[i], out=sums[dst])
+    return sums
+
+
 # bytes of cell index held per (v, 2p+1): at least 10,000 indexes at d <= 99,
 # 16 at v=15, p=6 (d=32,647, uint16) and 4 at v=48, p=2 (d=213,053)
 INDEX_CACHE_BYTES = 1 << 20
 
-# bytes of one subset mask table, ceil(v/64) * d * 8: 256 MiB admits d up
-# to 33.5M at one word (v=48 up to p=3, 108 MiB), v=128 at p=2 (168 MiB) and
-# v=768 at p=1 (27 MiB), and refuses v=130 at p=2 (268.4 MiB) and v=48 at
-# p=8 (30 TiB). A feature vector holds d floats, as large as a one-word table
-MASK_TABLE_BYTES = 1 << 28
 
-
-# one entry per (v, 2p+1), as _subset_masks, whose masks each entry holds
+# one entry per (v, 2p+1), as _subset_layout
 @lru_cache(maxsize=None)
 def _cell_index_cache(v: int, k: int):
     """The cell-index function of subsets of size < k of v variables, in an
     `lru_cache` holding at most INDEX_CACHE_BYTES of indexes."""
-    masks, sizes, free_step, sign_step = _subset_masks(v, k)
+    sign, cell = _cell_layout(k)
+    nbytes = _subset_layout(v, k)[0] * np.dtype(cell).itemsize
 
-    @lru_cache(maxsize=max(1, INDEX_CACHE_BYTES // sizes.nbytes))
+    @lru_cache(maxsize=max(1, INDEX_CACHE_BYTES // nbytes))
     def cell_index(w: int, free: int) -> np.ndarray:
-        """The read-only flat cell (|S&w| mod 2) k^2 + |S&free| (k - 1) + |S|
-        of the signed table, which is (parity, |S&F|, |S&U|), for every
-        subset S, built in the cell type: in place on the uint8 popcounts it
-        would wrap past 255 from p = 6 on."""
-        index = (_popcount(masks, w) & 1) * sign_step
-        index += _popcount(masks, free) * free_step
-        index += sizes
+        """The read-only cell (|S&w| mod 2) 2^b + |S&free| k + |S&~free| of
+        every subset S: its sum of delta_i, masked to the low b + 1 bits."""
+        t, f = (np.unpackbits(np.frombuffer(m.to_bytes(v // 8 + 1, "little"),
+                                            "u1"), count=v, bitorder="little")
+                for m in (w, free))
+        delta = t * cell(sign) + f * cell(k - 1) + cell(1)
+        index = _subset_sums(delta, k)
+        index &= cell(2 * sign - 1)
         index.flags.writeable = False
         return index
 
@@ -233,9 +233,9 @@ def to_feature_vector(poly: MultilinearPoly, v: int) -> np.ndarray:
 
 
 def theta_vector(wstar, v: int, p: int) -> np.ndarray:
-    """Monomial evaluations prod_{i in S} wstar_i, one per canonical subset."""
+    """Monomial evaluations prod_{i in S} wstar_i, one per canonical subset:
+    the parity of its sum of [wstar_i != TRUE], which uint8's wrap keeps."""
     if len(wstar) != v:
         raise ParameterError(f"assignment length {len(wstar)} != v={v}")
-    neg_mask = ((1 << v) - 1) ^ mask_from_assignment(wstar)
-    masks = _subset_masks(v, 2 * p + 1)[0]
-    return 1.0 - 2.0 * (_popcount(masks, neg_mask) & 1)
+    neg = np.not_equal(wstar, TRUE).view(np.uint8)
+    return 1.0 - 2.0 * (_subset_sums(neg, 2 * p + 1) & 1)

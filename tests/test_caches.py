@@ -13,8 +13,9 @@ from satmdp.mdp import features_state
 
 # caches with no maxsize, each with the key space that bounds it
 UNBOUNDED = {
-    "satmdp.polyfeat._subset_masks": "one entry per (v, 2p+1), each a table "
-                                     "of at most MASK_TABLE_BYTES",
+    "satmdp.polyfeat._subset_layout": "one entry per (v, 2p+1), each about "
+                                      "2p v blocks of a d of at most "
+                                      "DENSE_VECTOR_BYTES / 8",
     "satmdp.polyfeat._cell_index_cache": "one entry per (v, 2p+1), each a "
                                          "cache of at most INDEX_CACHE_BYTES",
     "satmdp.agents._action_pairs": "one entry per action count k",

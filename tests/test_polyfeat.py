@@ -19,7 +19,8 @@ from satmdp.mdp import (
     transition,
 )
 from satmdp.polyfeat import (
-    MASK_TABLE_BYTES,
+    DENSE_VECTOR_BYTES,
+    MultilinearPoly,
     feature_dim,
     greedy_value_poly,
     theta_vector,
@@ -72,86 +73,122 @@ def test_feature_dim_bound():
     assert feature_dim(5, 2) == 31
 
 
-def _reference_subset_masks(v, k):
-    """`polyfeat._subset_masks` as itertools.combinations gives it: every
-    subset's variables scattered into its column, one subset position at a
-    time."""
-    counts = [math.comb(v, size) for size in range(min(k - 1, v) + 1)]
-    cell = np.min_scalar_type(2 * k * k).type
-    sizes = np.repeat(np.arange(len(counts), dtype=cell), counts)
-    masks = np.zeros((-(-v // 64), len(sizes)), dtype=np.uint64)
-    start = 0
-    for size, count in enumerate(counts):
+def _reference_subset_sums(delta, k):
+    """sum_{i in S} delta[i] for every subset S of size < k of len(delta)
+    variables, in the canonical order as itertools.combinations gives it."""
+    v = len(delta)
+    layers = [np.zeros(1, dtype=delta.dtype)]
+    for size in range(1, min(k - 1, v) + 1):
         combos = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(v), size)),
-            dtype=np.intp, count=size * count)
-        cols = np.arange(start, start + count)
-        for var in combos.reshape(count, size).T:  # one variable of each subset
-            masks[var // 64, cols] |= np.uint64(1) << (var % 64).astype(np.uint64)
-        start += count
-    masks.flags.writeable = sizes.flags.writeable = False
-    return masks, sizes, cell(k - 1), cell(k * k)
+            dtype=np.intp).reshape(-1, size)
+        layers.append(delta[combos].sum(axis=1, dtype=delta.dtype))
+    return np.concatenate(layers)
 
 
-# every k up to v + 2 at small v (k - 1 > v included), both sides of each
-# word boundary, and feature_map's (48, 5) and the p=6 table (15, 13)
+# every k up to v + 2 at small v (k - 1 > v included), v on both sides of
+# 64 and 128, feature_map's (48, 5), the p=6 table (15, 13) and v=768 at p=1
 MASK_GRID = ([(v, k) for v in range(1, 10) for k in range(1, v + 3)]
              + [(v, 3) for v in (63, 64, 65, 128, 130)]
-             + [(v, 5) for v in (63, 64, 65)] + [(48, 5), (15, 13)])
+             + [(v, 5) for v in (63, 64, 65)] + [(48, 5), (15, 13), (768, 3)])
 
 
 @pytest.mark.parametrize("v, k", MASK_GRID)
 def test_subset_masks_match_the_combinations_builder(v, k):
-    got = polyfeat._subset_masks.__wrapped__(v, k)
-    want = _reference_subset_masks(v, k)
-    for new, old in zip(got, want):
-        assert type(new) is type(old)
-        if isinstance(old, np.ndarray):
-            assert (new.dtype, new.shape) == (old.dtype, old.shape)
-            assert np.array_equal(new, old)
-            assert not new.flags.writeable
-        else:
-            assert new == old
+    """The layered subset sums list the subsets of the combinations builder
+    in its order: with random 40-bit delta, a sum names its subset's mask."""
+    delta = np.random.default_rng(v * 100 + k).integers(0, 1 << 40, v)
+    got = polyfeat._subset_sums(delta, k)
+    want = _reference_subset_sums(delta, k)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want)
 
 
-# sha256 over _subset_masks(v, k)[0].tobytes(), as the combinations builder
-# gave them
-MASK_SHA256 = {
-    (48, 5): "d856ab966d53beb7cafbd4543045c9980f99f4dcc02ee400eeb7a39be16c5524",
-    (66, 3): "6756edeab7b07ee66d1aa7178a6a5221b7ad3f074b7f4488d5d955a0c8f102c5",
+@pytest.mark.parametrize("v, k", [(1, 3), (9, 5), (15, 13), (20, 7), (66, 3)])
+def test_cell_index_is_parity_free_and_used_counts(v, k):
+    sign, cell = polyfeat._cell_layout(k)
+    rng = np.random.default_rng(v + k)
+    w, free = (int.from_bytes(rng.bytes(9), "little") % (1 << v)
+               for _ in range(2))
+    want = [(S & w).bit_count() % 2 * sign + (S & free).bit_count() * k
+            + (S & ~free).bit_count()
+            for size in range(min(k - 1, v) + 1)
+            for S in (sum(1 << i for i in c)
+                      for c in itertools.combinations(range(v), size))]
+    index = polyfeat._cell_index_cache(v, k)(w, free)
+    assert index.dtype == cell and not index.flags.writeable
+    assert np.array_equal(index, want)
+
+
+# sha256 over to_feature_vector on 24 random (w, free, coef) draws at (v, k),
+# and over theta_vector on 8 random assignments at (v, (k - 1) / 2), as the
+# popcounts over the subset mask table gave them
+DRAWS_SHA256 = {
+    (48, 5): ("80d6b9369cc716f2190708acebbcfd4d12538a9d2b1f1b2393c2b3eaae59053a",
+              "ccbd7d74b6100906d5132f774196923e3361b4a749dea0b2cb36e2389c4e4c86"),
+    (66, 3): ("f9584387cd68564d4436f9ce2618f866e6afd1580ced77f074542e370606d785",
+              "e5460e8d117447d6c31fdd3ad5221c012705f2b275ce30e58d48ab73516d9d06"),
 }
 
 
-@pytest.mark.parametrize("v, k", MASK_SHA256)
-def test_subset_masks_golden(v, k):
-    masks = polyfeat._subset_masks(v, k)[0]
-    assert hashlib.sha256(masks.tobytes()).hexdigest() == MASK_SHA256[v, k]
+@pytest.mark.parametrize("v, k", DRAWS_SHA256)
+def test_features_and_theta_golden_on_random_draws(v, k):
+    rng = np.random.default_rng(v * 100 + k)
+    features = hashlib.sha256()
+    for _ in range(24):
+        w, free = (int.from_bytes(rng.bytes(9), "little") % (1 << v)
+                   for _ in range(2))
+        coef = rng.standard_normal((k, k))
+        poly = MultilinearPoly(coef, polyfeat._signed_table(coef), free, w,
+                               range(0))
+        features.update(to_feature_vector(poly, v).tobytes())
+    theta = hashlib.sha256()
+    for _ in range(8):
+        wstar = tuple(rng.choice((-1, 1), v).tolist())
+        theta.update(theta_vector(wstar, v, k // 2).tobytes())
+    assert (features.hexdigest(), theta.hexdigest()) == DRAWS_SHA256[v, k]
+
+
+@pytest.mark.parametrize("p", range(1, 15))
+def test_cell_type_holds_every_sum_before_the_mask(p):
+    # p = 14 is the log degree at v=768
+    k = 2 * p + 1
+    sign, cell = polyfeat._cell_layout(k)
+    assert sign // 2 < k * k <= sign  # 2^b, the smallest power of two >= k^2
+    assert (k - 1) * k < sign  # the free and used counts never carry into b
+    assert (k - 1) * (sign + k) <= np.iinfo(cell).max
+    assert cell is (np.uint8 if p <= 2 else np.uint16)
+    params = params_for_rounds(v=768, h=2, p=p, q=4)
+    coef, signed, _terms = polyfeat._coefficient_table(params, 1, (), 0, 400)
+    assert len(signed) == 2 * sign and not signed.flags.writeable
+    assert np.array_equal(signed[:k * k], coef.ravel())
+    assert np.array_equal(signed[sign:sign + k * k], 0.0 - coef.ravel())
+    assert not signed[k * k:sign].any() and not signed[sign + k * k:].any()
 
 
 def test_theta_vector_refuses_an_oversized_table():
-    # sum C(48, i) for i <= 16 subsets, one word each: 30 TiB
+    # sum C(48, i) for i <= 16 subsets, 8 bytes each: 30 TiB
     with pytest.raises(ResourceLimitError,
                        match="v=48, 2p\\+1=17: 32,994,436,782,672 bytes is over "
-                             "MASK_TABLE_BYTES=268,435,456"):
+                             "DENSE_VECTOR_BYTES=268,435,456"):
         theta_vector((1,) * 48, 48, 8)
 
 
-def test_subset_mask_bound_admits_its_exact_size(monkeypatch):
-    # (66, 3): two words of 2,212 subsets
-    nbytes = 2 * 2212 * 8
-    monkeypatch.setattr(polyfeat, "MASK_TABLE_BYTES", nbytes)
-    masks = polyfeat._subset_masks.__wrapped__(66, 3)[0]
-    assert masks.nbytes == nbytes
-    monkeypatch.setattr(polyfeat, "MASK_TABLE_BYTES", nbytes - 1)
+def test_dense_vector_bound_admits_its_exact_size(monkeypatch):
+    # (66, 3): 2,212 subsets
+    nbytes = 2212 * 8
+    monkeypatch.setattr(polyfeat, "DENSE_VECTOR_BYTES", nbytes)
+    assert polyfeat._subset_layout.__wrapped__(66, 3)[0] * 8 == nbytes
+    monkeypatch.setattr(polyfeat, "DENSE_VECTOR_BYTES", nbytes - 1)
     with pytest.raises(ResourceLimitError, match=f"{nbytes:,} bytes is over"):
-        polyfeat._subset_masks.__wrapped__(66, 3)
+        polyfeat._subset_layout.__wrapped__(66, 3)
 
 
 def test_feature_dim_needs_no_table_at_v768():
     f, planted = regular_planted_formula(768, seed=7)
     params = params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6)
     d = sum(math.comb(768, i) for i in range(5))
-    assert 12 * d * 8 > MASK_TABLE_BYTES  # the table it would take
+    assert d * 8 > DENSE_VECTOR_BYTES  # the vector it would take
     assert feature_dim(768, 2) == d
     assert build_instance(f, params, wstar=planted).d == d
 
@@ -216,8 +253,9 @@ def test_features_span_two_mask_words():
 # sha256 over features_state(...).tobytes() at every non-terminal state of
 # the first two random-play episodes (actions from default_rng(0), 46 states)
 # of regular_planted_formula(15, seed=3) at q=2, h=2, eps=1/64 and
-# p=log_degree(15)=6: d = 32,647, and the signed table's 2 * 13^2 = 338 cells
-# take a uint16 index
+# p=log_degree(15)=6: d = 32,647, and the signed table's 2 * 256 = 512 cells
+# (13^2 = 169 per sign, at a stride of 256) take a uint16 index, whose sums
+# reach 12 * (256 + 13) = 3,228 before the mask
 P6_FEATURES_SHA256 = "a5fe22875cb4dcbbf9cba9b3156457c6f941677381b58dfe51793dba036e5f5f"
 
 
