@@ -96,7 +96,9 @@ class MdpState(NamedTuple):
     """One node of the transition tree; uniquely identified by its canonical
     byte encoding (n, stage, cursor, assignment, free set, round-start
     assignment, inter-round distances, move-chain digest). `sat_count` and
-    `eligible` are functions of (w, free) kept to make a step O(b).
+    `eligible` are functions of (w, free) kept to make a step O(b); the
+    stored `is_terminal` is one of `stage`, set where the state is built (in
+    `initial_state` and `transition`), so no reader compares stages.
 
     Distinct flip orders can reach the same assignment summary, so identity
     includes `chain`, a 16-byte blake2b digest of the parent's chain and the
@@ -116,10 +118,7 @@ class MdpState(NamedTuple):
     chain: bytes                # move-chain digest; zeros at the root
     sat_count: int              # clauses satisfied by w
     eligible: int               # eligible-clause bitmask; 0 at terminals
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.stage == LAST_LEVEL or self.stage == GAP_SATISFIED
+    is_terminal: bool           # stage is LAST_LEVEL or GAP_SATISFIED
 
     @property
     def terminal_kind(self) -> str | None:
@@ -293,20 +292,21 @@ def initial_state(inst: MdpInstance) -> MdpState:
     # every variable is free, so the eligible clauses are the unsatisfied ones
     eligible = _unsat_mask(inst, w)
     sat = inst.formula.m - eligible.bit_count()
-    if sat >= inst.gap_threshold_count:
+    terminal = sat >= inst.gap_threshold_count
+    if terminal:
         stage, cursor, eligible = GAP_SATISFIED, None, 0
     else:
         stage, cursor = _stage_fields(eligible, free)
     return MdpState(n=1, stage=stage, cursor=cursor, w=w, w_round=w, free=free,
                     round_dists=(), step=0, chain=bytes(16), sat_count=sat,
-                    eligible=eligible)
+                    eligible=eligible, is_terminal=terminal)
 
 
 def transition(inst: MdpInstance, s: MdpState, a: int) -> MdpState:
     """Apply one action: stage one flips the chosen clause variable, stage two
     flips the offered variable iff a == 1 (actions 0 and 2 both keep)."""
-    n, stage, cursor, w, w_round, free, round_dists, step, chain, sat, eligible = s
-    if stage == LAST_LEVEL or stage == GAP_SATISFIED:
+    n, stage, cursor, w, w_round, free, round_dists, step, chain, sat, eligible, terminal = s
+    if terminal:
         raise ParameterError("cannot act on a terminal state")
     if a not in (0, 1, 2):
         raise ParameterError(f"action {a} outside {{0,1,2}}")
@@ -335,20 +335,20 @@ def transition(inst: MdpInstance, s: MdpState, a: int) -> MdpState:
     chain = hasher.digest()
 
     if sat >= inst.gap_threshold_count:
-        stage, cursor, eligible = GAP_SATISFIED, None, 0
+        stage, cursor, eligible, terminal = GAP_SATISFIED, None, 0, True
     elif free:
         # marking var used removes exactly its clauses from eligibility
         eligible ^= eligible & inst.occ_clause_bits[var]
         stage, cursor = _stage_fields(eligible, free)
     elif n == inst.params.h:
-        stage, cursor, eligible = LAST_LEVEL, None, 0
+        stage, cursor, eligible, terminal = LAST_LEVEL, None, 0, True
     else:
         round_dists += (hamming(w_round, w),)
         n, w_round, free = n + 1, w, inst.all_mask
         eligible = _unsat_mask(inst, w)
         stage, cursor = _stage_fields(eligible, free)
     return _new_state(MdpState, (n, stage, cursor, w, w_round, free, round_dists,
-                                 step + 1, chain, sat, eligible))
+                                 step + 1, chain, sat, eligible, terminal))
 
 
 def reward_mean(inst: MdpInstance, nxt: MdpState) -> float:
@@ -392,7 +392,7 @@ def stage_one_floor(inst: MdpInstance, round_start: int) -> int:
 def encode_state(inst: MdpInstance, s: MdpState) -> bytes:
     """Fixed-order canonical byte encoding; equal bytes iff equal states."""
     nb = (inst.formula.v + 7) // 8
-    n, stage, cursor, w, w_round, free, round_dists, _, chain, _, _ = s
+    n, stage, cursor, w, w_round, free, round_dists, _, chain, _, _, _ = s
     parts = [
         _HEADER.pack(n, _STAGE_TAGS[stage], 0xFFFFFFFF if cursor is None else cursor),
         w.to_bytes(nb, "big"),
@@ -464,7 +464,7 @@ def tree_size(inst: MdpInstance, budget: int) -> int | None:
         for s, mult in level.values():
             for child in _children(inst, s):
                 counted += mult
-                if child.stage != LAST_LEVEL and child.stage != GAP_SATISFIED:
+                if not child.is_terminal:
                     below.setdefault(_summary(child), [child, 0])[1] += mult
             if counted > budget:
                 return None

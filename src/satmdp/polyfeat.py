@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cnf import TRUE, hamming
+from .cnf import TRUE
 from .errors import ParameterError, ResourceLimitError
 from .reward import RewardParams, g
 
@@ -101,9 +101,9 @@ def greedy_value_poly(state, params: RewardParams) -> MultilinearPoly:
     docstring. Never reads the instance's satisfying assignment.
     """
     coef, signed, terms = _coefficient_table(
-        params, state.n, state.round_dists, hamming(state.w_round, state.w),
+        params, state.n, state.round_dists, (state.w_round ^ state.w).bit_count(),
         state.free.bit_count())
-    return MultilinearPoly(coef, signed, state.free, state.w, terms)
+    return tuple.__new__(MultilinearPoly, (coef, signed, state.free, state.w, terms))
 
 
 # summaries do not depend on the formula, so a sweep over many trees of the

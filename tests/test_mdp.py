@@ -128,6 +128,65 @@ def test_initial_state_terminates_when_start_satisfies(figure_formula):
         transition(inst, s, 0)
 
 
+def _assert_terminal_flag(s):
+    terminal = s.stage in (LAST_LEVEL, GAP_SATISFIED)
+    assert s.is_terminal is terminal
+    assert s.terminal_kind == (s.stage if terminal else None)
+
+
+def test_stored_terminal_flag_on_the_pool_trees(criterion_1_pool):
+    """`is_terminal` is stored where a state is built, so it is checked
+    against the stage rule on every state of the criterion-1 pool trees."""
+    pool, _seconds = criterion_1_pool
+    kinds = set()
+    for _inst, states, _children in pool:
+        for s in states:
+            _assert_terminal_flag(s)
+            kinds.add(s.terminal_kind)
+    assert kinds == {None, LAST_LEVEL, GAP_SATISFIED}
+
+
+def test_stored_terminal_flag_across_a_rollover_and_at_a_gap_root(
+        figure_formula, figure_instance):
+    """The stored flag along a v=768 episode that crosses a round rollover
+    and ends at the last level, and at a root whose start already meets the
+    threshold."""
+    f, planted = regular_planted_formula(768, seed=7)
+    inst = build_instance(
+        f, params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6),
+        wstar=planted)
+    rng = np.random.default_rng(11)
+    s, rollovers = initial_state(inst), 0
+    _assert_terminal_flag(s)
+    while not s.is_terminal:
+        nxt = transition(inst, s, int(rng.integers(0, 3)))
+        _assert_terminal_flag(nxt)
+        rollovers += nxt.n != s.n
+        s = nxt
+    assert rollovers == 1 and s.terminal_kind == LAST_LEVEL
+    done = build_instance(figure_formula, figure_instance.params,
+                          start=figure_instance.wstar_assignment())
+    root = initial_state(done)
+    _assert_terminal_flag(root)
+    assert root.terminal_kind == GAP_SATISFIED
+
+
+def test_round_summary_is_every_field_but_step_and_chain(figure_instance,
+                                                         two_round_game):
+    """`tree_size` keys a level on `_summary`, which must cover every field
+    `transition` may read, the stored terminal flag among them."""
+    kept = [name for name in MdpState._fields if name not in ("step", "chain")]
+    states, _ = enumerate_reachable(figure_instance)
+    rng = np.random.default_rng(0)
+    s = initial_state(two_round_game)
+    states.append(s)
+    while not s.is_terminal:
+        s = transition(two_round_game, s, int(rng.integers(0, 3)))
+        states.append(s)
+    for s in states:
+        assert mdp._summary(s) == tuple(getattr(s, name) for name in kept)
+
+
 def test_figure_one_walkthrough(figure_start_instance):
     """The exact edge sequence of the round pictured in the construction:
     stage one flips c then e, stage two keeps a, keeps b, flips d."""
@@ -411,8 +470,8 @@ def test_tree_size_matches_enumeration_at_the_edges(figure_formula,
 def test_equal_round_summaries_root_equal_subtrees(criterion_1_pool):
     """The facts tree_size rests on: states with equal round summaries (every
     field but `step` and `chain`) have equal clause counts, eligible masks,
-    subtree sizes and steps, so one level of the count holds all of a
-    summary's states."""
+    subtree sizes, steps and terminal flags, so one level of the count holds
+    all of a summary's states."""
     pool, _seconds = criterion_1_pool
     shared = 0
     for _inst, states, children in pool:
@@ -423,7 +482,7 @@ def test_equal_round_summaries_root_equal_subtrees(criterion_1_pool):
         for s, size in zip(states, sizes):
             n, stage, cursor, w, w_round, free, round_dists, *_ = s
             key = (n, stage, cursor, w, w_round, free, round_dists)
-            facts = (s.sat_count, s.eligible, size, s.step)
+            facts = (s.sat_count, s.eligible, size, s.step, s.is_terminal)
             assert seen.setdefault(key, facts) == facts
         shared += len(states) - len(seen)
     assert shared > 0
