@@ -12,7 +12,9 @@ The baselines and the reduction call an oracle through these names only;
 `SatOracle` and `toys.ToyLinearMdp` both provide them:
 - `initial_state()`, `transition(s, a)`, `is_terminal(s)`: deterministic moves;
 - `sample_reward_batch(s, a, count)`: the sum of `count` reward samples at (s, a);
-- `features_sa(s, a)`: the feature vector of the pair (s, a);
+- `features_sa(s, a)`: the feature vector of the pair (s, a), entries in
+  [-1, 1]; the lattice-cover search rounds them to integer multiples of 2^-K
+  and decides every point on the rounded scores;
 - `num_actions`, `horizon`, `dim`: k, H and d.
 
 States are hashable and are their own keys: two are equal exactly when they
@@ -366,8 +368,6 @@ def greedy_on_q(q: dict, oracle):
 MIN_ROLLOUTS = 64  # reward samples per distinct policy, at the least
 LINE_BUDGET = 10_000_000  # most lattice lines epsilon_net_search searches
 LINE_CHUNK = 8_192  # root lines searched together, in whole z_0 slabs
-UNIT_ROUNDOFF = 2.0 ** -53
-BOUND_FLOOR = 2.0 ** -1000  # added to each rounding bound: covers underflow
 
 
 def _check_accuracy(eps: float, delta: float, sample_cap: int = 1):
@@ -441,12 +441,14 @@ def _lattice_lines(dim: int, bound: int):
     yield chunk(start, len(widths))
 
 
-def _exact_table(table: np.ndarray) -> list:
-    """The doubles of a 2-D array as Python ints over one common power-of-two
-    denominator, row by row."""
-    ratios = [[x.as_integer_ratio() for x in row] for row in table.tolist()]
-    den = max(q for row in ratios for _, q in row)
-    return [[p * (den // q) for p, q in row] for row in ratios]
+def _rounding_bits(dim: int, top: int) -> int:
+    """The most bits K with dim * 2^(K + 1) * (top + 1) < 2^52: the search
+    rounds features of magnitude at most 1 to integers of magnitude at most
+    2^K, so a difference of two rows has entries of magnitude at most
+    2^(K + 1), and each of its scores, and every partial sum of one, over a
+    ball with |z_j| <= top and |t| <= top + 1 is an integer that a double
+    holds exactly."""
+    return 51 - (dim * (top + 1)).bit_length()
 
 
 @cache
@@ -458,97 +460,49 @@ def _action_pairs(k: int):
 
 def _pair_cuts(features: np.ndarray, rest: np.ndarray, lo: np.ndarray,
                hi: np.ndarray):
-    """Where each action pair a < b splits each line of a group, decided
-    exactly for the scores <features[a], z>, z = (rest column, t) and t in
-    [lo, hi].
+    """Where each action pair a < b splits each line of a group, for the
+    scores <features[a], z>, z = (rest column, t) and t in [lo, hi].
 
-    On one line the pair's score difference g(t) = c + h t is linear, so the
-    points where a wins (g >= 0: ties go to the lower action) form a half-line.
-    The pair's upper action, a when h >= 0 and b otherwise, takes the points
-    t >= cut and its lower action the points t < cut, with the cut clipped to
-    [lo, hi + 1]. Returns (cuts (P, n) int64, upper (P,), lower (P,), the
-    number of cuts taken from integers), the P pairs in combinations order.
+    `features` holds integers (`_rounding_bits`): every score difference
+    g(t) = c + h t on a line is an integer of magnitude below 2^52, exact in
+    doubles in any summation order. On one line g is linear, so the points
+    where a wins (g >= 0: ties go to the lower action) form a half-line. The
+    pair's upper action, a when h >= 0 and b otherwise, takes the points
+    t >= cut and its lower action the points t < cut, with the cut ceil(-c/h)
+    (h > 0) or floor(-c/h) + 1 (h < 0) clipped to [lo, hi + 1]; at h = 0 a
+    takes the whole line where c >= 0 and none of it elsewhere. Returns
+    (cuts (P, n) int64, upper (P,), lower (P,)), the P pairs in combinations
+    order.
 
-    Two rows equal as reals give D~ = fl(features[a] - features[b]) = 0
-    exactly: every point is a tie, which a wins, so the cut is lo on every
-    line, with no float or integer test.
-
-    Otherwise floats propose each cut and certify it by the signs of g at the
-    cut t and at t - 1, with one bound per pair for the whole group. There
-    g~(t) = fl(sum_j D~_j z_j), summed in a fixed order, g~(t - 1) =
-    fl(g~(t) - h~), and D~ = D (1 + delta), |delta| <= u. With S_t =
-    sum_j |D~_j z_j|, |g(t) - g~(t)| <= (gamma_d + u / (1 - u)) S_t (Higham
-    2002, 3.1), and the subtraction adds at most u ((1 + gamma_d) S_t + |h~|).
-    Every S_t and |h~| the test reads is at most S = sum_{j < d - 1} |D~_j|
-    Z_j + |h~| T, with Z_j the group's largest |z_j| and T >= 1 its largest
-    |t| in [lo, hi + 1]. For d u <= 2^-10 the error is then at most
-    (1.001 d + 3.01) u S, while the bound used, 2 (d + 2) u S~ + BOUND_FLOOR
-    with S~ = fl(S) >= (1 - gamma_d) S and two more roundings, is at least
-    1.99 (d + 2) u S; BOUND_FLOOR covers underflow, at most 2^-1075 per
-    product. So a cut the shared bound settles is exact, as is the float sign
-    of h. A cut it cannot settle, exact ties included, is computed from
-    Python ints."""
+    One float division gives each cut exactly: a non-integer -c/h lies at
+    least 1/|h| from every integer, and the division moves it by at most
+    |c/h| 2^-53 < 1/|h|, since |c| < 2^53."""
     pair_a, pair_b = _action_pairs(len(features))
     diff = features[pair_a] - features[pair_b]
-    gamma = 2 * (features.shape[1] + 2) * UNIT_ROUNDOFF
     top = hi + 1
-    # the group's largest |z_j| for each fixed coordinate j, then T
-    scale = [*np.abs(rest).max(axis=1).tolist(),
-             max(int(np.abs(lo).max()), int(np.abs(top).max()))]
     cuts = np.empty((len(diff), len(lo)), dtype=np.int64)
     # c stays 0 at d = 1, where a line has no fixed coordinates
-    c, t, term = np.zeros(len(lo)), np.empty(len(lo)), np.empty(len(lo))
-    unsure = []
+    c, t = np.zeros(len(lo)), np.empty(len(lo))
     for p, row in enumerate(diff.tolist()):
-        if not any(row):
-            cuts[p] = lo
-            continue
         *coefs, h = row
-        bound = sum(abs(x) * m for x, m in zip(row, scale)) * gamma + BOUND_FLOOR
         if coefs:
             np.multiply(rest[0], coefs[0], out=c)
         for dj, zj in zip(coefs[1:], rest[1:]):
-            c += np.multiply(zj, dj, out=term)
+            c += np.multiply(zj, dj, out=t)
         if h == 0:
-            wins = c > bound
-            cuts[p] = np.where(wins, lo, top)
-            settled = wins | (c < -bound)
+            cuts[p] = np.where(c >= 0, lo, top)
+            continue
+        np.divide(c, -h, out=t)
+        if h > 0:
+            np.ceil(t, out=t)
         else:
-            np.multiply(c, -1.0 / h, out=t)
-            if h > 0:
-                np.ceil(t, out=t)
-            else:
-                np.floor(t, out=t)
-                t += 1
-            np.maximum(t, lo, out=t)
-            np.minimum(t, top, out=t)
-            cuts[p] = t
-            g_at = np.multiply(t, h, out=term)
-            g_at += c
-            g_below = g_at - h
-            # the upper action wins at the cut, the lower one just below it
-            if h > 0:
-                sure_at, sure_below = g_at > bound, g_below < -bound
-            else:
-                sure_at, sure_below = g_at < -bound, g_below > bound
-            settled = (sure_at | (t > hi)) & (sure_below | (t <= lo))
-        if not settled.all():
-            unsure.extend((p, i) for i in np.flatnonzero(~settled).tolist())
-    if unsure:
-        ints = _exact_table(features)
-        for p, i in unsure:
-            d_int = [x - y for x, y in zip(ints[pair_a[p]], ints[pair_b[p]])]
-            c = sum(dj * int(zj) for dj, zj in zip(d_int, rest[:, i].tolist()))
-            h, first, last = d_int[-1], int(lo[i]), int(hi[i])
-            if h > 0:
-                cut = -(c // h)
-            elif h < 0:
-                cut = c // -h + 1
-            else:
-                cut = first if c >= 0 else last + 1
-            cuts[p, i] = min(max(cut, first), last + 1)
+            np.floor(t, out=t)
+            t += 1
+        np.maximum(t, lo, out=t)
+        np.minimum(t, top, out=t)
+        cuts[p] = t
     upper = np.where(diff[:, -1] >= 0, pair_a, pair_b)
-    return cuts, upper, pair_a + pair_b - upper, len(unsure)
+    return cuts, upper, pair_a + pair_b - upper
 
 
 def epsilon_net_search(oracle, eps: float, delta: float):
@@ -557,17 +511,20 @@ def epsilon_net_search(oracle, eps: float, delta: float):
     and keep the empirically best trajectory.
 
     The cover is the integer ball sum(z ** 2) <= B, B = floor((radius /
-    spacing)^2), scaled by the spacing. The point theta = spacing * z takes, at
-    each state, the lowest action a that maximises the exact real
-    <features_sa(s, a), z> over the stored doubles. So a point's trajectory
-    never depends on rounding, on BLAS or on the points searched with it.
+    spacing)^2), scaled by the spacing. The search rounds each state's
+    features once, to integer multiples of 2^-K with K from d and the ball
+    (`_rounding_bits`), and the point theta = spacing * z takes, at each state,
+    the lowest action a that maximises <round(2^K features_sa(s, a)), z>. That
+    score is an exact integer, so a point's trajectory never depends on
+    summation order, on BLAS or on the points searched with it. Rounding moves
+    <features_sa(s, a), theta> by at most |theta|_1 2^-(K + 1). A search where
+    that could reach the cover radius is refused with `ResourceLimitError`
+    before its first query, and a feature entry above 1 in magnitude with
+    `ParameterError`.
 
     Points are counted per line, not one by one: a line fixes every coordinate
     of z but the last, and on it every action pair splits at one integer cut
-    (`_pair_cuts`), so each action takes one interval of the line. Floats
-    certify a group's cuts with one rounding bound per action pair and Python
-    ints decide the cuts it leaves open; a pair of equal feature rows ties at
-    every point, so its lower action takes each line with no test. Groups of
+    (`_pair_cuts`), so each action takes one interval of the line. Groups of
     lines carry their intervals down the tree; the root lines come in chunks
     of whole z_0 slabs (`_lattice_lines`), so memory grows with LINE_CHUNK,
     not with the ball.
@@ -579,21 +536,30 @@ def epsilon_net_search(oracle, eps: float, delta: float):
     it takes no transition.
 
     `info` counts the work: cover points and lines, distinct policies and
-    their point counts, cuts taken from integers (`exact_cuts`), oracle
-    transitions (each tree edge the search walks, once), `features_sa` calls
-    and reward samples.
+    their point counts, oracle transitions (each tree edge the search walks,
+    once), `features_sa` calls and reward samples.
     """
     _check_accuracy(eps, delta)
     d, H, k = oracle.dim, oracle.horizon, oracle.num_actions
     spacing = cover_spacing(eps, H, d)
     radius = 1.0 + spacing * math.sqrt(d) / 2  # margin so ball points keep a cover point
     bound = math.floor((radius / spacing) ** 2)
+    top = math.isqrt(bound)
     # the search costs per line: bound the lines by those of the cube
-    line_bound = (2 * math.isqrt(bound) + 1) ** (d - 1)
+    line_bound = (2 * top + 1) ** (d - 1)
     if line_bound > LINE_BUDGET:
         raise ResourceLimitError(
             f"lattice cover needs up to {line_bound} lines, over budget "
             f"{LINE_BUDGET} lines")
+    bits = _rounding_bits(d, top)
+    # every ball point has |theta|_1 <= sqrt(d) |theta|_2 <= sqrt(d) radius
+    slip = math.sqrt(d) * radius * 2.0 ** -(bits + 1)
+    cover = cover_radius(eps, H, d)
+    if slip >= cover:
+        raise ResourceLimitError(
+            f"features rounded to {bits} bits move a score by up to {slip:.3g}, "
+            f"not under the cover radius {cover:.3g}")
+    scale = 2.0 ** bits
 
     s0 = oracle.initial_state()
     work = {"transitions": 0, "feature_calls": 0}
@@ -601,7 +567,11 @@ def epsilon_net_search(oracle, eps: float, delta: float):
     @cache
     def sa_features(s):
         work["feature_calls"] += k
-        return np.stack([oracle.features_sa(s, a) for a in range(k)])
+        feats = np.stack([oracle.features_sa(s, a) for a in range(k)])
+        if not (np.abs(feats) <= 1).all():
+            raise ParameterError(
+                f"features of state {s!r} have an entry outside [-1, 1]")
+        return np.rint(feats * scale)
 
     @cache
     def child(s, a):
@@ -617,7 +587,7 @@ def epsilon_net_search(oracle, eps: float, delta: float):
         trajectory_counts[path] = trajectory_counts.get(path, 0) + count
         return True
 
-    cover_points = lines = exact_cuts = 0
+    cover_points = lines = 0
     for rest, reach in _lattice_lines(d, bound):
         points = int((2 * reach + 1).sum())
         cover_points += points
@@ -625,8 +595,7 @@ def epsilon_net_search(oracle, eps: float, delta: float):
         groups = [] if settle(s0, (), points) else [(s0, (), rest, -reach, reach)]
         while groups:
             s, prefix, rest, lo, hi = groups.pop()
-            cuts, upper, lower, exact = _pair_cuts(sa_features(s), rest, lo, hi)
-            exact_cuts += exact
+            cuts, upper, lower = _pair_cuts(sa_features(s), rest, lo, hi)
             # action a takes [a_lo, a_end) of each line: above the cuts it is
             # the upper action of, below those it is the lower one of
             a_lo, a_end = [lo] * k, [hi + 1] * k
@@ -660,7 +629,7 @@ def epsilon_net_search(oracle, eps: float, delta: float):
     info = {"cover_points": cover_points, "lines": lines,
             "unique_policies": n_unique, "rollouts_per_policy": n_roll,
             "best_estimate": best_est, "trajectory_counts": dict(trajectory_counts),
-            "exact_cuts": exact_cuts, **work,
+            **work,
             "reward_samples": n_roll * sum(map(len, trajectory_counts))}
     return best_actions, info
 

@@ -626,8 +626,13 @@ def test_epsilon_net_finds_planted_policy():
 
 # cover_points and trajectory_counts of the three criterion-8 specs at
 # eps = delta = 0.1; the features depend only on structure_seed, so any reward
-# seed gives the same counts. Each point's trajectory is decided exactly:
-# `exact_walk`, too slow at this eps for every run, reproduces both d = 2 specs
+# seed gives the same counts. Each point's trajectory is decided exactly on the
+# rounded features: `exact_walk`, too slow at this eps for every run,
+# reproduces both d = 2 specs. In the H = 4 spec, actions 1 and 2 at state 24
+# (path (1, 0, 2)) are twin siblings, both Q* = 0.25: their doubles differ by
+# (-2^-53, 2^-54), rounding residue alone, and their rows rounded to 2^-42 are
+# equal, so the lower action takes all 6,995 points, which the doubles gave
+# to (1, 0, 2, 2)
 EPSILON_NET_GOLDEN = [
     (dict(depth=3, num_actions=3, dim=2, structure_seed=5), 45_765,
      {(0, 0, 0): 1, (0, 0, 1): 12_213, (0, 0, 2): 1_383, (0, 2, 0): 428,
@@ -636,7 +641,7 @@ EPSILON_NET_GOLDEN = [
     (dict(depth=4, num_actions=3, dim=2, structure_seed=9), 81_173,
      {(0, 0, 0, 0): 1, (0, 0, 0, 2): 1_276, (0, 0, 2, 1): 11_313,
       (0, 0, 2, 2): 22_974, (0, 1, 1, 2): 695, (1, 0, 0, 0): 430,
-      (1, 0, 2, 2): 6_995, (1, 1, 1, 2): 8_659, (2, 0, 0, 2): 3_074,
+      (1, 0, 2, 1): 6_995, (1, 1, 1, 2): 8_659, (2, 0, 0, 2): 3_074,
       (2, 0, 1, 0): 8_604, (2, 0, 1, 2): 15_324, (2, 0, 2, 2): 1_828}),
     (dict(depth=2, num_actions=3, dim=3, structure_seed=7), 7_394_773,
      {(0, 0): 132_992, (0, 1): 1_639_123, (0, 2): 959_574, (1, 1): 515_921,
@@ -653,24 +658,17 @@ def test_epsilon_net_counts_golden(spec, cover_points, counts):
     assert info["unique_policies"] == len(counts)
 
 
-# the work of the three criterion-8 searches (reward seed 1): root lines, cuts
-# taken from integers, oracle transitions (distinct tree edges walked; the
-# rollouts read those edges and take none), features_sa calls (k per state
-# scored) and reward samples (rollouts per policy times the summed trajectory
-# lengths). The H = 4 spec's exact cuts were 446 while pairs of bitwise-equal
-# feature rows went to integers: at d = 2 toys._plant gives two siblings with
-# one planted value the same row when their noise points the same way (6 such
-# pairs in this tree). Those pairs are now settled as ties with no test,
-# leaving 12
+# the work of the three criterion-8 searches (reward seed 1): root lines,
+# oracle transitions (distinct tree edges walked; the rollouts read those edges
+# and take none), features_sa calls (k per state scored) and reward samples
+# (rollouts per policy times the summed trajectory lengths)
 EPSILON_NET_WORK = [
     (EPSILON_NET_GOLDEN[0][0],
-     dict(lines=241, exact_cuts=9, transitions=17, feature_calls=27,
-          reward_samples=18_549)),
+     dict(lines=241, transitions=17, feature_calls=27, reward_samples=18_549)),
     (EPSILON_NET_GOLDEN[1][0],
-     dict(lines=321, exact_cuts=12, transitions=29, feature_calls=54,
-          reward_samples=34_368)),
+     dict(lines=321, transitions=29, feature_calls=54, reward_samples=34_368)),
     (EPSILON_NET_GOLDEN[2][0],
-     dict(lines=45_877, exact_cuts=6, transitions=11, feature_calls=12,
+     dict(lines=45_877, transitions=11, feature_calls=12,
           reward_samples=15_056)),
 ]
 
@@ -756,19 +754,21 @@ def test_lattice_lines_come_in_chunks_of_whole_slabs(dim, eps, horizon, lines,
     assert (len(chunks) > 1) == (lines > agents.LINE_CHUNK)
 
 
-def integer_table(rows):
-    """Features as Python ints over one common denominator, through Fractions:
-    the exact scores of the reference walks."""
-    fracs = [[Fraction(x) for x in row] for row in np.asarray(rows).tolist()]
-    den = math.lcm(*(x.denominator for row in fracs for x in row))
-    return [[int(x * den) for x in row] for row in fracs]
+def integer_table(rows, bits):
+    """Features rounded to integer multiples of 2^-bits, as Python ints
+    through Fractions (round half to even, as np.rint): the exact scores of
+    the reference walks."""
+    return [[round(Fraction(x) * 2 ** bits) for x in row]
+            for row in np.asarray(rows).tolist()]
 
 
 def exact_walk(toy, eps):
     """cover_points and trajectory_counts from every point of the ball on its
     own: at each state the lowest action with the largest exact score
-    <features_sa(s, a), z>, over integer tables."""
+    <features_sa(s, a), z>, over the search's rounded features as integer
+    tables."""
     bound = cover_bound(eps, toy.horizon, toy.dim)
+    bits = agents._rounding_bits(toy.dim, math.isqrt(bound))
     tables, counts = {}, {}
     points = brute_ball(toy.dim, bound).tolist()
     for z in points:
@@ -776,7 +776,8 @@ def exact_walk(toy, eps):
         while not toy.is_terminal(s):
             if s not in tables:
                 tables[s] = integer_table([toy.features_sa(s, a)
-                                           for a in range(toy.num_actions)])
+                                           for a in range(toy.num_actions)],
+                                          bits)
             scores = [sum(f * x for f, x in zip(row, z)) for row in tables[s]]
             # max() returns the first maximum: ties go to the lowest action
             a = max(range(toy.num_actions), key=scores.__getitem__)
@@ -808,9 +809,8 @@ def test_epsilon_net_grouping_matches_per_candidate_walk_at_d3():
 @pytest.mark.parametrize("depth", [2, 3, 4])
 def test_epsilon_net_decides_each_point_exactly(depth):
     # toys._plant gives siblings features that are equal in exact arithmetic
-    # and apart by rounding alone; a float argmax per point decided 10 of these
-    # 36 specs by rounding (at depth 3, k 4, structure seed 3 it put 181
-    # points on (0, 0, 0), which the exact walk gives 1)
+    # and apart by rounding residue alone; the rounded features make them
+    # equal rows, which tie at every point
     for k, seed in product([2, 3, 4], range(4)):
         toy = ToyLinearMdp(depth=depth, num_actions=k, dim=2,
                            structure_seed=seed, reward_seed=1)
@@ -834,13 +834,12 @@ def test_epsilon_net_cover_across_dims(dim, eps, cover_points, lines):
         assert exact_walk(toy, eps) == (cover_points, info["trajectory_counts"])
 
 
-def fraction_sides(features, rest, lo, hi):
+def int_sides(table, rest, lo, hi):
     """{(pair, line, t): a wins} for every pair a < b, line and t in [lo, hi],
-    from the features as Fractions."""
-    fracs = [[Fraction(x) for x in row] for row in features.tolist()]
+    from the Python-int scores of an integer table."""
     sides = {}
-    for p, (a, b) in enumerate(combinations(range(len(fracs)), 2)):
-        diff = [x - y for x, y in zip(fracs[a], fracs[b])]
+    for p, (a, b) in enumerate(combinations(range(len(table)), 2)):
+        diff = [x - y for x, y in zip(table[a], table[b])]
         for i, line in enumerate(rest.T.astype(np.int64).tolist()):
             c = sum(dj * z for dj, z in zip(diff, line))
             for t in range(int(lo[i]), int(hi[i]) + 1):
@@ -848,91 +847,118 @@ def fraction_sides(features, rest, lo, hi):
     return sides
 
 
-def assert_cuts_match_fractions(features, rest, lo, hi):
-    """Check every (pair, line, t) side of `_pair_cuts` against the Fraction
-    scores; return its cuts and its count of cuts taken from integers."""
-    cuts, upper, lower, exact = _pair_cuts(features, rest, lo, hi)
-    pairs = list(combinations(range(len(features)), 2))
+def assert_cuts_match_int_scores(table, rest, lo, hi):
+    """Check every (pair, line, t) side of `_pair_cuts` on an integer table
+    (Python ints, as the search's rounded features) against its Python-int
+    scores; return the cuts."""
+    features = np.array(table, dtype=np.float64)
+    assert features.tolist() == table
+    cuts, upper, lower = _pair_cuts(features, rest, lo, hi)
+    pairs = list(combinations(range(len(table)), 2))
     assert cuts.shape == (len(pairs), len(lo))
     assert sorted(zip(upper.tolist(), lower.tolist())) == sorted(
-        (a, b) if features[a, -1] >= features[b, -1] else (b, a)
-        for a, b in pairs)
+        (a, b) if table[a][-1] >= table[b][-1] else (b, a) for a, b in pairs)
     assert ((cuts >= lo) & (cuts <= hi + 1)).all()
-    for (p, i, t), a_wins in fraction_sides(features, rest, lo, hi).items():
+    for (p, i, t), a_wins in int_sides(table, rest, lo, hi).items():
         upper_side = t >= cuts[p, i]
         assert a_wins == (upper_side == (upper[p] == pairs[p][0])), (p, i, t)
-    return cuts, exact
+    return cuts
+
+
+def ball_group(rng, dim, top, n):
+    """n lines of the ball sum(z ** 2) <= top^2 (with replacement), both rim
+    lines z_0 = +-top among them, each over its whole reach or a random
+    part of it, as one group of `_pair_cuts`."""
+    chunks = list(_lattice_lines(dim, top * top))
+    rest = np.hstack([rest for rest, _reach in chunks])
+    reach = np.concatenate([reach for _rest, reach in chunks])
+    pick = np.concatenate([[0, len(reach) - 1],
+                           rng.integers(0, len(reach), size=n - 2)])
+    rest, reach = rest[:, pick], reach[pick]
+    lo = np.where(pick % 2, -reach, rng.integers(-reach, reach + 1))
+    hi = np.where(pick % 3, reach, rng.integers(lo, reach + 1))
+    return rest, lo, hi
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_pair_cuts_match_exact_scores(seed):
+    # integer tables at the magnitude limit of a ball with |z_j| <= top, d = 1
+    # to 4: entries up to 2^K, as the search's rounding gives. Row 1 is row 0
+    # one unit apart, row 2 a copy of row 0, row 3 shares row 0's last entry
+    # (h = 0), and rows 4 and 5 are opposite corners, so their differences
+    # reach 2^(K + 1)
     rng = np.random.default_rng(seed)
-    # tenths, which no double holds: many score differences on a line are
-    # rounding residues near 0
-    features = rng.integers(-9, 10, size=(5, 3)) / 10
-    features[1, -1] = features[0, -1]  # h = 0 on the pair (0, 1)
-    features[2] = [0.5, -0.25, 0.75]  # dyadic: exact ties on lattice points
-    # near-identical siblings, apart by rounding alone: 0.1 * 3 != 0.3
-    features[3] = [0.3, 0.7, -0.1]
-    features[4] = 0.1 * np.array([3.0, 7.0, -1.0])
-    n = 200
-    rest = rng.integers(-30, 31, size=(2, n)).astype(np.float64)
-    lo = rng.integers(-30, 5, size=n)
-    hi = lo + rng.integers(0, 30, size=n)
-    _cuts, exact = assert_cuts_match_fractions(features, rest, lo, hi)
-    # the float certificate leaves some cuts to Python ints
-    assert exact > 0
+    for dim in range(1, 5):
+        top = int(rng.integers(8, 25))
+        limit = 2 ** agents._rounding_bits(dim, top)
+        rows = rng.integers(-limit, limit + 1, size=(6, dim)).tolist()
+        j = int(rng.integers(dim))
+        rows[1] = list(rows[0])
+        rows[1][j] += 1 if rows[0][j] < limit else -1
+        rows[2] = list(rows[0])
+        rows[3][-1] = rows[0][-1]
+        rows[4] = [limit * int(x) for x in rng.choice([-1, 1], size=dim)]
+        rows[5] = [-x for x in rows[4]]
+        assert_cuts_match_int_scores(rows, *ball_group(rng, dim, top, 24))
 
 
 def test_pair_cuts_settle_copied_rows_and_the_ball_rim():
     # one group of every line of the ball sum(z ** 2) <= 50, each running to
-    # t = +-reach: the rim lines |z_0| = isqrt(50) = 7 are where the group's
-    # one bound (from its largest |z_j| and |t|) is loosest against a line's own
+    # t = +-reach, rows at the magnitude limit of its top |z_j| = 7. Rows 0 and
+    # 1 are apart by L (1/8, 0, 7/8), L = 2^K: exact ties on the rim at
+    # (7, 0, -1) and (-7, 0, 1)
     (rest, reach), = _lattice_lines(3, 50)
     assert np.abs(rest[0]).max() == 7
     lo, hi = -reach, reach
-    # near-identical siblings, apart by rounding alone; dyadic rows apart by
-    # (1/8, 0, 7/8), exact ties on the rim at (7, 0, -1) and (-7, 0, 1)
-    siblings = np.array([[0.3, 0.7, -0.1], [0.1 * 3, 0.1 * 7, 0.1 * -1]])
-    dyadic = np.array([[0.375, 0.25, 0.5], [0.25, 0.25, -0.375]])
-    for rows in (siblings, dyadic):
-        _cuts, exact = assert_cuts_match_fractions(rows, rest, lo, hi)
-        assert exact > 0
-        # a bitwise copy of row 1: the pair (1, 2) ties at every point, which
-        # row 1 wins from lo on, with nothing from integers; the pair (0, 2)
-        # repeats the pair (0, 1)
-        cuts, copied_exact = assert_cuts_match_fractions(rows[[0, 1, 1]],
-                                                          rest, lo, hi)
-        assert (cuts[2] == lo).all()
-        assert copied_exact == 2 * exact
+    limit = 2 ** agents._rounding_bits(3, 7)
+    rows = [[limit, 3, limit], [limit - limit // 8, 3, limit // 8]]
+    diff = [x - y for x, y in zip(*rows)]
+    assert sum(d * z for d, z in zip(diff, [7, 0, -1])) == 0
+    cuts = assert_cuts_match_int_scores(rows, rest, lo, hi)
+    # a copy of row 1: the pair (1, 2) ties at every point, which row 1 wins
+    # from lo on, and the pair (0, 2) repeats the pair (0, 1)
+    copied = assert_cuts_match_int_scores([rows[0], rows[1], rows[1]],
+                                          rest, lo, hi)
+    assert (copied[2] == lo).all()
+    assert (copied[1] == cuts[0]).all() and (copied[0] == cuts[0]).all()
 
 
-# near ties at d = 4 against a zero row, so D~ = D exactly: (D, the line's
-# fixed z, t), from a random search over z_j in [-60, 60], |D_j| in
-# [2^-4, 2^3] and t in [-60, -1], with the last D set to cancel the score at t
-NEAR_TIES = [
-    ([-2.6163057055507406, 0.08137700550247973, -0.09951876866999751,
-      5.778586506900772], [-55, -9, 45], -24),
-    ([0.19472150765200252, 2.3558378629103185, -0.13187304877382447,
-      3.37679851356977], [11, 56, 18], -39),
-]
+def largest_admitted_top(dim):
+    """The largest top |z_j| whose cube of (2 top + 1)^(d - 1) lines is
+    within LINE_BUDGET, for d >= 2."""
+    side = round(agents.LINE_BUDGET ** (1 / (dim - 1)))
+    while side ** (dim - 1) > agents.LINE_BUDGET:
+        side -= 1
+    while (side + 1) ** (dim - 1) <= agents.LINE_BUDGET:
+        side += 1
+    return (side - 1) // 2
 
 
-@pytest.mark.parametrize("row, line, t", NEAR_TIES)
-def test_pair_cuts_bound_settles_no_near_tie_its_floats_get_wrong(row, line, t):
-    """One line with lo = hi = t < 0 is its own group, so the group's S (from
-    its |z_j| and T = |t|) is the line's own S_t. The exact score at t is
-    0 <= g < u S_t, which a wins, while the floats propose the cut t + 1: only
-    the integer path gets this cut right. The shared bound is 12 u S here,
-    and an eighth of it, 1.5 u S, settles the wrong float cut."""
-    features = np.array([row, [0.0] * len(row)])
-    rest = np.array(line, dtype=np.float64).reshape(-1, 1)
-    lo = hi = np.array([t])
-    terms = [Fraction(x) * z for x, z in zip(row, [*line, t])]
-    s_t = sum(abs(x) for x in terms)
-    assert 0 <= sum(terms) < Fraction(agents.UNIT_ROUNDOFF) * s_t
-    cuts, exact = assert_cuts_match_fractions(features, rest, lo, hi)
-    assert cuts.tolist() == [[t]] and exact == 1
+@pytest.mark.parametrize("unit", [1, -1])
+def test_pair_cuts_divide_exactly_at_the_largest_ball(unit):
+    """The largest ball `LINE_BUDGET` admits at d = 2 (top 4,999,999, K = 27)
+    and a line at z_0 = w with |c| about 2^49.7, near the largest |c| at which
+    a cut still falls inside its line: rows whose score difference c + h t is
+    `unit` at one t, so -c/h lies 1/|h| from that integer, the closest a
+    non-integer can be, with h = 1 - 2^28, the largest odd difference of two
+    entries."""
+    top = 4_999_999
+    assert largest_admitted_top(2) == top
+    limit = 2 ** agents._rounding_bits(2, top)
+    h = 1 - 2 * limit
+    w = 3_535_526  # coprime to h, and reach(w) holds t = -c/h
+    d0 = unit * pow(w, -1, -h)  # c = d0 w = unit (mod h)
+    c = d0 * w
+    t_star = (unit - c) // h
+    assert c + h * t_star == unit and abs(c) > 2 ** 49.5
+    assert math.isqrt(top * top - w * w) >= abs(t_star)
+    first = -limit + max(d0, 0)
+    rows = [[first, -limit], [first - d0, limit - 1]]
+    rest = np.array([[float(w)]])
+    lo, hi = np.array([t_star - 3]), np.array([t_star + 3])
+    for table in (rows, rows[::-1]):
+        cuts = assert_cuts_match_int_scores(table, rest, lo, hi)
+        assert abs(int(cuts[0, 0]) - t_star) <= 1
 
 
 def test_horizon_split_rejects_zero_feature_layers(figure_formula):
@@ -987,6 +1013,76 @@ def test_epsilon_net_line_budget_holds_at_its_bound(monkeypatch):
         epsilon_net_search(toy, eps=0.1, delta=0.1)
     assert toy.feature_pairs == toy.transition_pairs == []
     assert toy.reward_samples == 0
+
+
+class LatticeReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_epsilon_net_rounding_fits_the_largest_admitted_ball(dim, monkeypatch):
+    # the smallest eps (largest ball) whose cover LINE_BUDGET admits at H = 2,
+    # by bisection: its K keeps every score below 2^52 and its rounding bound,
+    # |theta|_1 2^-(K + 1) <= sqrt(d) radius 2^-(K + 1), under the cover radius
+    small, large = 1e-6, 1.0
+    for _ in range(100):
+        mid = math.sqrt(small * large)
+        top = math.isqrt(cover_bound(mid, 2, dim))
+        if (2 * top + 1) ** (dim - 1) <= agents.LINE_BUDGET:
+            large = mid
+        else:
+            small = mid
+    eps, top = large, math.isqrt(cover_bound(large, 2, dim))
+    assert top == largest_admitted_top(dim)
+    bits = agents._rounding_bits(dim, top)
+    assert dim * 2 ** (bits + 1) * (top + 1) < 2 ** 52
+    radius = 1.0 + cover_spacing(eps, 2, dim) * math.sqrt(dim) / 2
+    assert math.sqrt(dim) * radius * 2.0 ** -(bits + 1) < cover_radius(eps, 2, dim)
+
+    # the search passes both of its refusals and goes on to the lattice
+    def reached(_dim, _bound):
+        raise LatticeReached
+
+    monkeypatch.setattr(agents, "_lattice_lines", reached)
+    toy = ToyLinearMdp(depth=2, num_actions=3, dim=dim, structure_seed=7,
+                       reward_seed=1)
+    with pytest.raises(LatticeReached):
+        epsilon_net_search(toy, eps=eps, delta=0.1)
+
+
+def test_epsilon_net_refuses_rounding_past_the_cover_radius():
+    # d = 1 takes one line at any eps, so no line budget stops a tiny eps:
+    # at eps = 1e-8, H = 2 the ball's top is 4e8, K = 22 and rounding could
+    # move a score by 2^-23, over the cover radius 2.5e-9
+    toy = _CountingToy(depth=2, num_actions=3, dim=1, structure_seed=3,
+                       reward_seed=1)
+    with pytest.raises(ResourceLimitError,
+                       match="rounded to 22 bits move a score by up to 1.19e-07"):
+        epsilon_net_search(toy, eps=1e-8, delta=0.1)
+    assert toy.feature_pairs == toy.transition_pairs == []
+    assert toy.reward_samples == 0
+
+
+@pytest.mark.parametrize("entry, refused", [
+    (1.0, False), (-1.0, False), (math.nextafter(1.0, 2.0), True), (-1.5, True),
+    (math.nan, True)])
+def test_epsilon_net_refuses_features_outside_the_unit_box(entry, refused):
+    # one entry of the root pair (0, 1), which the search reads first: a
+    # refused entry stops it after the root's feature reads, before any
+    # transition or reward sample
+    toy = _CountingToy(depth=2, num_actions=3, dim=2, structure_seed=3,
+                       reward_seed=1)
+    psi = toy._psi_sa.copy()
+    psi[1, 0] = entry
+    toy._psi_sa = psi
+    if not refused:
+        _actions, info = epsilon_net_search(toy, eps=0.4, delta=0.1)
+        assert sum(info["trajectory_counts"].values()) == info["cover_points"]
+        return
+    with pytest.raises(ParameterError, match=r"outside \[-1, 1\]"):
+        epsilon_net_search(toy, eps=0.4, delta=0.1)
+    assert toy.feature_pairs == [(0, a) for a in range(3)]
+    assert toy.transition_pairs == [] and toy.reward_samples == 0
 
 
 def test_horizon_split_rejects_non_square_horizon():
