@@ -3,10 +3,10 @@ the seeded, query-counting oracle of a SAT instance, the distance-greedy
 reference policy, the RL-to-SAT reduction driver, and the two brute-force RL
 baselines (lattice-cover policy search and the horizon-split basis algorithm).
 
-Two bottom-up passes over an enumerated game tree give values at every node
-at once: `tree_optimal_values` (V*, backward induction) and
-`tree_greedy_values` (the greedy policy's value, equal to
-`greedy_rollout_value` at each node).
+Two bottom-up passes over an enumerated game tree, or over its summary DAG
+(`mdp.summary_tree`), give values at every node at once:
+`tree_optimal_values` (V*, backward induction) and `tree_greedy_values` (the
+greedy policy's value, equal to `greedy_rollout_value` at each node).
 
 The baselines and the reduction call an oracle through these names only;
 `SatOracle` and `toys.ToyLinearMdp` both provide them:
@@ -156,7 +156,7 @@ def greedy_rollout_value(inst: MdpInstance, s: MdpState) -> float:
 
 
 def tree_optimal_values(inst: MdpInstance, states, children):
-    """Optimal values for every node of an enumerated tree in one bottom-up
+    """Optimal values for every node of a tree or summary DAG in one bottom-up
     pass (children indices always exceed the parent's): a running max of
     payout plus value over the node's distinct children. Values start at 0,
     which no payout undercuts, so a terminal, having no children, stays 0."""
@@ -168,7 +168,7 @@ def tree_optimal_values(inst: MdpInstance, states, children):
 
 
 def tree_greedy_values(inst: MdpInstance, states, children):
-    """`greedy_rollout_value` at every node of an enumerated tree in one
+    """`greedy_rollout_value` at every node of a tree or summary DAG in one
     bottom-up pass: a node is worth its greedy child's payout plus that
     child's value. A terminal, having no children, stays 0, and so does every
     node of an instance without w*."""

@@ -3,8 +3,8 @@
 Random instance generation is rejection sampling with explicit gates: the
 formula must be satisfiable, within the occurrence bound, start below the
 satisfaction threshold (so the game does not end at the first state), and
-have a game tree of at most a budget of states. That gate counts the tree's
-states with `mdp.tree_size`, once per round summary, and builds no tree.
+have a game tree of at most a budget of states. That gate walks the tree's
+summary DAG with `mdp.summary_tree`, once per round summary, and keeps none.
 Everything is deterministic in the seed.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .cnf import Formula, formula_from_ints, occurrence_bound
 from .errors import ParameterError, ResourceLimitError
-from .mdp import build_instance, initial_state, tree_size
+from .mdp import build_instance, initial_state, summary_tree
 from .reward import params_for_rounds
 
 ALL_POSITIVE_FRACTION = 0.4  # share of all-positive clauses in a random formula
@@ -43,8 +43,8 @@ def random_satisfiable_instance(seed: int, v: int, h: int, p: int = 2,
 
     Returns (instance, wstar, attempts). The start must sit strictly below the
     satisfaction threshold and the game tree must hold at most tree_budget
-    states. The gate counts them with `tree_size` and builds no tree, so a
-    caller that needs the tree enumerates it once. A tree_budget below
+    states. The gate sizes it with `summary_tree` and keeps no DAG, so a
+    caller that needs the tree or its DAG builds it. A tree_budget below
     MIN_TREE_STATES, which no instance can meet, is refused before any draw.
     """
     if v < 3:
@@ -63,7 +63,7 @@ def random_satisfiable_instance(seed: int, v: int, h: int, p: int = 2,
         inst = build_instance(f, params)
         if inst.wstar is None or initial_state(inst).is_terminal:
             continue
-        if tree_size(inst, tree_budget) is None:
+        if summary_tree(inst, tree_budget) is None:
             continue
         return inst, inst.wstar_assignment(), attempt
     raise ResourceLimitError(

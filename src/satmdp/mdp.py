@@ -20,15 +20,14 @@ index behind `features_state` are `polyfeat.greedy_value_poly`'s and
 `polyfeat.to_feature_vector`'s.
 
 At stage two actions 0 and 2 both keep the offered variable; only
-`transition` knows it, and `enumerate_reachable` lists each move once.
+`transition` knows it, and the tree walks list each move once.
 
 `transition` reads neither `step` nor `chain` when it decides a move: it only
 increments the one and hashes the other onward. So the subtree below a state,
 and its size, depend only on the state's round summary, every field but
 those two. Every round is v steps, so a summary also fixes the state's depth.
-`tree_size` sizes a tree without building it, one level at a time: a level
-maps each summary to one state and the number of states that share it, and
-each entry is expanded once.
+`summary_tree` walks a tree level by level, merging each summary's states
+into one node that counts them; the sampler and whole-tree checks read it.
 
 The instance's satisfying assignment w* is the only state a reward reads. An
 instance without one pays 0 on every transition: that is the MDP of a formula
@@ -443,33 +442,38 @@ def enumerate_reachable(inst: MdpInstance, budget: int = 500_000):
     return states, children
 
 
-def tree_size(inst: MdpInstance, budget: int) -> int | None:
-    """Number of states `enumerate_reachable(inst, budget)` would return, or
-    None where it would raise ResourceLimitError (more than `budget` states),
-    without building the tree.
-
-    It counts one level at a time (see the module docstring): each distinct
-    round summary of a level is expanded once with `transition`, and the
-    number of states sharing it is added for every child. The count stops
-    as soon as it passes `budget`, so it takes at most budget + 2
-    transitions. The tree-structure check stays in `enumerate_reachable`.
+def summary_tree(inst: MdpInstance, budget: int):
+    """The tree `enumerate_reachable(inst, budget)` would list, walked one
+    level at a time with each round summary's states merged into one node,
+    or None where it would raise ResourceLimitError. Returns (nodes,
+    children, mult): `nodes[i]` is one state of its summary, expanded once;
+    `children[i]` its distinct child nodes in action order, each above i;
+    `mult[i]` the number of tree states sharing it, so `sum(mult)` is the
+    state count. The walk stops once that count passes `budget`, within
+    budget + 2 transitions; the tree check stays in `enumerate_reachable`.
     """
-    root = initial_state(inst)
-    # enumerate_reachable checks the budget only when it adds a child, so a
-    # terminal root counts 1 at any budget
-    level = {} if root.is_terminal else {_summary(root): [root, 1]}
-    counted = 1
-    while level:
-        below = {}
-        for s, mult in level.values():
-            for child in _children(inst, s):
-                counted += mult
-                if not child.is_terminal:
-                    below.setdefault(_summary(child), [child, 0])[1] += mult
-            if counted > budget:
-                return None
-        level = below
-    return counted
+    nodes, children, mult = [initial_state(inst)], [], [1]
+    counted, level_end, below = 1, 1, {}
+    for i, s in enumerate(nodes):  # grows as the walk appends: level order
+        # a level's nodes are all listed once its first is reached: key the
+        # next level in a fresh dict, so finished levels' keys are freed
+        if i == level_end:
+            level_end, below = len(nodes), {}
+        kids = []
+        for child in [] if s.is_terminal else _children(inst, s):
+            j = below.setdefault(_summary(child), len(nodes))
+            if j == len(nodes):
+                nodes.append(child)
+                mult.append(0)
+            mult[j] += mult[i]
+            kids.append(j)
+        children.append(kids)
+        counted += len(kids) * mult[i]
+        # enumerate_reachable checks the budget only when it adds a child, so
+        # a terminal root counts 1 at any budget
+        if kids and counted > budget:
+            return None
+    return nodes, children, mult
 
 
 def _summary(s: MdpState) -> tuple:

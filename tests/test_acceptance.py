@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 1 and 2 share a pool of 50 seeded random satisfiable instances, built
-once per session in `conftest.criterion_1_pool`, whose per-state sweeps are
-computed once in a module fixture. Run with `pytest -s
+once per session in `conftest.criterion_1_pool`, whose sweeps over each
+round summary are computed once in a module fixture. Run with `pytest -s
 tests/test_acceptance.py` to see the per-criterion lines.
 """
 import time
@@ -47,6 +47,7 @@ from satmdp.mdp import (
     initial_state,
     reward_mean,
     stage_one_floor,
+    summary_tree,
     transition,
 )
 from satmdp.polyfeat import theta_vector
@@ -76,8 +77,9 @@ def report(num, name, passed, detail=""):
 def linearity_sweep(criterion_1_pool):
     """The 50 seeded random satisfiable gap-checked instances of the shared
     criterion-1 pool, v in 4..7 and h in {2,3} (p=2, q=4); greedy values,
-    DP optima, and feature/theta inner products over each full reachable
-    tree. `elapsed` counts the pool's build."""
+    DP optima, and feature/theta inner products at every round summary of
+    each whole tree (`summary_tree`'s nodes), whose multiplicities sum to
+    the tree's states. `elapsed` counts the pool's build."""
     pool, build_seconds = criterion_1_pool
     t0 = time.perf_counter()
     # claim gate: the structural inequalities hold for every parameterization
@@ -88,18 +90,19 @@ def linearity_sweep(criterion_1_pool):
     max_lin = 0.0
     max_opt = 0.0
     total_states = 0
-    for inst, states, children in pool:
+    for inst, _states, _children in pool:
         params = inst.params
         assert check_gap_promise(inst.formula, params.epsilon).kind \
             is PromiseKind.SATISFIABLE
         theta = theta_vector(inst.wstar_assignment(), params.v, params.p)
-        optimal = tree_optimal_values(inst, states, children)
-        greedy = tree_greedy_values(inst, states, children)
-        for s, opt, greedy_val in zip(states, optimal, greedy):
+        nodes, children, mult = summary_tree(inst, 20_000)
+        optimal = tree_optimal_values(inst, nodes, children)
+        greedy = tree_greedy_values(inst, nodes, children)
+        for s, opt, greedy_val in zip(nodes, optimal, greedy):
             lin_err = abs(float(features_state(inst, s) @ theta) - greedy_val)
             max_lin = max(max_lin, lin_err)
             max_opt = max(max_opt, abs(opt - greedy_val))
-        total_states += len(states)
+        total_states += sum(mult)
     elapsed = build_seconds + time.perf_counter() - t0
     return {"max_lin": max_lin, "max_opt": max_opt, "states": total_states,
             "instances": len(pool), "elapsed": elapsed}

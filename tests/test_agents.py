@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -47,11 +48,13 @@ from satmdp.mdp import (
     GAP_SATISFIED,
     MODE_SIMULATOR,
     STAGE_ONE,
+    _summary,
     build_instance,
     enumerate_reachable,
     features_state,
     initial_state,
     reward_mean,
+    summary_tree,
     transition,
 )
 from satmdp.reward import log_degree, params_for_rounds
@@ -190,6 +193,32 @@ def test_pool_values_golden(pool_trees):
     assert h.hexdigest() == POOL_VALUES_SHA256
 
 
+def test_summary_dag_agrees_with_the_tree_at_every_pool_state(pool_trees):
+    """`summary_tree`'s DAG against the enumerated tree on every criterion-1
+    tree, on the instance and on its simulator twin: read at each tree
+    state's summary, `tree_optimal_values`, `tree_greedy_values` and
+    <phi, theta(w*)> over the nodes equal their values over the tree bit for
+    bit, and each node counts the tree states of its summary."""
+    pool, _sweep = pool_trees
+    for inst, states, children in pool:
+        theta = polyfeat.theta_vector(inst.wstar_assignment(), inst.formula.v,
+                                      inst.params.p)
+        twin = build_instance(inst.formula, inst.params, mode=MODE_SIMULATOR)
+        for game in (inst, twin):
+            nodes, dag_children, mult = summary_tree(game, 20_000)
+            index = {_summary(s): i for i, s in enumerate(nodes)}
+            at = [index[_summary(s)] for s in states]
+            assert sum(mult) == len(states)
+            assert Counter(at) == dict(enumerate(mult))
+            for values in (tree_optimal_values, tree_greedy_values):
+                on_dag = values(game, nodes, dag_children)
+                assert repr([on_dag[i] for i in at]) == \
+                    repr(values(game, states, children))
+            on_dag = [float(features_state(game, s) @ theta) for s in nodes]
+            assert repr([on_dag[i] for i in at]) == \
+                repr([float(features_state(game, s) @ theta) for s in states])
+
+
 def test_value_caches_build_each_round_summary_once(pool_trees, monkeypatch):
     """A tree_sweep pass over the 16 sweep trees, from cleared caches, builds
     one terminal mean per distinct terminal round summary and one coefficient
@@ -229,10 +258,11 @@ def test_value_caches_build_each_round_summary_once(pool_trees, monkeypatch):
 
 def test_greedy_optimal_on_whole_trees_v4_to_7_p4_q2():
     """Greedy optimality in the second parameterization, q=2 and
-    p=log_degree(v), which is 4 for v 4-7: |V* - V_greedy| at every state of
-    48 whole trees (v 4-7, h 2-3, seeds 1000+k, 75,902 states), so this
-    covers whole trees, not a sample. Linearity is not checked: 2p >= v
-    here, so the features span every function of x and it holds trivially."""
+    p=log_degree(v), which is 4 for v 4-7: |V* - V_greedy| at every round
+    summary of 48 whole trees (v 4-7, h 2-3, seeds 1000+k, 75,902 states),
+    so this covers whole trees, not a sample. Linearity is not checked: 2p >=
+    v here, so the features span every function of x and it holds
+    trivially."""
     combos = [(v, h, eps) for v in (4, 5, 6, 7) for h in (2, 3)
               for eps in (0.25, 0.125)]
     worst, total = 0.0, 0
@@ -242,13 +272,31 @@ def test_greedy_optimal_on_whole_trees_v4_to_7_p4_q2():
         assert p == 4 and 2 * p >= v
         inst, _, _ = random_satisfiable_instance(
             1000 + k, v=v, h=h, p=p, q=2, epsilon=eps, tree_budget=20_000)
-        states, children = enumerate_reachable(inst, budget=20_000)
-        optimal = tree_optimal_values(inst, states, children)
-        greedy = tree_greedy_values(inst, states, children)
+        nodes, children, mult = summary_tree(inst, 20_000)
+        optimal = tree_optimal_values(inst, nodes, children)
+        greedy = tree_greedy_values(inst, nodes, children)
         worst = max(worst, max(abs(o - g) for o, g in zip(optimal, greedy)))
-        total += len(states)
+        total += sum(mult)
     assert total == 75_902
     assert worst <= 1e-9
+
+
+def test_linear_and_greedy_optimal_on_a_tree_of_over_a_million_states():
+    """Linearity and greedy optimality at every round summary of one whole
+    tree of 1,177,009 states (v=9, h=3, p=2, q=4, eps=1/8), read as the
+    136,776 nodes of its summary DAG."""
+    inst, wstar, _ = random_satisfiable_instance(
+        5010, v=9, h=3, p=2, q=4, epsilon=0.125, tree_budget=2_500_000)
+    nodes, children, mult = summary_tree(inst, 2_500_000)
+    assert (sum(mult), len(nodes)) == (1_177_009, 136_776)
+    optimal = tree_optimal_values(inst, nodes, children)
+    greedy = tree_greedy_values(inst, nodes, children)
+    theta = polyfeat.theta_vector(wstar, 9, 2)
+    max_lin = max(abs(float(features_state(inst, s) @ theta) - g)
+                  for s, g in zip(nodes, greedy))
+    max_opt = max(abs(o - g) for o, g in zip(optimal, greedy))
+    assert max_lin <= 1e-12
+    assert max_opt <= 1e-9
 
 
 @pytest.mark.parametrize("v, d, sampled", [(15, 32_647, 466),

@@ -38,8 +38,8 @@ from satmdp.mdp import (
     reward_mean,
     stage_one_floor,
     state_digest,
+    summary_tree,
     transition,
-    tree_size,
 )
 from satmdp.instances import random_satisfiable_instance, regular_planted_formula
 from satmdp.reward import expected_reward, g, params_for_rounds
@@ -173,7 +173,7 @@ def test_stored_terminal_flag_across_a_rollover_and_at_a_gap_root(
 
 def test_round_summary_is_every_field_but_step_and_chain(figure_instance,
                                                          two_round_game):
-    """`tree_size` keys a level on `_summary`, which must cover every field
+    """`summary_tree` keys a level on `_summary`, which must cover every field
     `transition` may read, the stored terminal flag among them."""
     kept = [name for name in MdpState._fields if name not in ("step", "chain")]
     states, _ = enumerate_reachable(figure_instance)
@@ -374,17 +374,22 @@ def test_enumerate_refuses_a_state_with_two_parents(monkeypatch):
     assert len(merged) == 2 and merged[0] != merged[1]
 
 
+def _size(tree):
+    """The state count of a `summary_tree` answer, None where it refused."""
+    return None if tree is None else sum(tree[2])
+
+
 def _gate_attempts(monkeypatch, draw):
-    """(instance, budget, tree_size's answer) of every size-gate attempt the
-    sampler makes while `draw` runs."""
-    attempts, real = [], instances.tree_size
+    """(instance, budget, summary_tree's state count) of every size-gate
+    attempt the sampler makes while `draw` runs."""
+    attempts, real = [], instances.summary_tree
 
     def spy(inst, budget):
-        size = real(inst, budget)
-        attempts.append((inst, budget, size))
-        return size
+        tree = real(inst, budget)
+        attempts.append((inst, budget, _size(tree)))
+        return tree
 
-    monkeypatch.setattr(instances, "tree_size", spy)
+    monkeypatch.setattr(instances, "summary_tree", spy)
     draw()
     return attempts
 
@@ -413,7 +418,7 @@ def _linearity_draws():
 # (draws, gate attempts, attempts over budget)
 @pytest.mark.parametrize("draw, n_attempts, n_refused", [
     (_criterion_1_draws, 54, 4), (_linearity_draws, 16, 0)])
-def test_tree_size_agrees_with_enumeration_on_every_gate_attempt(
+def test_summary_tree_agrees_with_enumeration_on_every_gate_attempt(
         monkeypatch, draw, n_attempts, n_refused):
     attempts = _gate_attempts(monkeypatch, draw)
     for inst, budget, size in attempts:
@@ -422,18 +427,19 @@ def test_tree_size_agrees_with_enumeration_on_every_gate_attempt(
     assert sum(size is None for _, _, size in attempts) == n_refused
 
 
-def test_tree_size_budget_is_the_state_count(criterion_1_pool):
+def test_summary_tree_budget_is_the_state_count(criterion_1_pool):
     pool, _seconds = criterion_1_pool
     for inst, states, _children in pool:
         n = len(states)
-        assert tree_size(inst, n) == tree_size(inst, 20_000) == n
-        assert tree_size(inst, n - 1) is None
+        assert _size(summary_tree(inst, n)) == n
+        assert _size(summary_tree(inst, 20_000)) == n
+        assert summary_tree(inst, n - 1) is None
     # the smallest tree, a root and its three terminal children, is in the pool
     assert min(len(states) for _, states, _ in pool) == 4
 
 
-def test_tree_size_work_is_bounded_by_its_budget(monkeypatch):
-    # a v=768 tree far over budget: the count stops within one expansion of
+def test_summary_tree_work_is_bounded_by_its_budget(monkeypatch):
+    # a v=768 tree far over budget: the walk stops within one expansion of
     # passing the budget, however deep the tree goes
     f, planted = regular_planted_formula(768, seed=7)
     inst = build_instance(
@@ -446,12 +452,12 @@ def test_tree_size_work_is_bounded_by_its_budget(monkeypatch):
         return real(inst, s, a)
 
     monkeypatch.setattr(mdp, "transition", counting_transition)
-    assert tree_size(inst, 3_000) is None
+    assert summary_tree(inst, 3_000) is None
     assert transitions[0] <= 3_000 + 2
 
 
-def test_tree_size_matches_enumeration_at_the_edges(figure_formula,
-                                                    figure_instance):
+def test_summary_tree_matches_enumeration_at_the_edges(figure_formula,
+                                                       figure_instance):
     # a start that meets the threshold: enumeration lists the terminal root
     # at any budget, since it checks the budget only when it adds a child
     params = params_for_rounds(v=5, h=2, p=2, q=2)
@@ -459,19 +465,39 @@ def test_tree_size_matches_enumeration_at_the_edges(figure_formula,
                           start=figure_instance.wstar_assignment())
     assert initial_state(done).is_terminal
     for budget in range(4):
-        assert tree_size(done, budget) == _enumerated_size(done, budget) == 1
+        assert summary_tree(done, budget) == ([initial_state(done)], [[]], [1])
+        assert _enumerated_size(done, budget) == 1
     n = len(enumerate_reachable(figure_instance)[0])
     for budget in (n, n - 1, 4):
-        assert tree_size(figure_instance, budget) == _enumerated_size(
-            figure_instance, budget)
-    assert tree_size(figure_instance, n - 1) is None
+        assert _size(summary_tree(figure_instance, budget)) == \
+            _enumerated_size(figure_instance, budget)
+    assert summary_tree(figure_instance, n - 1) is None
+
+
+def test_summary_tree_nodes_are_distinct_and_children_come_later(pool_trees):
+    """The bottom-up DPs over the DAG read each node after all its children,
+    and a node stands for one summary: every child index exceeds its
+    parent's, node summaries are distinct, and children[i] are node i's
+    moves in action order, mapped through `_summary`."""
+    pool, sweep = pool_trees
+    for inst, _states, _children in pool + sweep:
+        nodes, children, mult = summary_tree(inst, 20_000)
+        keys = [mdp._summary(s) for s in nodes]
+        assert len(set(keys)) == len(keys)
+        assert len(children) == len(mult) == len(nodes) and min(mult) >= 1
+        for i, (s, kids) in enumerate(zip(nodes, children)):
+            assert all(j > i for j in kids)
+            moves = (() if s.is_terminal
+                     else (0, 1, 2) if s.stage == STAGE_ONE else (0, 1))
+            assert [keys[j] for j in kids] == [
+                mdp._summary(transition(inst, s, a)) for a in moves]
 
 
 def test_equal_round_summaries_root_equal_subtrees(criterion_1_pool):
-    """The facts tree_size rests on: states with equal round summaries (every
-    field but `step` and `chain`) have equal clause counts, eligible masks,
-    subtree sizes, steps and terminal flags, so one level of the count holds
-    all of a summary's states."""
+    """The facts summary_tree rests on: states with equal round summaries
+    (every field but `step` and `chain`) have equal clause counts, eligible
+    masks, subtree sizes, steps and terminal flags, so one level of the walk
+    holds all of a summary's states."""
     pool, _seconds = criterion_1_pool
     shared = 0
     for _inst, states, children in pool:
