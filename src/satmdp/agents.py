@@ -637,7 +637,10 @@ def epsilon_net_search(oracle, eps: float, delta: float):
 # --- horizon-split basis algorithm ------------------------------------------------
 
 KAPPA_SAMPLES = 64  # reward samples per step of a path inside one segment
-RESIDUAL_TOL = 1e-8  # largest basis-expansion residual of a consistent system
+# largest residual of a basis expansion: every row expanded is a row of the
+# matrix its basis was selected from, so only a numerical failure of the
+# least-squares solve can exceed it
+RESIDUAL_TOL = 1e-8
 PIVOT_TOL = 1e-10  # smallest residual norm kept as a new basis direction
 
 
@@ -768,7 +771,7 @@ def horizon_split_q(oracle, eps: float, delta: float, start=None, from_level: in
         if worst > RESIDUAL_TOL:
             raise InvariantViolation(
                 f"feature expansion residual {worst:.3e} exceeds {RESIDUAL_TOL}; "
-                "inconsistent basis system")
+                "the least-squares expansion failed numerically")
         return q_values[t] @ alpha
 
     for t in range(segments - 1, -1, -1):

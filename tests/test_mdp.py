@@ -128,49 +128,6 @@ def test_initial_state_terminates_when_start_satisfies(figure_formula):
         transition(inst, s, 0)
 
 
-def _assert_terminal_flag(s):
-    terminal = s.stage in (LAST_LEVEL, GAP_SATISFIED)
-    assert s.is_terminal is terminal
-    assert s.terminal_kind == (s.stage if terminal else None)
-
-
-def test_stored_terminal_flag_on_the_pool_trees(criterion_1_pool):
-    """`is_terminal` is stored where a state is built, so it is checked
-    against the stage rule on every state of the criterion-1 pool trees."""
-    pool, _seconds = criterion_1_pool
-    kinds = set()
-    for _inst, states, _children in pool:
-        for s in states:
-            _assert_terminal_flag(s)
-            kinds.add(s.terminal_kind)
-    assert kinds == {None, LAST_LEVEL, GAP_SATISFIED}
-
-
-def test_stored_terminal_flag_across_a_rollover_and_at_a_gap_root(
-        figure_formula, figure_instance):
-    """The stored flag along a v=768 episode that crosses a round rollover
-    and ends at the last level, and at a root whose start already meets the
-    threshold."""
-    f, planted = regular_planted_formula(768, seed=7)
-    inst = build_instance(
-        f, params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6),
-        wstar=planted)
-    rng = np.random.default_rng(11)
-    s, rollovers = initial_state(inst), 0
-    _assert_terminal_flag(s)
-    while not s.is_terminal:
-        nxt = transition(inst, s, int(rng.integers(0, 3)))
-        _assert_terminal_flag(nxt)
-        rollovers += nxt.n != s.n
-        s = nxt
-    assert rollovers == 1 and s.terminal_kind == LAST_LEVEL
-    done = build_instance(figure_formula, figure_instance.params,
-                          start=figure_instance.wstar_assignment())
-    root = initial_state(done)
-    _assert_terminal_flag(root)
-    assert root.terminal_kind == GAP_SATISFIED
-
-
 def test_round_summary_is_every_field_but_step_and_chain(figure_instance,
                                                          two_round_game):
     """`summary_tree` keys a level on `_summary`, which must cover every field
@@ -208,38 +165,6 @@ def test_figure_one_walkthrough(figure_start_instance):
     assert s.n == 2 and s.round_dists == (3,)
     assert s.step == 5
     assert assignment_from_mask(s.w_round, 5) == (-1, 1, 1, 1, 1)
-
-
-def test_stage_two_actions_zero_and_two_alias(figure_start_instance):
-    inst = figure_start_instance
-    s = initial_state(inst)
-    s = transition(inst, s, 2)
-    s = transition(inst, s, 2)
-    assert s.stage == STAGE_TWO
-    assert transition(inst, s, 0) == transition(inst, s, 2)
-    assert transition(inst, s, 0) != transition(inst, s, 1)
-
-
-def test_round_accounting_and_termination_kinds(two_round_game):
-    # every completed round consumes exactly v steps; finishing round h ends
-    # the game at the last level unless the threshold fires first
-    inst = two_round_game
-    rng = np.random.default_rng(0)
-    crossings = last_level = 0
-    for _ in range(50):
-        s = initial_state(inst)
-        while not s.is_terminal:
-            prev_n = s.n
-            s = transition(inst, s, int(rng.integers(0, 3)))
-            if s.n != prev_n:
-                assert s.step == prev_n * inst.params.v
-                crossings += 1
-        assert s.terminal_kind in (LAST_LEVEL, GAP_SATISFIED)
-        if s.terminal_kind == LAST_LEVEL:
-            assert s.step == inst.params.H
-            last_level += 1
-        assert len(s.round_dists) == s.n - 1
-    assert crossings >= 1 and last_level >= 1
 
 
 def test_transitions_are_pure_and_replayable(figure_instance, two_round_game):
@@ -289,42 +214,6 @@ def test_encode_state_golden(figure_instance, two_round_game):
             s = transition(two_round_game, s, int(rng.integers(0, 3)))
             add(two_round_game, s)
     assert h.hexdigest() == ENCODING_SHA256
-
-
-def _assert_chain_rule(inst, parent, a, s):
-    """s's chain is blake2b(parent chain + 4-byte move, digest_size=16), the
-    move (2 * variable + flipped) worked out from the clause's literals."""
-    if parent.stage == STAGE_ONE:
-        var = sorted(abs(int(lit)) - 1 for lit in inst.formula.lits[parent.cursor])[a]
-        flip = True
-    else:
-        var, flip = parent.cursor, a == 1
-    assert type(s) is MdpState
-    assert s.chain == hashlib.blake2b(
-        parent.chain + (var * 2 + flip).to_bytes(4, "big"), digest_size=16).digest()
-
-
-def test_chain_rule_on_the_figure_tree_and_a_v768_episode(figure_instance):
-    """The chain rule itself, at every step: ENCODING_SHA256 pins it only at
-    v <= 15."""
-    states, children = enumerate_reachable(figure_instance)
-    assert type(states[0]) is MdpState and states[0].chain == bytes(16)
-    for parent, kids in zip(states, children):
-        # children list the actions in order; stage two's keep-alias 2 is not one
-        for a, j in enumerate(kids):
-            _assert_chain_rule(figure_instance, parent, a, states[j])
-    f, planted = regular_planted_formula(768, seed=7)
-    inst = build_instance(
-        f, params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6),
-        wstar=planted)
-    rng = np.random.default_rng(11)
-    s, steps = initial_state(inst), 0
-    while not s.is_terminal:
-        a = int(rng.integers(0, 3))
-        nxt = transition(inst, s, a)
-        _assert_chain_rule(inst, s, a, nxt)
-        s, steps = nxt, steps + 1
-    assert steps == inst.params.H
 
 
 def test_tree_property_and_digest_uniqueness():
@@ -579,19 +468,6 @@ def test_states_at_different_steps_are_distinct():
         by_encoding[key] = s
 
 
-def recount_by_clause(inst, w, free):
-    """Independent oracle, clause by clause: (satisfied count, mask of the
-    unsatisfied clauses whose variables are all free)."""
-    a = assignment_from_mask(w, inst.formula.v)
-    sat = eligible = 0
-    for ci, clause in enumerate(inst.formula.lits.tolist()):
-        if any((a[abs(x) - 1] == 1) == (x > 0) for x in clause):
-            sat += 1
-        elif all((free >> (abs(x) - 1)) & 1 for x in clause):
-            eligible |= 1 << ci
-    return sat, eligible
-
-
 def test_clause_tables_golden():
     """The engine's per-variable clause tables for the long-episode formula
     (v=768, m=1536), pinned by sha256 from the object-per-literal table pass
@@ -679,56 +555,6 @@ def test_clause_table_cache_stays_within_its_bound():
         build_instance(f, params, wstar=planted)
         assert clause_tables.cache_info().currsize <= bound
     assert clause_tables.cache_info().currsize == bound
-
-
-def test_incremental_eligibility_matches_recompute():
-    inst, _, _ = random_satisfiable_instance(37, v=6, h=2, epsilon=0.125)
-    rng = np.random.default_rng(4)
-    for _ in range(40):
-        s = initial_state(inst)
-        while not s.is_terminal:
-            assert s.eligible == recount_by_clause(inst, s.w, s.free)[1]
-            s = transition(inst, s, int(rng.integers(0, 3)))
-
-
-def test_step_recount_matches_clause_recount_across_words():
-    """v=69 (masks of several machine words), a random non-zero start, three
-    rounds, and negated literals: sat_count and eligible at every step equal
-    a clause-by-clause recount."""
-    v = 69
-    f, planted = regular_planted_formula(v, seed=5)
-    assert (f.lits < 0).any()
-    params = params_for_rounds(v=v, h=3, p=2, q=4, epsilon=1 / 64, b=6)
-    rng = np.random.default_rng(23)
-    rollovers = 0
-    for _ in range(6):
-        start = tuple(int(x) for x in rng.choice([-1, 1], size=v))
-        inst = build_instance(f, params, wstar=planted, start=start)
-        assert inst.start >> 64
-        s = initial_state(inst)
-        while True:
-            sat, eligible = recount_by_clause(inst, s.w, s.free)
-            assert s.sat_count == sat
-            assert s.eligible == (0 if s.is_terminal else eligible)
-            if s.is_terminal:
-                break
-            n = s.n
-            s = transition(inst, s, int(rng.integers(0, 3)))
-            rollovers += s.n > n
-    assert rollovers >= 6
-
-
-def test_incremental_satisfaction_matches_recount(figure_instance):
-    inst = figure_instance
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        s = initial_state(inst)
-        while not s.is_terminal:
-            expected = satisfied_count(inst.formula, assignment_from_mask(s.w, 5))
-            assert s.sat_count == expected
-            s = transition(inst, s, int(rng.integers(0, 3)))
-        assert s.sat_count == satisfied_count(inst.formula,
-                                              assignment_from_mask(s.w, 5))
 
 
 def test_exact_expected_reward_uses_extended_assignment(figure_start_instance):

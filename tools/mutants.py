@@ -1,0 +1,185 @@
+"""A catalogue of source mutants and the tests that must kill them.
+
+Each entry names a file, an exact snippet of it, the snippet's replacement,
+and either the test ids that must fail once the replacement is made or the
+reason the mutant survives. Run it from the repo root:
+
+    python tools/mutants.py
+
+Each mutant is applied to a fresh copy of the repo in a temporary directory,
+and only its listed tests run there. It is killed when every listed test
+fails on its own assertion (an error in a fixture does not count). The
+runner exits 1 if any mutant is not killed. Survivors are reported with
+their reasons and not run.
+
+The test suite does not collect this file (it is not a `test_*.py`), so it
+runs only when called. In the suite, `tests/test_mutant_catalogue.py` checks
+that every snippet occurs exactly once in its file, so a refactor that moves
+a guarded line must update its entry here.
+"""
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPY_IGNORE = shutil.ignore_patterns(
+    ".git", ".hypothesis", ".pytest_cache", ".benchmarks", "__pycache__", "out")
+TIMEOUT_S = 600  # a mutant's test run; one that hangs is not killed
+
+MDP = "src/satmdp/mdp.py"
+REF = "tests/test_reference_game.py::test_engine_matches_the_reference_"
+DAG = REF + "on_every_pool_dag_node"
+FIGURE = REF + "on_pinned_figure_cases"
+V69 = REF + "across_rollovers_to_the_last_level[69-5-3-1]"
+V768 = REF + "across_rollovers_to_the_last_level[768-7-2-64]"
+GATE = "tests/test_mdp.py::test_summary_tree_agrees_with_enumeration_on_every_gate_attempt"
+GATE_POOL = GATE + "[_criterion_1_draws-54-4]"
+GATE_LINEARITY = GATE + "[_linearity_draws-16-0]"
+WHOLE_TREES_P4 = "tests/test_agents.py::test_greedy_optimal_on_whole_trees_v4_to_7_p4_q2"
+MILLION = ("tests/test_agents.py::"
+           "test_linear_and_greedy_optimal_on_a_tree_of_over_a_million_states")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    tests: tuple = ()        # every one must fail
+    survivor: str = ""       # why no test can kill it; then `tests` is empty
+
+
+CATALOGUE = (
+    # the round rules, against the reference game
+    Mutant("highest eligible clause offered", MDP,
+           "        return STAGE_ONE, (eligible & -eligible).bit_length() - 1",
+           "        return STAGE_ONE, eligible.bit_length() - 1",
+           (DAG, FIGURE, V69, V768)),
+    Mutant("used variables left eligible", MDP,
+           "        eligible ^= eligible & inst.occ_clause_bits[var]",
+           "        pass",
+           (FIGURE, V69, V768)),
+    Mutant("highest free variable offered", MDP,
+           "    return STAGE_TWO, (free & -free).bit_length() - 1",
+           "    return STAGE_TWO, free.bit_length() - 1",
+           (DAG, FIGURE, V69, V768)),
+    Mutant("rollover keeps w_round", MDP,
+           "        n, w_round, free = n + 1, w, inst.all_mask",
+           "        n, w_round, free = n + 1, w_round, inst.all_mask",
+           (DAG, FIGURE, V69, V768)),
+    Mutant("flag False at LAST_LEVEL", MDP,
+           "        stage, cursor, eligible, terminal = LAST_LEVEL, None, 0, True",
+           "        stage, cursor, eligible, terminal = LAST_LEVEL, None, 0, False",
+           (FIGURE, V69, V768)),
+    Mutant("flag False at GAP_SATISFIED", MDP,
+           "        stage, cursor, eligible, terminal = GAP_SATISFIED, None, 0, True",
+           "        stage, cursor, eligible, terminal = GAP_SATISFIED, None, 0, False",
+           (FIGURE,)),
+    Mutant("> for >= at the threshold", MDP,
+           "    if sat >= inst.gap_threshold_count:",
+           "    if sat > inst.gap_threshold_count:",
+           (DAG, FIGURE)),
+    # the stored terminal flag
+    Mutant("initial_state leaves the flag False", MDP,
+           "                    eligible=eligible, is_terminal=terminal)",
+           "                    eligible=eligible, is_terminal=False)",
+           (FIGURE,
+            "tests/test_mdp.py::test_initial_state_terminates_when_start_satisfies")),
+    Mutant("_summary without the flag", MDP,
+           "    return s[:7] + s[9:]",
+           "    return s[:7] + s[9:11]",
+           ("tests/test_mdp.py::test_round_summary_is_every_field_but_step_and_chain",)),
+    # the summary walk
+    Mutant("budget checked at a terminal root", MDP,
+           "        if kids and counted > budget:",
+           "        if counted > budget:",
+           ("tests/test_mdp.py::test_summary_tree_matches_enumeration_at_the_edges",)),
+    Mutant("multiplicity overwritten, not added", MDP,
+           "            mult[j] += mult[i]",
+           "            mult[j] = mult[i]",
+           (GATE_POOL, GATE_LINEARITY, WHOLE_TREES_P4, MILLION)),
+    Mutant("nodes counted, not states", MDP,
+           "        counted += len(kids) * mult[i]",
+           "        counted += len(kids)",
+           (GATE_POOL, WHOLE_TREES_P4)),
+    Mutant("no summary merge", MDP,
+           "            j = below.setdefault(_summary(child), len(nodes))",
+           "            j = len(nodes)",
+           ("tests/test_mdp.py::test_summary_tree_nodes_are_distinct_and_children_come_later",
+            "tests/test_agents.py::test_summary_dag_agrees_with_the_tree_at_every_pool_state",
+            MILLION)),
+    Mutant("one summary dict for the whole walk", MDP,
+           "        if i == level_end:",
+           "        if False:",
+           survivor="memory only: a summary fixes its depth, so the nodes are "
+                    "the same; the reset frees finished levels (peak RSS "
+                    "357 -> 466 MB on a v=10 tree)"),
+    # the horizon split's residual gate
+    Mutant("residual gate opened", "src/satmdp/agents.py",
+           "RESIDUAL_TOL = 1e-8",
+           "RESIDUAL_TOL = 1e30",
+           survivor="no input reaches the gate: every row `expand` solves for "
+                    "is a row of the matrix its basis was selected from"),
+)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Replace the snippet in `root`'s copy of the file, refusing a snippet
+    that does not occur exactly once."""
+    path = root / mutant.path
+    text = path.read_text()
+    if text.count(mutant.snippet) != 1:
+        raise SystemExit(f"{mutant.name}: snippet occurs "
+                         f"{text.count(mutant.snippet)} times in {mutant.path}")
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+
+
+def failed_tests(root: Path, tests) -> set:
+    """The ids among `tests` that pytest reports FAILED when run in `root`."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             *tests], cwd=root, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        print(f"    timed out after {TIMEOUT_S} s")
+        return set()
+    prefix = "FAILED "
+    return {line[len(prefix):].split(" - ")[0]
+            for line in proc.stdout.splitlines() if line.startswith(prefix)}
+
+
+def run(mutant: Mutant) -> bool:
+    """Whether the mutant is killed by every one of its tests."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        root = Path(tmp) / "repo"
+        shutil.copytree(ROOT, root, ignore=COPY_IGNORE)
+        apply(mutant, root)
+        survived = set(mutant.tests) - failed_tests(root, mutant.tests)
+    for test in sorted(survived):
+        print(f"    not failed: {test}")
+    return not survived
+
+
+def main() -> int:
+    bad = 0
+    for mutant in CATALOGUE:
+        if mutant.survivor:
+            print(f"survivor  {mutant.name}: {mutant.survivor}")
+            continue
+        t0 = time.perf_counter()
+        killed = bool(mutant.tests) and run(mutant)
+        bad += not killed
+        print(f"{'killed' if killed else 'SURVIVED'}    {mutant.name} "
+              f"({len(mutant.tests)} tests, {time.perf_counter() - t0:.1f} s)")
+    print(f"{len(CATALOGUE)} mutants: {bad} not killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
