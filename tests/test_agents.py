@@ -47,7 +47,6 @@ from satmdp.instances import (
 from satmdp.mdp import (
     GAP_SATISFIED,
     MODE_SIMULATOR,
-    STAGE_ONE,
     _summary,
     build_instance,
     enumerate_reachable,
@@ -59,50 +58,6 @@ from satmdp.mdp import (
 )
 from satmdp.reward import log_degree, params_for_rounds
 from satmdp.toys import ToyLinearMdp
-
-
-def distinct_actions(s):
-    """Representative actions with distinct successors (stage two aliases 0 and 2)."""
-    if s.stage == STAGE_ONE:
-        return (0, 1, 2)
-    return (0, 1)
-
-
-def exact_value_dp(inst, s, node_budget: int = 2_000_000) -> float:
-    """Optimal value by exhaustive max-over-actions recursion (explicit
-    stack): the independent oracle for `tree_optimal_values`.
-
-    The terminal Bernoulli mean is credited on the transition entering the
-    terminal state; terminal states themselves are worth 0.
-    """
-    if s.is_terminal:
-        return 0.0
-    visited = 0
-    # frames: [state, actions, next action index, best value so far]; rewards
-    # are only paid on terminal-entering transitions, so interior edges add 0.
-    stack = [[s, distinct_actions(s), 0, 0.0]]
-    result = 0.0
-    while stack:
-        frame = stack[-1]
-        if frame[2] == len(frame[1]):
-            stack.pop()
-            if stack:
-                stack[-1][3] = max(stack[-1][3], frame[3])
-            else:
-                result = frame[3]
-            continue
-        a = frame[1][frame[2]]
-        frame[2] += 1
-        nxt = transition(inst, frame[0], a)
-        visited += 1
-        if visited > node_budget:
-            raise ResourceLimitError(
-                f"DP subtree exceeded node budget {node_budget}")
-        if nxt.is_terminal:
-            frame[3] = max(frame[3], reward_mean(inst, nxt))
-        else:
-            stack.append([nxt, distinct_actions(nxt), 0, 0.0])
-    return result
 
 
 def test_greedy_action_figure_root(figure_formula):
@@ -152,16 +107,6 @@ def test_greedy_reaches_target_within_one_full_round():
             assert cur.n <= start_round + 1
         else:
             assert cur.is_terminal
-
-
-def test_exact_value_dp_matches_bottom_up_and_greedy():
-    inst, _, _ = random_satisfiable_instance(43, v=5, h=2, epsilon=0.125)
-    states, children = enumerate_reachable(inst, budget=20_000)
-    bottom_up = tree_optimal_values(inst, states, children)
-    for s, expect in list(zip(states, bottom_up))[:80]:
-        assert exact_value_dp(inst, s) == pytest.approx(expect, abs=1e-12)
-    assert tree_greedy_values(inst, states, children) == pytest.approx(
-        bottom_up, abs=1e-9)
 
 
 def test_tree_greedy_values_equal_the_rollout_at_every_pool_state(pool_trees):
@@ -332,29 +277,6 @@ def test_greedy_linear_and_bellman_on_sampled_states_p6_q2(v, d, sampled):
             checked += 1
             s = transition(inst, s, next(actions))
     assert checked == sampled
-
-
-def test_exact_value_dp_unsat_and_budget(figure_instance):
-    from satmdp.gapsat import strictify
-    f = strictify(formula_from_ints(1, [[1], [-1]], strict=False))
-    params = params_for_rounds(v=f.v, h=1, p=2, q=2, b=8)
-    inst = build_instance(f, params)
-    assert inst.wstar is None
-    assert exact_value_dp(inst, initial_state(inst)) == 0.0
-    with pytest.raises(ResourceLimitError):
-        exact_value_dp(figure_instance, initial_state(figure_instance),
-                       node_budget=1)
-
-
-def test_exact_value_dp_initial_state_formula(figure_formula):
-    from satmdp.reward import g
-    params = params_for_rounds(v=5, h=2, p=2, q=2)
-    inst = build_instance(figure_formula, params)
-    wstar = inst.wstar_assignment()
-    start = (-1,) * 5
-    dist = sum(1 for a, b in zip(start, wstar) if a != b)
-    assert exact_value_dp(inst, initial_state(inst)) == pytest.approx(
-        g(1, dist, inst.params), abs=1e-12)
 
 
 def test_rollout_semantics(figure_formula):

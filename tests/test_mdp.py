@@ -24,7 +24,6 @@ from satmdp.errors import (
 )
 from satmdp.mdp import (
     GAP_SATISFIED,
-    LAST_LEVEL,
     MODE_SIMULATOR,
     STAGE_ONE,
     STAGE_TWO,
@@ -42,7 +41,7 @@ from satmdp.mdp import (
     transition,
 )
 from satmdp.instances import random_satisfiable_instance, regular_planted_formula
-from satmdp.reward import expected_reward, g, params_for_rounds
+from satmdp.reward import params_for_rounds
 
 
 @pytest.fixture
@@ -137,9 +136,10 @@ def test_round_summary_is_every_field_but_step_and_chain(figure_instance,
     rng = np.random.default_rng(0)
     s = initial_state(two_round_game)
     states.append(s)
-    while not s.is_terminal:
+    while not s.is_terminal and s.step < two_round_game.params.H:
         s = transition(two_round_game, s, int(rng.integers(0, 3)))
         states.append(s)
+    assert s.is_terminal
     for s in states:
         assert mdp._summary(s) == tuple(getattr(s, name) for name in kept)
 
@@ -557,74 +557,6 @@ def test_clause_table_cache_stays_within_its_bound():
     assert clause_tables.cache_info().currsize == bound
 
 
-def test_exact_expected_reward_uses_extended_assignment(figure_start_instance):
-    inst = figure_start_instance
-    wstar = inst.wstar_assignment()
-    s = initial_state(inst)
-    while not s.is_terminal:
-        s = transition(inst, s, __import__("satmdp.agents", fromlist=["x"])
-                       .greedy_action(inst, s))
-    # greedy run from the start: payout is the round-1 factor at the distance
-    # from the round start to the target (free coordinates corrected)
-    start = (-1, 1, -1, -1, -1)
-    dist = sum(1 for a, b in zip(start, wstar) if a != b)
-    if s.n == 1:
-        assert reward_mean(inst, s) == pytest.approx(
-            g(1, dist, inst.params), abs=1e-12)
-
-
-def test_reward_mean_zero_off_terminal_and_without_wstar(figure_formula):
-    # the same walk on a full instance and its simulator twin: 0 before the
-    # terminal, 0 at the simulator's terminal, the terminal mean at the full
-    # instance's, from the distances coordinate by coordinate
-    params = params_for_rounds(v=5, h=2, p=2, q=2)
-    full = build_instance(figure_formula, params)
-    sim = build_instance(figure_formula, params, mode=MODE_SIMULATOR)
-    s = initial_state(full)
-    while not s.is_terminal:
-        assert reward_mean(full, s) == 0.0
-        s = transition(full, s, 1)
-    assert reward_mean(sim, s) == 0.0
-    w, wstar = assignment_from_mask(s.w, 5), full.wstar_assignment()
-    within = sum(a != b for a, b in zip(assignment_from_mask(s.w_round, 5), w))
-    off = [i for i in range(5) if w[i] != wstar[i]]
-    free_d = sum(1 for i in off if (s.free >> i) & 1)
-    mean = expected_reward(s.round_dists, s.n, within, free_d,
-                           len(off) - free_d, params)
-    assert reward_mean(full, s) == mean > 0.0
-
-
-def test_extended_assignment_distance_split():
-    # hand check: ext((-1,-1,-1), S={1}) with wstar=(1,1,1) corrects var 1 only
-    f = formula_from_ints(3, [[1, 2, 3], [1, 2, -3], [1, -2, 3]])
-    params = params_for_rounds(v=3, h=1, p=2, q=2, epsilon=0.125)
-    inst = build_instance(f, params, wstar=(1, 1, 1))
-    s = initial_state(inst)
-    # walk to the last level keeping everything; all variables end used
-    while not s.is_terminal:
-        acts = {STAGE_ONE: 0, STAGE_TWO: 0}[s.stage]
-        s = transition(inst, s, acts)
-    assert s.terminal_kind in (LAST_LEVEL, GAP_SATISFIED)
-    w = assignment_from_mask(s.w, 3)
-    free = [i for i in range(3) if (s.free >> i) & 1]
-    within = sum(1 for a, b in zip(assignment_from_mask(s.w_round, 3), w) if a != b)
-    free_d = sum(1 for i in free if w[i] != 1)
-    used_d = sum(1 for i in range(3) if i not in free and w[i] != 1)
-    assert reward_mean(inst, s) == pytest.approx(
-        expected_reward(s.round_dists, s.n, within, free_d, used_d, inst.params))
-
-
-def test_sample_reward_zero_before_termination(figure_instance):
-    oracle = SatOracle(figure_instance, seed=5)
-    s = oracle.initial_state()
-    while True:
-        nxt = transition(figure_instance, s, 1)
-        if nxt.is_terminal:
-            break
-        assert oracle.sample_reward_batch(s, 1, 1) == 0
-        s = nxt
-
-
 def test_seeded_reward_replay(figure_instance):
     def sample_bits(seed):
         oracle = SatOracle(figure_instance, seed=seed)
@@ -656,46 +588,6 @@ def test_bernoulli_mean_matches_exact_reward(figure_start_instance):
     assert oracle.counters["reward"] == n
 
 
-def test_simulator_last_level_rewards_zero(figure_formula):
-    params = params_for_rounds(v=5, h=2, p=2, q=2)
-    sim = build_instance(figure_formula, params, mode=MODE_SIMULATOR)
-    oracle = SatOracle(sim, seed=1)
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        s = oracle.initial_state()
-        while not s.is_terminal:
-            a = int(rng.integers(0, 3))
-            nxt = transition(sim, s, a)
-            if nxt.is_terminal and nxt.terminal_kind == LAST_LEVEL:
-                assert oracle.sample_reward_batch(s, a, 1) == 0
-            s = nxt
-
-
-def test_simulator_pays_zero_at_gap_satisfied_terminals(figure_formula):
-    # greedy toward a satisfying assignment the simulator is never told: every
-    # episode ends gap-satisfied, where the full MDP pays and the simulator not
-    from satmdp.agents import greedy_policy
-    params = params_for_rounds(v=5, h=2, p=2, q=2)
-    start = (-1, 1, -1, -1, -1)
-    wstar = brute_force_sat(figure_formula)
-    sim = build_instance(figure_formula, params, mode=MODE_SIMULATOR, start=start)
-    full = build_instance(figure_formula, params, start=start)
-    assert sim.wstar is None
-    policy = greedy_policy(sim, wstar)
-    oracle = SatOracle(sim, seed=17)
-    ones = 0
-    for _ in range(300):
-        s = oracle.initial_state()
-        while not s.is_terminal:
-            prev, a = s, policy(s)
-            s, r = oracle.step(prev, a)
-            ones += r
-        assert s.terminal_kind == GAP_SATISFIED
-        assert reward_mean(sim, s) == 0.0 < reward_mean(full, s)
-        assert oracle.sample_reward_batch(prev, a, 1000) == 0
-    assert ones == 0
-
-
 def test_simulator_prices_gap_terminal_at_v30_zero():
     # v over the exhaustive limit and no wstar: transitions and features
     # work, and the threshold terminal is priced 0 without any solve
@@ -724,20 +616,6 @@ def test_terminal_means_are_valid_probabilities():
         for s in states:
             if s.is_terminal:
                 assert 0.0 <= reward_mean(inst, s) <= 1.0
-
-
-def test_simulator_matches_full_transitions_and_features(figure_formula):
-    params = params_for_rounds(v=5, h=2, p=2, q=2)
-    full = build_instance(figure_formula, params)
-    sim = build_instance(figure_formula, params, mode=MODE_SIMULATOR)
-    states_f, children_f = enumerate_reachable(full, budget=50_000)
-    states_s, children_s = enumerate_reachable(sim, budget=50_000)
-    assert [encode_state(full, s) for s in states_f] == \
-        [encode_state(sim, s) for s in states_s]
-    assert children_f == children_s
-    for sf, ss in zip(states_f[:200], states_s[:200]):
-        assert features_state(full, sf).tobytes() == \
-            features_state(sim, ss).tobytes()
 
 
 def test_oracle_features_sa_is_successor_features(figure_start_instance):

@@ -10,22 +10,33 @@ the checks that the engine matches it in every `MdpState` field:
 - the chain is blake2b(parent chain + (2·var + flip) as 4 big-endian bytes,
   digest_size=16), zeros at the root.
 Each state is rebuilt from one scan of `formula.lits`: no incremental table.
+
+Then the payout and tree values in `Fraction`s, which the float ones must
+match. Only entering a terminal pays, and only with w*: in round n it pays
+Π_(i≤n+1) T_p(−x_i/S_i), T_p(z) = Σ_(j≤p) z^j/j!, S_i = v^(q−1)(3 − i/h), with
+x_i round i's distance for i < n, the flips so far plus the free variables
+off w* for i = n, and the used variables off w* for i = n+1. The greedy rule
+flips the offered clause's lowest variable off w*, or the offered free
+variable iff it is off w*; backward induction gives V* = V_greedy.
 """
 import hashlib
 import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satmdp.cnf import assignment_from_mask, brute_force_sat
-from satmdp.instances import regular_planted_formula
+from conftest import POOL_COMBOS
+from satmdp.agents import tree_greedy_values, tree_optimal_values
+from satmdp.cnf import assignment_from_mask, brute_force_sat, mask_from_assignment
+from satmdp.instances import random_satisfiable_instance, regular_planted_formula
 from satmdp.mdp import (GAP_SATISFIED, LAST_LEVEL, MODE_SIMULATOR, STAGE_ONE,
                         STAGE_TWO, MdpState, _summary, build_instance,
-                        initial_state, summary_tree, transition)
+                        initial_state, reward_mean, summary_tree, transition)
 from satmdp.reward import params_for_rounds
 
 RefState = namedtuple("RefState", "n stage cursor w w_round free round_dists "
@@ -43,14 +54,28 @@ def _mask(bits):
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-class RoundGame:
-    """The round game of one formula, round count h, ε and start mask."""
+@lru_cache(maxsize=None)
+def factor(p, q, v, h, i, x):
+    """T_p(−x/S_i), with S_i = v^(q−1)(3 − i/h) = v^(q−1)(3h − i)/h."""
+    z = Fraction(-x * h, v ** (q - 1) * (3 * h - i))
+    return sum(z ** j / math.factorial(j) for j in range(p + 1))
 
-    def __init__(self, formula, h, epsilon, start=0):
-        self.v, self.h, self.start, self.all = formula.v, h, start, (1 << formula.v) - 1
+
+@lru_cache(maxsize=None)
+def mean(pqvh, xs):
+    """Π_i T_p(−x_i/S_i) over xs = (x_1, x_2, ...)."""
+    return math.prod(factor(*pqvh, i, x) for i, x in enumerate(xs, start=1))
+
+
+class RoundGame:
+    """The round game of one formula and params from a start, toward w*."""
+
+    def __init__(self, formula, params, start, wstar):
+        self.v, self.h, self.start, self.all = formula.v, params.h, start, (1 << formula.v) - 1
         self.var = np.abs(formula.lits) - 1
         self.positive = formula.lits > 0
-        self.threshold = math.floor((1 - Fraction(epsilon)) * formula.m) + 1
+        self.threshold = math.floor((1 - Fraction(params.epsilon)) * formula.m) + 1
+        self.pqvh, self.wstar = (params.p, params.q, self.v, self.h), wstar
 
     def root(self):
         return self._settle(1, self.start, self.start, self.all, (), 0, bytes(16))
@@ -84,13 +109,47 @@ class RoundGame:
         return RefState(n, stage, cursor, w, w_round, free, round_dists, step,
                         chain, sat, _mask(eligible), False)
 
+    def payout(self, s):
+        """The mean paid on entering s: 0 off the ends."""
+        if not s.is_terminal:
+            return 0
+        off = s.w ^ self.wstar
+        xs = (*s.round_dists, (s.w ^ s.w_round).bit_count() + (off & s.free).bit_count(),
+              (off & ~s.free).bit_count())
+        return mean(self.pqvh, xs)
 
-def make(formula, h, epsilon, start=0):
-    """The engine's instance and the reference game of one setting."""
+    def greedy(self, s):
+        """The action of the greedy rule toward w*."""
+        off = s.w ^ self.wstar
+        if s.stage == STAGE_ONE:
+            clause = sorted(self.var[s.cursor].tolist())
+            return [off >> var & 1 for var in clause].index(1)
+        return off >> s.cursor & 1
+
+
+def make(formula, h, epsilon, start, wstar):
+    """The engine's instance and the reference game, both toward the mask wstar."""
     params = params_for_rounds(v=formula.v, h=h, epsilon=epsilon)
-    inst = build_instance(formula, params, mode=MODE_SIMULATOR,
+    inst = build_instance(formula, params, wstar=assignment_from_mask(wstar, formula.v),
                           start=assignment_from_mask(start, formula.v))
-    return inst, RoundGame(formula, h, epsilon, start)
+    return inst, RoundGame(formula, params, start, wstar)
+
+
+def assert_close(floats, exact):
+    """Each float within 1e-12 relative of its exact value, 0.0 where it is 0."""
+    exact = np.array([float(e) for e in exact])
+    assert (np.abs(np.array(floats) - exact) <= 1e-12 * exact).all()
+
+
+def exact_values(game, nodes, children):
+    """Payout, V* and V_greedy at every node of a summary DAG, in `Fraction`s."""
+    pay, best, greedy = [game.payout(s) for s in nodes], [0] * len(nodes), [0] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        if kids := children[i]:
+            best[i] = max(pay[j] + best[j] for j in kids)
+            j = kids[game.greedy(nodes[i])]
+            greedy[i] = pay[j] + greedy[j]
+    return pay, best, greedy
 
 
 def assert_same(s, ref):
@@ -99,14 +158,15 @@ def assert_same(s, ref):
 
 
 def play(inst, game, actions, every=1):
-    """Play `actions`, cycled, on the engine and the reference side by side to
-    the end, comparing every `every`-th state and any state where a side has
-    ended. Returns the reference's (state, action) path and its last state."""
+    """Play `actions`, cycled, on the engine and the reference to the end,
+    comparing every `every`-th state, any ended state and the end's payout.
+    Returns the reference's (state, action) path and its last state."""
     s, ref, path = initial_state(inst), game.root(), []
     for a in itertools.cycle(actions):
         if s.is_terminal or ref.is_terminal or ref.step % every == 0:
             assert_same(s, ref)
         if ref.is_terminal:
+            assert_close([reward_mean(inst, s)], [game.payout(ref)])
             return path, ref
         path.append((ref, a))
         s, ref = transition(inst, s, a), game.step(ref, a)
@@ -118,7 +178,7 @@ def test_engine_matches_the_reference_on_every_pool_dag_node(criterion_1_pool):
     pool, _seconds = criterion_1_pool
     kinds = set()
     for inst, _states, _children in pool:
-        game = RoundGame(inst.formula, inst.params.h, inst.params.epsilon, inst.start)
+        game = RoundGame(inst.formula, inst.params, inst.start, inst.wstar)
         nodes, children, _mult = summary_tree(inst, 20_000)
         refs = [game.root()]
         # refs grows as the walk appends, one node ahead of it
@@ -139,23 +199,23 @@ def test_engine_matches_the_reference_on_every_pool_dag_node(criterion_1_pool):
 @given(st.data())
 def test_engine_matches_the_reference_on_random_episodes(data):
     v = 3 * data.draw(st.integers(1, 32))
-    f, _ = regular_planted_formula(v, seed=data.draw(st.integers(0, 2**16)))
+    f, planted = regular_planted_formula(v, seed=data.draw(st.integers(0, 2**16)))
     play(*make(f, data.draw(st.integers(1, 3)),
                data.draw(st.sampled_from((1 / 64, 1 / 16, 1 / 8))),
-               data.draw(st.integers(0, 2**v - 1))),
+               data.draw(st.integers(0, 2**v - 1)), mask_from_assignment(planted)),
          data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=16)))
 
 
 def test_engine_matches_the_reference_on_pinned_figure_cases(figure_formula):
     """A root that already meets the threshold, one flip that reaches the
     threshold count exactly, and stage two played with its keep alias 2."""
-    wstar = _mask(np.array(brute_force_sat(figure_formula)) == 1)
-    path, end = play(*make(figure_formula, 2, 0.25, wstar), [0])
+    wstar = mask_from_assignment(brute_force_sat(figure_formula))
+    path, end = play(*make(figure_formula, 2, 0.25, wstar, wstar), [0])
     assert path == [] and end.stage == GAP_SATISFIED
-    inst, game = make(figure_formula, 2, 0.25)
+    inst, game = make(figure_formula, 2, 0.25, 0, wstar)
     path, end = play(inst, game, [0])
     assert [len(path), end.stage, end.sat_count] == [1, GAP_SATISFIED, game.threshold]
-    path, _end = play(*make(figure_formula, 2, 0.25, start=0b00010), [2])
+    path, _end = play(*make(figure_formula, 2, 0.25, 0b00010, wstar), [2])
     assert (STAGE_TWO, 2) in [(s.stage, a) for s, a in path]
 
 
@@ -164,10 +224,59 @@ def test_engine_matches_the_reference_across_rollovers_to_the_last_level(
         v, seed, h, every):
     """Masks of several machine words, a start with bits above 64 and
     negated literals; at v=768 every 64th state and the terminal."""
-    f, _ = regular_planted_formula(v, seed=seed)
+    f, planted = regular_planted_formula(v, seed=seed)
     rng = np.random.default_rng(v)
     start = _mask(rng.integers(0, 2, size=v).astype(bool))
     assert start >> 64 and (f.lits < 0).any()
-    path, end = play(*make(f, h, 1 / 64, start),
+    path, end = play(*make(f, h, 1 / 64, start, mask_from_assignment(planted)),
                      rng.integers(0, 3, size=h * v).tolist(), every)
     assert end.stage == LAST_LEVEL and end.n == h and len(path) == h * v
+
+
+def check_tree_values(inst):
+    """V* == V_greedy at every node of inst's summary DAG, the floats within
+    1e-12 of the exact values, and all 0.0 on the twin. Returns the node count."""
+    nodes, children, _mult = summary_tree(inst, 20_000)
+    pay, best, greedy = exact_values(
+        RoundGame(inst.formula, inst.params, inst.start, inst.wstar), nodes, children)
+    assert best == greedy
+    assert_close(tree_optimal_values(inst, nodes, children), best)
+    assert_close(tree_greedy_values(inst, nodes, children), greedy)
+    assert_close([reward_mean(inst, s) for s in nodes], pay)
+    sim = build_instance(inst.formula, inst.params, mode=MODE_SIMULATOR,
+                         start=assignment_from_mask(inst.start, inst.formula.v))
+    assert {*tree_optimal_values(sim, nodes, children),
+            *tree_greedy_values(sim, nodes, children),
+            *(reward_mean(sim, s) for s in nodes)} == {0.0}
+    return len(nodes)
+
+
+def test_greedy_is_exactly_optimal_on_every_pool_dag_node(criterion_1_pool):
+    """The first parameterization, p=2 and q=4: 50 trees, 75,991 states."""
+    pool, _seconds = criterion_1_pool
+    assert sum(check_tree_values(inst) for inst, _states, _children in pool) == 33_351
+
+
+def test_greedy_is_exactly_optimal_on_the_p4_q2_trees():
+    """The second, q=2 and p=log_degree(v)=4: the 48 trees, 75,902 states, of
+    `test_greedy_optimal_on_whole_trees_v4_to_7_p4_q2`, which checks floats."""
+    trees = (random_satisfiable_instance(1000 + k, v=v, h=h, p=4, q=2, epsilon=eps,
+                                         tree_budget=20_000)[0]
+             for k, (v, h, eps) in zip(range(48), itertools.cycle(POOL_COMBOS)))
+    assert sum(map(check_tree_values, trees)) == 33_283
+
+
+def test_pinned_figure_payouts(figure_instance):
+    """All-false start, v=5, h=2, p=2, q=2: every child of the root ends
+    GAP_SATISFIED, paid more than 0 by the instance and 0 by its twin, and
+    V*(root) is the one factor T_2(−dist/S_1), S_1 = 5(3 − 1/2)."""
+    inst = figure_instance
+    sim = build_instance(inst.formula, inst.params, mode=MODE_SIMULATOR)
+    nodes, children, _mult = summary_tree(inst, 20_000)
+    _pay, best, _greedy = exact_values(
+        RoundGame(inst.formula, inst.params, inst.start, inst.wstar), nodes, children)
+    z = -Fraction((inst.start ^ inst.wstar).bit_count()) / (5 * Fraction(5, 2))
+    assert inst.start == 0 and best[0] == 1 + z + z * z / 2
+    for end in (nodes[j] for j in children[0]):
+        assert end.terminal_kind == GAP_SATISFIED
+        assert reward_mean(inst, end) > 0.0 == reward_mean(sim, end)

@@ -38,6 +38,10 @@ DAG = REF + "on_every_pool_dag_node"
 FIGURE = REF + "on_pinned_figure_cases"
 V69 = REF + "across_rollovers_to_the_last_level[69-5-3-1]"
 V768 = REF + "across_rollovers_to_the_last_level[768-7-2-64]"
+EXACT = "tests/test_reference_game.py::test_greedy_is_exactly_optimal_on_"
+EXACT_POOL = EXACT + "every_pool_dag_node"
+EXACT_P4 = EXACT + "the_p4_q2_trees"
+SUMMARY_FIELDS = "tests/test_mdp.py::test_round_summary_is_every_field_but_step_and_chain"
 GATE = "tests/test_mdp.py::test_summary_tree_agrees_with_enumeration_on_every_gate_attempt"
 GATE_POOL = GATE + "[_criterion_1_draws-54-4]"
 GATE_LINEARITY = GATE + "[_linearity_draws-16-0]"
@@ -64,7 +68,7 @@ CATALOGUE = (
     Mutant("used variables left eligible", MDP,
            "        eligible ^= eligible & inst.occ_clause_bits[var]",
            "        pass",
-           (FIGURE, V69, V768)),
+           (FIGURE, V69, V768, SUMMARY_FIELDS)),
     Mutant("highest free variable offered", MDP,
            "    return STAGE_TWO, (free & -free).bit_length() - 1",
            "    return STAGE_TWO, free.bit_length() - 1",
@@ -94,7 +98,7 @@ CATALOGUE = (
     Mutant("_summary without the flag", MDP,
            "    return s[:7] + s[9:]",
            "    return s[:7] + s[9:11]",
-           ("tests/test_mdp.py::test_round_summary_is_every_field_but_step_and_chain",)),
+           (SUMMARY_FIELDS,)),
     # the summary walk
     Mutant("budget checked at a terminal root", MDP,
            "        if kids and counted > budget:",
@@ -120,6 +124,27 @@ CATALOGUE = (
            survivor="memory only: a summary fixes its depth, so the nodes are "
                     "the same; the reset frees finished levels (peak RSS "
                     "357 -> 466 MB on a v=10 tree)"),
+    # the payout and the tree values, against the exact ones
+    Mutant("free and used disagreements swapped", MDP,
+           "free_d, used_d, inst.params)",
+           "used_d, free_d, inst.params)",
+           (EXACT_POOL, EXACT_P4, V69, V768)),
+    Mutant("current round priced at the distance to w*", MDP,
+           "hamming(nxt.w_round, nxt.w),",
+           "hamming(nxt.w_round, inst.wstar),",
+           (EXACT_POOL, EXACT_P4, V69, V768)),
+    Mutant("used disagreements priced in the current round", "src/satmdp/reward.py",
+           "    value *= g(n + 1, used_dist, params)",
+           "    value *= g(n, used_dist, params)",
+           (EXACT_POOL, EXACT_P4, V69, V768)),
+    Mutant("V* without the payout", "src/satmdp/agents.py",
+           "values[i] = max(values[i], reward_mean(inst, states[j]) + values[j])",
+           "values[i] = max(values[i], values[j])",
+           (EXACT_POOL, EXACT_P4)),
+    Mutant("V_greedy without the payout", "src/satmdp/agents.py",
+           "            values[i] = reward_mean(inst, states[j]) + values[j]",
+           "            values[i] = values[j]",
+           (EXACT_POOL, EXACT_P4)),
     # the horizon split's residual gate
     Mutant("residual gate opened", "src/satmdp/agents.py",
            "RESIDUAL_TOL = 1e-8",
