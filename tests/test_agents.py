@@ -201,49 +201,6 @@ def test_value_caches_build_each_round_summary_once(pool_trees, monkeypatch):
     assert len(symmetric_calls) == 2 * len(tables)
 
 
-def test_greedy_optimal_on_whole_trees_v4_to_7_p4_q2():
-    """Greedy optimality in the second parameterization, q=2 and
-    p=log_degree(v), which is 4 for v 4-7: |V* - V_greedy| at every round
-    summary of 48 whole trees (v 4-7, h 2-3, seeds 1000+k, 75,902 states),
-    so this covers whole trees, not a sample. Linearity is not checked: 2p >=
-    v here, so the features span every function of x and it holds
-    trivially."""
-    combos = [(v, h, eps) for v in (4, 5, 6, 7) for h in (2, 3)
-              for eps in (0.25, 0.125)]
-    worst, total = 0.0, 0
-    for k in range(48):
-        v, h, eps = combos[k % len(combos)]
-        p = log_degree(v)
-        assert p == 4 and 2 * p >= v
-        inst, _, _ = random_satisfiable_instance(
-            1000 + k, v=v, h=h, p=p, q=2, epsilon=eps, tree_budget=20_000)
-        nodes, children, mult = summary_tree(inst, 20_000)
-        optimal = tree_optimal_values(inst, nodes, children)
-        greedy = tree_greedy_values(inst, nodes, children)
-        worst = max(worst, max(abs(o - g) for o, g in zip(optimal, greedy)))
-        total += sum(mult)
-    assert total == 75_902
-    assert worst <= 1e-9
-
-
-def test_linear_and_greedy_optimal_on_a_tree_of_over_a_million_states():
-    """Linearity and greedy optimality at every round summary of one whole
-    tree of 1,177,009 states (v=9, h=3, p=2, q=4, eps=1/8), read as the
-    136,776 nodes of its summary DAG."""
-    inst, wstar, _ = random_satisfiable_instance(
-        5010, v=9, h=3, p=2, q=4, epsilon=0.125, tree_budget=2_500_000)
-    nodes, children, mult = summary_tree(inst, 2_500_000)
-    assert (sum(mult), len(nodes)) == (1_177_009, 136_776)
-    optimal = tree_optimal_values(inst, nodes, children)
-    greedy = tree_greedy_values(inst, nodes, children)
-    theta = polyfeat.theta_vector(wstar, 9, 2)
-    max_lin = max(abs(float(features_state(inst, s) @ theta) - g)
-                  for s, g in zip(nodes, greedy))
-    max_opt = max(abs(o - g) for o, g in zip(optimal, greedy))
-    assert max_lin <= 1e-12
-    assert max_opt <= 1e-9
-
-
 @pytest.mark.parametrize("v, d, sampled", [(15, 32_647, 466),
                                             (18, 249_528, 326)])
 def test_greedy_linear_and_bellman_on_sampled_states_p6_q2(v, d, sampled):

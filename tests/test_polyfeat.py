@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 
 from satmdp import polyfeat
-from satmdp.cnf import assignment_from_mask, hamming
+from satmdp.cnf import (
+    assignment_from_mask,
+    brute_force_sat,
+    formula_from_ints,
+    hamming,
+    satisfied_count,
+)
 from satmdp.errors import ResourceLimitError
-from satmdp.agents import greedy_rollout_value, random_actions, tree_greedy_values
+from satmdp.agents import greedy_rollout_value, random_actions
 from satmdp.mdp import (
     build_instance,
     enumerate_reachable,
@@ -201,18 +207,6 @@ def test_theta_vector_entries():
     assert len(theta) == feature_dim(4, 1)
 
 
-def test_greedy_value_poly_matches_reward_at_wstar():
-    inst, wstar, _ = random_satisfiable_instance(11, v=5, h=2, epsilon=0.125)
-    theta = theta_vector(wstar, 5, inst.params.p)
-    states, children = enumerate_reachable(inst, budget=10_000)
-    greedy = tree_greedy_values(inst, states, children)
-    for s, value in zip(states, greedy):
-        if s.is_terminal:
-            continue
-        psi = to_feature_vector(greedy_value_poly(s, inst.params), 5)
-        assert psi @ theta == pytest.approx(value, abs=1e-9)
-
-
 def test_greedy_value_poly_terminal_equals_exact_reward():
     # at a terminal state the polynomial evaluates to the entering payout
     inst, wstar, _ = random_satisfiable_instance(13, v=5, h=2, epsilon=0.125)
@@ -280,11 +274,9 @@ def test_features_golden_at_p6_with_uint16_cells():
 
 def test_features_never_read_wstar():
     # same formula, two different satisfying assignments: identical features
-    from satmdp.cnf import brute_force_sat, formula_from_ints, satisfied_count
     f = formula_from_ints(4, [[1, 2, 3], [2, 3, 4], [-1, 2, 4], [1, -3, 4]])
     first = brute_force_sat(f)
     others = []
-    import itertools
     for a in itertools.product((-1, 1), repeat=4):
         if satisfied_count(f, a) == f.m and a != first:
             others.append(a)
@@ -296,7 +288,6 @@ def test_features_never_read_wstar():
     for s in states:
         assert features_state(inst1, s).tobytes() == \
             features_state(inst2, s).tobytes()
-
 
 
 def test_terms_count_the_nonzero_features(pool_trees):

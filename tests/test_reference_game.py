@@ -11,13 +11,18 @@ the checks that the engine matches it in every `MdpState` field:
   digest_size=16), zeros at the root.
 Each state is rebuilt from one scan of `formula.lits`: no incremental table.
 
-Then the payout and tree values in `Fraction`s, which the float ones must
-match. Only entering a terminal pays, and only with w*: in round n it pays
+Then the payout and tree values, exact, which the float ones must match.
+Only entering a terminal pays, and only with w*: in round n it pays
 Π_(i≤n+1) T_p(−x_i/S_i), T_p(z) = Σ_(j≤p) z^j/j!, S_i = v^(q−1)(3 − i/h), with
 x_i round i's distance for i < n, the flips so far plus the free variables
-off w* for i = n, and the used variables off w* for i = n+1. The greedy rule
-flips the offered clause's lowest variable off w*, or the offered free
-variable iff it is off w*; backward induction gives V* = V_greedy.
+off w* for i = n, and the used variables off w* for i = n+1: a `Fraction`.
+The greedy rule flips the offered clause's lowest variable off w*, or the
+offered free variable iff it is off w*. Backward induction, in integers over
+the payouts' common denominator, gives V* and V_greedy; the paper's two
+claims are V* = V_greedy and V_greedy(s) = ⟨φ(s), θ(w*)⟩, with θ(w*) the
+products Π_(i∈S) w*_i over `itertools.combinations`. `check_tree_values`
+asserts both at every summary-DAG node of three tree sets: the criterion-1
+pool (p=2, q=4), 48 trees at p=4, q=2, and one tree of 1,177,009 states.
 """
 import hashlib
 import itertools
@@ -36,7 +41,8 @@ from satmdp.cnf import assignment_from_mask, brute_force_sat, mask_from_assignme
 from satmdp.instances import random_satisfiable_instance, regular_planted_formula
 from satmdp.mdp import (GAP_SATISFIED, LAST_LEVEL, MODE_SIMULATOR, STAGE_ONE,
                         STAGE_TWO, MdpState, _summary, build_instance,
-                        initial_state, reward_mean, summary_tree, transition)
+                        features_state, initial_state, reward_mean,
+                        summary_tree, transition)
 from satmdp.reward import params_for_rounds
 
 RefState = namedtuple("RefState", "n stage cursor w w_round free round_dists "
@@ -135,21 +141,26 @@ def make(formula, h, epsilon, start, wstar):
     return inst, RoundGame(formula, params, start, wstar)
 
 
-def assert_close(floats, exact):
-    """Each float within 1e-12 relative of its exact value, 0.0 where it is 0."""
-    exact = np.array([float(e) for e in exact])
+def assert_close(floats, exact, den=1):
+    """Each float within 1e-12 relative of its exact value over den, 0.0
+    where it is 0."""
+    exact = np.array([float(e / den) for e in exact])
     assert (np.abs(np.array(floats) - exact) <= 1e-12 * exact).all()
 
 
 def exact_values(game, nodes, children):
-    """Payout, V* and V_greedy at every node of a summary DAG, in `Fraction`s."""
-    pay, best, greedy = [game.payout(s) for s in nodes], [0] * len(nodes), [0] * len(nodes)
+    """Payout, V* and V_greedy at every node of a summary DAG, exactly: as
+    integers over one common denominator, which comes last."""
+    pay = [game.payout(s) for s in nodes]
+    den = math.lcm(*{x.denominator for x in pay})
+    pay = [x.numerator * (den // x.denominator) for x in pay]
+    best, greedy = [0] * len(nodes), [0] * len(nodes)
     for i in range(len(nodes) - 1, -1, -1):
         if kids := children[i]:
             best[i] = max(pay[j] + best[j] for j in kids)
             j = kids[game.greedy(nodes[i])]
             greedy[i] = pay[j] + greedy[j]
-    return pay, best, greedy
+    return pay, best, greedy, den
 
 
 def assert_same(s, ref):
@@ -233,37 +244,64 @@ def test_engine_matches_the_reference_across_rollovers_to_the_last_level(
     assert end.stage == LAST_LEVEL and end.n == h and len(path) == h * v
 
 
-def check_tree_values(inst):
-    """V* == V_greedy at every node of inst's summary DAG, the floats within
-    1e-12 of the exact values, and all 0.0 on the twin. Returns the node count."""
-    nodes, children, _mult = summary_tree(inst, 20_000)
-    pay, best, greedy = exact_values(
-        RoundGame(inst.formula, inst.params, inst.start, inst.wstar), nodes, children)
-    assert best == greedy
-    assert_close(tree_optimal_values(inst, nodes, children), best)
-    assert_close(tree_greedy_values(inst, nodes, children), greedy)
-    assert_close([reward_mean(inst, s) for s in nodes], pay)
-    sim = build_instance(inst.formula, inst.params, mode=MODE_SIMULATOR,
-                         start=assignment_from_mask(inst.start, inst.formula.v))
-    assert {*tree_optimal_values(sim, nodes, children),
-            *tree_greedy_values(sim, nodes, children),
-            *(reward_mean(sim, s) for s in nodes)} == {0.0}
-    return len(nodes)
+def theta(wstar, v, p):
+    """θ(w*): Π_(i∈S) w*_i, −1 per variable of S off the mask wstar, over the
+    subsets S of size ≤ 2p, size ascending and lexicographic within a size."""
+    return np.array([(-1.0) ** sum(~wstar >> i & 1 for i in S)
+                     for size in range(min(2 * p, v) + 1)
+                     for S in itertools.combinations(range(v), size)])
+
+
+def check_tree_values(insts, budget, counts):
+    """Both claims on the summary DAGs of insts within budget, once their
+    (nodes, states) totals are pinned to counts, so a wrong walk fails
+    before the exact work: V* == V_greedy exactly at every node; the float
+    tree values, `reward_mean` and `features_state @ θ(w*)` within 1e-12
+    relative of the exact ones; and all 0.0 on the w*-less twin."""
+    dags = [summary_tree(inst, budget) for inst in insts]
+    assert (sum(len(nodes) for nodes, _children, _mult in dags),
+            sum(sum(mult) for _nodes, _children, mult in dags)) == counts
+    for inst, (nodes, children, _mult) in zip(insts, dags):
+        pay, best, greedy, den = exact_values(
+            RoundGame(inst.formula, inst.params, inst.start, inst.wstar), nodes, children)
+        assert best == greedy
+        assert_close(tree_optimal_values(inst, nodes, children), best, den)
+        assert_close(tree_greedy_values(inst, nodes, children), greedy, den)
+        assert_close([reward_mean(inst, s) for s in nodes], pay, den)
+        th = theta(inst.wstar, inst.formula.v, inst.params.p)
+        assert_close([features_state(inst, s) @ th for s in nodes], greedy, den)
+        sim = build_instance(inst.formula, inst.params, mode=MODE_SIMULATOR,
+                             start=assignment_from_mask(inst.start, inst.formula.v))
+        assert {*tree_optimal_values(sim, nodes, children),
+                *tree_greedy_values(sim, nodes, children),
+                *(reward_mean(sim, s) for s in nodes)} == {0.0}
 
 
 def test_greedy_is_exactly_optimal_on_every_pool_dag_node(criterion_1_pool):
-    """The first parameterization, p=2 and q=4: 50 trees, 75,991 states."""
+    """The first parameterization, p=2 and q=4: the 50 trees of the pool."""
     pool, _seconds = criterion_1_pool
-    assert sum(check_tree_values(inst) for inst, _states, _children in pool) == 33_351
+    check_tree_values([inst for inst, _states, _children in pool], 20_000,
+                      (33_351, 75_991))
 
 
 def test_greedy_is_exactly_optimal_on_the_p4_q2_trees():
-    """The second, q=2 and p=log_degree(v)=4: the 48 trees, 75,902 states, of
-    `test_greedy_optimal_on_whole_trees_v4_to_7_p4_q2`, which checks floats."""
-    trees = (random_satisfiable_instance(1000 + k, v=v, h=h, p=4, q=2, epsilon=eps,
-                                         tree_budget=20_000)[0]
-             for k, (v, h, eps) in zip(range(48), itertools.cycle(POOL_COMBOS)))
-    assert sum(map(check_tree_values, trees)) == 33_283
+    """The second, q=2 and p=log_degree(v)=4: 48 trees of the pool's
+    (v, h, eps) cycle, seeds 1000+k. Here 2p >= v, so the features span
+    every function of x; this is the only whole-tree linearity check whose
+    feature cells are uint16."""
+    check_tree_values(
+        [random_satisfiable_instance(1000 + k, v=v, h=h, p=4, q=2, epsilon=eps,
+                                     tree_budget=20_000)[0]
+         for k, (v, h, eps) in zip(range(48), itertools.cycle(POOL_COMBOS))],
+        20_000, (33_283, 75_902))
+
+
+def test_greedy_is_exactly_optimal_on_a_tree_of_over_a_million_states():
+    """One whole tree, v=9, h=3, p=2, q=4, eps=1/8, read as its summary
+    DAG: where 2p < v, so the features do not span every function of x."""
+    inst, _wstar, _attempts = random_satisfiable_instance(
+        5010, v=9, h=3, p=2, q=4, epsilon=0.125, tree_budget=2_500_000)
+    check_tree_values([inst], 2_500_000, (136_776, 1_177_009))
 
 
 def test_pinned_figure_payouts(figure_instance):
@@ -273,10 +311,10 @@ def test_pinned_figure_payouts(figure_instance):
     inst = figure_instance
     sim = build_instance(inst.formula, inst.params, mode=MODE_SIMULATOR)
     nodes, children, _mult = summary_tree(inst, 20_000)
-    _pay, best, _greedy = exact_values(
+    _pay, best, _greedy, den = exact_values(
         RoundGame(inst.formula, inst.params, inst.start, inst.wstar), nodes, children)
     z = -Fraction((inst.start ^ inst.wstar).bit_count()) / (5 * Fraction(5, 2))
-    assert inst.start == 0 and best[0] == 1 + z + z * z / 2
+    assert inst.start == 0 and Fraction(best[0], den) == 1 + z + z * z / 2
     for end in (nodes[j] for j in children[0]):
         assert end.terminal_kind == GAP_SATISFIED
         assert reward_mean(inst, end) > 0.0 == reward_mean(sim, end)

@@ -8,7 +8,9 @@ reason the mutant survives. Run it from the repo root:
 
 Each mutant is applied to a fresh copy of the repo in a temporary directory,
 and only its listed tests run there. It is killed when every listed test
-fails on its own assertion (an error in a fixture does not count). The
+fails on its own assertion (an error in a fixture does not count). When
+pytest runs none of them (a misspelt id, a collection error), the runner
+prints pytest's error line and counts the mutant as not killed. The
 runner exits 1 if any mutant is not killed. Survivors are reported with
 their reasons and not run.
 
@@ -33,6 +35,7 @@ COPY_IGNORE = shutil.ignore_patterns(
 TIMEOUT_S = 600  # a mutant's test run; one that hangs is not killed
 
 MDP = "src/satmdp/mdp.py"
+AGENTS = "src/satmdp/agents.py"
 REF = "tests/test_reference_game.py::test_engine_matches_the_reference_"
 DAG = REF + "on_every_pool_dag_node"
 FIGURE = REF + "on_pinned_figure_cases"
@@ -41,13 +44,20 @@ V768 = REF + "across_rollovers_to_the_last_level[768-7-2-64]"
 EXACT = "tests/test_reference_game.py::test_greedy_is_exactly_optimal_on_"
 EXACT_POOL = EXACT + "every_pool_dag_node"
 EXACT_P4 = EXACT + "the_p4_q2_trees"
+EXACT_V9 = EXACT + "a_tree_of_over_a_million_states"
 SUMMARY_FIELDS = "tests/test_mdp.py::test_round_summary_is_every_field_but_step_and_chain"
 GATE = "tests/test_mdp.py::test_summary_tree_agrees_with_enumeration_on_every_gate_attempt"
 GATE_POOL = GATE + "[_criterion_1_draws-54-4]"
 GATE_LINEARITY = GATE + "[_linearity_draws-16-0]"
-WHOLE_TREES_P4 = "tests/test_agents.py::test_greedy_optimal_on_whole_trees_v4_to_7_p4_q2"
-MILLION = ("tests/test_agents.py::"
-           "test_linear_and_greedy_optimal_on_a_tree_of_over_a_million_states")
+NET = "tests/test_agents.py::test_epsilon_net_"
+NET_GOLDEN_H4 = NET + "counts_golden[spec1-81173-counts1]"
+NET_EXACT = tuple(NET + f"decides_each_point_exactly[{d}]" for d in (2, 3, 4))
+NET_ROUNDING = tuple(NET + f"rounding_fits_the_largest_admitted_ball[{d}]"
+                     for d in (2, 3, 4))
+NET_REFUSES_SLIP = NET + "refuses_rounding_past_the_cover_radius"
+CUTS = "tests/test_agents.py::test_pair_cuts_"
+CUTS_EXACT = tuple(CUTS + f"match_exact_scores[{seed}]" for seed in range(4))
+CUTS_RIM = CUTS + "settle_copied_rows_and_the_ball_rim"
 
 
 class Mutant(NamedTuple):
@@ -107,17 +117,17 @@ CATALOGUE = (
     Mutant("multiplicity overwritten, not added", MDP,
            "            mult[j] += mult[i]",
            "            mult[j] = mult[i]",
-           (GATE_POOL, GATE_LINEARITY, WHOLE_TREES_P4, MILLION)),
+           (GATE_POOL, GATE_LINEARITY, EXACT_P4, EXACT_V9)),
     Mutant("nodes counted, not states", MDP,
            "        counted += len(kids) * mult[i]",
            "        counted += len(kids)",
-           (GATE_POOL, WHOLE_TREES_P4)),
+           (GATE_POOL, EXACT_P4)),
     Mutant("no summary merge", MDP,
            "            j = below.setdefault(_summary(child), len(nodes))",
            "            j = len(nodes)",
            ("tests/test_mdp.py::test_summary_tree_nodes_are_distinct_and_children_come_later",
             "tests/test_agents.py::test_summary_dag_agrees_with_the_tree_at_every_pool_state",
-            MILLION)),
+            EXACT_V9)),
     Mutant("one summary dict for the whole walk", MDP,
            "        if i == level_end:",
            "        if False:",
@@ -137,16 +147,52 @@ CATALOGUE = (
            "    value *= g(n + 1, used_dist, params)",
            "    value *= g(n, used_dist, params)",
            (EXACT_POOL, EXACT_P4, V69, V768)),
-    Mutant("V* without the payout", "src/satmdp/agents.py",
+    Mutant("V* without the payout", AGENTS,
            "values[i] = max(values[i], reward_mean(inst, states[j]) + values[j])",
            "values[i] = max(values[i], values[j])",
            (EXACT_POOL, EXACT_P4)),
-    Mutant("V_greedy without the payout", "src/satmdp/agents.py",
+    Mutant("V_greedy without the payout", AGENTS,
            "            values[i] = reward_mean(inst, states[j]) + values[j]",
            "            values[i] = values[j]",
            (EXACT_POOL, EXACT_P4)),
+    # the features, against θ(w*) and the exact greedy values
+    Mutant("signed table's negative half written unsigned", "src/satmdp/polyfeat.py",
+           "    signed[sign:sign + coef.size] = 0.0 - coef.ravel()",
+           "    signed[sign:sign + coef.size] = coef.ravel()",
+           (EXACT_POOL, EXACT_P4, EXACT_V9,
+            "tests/test_acceptance.py::test_criterion_1_linearity")),
+    # the epsilon-net's cuts on integer-rounded features
+    Mutant("features not rounded", AGENTS,
+           "        return np.rint(feats * scale)",
+           "        return feats",
+           (NET_GOLDEN_H4, *NET_EXACT)),
+    Mutant("K one bit past the limit", AGENTS,
+           "    return 51 - (dim * (top + 1)).bit_length()",
+           "    return 52 - (dim * (top + 1)).bit_length()",
+           (*NET_ROUNDING, NET_REFUSES_SLIP)),
+    Mutant("c > 0 for c >= 0 at h = 0", AGENTS,
+           "            cuts[p] = np.where(c >= 0, lo, top)",
+           "            cuts[p] = np.where(c > 0, lo, top)",
+           (*CUTS_EXACT, CUTS_RIM, NET_GOLDEN_H4, NET + "counts_its_work[spec1-work1]",
+            *NET_EXACT)),
+    Mutant("floor for ceil at h > 0", AGENTS,
+           "            np.ceil(t, out=t)",
+           "            np.floor(t, out=t)",
+           (*CUTS_EXACT, CUTS_RIM, CUTS + "divide_exactly_at_the_largest_ball[1]",
+            CUTS + "divide_exactly_at_the_largest_ball[-1]",
+            NET + "counts_golden[spec0-45765-counts0]", NET_GOLDEN_H4,
+            NET + "counts_golden[spec2-7394773-counts2]")),
+    Mutant("the |psi_j| <= 1 refusal removed", AGENTS,
+           "        if not (np.abs(feats) <= 1).all():",
+           "        if False:",
+           tuple(NET + f"refuses_features_outside_the_unit_box[{x}-True]"
+                 for x in ("1.0000000000000002", "-1.5", "nan"))),
+    Mutant("the rounding-bound refusal removed", AGENTS,
+           "    if slip >= cover:",
+           "    if False:",
+           (NET_REFUSES_SLIP,)),
     # the horizon split's residual gate
-    Mutant("residual gate opened", "src/satmdp/agents.py",
+    Mutant("residual gate opened", AGENTS,
            "RESIDUAL_TOL = 1e-8",
            "RESIDUAL_TOL = 1e30",
            survivor="no input reaches the gate: every row `expand` solves for "
@@ -165,8 +211,10 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.snippet, mutant.replacement))
 
 
-def failed_tests(root: Path, tests) -> set:
-    """The ids among `tests` that pytest reports FAILED when run in `root`."""
+def failed_tests(root: Path, tests) -> set | None:
+    """The ids among `tests` that pytest reports FAILED when run in `root`,
+    or None when it ran none of them: a test id not found, or a collection
+    error. Exit codes 0 and 1 mean the tests ran."""
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
@@ -174,6 +222,12 @@ def failed_tests(root: Path, tests) -> set:
     except subprocess.TimeoutExpired:
         print(f"    timed out after {TIMEOUT_S} s")
         return set()
+    if proc.returncode not in (0, 1):
+        lines = (proc.stdout + proc.stderr).splitlines()
+        error = next((line for line in lines if line.startswith("ERROR")),
+                     f"pytest exit code {proc.returncode}")
+        print(f"    tests did not run: {error}")
+        return None
     prefix = "FAILED "
     return {line[len(prefix):].split(" - ")[0]
             for line in proc.stdout.splitlines() if line.startswith(prefix)}
@@ -185,7 +239,10 @@ def run(mutant: Mutant) -> bool:
         root = Path(tmp) / "repo"
         shutil.copytree(ROOT, root, ignore=COPY_IGNORE)
         apply(mutant, root)
-        survived = set(mutant.tests) - failed_tests(root, mutant.tests)
+        failed = failed_tests(root, mutant.tests)
+    if failed is None:
+        return False
+    survived = set(mutant.tests) - failed
     for test in sorted(survived):
         print(f"    not failed: {test}")
     return not survived
