@@ -16,8 +16,9 @@ their reasons and not run.
 
 The test suite does not collect this file (it is not a `test_*.py`), so it
 runs only when called. In the suite, `tests/test_mutant_catalogue.py` checks
-that every snippet occurs exactly once in its file, so a refactor that moves
-a guarded line must update its entry here.
+that every snippet occurs exactly once in its file and that pytest collects
+every listed test id, so a refactor that moves a guarded line or renames a
+killing test must update its entry here.
 """
 from __future__ import annotations
 
@@ -191,6 +192,13 @@ CATALOGUE = (
            "    if slip >= cover:",
            "    if False:",
            (NET_REFUSES_SLIP,)),
+    # the toy's planting, against its memory bound: the planted bytes do not
+    # move, so `test_planted_golden` passes on it
+    Mutant("full draw kept alive through planting", "src/satmdp/toys.py",
+           "    raw = struct.normal(size=(internal, 1 + k, dim))[:, 1:].reshape(-1, dim)",
+           "    draw = struct.normal(size=(internal, 1 + k, dim))\n"
+           "    raw = draw[:, 1:].reshape(-1, dim)",
+           ("tests/test_toys.py::test_planting_holds_no_full_size_temporary",)),
     # the horizon split's residual gate
     Mutant("residual gate opened", AGENTS,
            "RESIDUAL_TOL = 1e-8",
