@@ -3,9 +3,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice, product
+from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from satmdp import agents, polyfeat, reward
 from satmdp.agents import (
@@ -385,11 +387,7 @@ def _sha256(obj) -> str:
 
 
 # sha256 of the repr of the runs below: any change in the queries made, their
-# order or the Philox draws behind them moves it. Recorded when the random
-# learner stopped returning its last episode for a_sat to walk again, after
-# an old-vs-new dump of the whole criterion-6 pool and both v=768 seeds that
-# differed only in the random runs' transitions, each by that episode's
-# length + 1
+# order or the Philox draws behind them moves it
 A_SAT_GOLDEN = "f20a9e830995579f17235c806cde3e6f89c632999958c14c989dee78012af7a9"
 
 
@@ -543,23 +541,10 @@ def test_epsilon_net_zero_reward_mdp():
     assert info["best_estimate"] == 0.0
 
 
-def test_epsilon_net_finds_planted_policy():
-    toy = ToyLinearMdp(depth=3, num_actions=3, dim=2, structure_seed=5,
-                       reward_seed=21)
-    actions, info = epsilon_net_search(toy, eps=0.1, delta=0.1)
-    assert toy.policy_value(actions) >= toy.v_star() - 0.1
-    assert info["unique_policies"] <= 27
-
-
-# cover_points and trajectory_counts of the three criterion-8 specs at
-# eps = delta = 0.1; the features depend only on structure_seed, so any reward
-# seed gives the same counts. Each point's trajectory is decided exactly on the
-# rounded features: `exact_walk`, too slow at this eps for every run,
-# reproduces both d = 2 specs. In the H = 4 spec, actions 1 and 2 at state 24
-# (path (1, 0, 2)) are twin siblings, both Q* = 0.25: their doubles differ by
-# (-2^-53, 2^-54), rounding residue alone, and their rows rounded to 2^-42 are
-# equal, so the lower action takes all 6,995 points, which the doubles gave
-# to (1, 0, 2, 2)
+# the trajectory counts of the three criterion-8 searches at eps = delta = 0.1
+# and reward seed 1; the features depend only on structure_seed, so any reward
+# seed gives the same counts. The reference epsilon-net re-derives the two
+# d = 2 rows; no point-by-point walk reaches the d = 3 spec's 7,394,773 points
 EPSILON_NET_GOLDEN = [
     (dict(depth=3, num_actions=3, dim=2, structure_seed=5), 45_765,
      {(0, 0, 0): 1, (0, 0, 1): 12_213, (0, 0, 2): 1_383, (0, 2, 0): 428,
@@ -615,16 +600,20 @@ def test_epsilon_net_counts_its_work(spec, work):
 def test_epsilon_net_takes_each_transition_once(spec):
     """The rollouts sample rewards along the edges the search walked, so the
     oracle is asked each (state, action) transition once, and `info` counts
-    what it was asked."""
+    the transitions, feature calls and reward samples it was asked."""
     toy = _CountingToy(reward_seed=1, **spec)
     _actions, info = epsilon_net_search(toy, eps=0.1, delta=0.1)
     asked = toy.transition_pairs
     assert len(set(asked)) == len(asked) == info["transitions"]
+    assert len(toy.feature_pairs) == info["feature_calls"]
+    assert toy.reward_samples == info["reward_samples"]
 
 
 def cover_bound(eps, horizon, dim):
-    """The integer ball bound B of the epsilon-net cover: floor((R / s)^2)."""
-    spacing = cover_spacing(eps, horizon, dim)
+    """The integer ball bound B of the epsilon-net cover, floor((R / s)^2):
+    the cover radius eps / (2 H sqrt(d)), the spacing s = radius / sqrt(d)
+    and the ball radius R = 1 + s sqrt(d) / 2."""
+    spacing = eps / (2 * horizon * math.sqrt(dim)) / math.sqrt(dim)
     radius = 1.0 + spacing * math.sqrt(dim) / 2
     return math.floor((radius / spacing) ** 2)
 
@@ -681,73 +670,87 @@ def test_lattice_lines_come_in_chunks_of_whole_slabs(dim, eps, horizon, lines,
     assert (len(chunks) > 1) == (lines > agents.LINE_CHUNK)
 
 
-def integer_table(rows, bits):
-    """Features rounded to integer multiples of 2^-bits, as Python ints
-    through Fractions (round half to even, as np.rint): the exact scores of
-    the reference walks."""
-    return [[round(Fraction(x) * 2 ** bits) for x in row]
-            for row in np.asarray(rows).tolist()]
-
-
-def exact_walk(toy, eps):
-    """cover_points and trajectory_counts from every point of the ball on its
-    own: at each state the lowest action with the largest exact score
-    <features_sa(s, a), z>, over the search's rounded features as integer
-    tables."""
-    bound = cover_bound(eps, toy.horizon, toy.dim)
-    bits = agents._rounding_bits(toy.dim, math.isqrt(bound))
-    tables, counts = {}, {}
-    points = brute_ball(toy.dim, bound).tolist()
+def reference_epsilon_net(toy, eps, delta):
+    """`epsilon_net_search` from its definition, one point of `brute_ball`'s
+    ball at a time. At each state a point takes the lowest action with the
+    largest score <round(2^K features_sa(s, a)), z> in Python ints (rounded
+    half to even, as np.rint), K the most bits with d 2^(K + 1) (top + 1) <
+    2^52. The distinct trajectories, sorted, are rolled out with n_roll =
+    max(64, ceil(log(2 points / delta) / (2 eps^2))) samples a step, in step
+    order, and the first strictly best mean wins. `lines` counts the points'
+    distinct first d - 1 coordinates, `transitions` the distinct edges they
+    take and `feature_calls` k per state scored."""
+    k, dim = toy.num_actions, toy.dim
+    bound = cover_bound(eps, toy.horizon, dim)
+    bits = 0
+    while dim * 2 ** (bits + 2) * (math.isqrt(bound) + 1) < 2 ** 52:
+        bits += 1
+    points = brute_ball(dim, bound).tolist()
+    tables, edges, counts = {}, set(), {}
     for z in points:
         s, path = toy.initial_state(), ()
-        while not toy.is_terminal(s):
+        while not toy.is_terminal(s) and len(path) < toy.horizon:
             if s not in tables:
-                tables[s] = integer_table([toy.features_sa(s, a)
-                                           for a in range(toy.num_actions)],
-                                          bits)
-            scores = [sum(f * x for f, x in zip(row, z)) for row in tables[s]]
-            # max() returns the first maximum: ties go to the lowest action
-            a = max(range(toy.num_actions), key=scores.__getitem__)
+                tables[s] = [[round(Fraction(x) * 2 ** bits)
+                              for x in toy.features_sa(s, a).tolist()] for a in range(k)]
+            scores = [sum(map(mul, row, z)) for row in tables[s]]
+            a = scores.index(max(scores))  # the first maximum: the lowest action
+            edges.add((s, a))
             s, path = toy.transition(s, a), path + (a,)
         counts[path] = counts.get(path, 0) + 1
-    return len(points), counts
+    n_roll = max(64, math.ceil(math.log(2 * len(points) / delta) / (2 * eps * eps)))
+    best, best_estimate = None, -math.inf
+    for path in sorted(counts):
+        s, estimate = toy.initial_state(), 0.0
+        for a in path:
+            estimate += toy.sample_reward_batch(s, a, n_roll) / n_roll
+            s = toy.transition(s, a)
+        if estimate > best_estimate:
+            best, best_estimate = list(path), estimate
+    return best, {
+        "cover_points": len(points), "lines": len({tuple(z[:-1]) for z in points}),
+        "unique_policies": len(counts), "rollouts_per_policy": n_roll,
+        "best_estimate": best_estimate, "trajectory_counts": counts,
+        "transitions": len(edges), "feature_calls": k * len(tables),
+        "reward_samples": n_roll * sum(map(len, counts))}
 
 
-def assert_grouping_matches_walk(toy, eps):
-    # dual route: the line-by-line counts must equal walking every point
-    _actions, info = epsilon_net_search(toy, eps=eps, delta=0.1)
-    assert exact_walk(toy, eps) == (info["cover_points"],
-                                    info["trajectory_counts"])
+# the two d = 2 criterion-8 specs, 45,765 and 81,173 points at eps = 0.1. In
+# the H = 4 spec, actions 1 and 2 at state 24 (path (1, 0, 2)) are twin
+# siblings, both Q* = 0.25, whose doubles differ by rounding residue alone
+# ((-2^-53, 2^-54)): rounded to 2^-42 they are equal rows, so action 1 takes
+# all 6,995 points that reach that state
+NET_SPECS = {"H3": EPSILON_NET_GOLDEN[0][0], "H4": EPSILON_NET_GOLDEN[1][0]}
 
 
-def test_epsilon_net_grouping_matches_per_candidate_walk():
-    toy = ToyLinearMdp(depth=3, num_actions=3, dim=2, structure_seed=5,
-                       reward_seed=77)
-    assert_grouping_matches_walk(toy, eps=0.2)
+@pytest.mark.parametrize("spec", NET_SPECS.values(), ids=NET_SPECS.keys())
+def test_epsilon_net_matches_its_reference_at_the_criterion_specs(spec):
+    """The actions and the whole `info` equal the reference's."""
+    assert epsilon_net_search(ToyLinearMdp(reward_seed=1, **spec), eps=0.1,
+                              delta=0.1) == reference_epsilon_net(
+        ToyLinearMdp(reward_seed=1, **spec), eps=0.1, delta=0.1)
 
 
-def test_epsilon_net_grouping_matches_per_candidate_walk_at_d3():
-    # the ball holds 16,831 points on 793 lines in 31 slabs
-    toy = ToyLinearMdp(depth=2, num_actions=3, dim=3, structure_seed=7,
-                       reward_seed=77)
-    assert_grouping_matches_walk(toy, eps=0.8)
-
-
-@pytest.mark.parametrize("depth", [2, 3, 4])
-def test_epsilon_net_decides_each_point_exactly(depth):
-    # toys._plant gives siblings features that are equal in exact arithmetic
-    # and apart by rounding residue alone; the rounded features make them
-    # equal rows, which tie at every point
-    for k, seed in product([2, 3, 4], range(4)):
-        toy = ToyLinearMdp(depth=depth, num_actions=k, dim=2,
-                           structure_seed=seed, reward_seed=1)
-        assert_grouping_matches_walk(toy, eps=0.4)
+@settings(max_examples=100, deadline=None)
+@given(depth=st.integers(1, 4), k=st.integers(2, 4), dim=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), top=st.integers(1, 40))
+@example(depth=4, k=3, dim=2, seed=9, top=24)  # the twin tie of NET_SPECS["H4"]
+def test_epsilon_net_matches_its_reference_on_small_toys(depth, k, dim, seed, top):
+    """eps = 2 H d / top makes the ball's top |z_j| `top`, capped at about
+    2,100 points. Toys plant siblings whose features are equal in exact
+    arithmetic and apart by rounding residue alone, which tie once rounded."""
+    assume(top <= {1: 40, 2: 24, 3: 8}[dim])
+    eps = 2 * depth * dim / top
+    spec = dict(depth=depth, num_actions=k, dim=dim, structure_seed=seed)
+    assert epsilon_net_search(ToyLinearMdp(reward_seed=1, **spec), eps=eps,
+                              delta=0.1) == \
+        reference_epsilon_net(ToyLinearMdp(reward_seed=1, **spec), eps, 0.1)
 
 
 # the cover at d = 1, 2, 3 (eps = 0.1) and d = 4 (eps = 0.2), with k = 3,
-# H = 2 and structure seed 3: the measured (1/eps)^d work of the search, point
-# by point equal to the exact walk where that walk is small; a convolution of
-# the one-dimensional square counts gives the same points and lines
+# H = 2 and structure seed 3: the measured (1/eps)^d work of the search; a
+# convolution of the one-dimensional square counts gives the same points and
+# lines
 @pytest.mark.parametrize("dim, eps, cover_points, lines", [
     (1, 0.1, 81, 1), (2, 0.1, 20_461, 161), (3, 0.1, 7_394_773, 45_877),
     (4, 0.2, 212_357_353, 2_224_701)],
@@ -757,8 +760,6 @@ def test_epsilon_net_cover_across_dims(dim, eps, cover_points, lines):
                        reward_seed=1)
     _actions, info = epsilon_net_search(toy, eps=eps, delta=0.1)
     assert (info["cover_points"], info["lines"]) == (cover_points, lines)
-    if dim < 3:
-        assert exact_walk(toy, eps) == (cover_points, info["trajectory_counts"])
 
 
 def int_sides(table, rest, lo, hi):
@@ -928,7 +929,7 @@ def test_epsilon_net_budgets_lines_before_building_the_lattice(monkeypatch):
 def test_epsilon_net_line_budget_holds_at_its_bound(monkeypatch):
     # the H = 3, k = 3, d = 2 criterion-8 spec at eps = 0.1: the cube bounds
     # the cover's lines by 241, which the ball fills
-    spec = EPSILON_NET_WORK[0][0]
+    spec = NET_SPECS["H3"]
     monkeypatch.setattr(agents, "LINE_BUDGET", 241)
     _actions, info = epsilon_net_search(ToyLinearMdp(reward_seed=1, **spec),
                                         eps=0.1, delta=0.1)
@@ -1019,39 +1020,11 @@ def test_horizon_split_rejects_non_square_horizon():
         horizon_split_q(toy, eps=0.2, delta=0.1)
 
 
-def test_horizon_split_exact_on_deterministic_rewards():
-    toy = ToyLinearMdp(depth=4, num_actions=3, dim=2, structure_seed=5,
-                       reward_seed=11)
-    # every batch sums to exactly count * mean: no sampling noise
-    toy.sample_reward_batch = lambda s, a, count: toy.exact_mean(s, a) * count
-    qest, info = horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=200)
-    q_star = toy.q_star_table()
-    root = toy.initial_state()
-    for a in range(3):
-        assert qest[(root, a)] == pytest.approx(q_star[(root, a)], abs=1e-10)
-    assert all(size <= toy.dim for size in info["basis_sizes"])
-    assert info["max_residual"] <= 1e-8
-
-
-def test_horizon_split_policy_reaches_near_optimal():
-    toy = ToyLinearMdp(depth=4, num_actions=3, dim=2, structure_seed=5,
-                       reward_seed=31)
-    actions, q_all, infos = horizon_split_policy(toy, eps=0.2, delta=0.1,
-                                                 sample_cap=20_000)
-    assert toy.policy_value(actions) >= toy.v_star() - 0.1
-    # greedy over the accumulated table reproduces the same trajectory
-    policy = greedy_on_q(q_all, toy)
-    s, replay = toy.initial_state(), []
-    while not toy.is_terminal(s):
-        a = policy(s)
-        replay.append(a)
-        s = toy.transition(s, a)
-    assert replay == actions
-
-
 class _CountingToy(ToyLinearMdp):
-    """Records the transitions, feature reads and reward samples asked of it."""
+    """Records the transitions, feature reads and reward samples asked of it.
+    With `exact_rewards`, a reward batch sums to exactly count * mean."""
     reward_samples = 0
+    exact_rewards = False
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -1068,7 +1041,116 @@ class _CountingToy(ToyLinearMdp):
 
     def sample_reward_batch(self, s, a, count):
         self.reward_samples += count
+        if self.exact_rewards:
+            return self.exact_mean(s, a) * count
         return super().sample_reward_batch(s, a, count)
+
+
+def split_work(k, dim, eps, delta, sample_cap, horizon, start, basis_sizes):
+    """One `horizon_split_q` call's work `info` from depth `start`, in closed
+    form at its basis sizes b_t, and its candidate rows per level. Levels are
+    the multiples of sqrt(H) from `start` on, with `start` and H - 1, so no
+    walk reaches a leaf. Each basis pair of level t walks k^(D_t - 1) tails
+    of D_t steps, 64 samples a step, and reads k features at each end. The
+    terminal level takes min(cap, ceil(log(2 (sum b_t + k) / delta) /
+    (2 acc^2))) samples a basis pair, acc = eps / (2 H) (2 d)^-segments."""
+    step = math.isqrt(horizon)
+    levels = sorted({t for t in range(0, horizon, step) if t >= start}
+                    | {start, horizon - 1})
+    spans = [b - a for a, b in zip(levels, levels[1:])]
+    walks = [size * k ** (span - 1) for size, span in zip(basis_sizes, spans)]
+    transitions = sum(w * span for w, span in zip(walks, spans))
+    accuracy = (eps / (2 * horizon)) * (2 * dim) ** (-len(spans))
+    theoretical = math.ceil(math.log(2 * (sum(basis_sizes) + k) / delta)
+                            / (2 * accuracy ** 2))
+    terminal = min(theoretical, sample_cap)
+    work = {"levels": levels, "transitions": transitions,
+            "feature_calls": k + k * sum(walks),
+            "reward_samples": terminal * basis_sizes[-1] + 64 * transitions,
+            "terminal_samples": terminal, "theoretical_terminal_samples": theoretical}
+    return work, [k] + [k * w for w in walks]
+
+
+def check_split_against_its_definition(spec):
+    """`horizon_split_policy` at criterion 9's accuracy, on a toy with exact
+    reward batches, against its definition: each call's `info` is
+    `split_work`'s, each basis size the rank of its level's candidate rows
+    (read once each, at the level's depth), and the oracle saw that work
+    plus a transition per action. Every estimate is within 1e-10 of Q*(s, a)
+    = r(s, a) + V*(s'), the policy is worth V* exactly, and the argmax of the
+    estimates (lowest action on ties) replays its actions."""
+    toy = _CountingToy(reward_seed=1, **spec)
+    toy.exact_rewards = True
+    eps, delta, sample_cap = 0.2, 0.1, 20_000
+    actions, q_all, infos = horizon_split_policy(toy, eps, delta, sample_cap)
+    k, reads = toy.num_actions, toy.feature_pairs
+    seen = (len(toy.transition_pairs) - len(actions), len(reads), toy.reward_samples)
+    assert seen == tuple(sum(info[key] for info in infos) for key in
+                         ("transitions", "feature_calls", "reward_samples"))
+    exact = ToyLinearMdp(reward_seed=1, **spec)
+    s, visited = exact.initial_state(), []
+    for start, (a, info) in enumerate(zip(actions, infos)):
+        visited.append(s)
+        work, candidates = split_work(k, toy.dim, eps, delta, sample_cap,
+                                      toy.horizon, start, info["basis_sizes"])
+        assert {key: info[key] for key in work} == work
+        call, reads = reads[:info["feature_calls"]], reads[info["feature_calls"]:]
+        assert len(set(call)) == len(call) and call[:k] == [(s, b) for b in range(k)]
+        for level, size, count in zip(work["levels"], info["basis_sizes"], candidates):
+            rows, call = call[:count], call[count:]
+            first = (k ** level - 1) // (k - 1)  # the level's first heap index
+            assert all(first <= state < first + k ** level for state, _ in rows)
+            assert size == np.linalg.matrix_rank(
+                [exact.features_sa(state, b) for state, b in rows])
+        s = exact.transition(s, a)
+    assert set(q_all) == {(state, a) for state in visited for a in range(k)}
+    for (state, a), q in q_all.items():
+        child = exact.transition(state, a)
+        assert abs(q - (exact.exact_mean(state, a) + exact.v_star(child))) <= 1e-10
+    assert exact.policy_value(actions) == exact.v_star()
+    replay = [max(range(k), key=lambda b: q_all[(state, b)]) for state in visited]
+    assert replay == actions
+
+
+@pytest.mark.parametrize("horizon", [1, 4, 9])
+def test_horizon_split_matches_its_definition(horizon):
+    """24 toys a horizon: k = 2 to 4, d = 1 to 4 and two structure seeds. k
+    runs downward, so the planted cache is left holding the smallest trees."""
+    for k, dim, seed in product((4, 3, 2), range(1, 5), (3, 21)):
+        check_split_against_its_definition(
+            dict(depth=horizon, num_actions=k, dim=dim, structure_seed=seed))
+
+def test_horizon_split_exact_on_deterministic_rewards():
+    toy = ToyLinearMdp(depth=4, num_actions=3, dim=2, structure_seed=5,
+                       reward_seed=11)
+    # every batch sums to exactly count * mean: no sampling noise
+    toy.sample_reward_batch = lambda s, a, count: toy.exact_mean(s, a) * count
+    qest, info = horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=200)
+    q_star = toy.q_star_table()
+    root = toy.initial_state()
+    for a in range(3):
+        assert qest[(root, a)] == pytest.approx(q_star[(root, a)], abs=1e-10)
+    assert all(size <= toy.dim for size in info["basis_sizes"])
+    assert info["max_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("horizon, transitions, feature_calls, reward_samples", [
+    (4, 10, 14, 40_640), (9, 56, 42, 43_584), (16, 216, 114, 53_824)],
+    ids=["4-10", "9-56", "16-216"])
+def test_horizon_split_walks_from_each_basis_state(horizon, transitions,
+                                                   feature_calls, reward_samples):
+    """One root estimate on sampled rewards (k = 2, d = 2, every basis of size
+    2): each basis walk starts at the state its entry's action is taken at
+    and is walked once, each (state, action) pair's features are read once,
+    and `info` counts what the oracle saw. The pins are `split_work`'s closed
+    forms at these basis sizes."""
+    toy = _CountingToy(depth=horizon, num_actions=2, dim=2, structure_seed=3,
+                       reward_seed=1)
+    _qest, info = horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=20_000)
+    assert len(set(toy.feature_pairs)) == len(toy.feature_pairs)
+    seen = (len(toy.transition_pairs), len(toy.feature_pairs), toy.reward_samples)
+    counted = (info["transitions"], info["feature_calls"], info["reward_samples"])
+    assert seen == counted == (transitions, feature_calls, reward_samples)
 
 
 BAD_ACCURACY = [
@@ -1091,27 +1173,6 @@ def test_baselines_refuse_bad_accuracy_before_any_query(search, kwargs):
         search(toy, **{"eps": 0.2, "delta": 0.1, **kwargs})
     assert toy.transition_pairs == toy.feature_pairs == []
     assert toy.reward_samples == 0
-
-
-@pytest.mark.parametrize("horizon, transitions, feature_calls, reward_samples", [
-    (4, 10, 14, 40_640), (9, 56, 42, 43_584), (16, 216, 114, 53_824)],
-    ids=["4-10", "9-56", "16-216"])
-def test_horizon_split_walks_from_each_basis_state(horizon, transitions,
-                                                   feature_calls, reward_samples):
-    """Every basis walk starts at the state its entry's action is taken at
-    and is walked once, in the forward pass, so one root estimate takes these
-    transitions (34, 194 and 798 when each walk replayed its action path from
-    the query state; 20, 112 and 432 when the backward pass walked each path
-    again to sample its rewards). Each (state, action) pair's features are
-    read once (26, 82 and 226 reads when the backward pass read them again),
-    and `info` counts what the oracle saw."""
-    toy = _CountingToy(depth=horizon, num_actions=2, dim=2, structure_seed=3,
-                       reward_seed=1)
-    _qest, info = horizon_split_q(toy, eps=0.2, delta=0.1, sample_cap=20_000)
-    assert len(set(toy.feature_pairs)) == len(toy.feature_pairs)
-    seen = (len(toy.transition_pairs), len(toy.feature_pairs), toy.reward_samples)
-    counted = (info["transitions"], info["feature_calls"], info["reward_samples"])
-    assert seen == counted == (transitions, feature_calls, reward_samples)
 
 
 def test_horizon_split_checks_every_expansion_residual(monkeypatch):
@@ -1145,10 +1206,9 @@ def test_horizon_split_checks_every_expansion_residual(monkeypatch):
                            sample_cap=200)[1]["max_residual"] == largest
 
 
-# sha256 of the repr of the runs below: pins every sample, expansion, argmax
-# and work counter. Re-pinned when toy states became heap indices: the runs
-# of action-path states hash to it once each key is mapped to its node's
-# heap index and the Q table sorted again
+# sha256 of the repr of the runs below, at reward seed 9000 with sampled
+# rewards: pins every sample, expansion, argmax and work counter, which
+# `test_horizon_split_matches_its_definition` checks only on exact rewards
 HORIZON_SPLIT_GOLDEN = "9019b02fcca1afbc37fdfad5156cc7441e648948bf645a83577c8e0ddfb129d3"
 
 

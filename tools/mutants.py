@@ -50,15 +50,31 @@ SUMMARY_FIELDS = "tests/test_mdp.py::test_round_summary_is_every_field_but_step_
 GATE = "tests/test_mdp.py::test_summary_tree_agrees_with_enumeration_on_every_gate_attempt"
 GATE_POOL = GATE + "[_criterion_1_draws-54-4]"
 GATE_LINEARITY = GATE + "[_linearity_draws-16-0]"
-NET = "tests/test_agents.py::test_epsilon_net_"
-NET_GOLDEN_H4 = NET + "counts_golden[spec1-81173-counts1]"
-NET_EXACT = tuple(NET + f"decides_each_point_exactly[{d}]" for d in (2, 3, 4))
+AGENTS_TESTS = "tests/test_agents.py::"
+NET = AGENTS_TESTS + "test_epsilon_net_"
+NET_REF_H3 = NET + "matches_its_reference_at_the_criterion_specs[H3]"
+NET_REF_H4 = NET + "matches_its_reference_at_the_criterion_specs[H4]"
+NET_GOLDEN_D3 = NET + "counts_golden[spec2-7394773-counts2]"
 NET_ROUNDING = tuple(NET + f"rounding_fits_the_largest_admitted_ball[{d}]"
                      for d in (2, 3, 4))
 NET_REFUSES_SLIP = NET + "refuses_rounding_past_the_cover_radius"
-CUTS = "tests/test_agents.py::test_pair_cuts_"
+CUTS = AGENTS_TESTS + "test_pair_cuts_"
 CUTS_EXACT = tuple(CUTS + f"match_exact_scores[{seed}]" for seed in range(4))
 CUTS_RIM = CUTS + "settle_copied_rows_and_the_ball_rim"
+SPLIT = AGENTS_TESTS + "test_horizon_split_matches_its_definition"
+SPLIT_ALL = tuple(SPLIT + f"[{horizon}]" for horizon in (1, 4, 9))
+SPLIT_SEGMENTED = SPLIT_ALL[1:]  # H = 4 and 9, whose walks take tails
+PIVOTS = AGENTS_TESTS + "test_select_independent_pivots_at_its_tolerance"
+ACCURACY = AGENTS_TESTS + "test_baselines_refuse_bad_accuracy_before_any_query"
+ACCURACY_CASES = tuple(
+    f"{ACCURACY}[{search}-{case}]"
+    for search in ("epsilon_net_search", "horizon_split_q", "horizon_split_policy")
+    for case in ("eps=nan", "delta=1")) + tuple(
+    f"{ACCURACY}[{search}-sample_cap=0]"
+    for search in ("horizon_split_q", "horizon_split_policy"))
+TOYS = "src/satmdp/toys.py"
+TOY_STATES = tuple("tests/test_toys.py::test_toy_refuses_states_outside_its_tree"
+                   f"[{case}]" for case in ("depth3-dim2", "depth1", "dim1"))
 
 
 class Mutant(NamedTuple):
@@ -127,8 +143,7 @@ CATALOGUE = (
            "            j = below.setdefault(_summary(child), len(nodes))",
            "            j = len(nodes)",
            ("tests/test_mdp.py::test_summary_tree_nodes_are_distinct_and_children_come_later",
-            "tests/test_agents.py::test_summary_dag_agrees_with_the_tree_at_every_pool_state",
-            EXACT_V9)),
+            "tests/test_agents.py::test_summary_dag_agrees_with_the_tree_at_every_pool_state")),
     Mutant("one summary dict for the whole walk", MDP,
            "        if i == level_end:",
            "        if False:",
@@ -162,11 +177,12 @@ CATALOGUE = (
            "    signed[sign:sign + coef.size] = coef.ravel()",
            (EXACT_POOL, EXACT_P4, EXACT_V9,
             "tests/test_acceptance.py::test_criterion_1_linearity")),
-    # the epsilon-net's cuts on integer-rounded features
+    # the epsilon-net's cuts on integer-rounded features, against its
+    # reference; unrounded, the H = 4 spec's twin siblings no longer tie
     Mutant("features not rounded", AGENTS,
            "        return np.rint(feats * scale)",
            "        return feats",
-           (NET_GOLDEN_H4, *NET_EXACT)),
+           (NET_REF_H4,)),
     Mutant("K one bit past the limit", AGENTS,
            "    return 51 - (dim * (top + 1)).bit_length()",
            "    return 52 - (dim * (top + 1)).bit_length()",
@@ -174,15 +190,13 @@ CATALOGUE = (
     Mutant("c > 0 for c >= 0 at h = 0", AGENTS,
            "            cuts[p] = np.where(c >= 0, lo, top)",
            "            cuts[p] = np.where(c > 0, lo, top)",
-           (*CUTS_EXACT, CUTS_RIM, NET_GOLDEN_H4, NET + "counts_its_work[spec1-work1]",
-            *NET_EXACT)),
+           (*CUTS_EXACT, CUTS_RIM, NET_REF_H4)),
     Mutant("floor for ceil at h > 0", AGENTS,
            "            np.ceil(t, out=t)",
            "            np.floor(t, out=t)",
            (*CUTS_EXACT, CUTS_RIM, CUTS + "divide_exactly_at_the_largest_ball[1]",
-            CUTS + "divide_exactly_at_the_largest_ball[-1]",
-            NET + "counts_golden[spec0-45765-counts0]", NET_GOLDEN_H4,
-            NET + "counts_golden[spec2-7394773-counts2]")),
+            CUTS + "divide_exactly_at_the_largest_ball[-1]", NET_REF_H3, NET_REF_H4,
+            NET_GOLDEN_D3)),
     Mutant("the |psi_j| <= 1 refusal removed", AGENTS,
            "        if not (np.abs(feats) <= 1).all():",
            "        if False:",
@@ -192,13 +206,74 @@ CATALOGUE = (
            "    if slip >= cover:",
            "    if False:",
            (NET_REFUSES_SLIP,)),
+    # the toy's state checks
+    Mutant("negative states take actions", TOYS,
+           "if not 0 <= s < self._internal:",
+           "if not s < self._internal:",
+           TOY_STATES),
+    Mutant("the first leaf takes actions", TOYS,
+           "if not 0 <= s < self._internal:",
+           "if not 0 <= s <= self._internal:",
+           TOY_STATES),
+    Mutant("v_star of a negative state", TOYS,
+           "if not 0 <= s < len(self._value):",
+           "if not s < len(self._value):",
+           TOY_STATES),
+    Mutant("v_star one past the tree", TOYS,
+           "if not 0 <= s < len(self._value):",
+           "if not 0 <= s <= len(self._value):",
+           TOY_STATES),
     # the toy's planting, against its memory bound: the planted bytes do not
     # move, so `test_planted_golden` passes on it
-    Mutant("full draw kept alive through planting", "src/satmdp/toys.py",
+    Mutant("full draw kept alive through planting", TOYS,
            "    raw = struct.normal(size=(internal, 1 + k, dim))[:, 1:].reshape(-1, dim)",
            "    draw = struct.normal(size=(internal, 1 + k, dim))\n"
            "    raw = draw[:, 1:].reshape(-1, dim)",
            ("tests/test_toys.py::test_planting_holds_no_full_size_temporary",)),
+    # the horizon split against its definition: Q*, the closed-form work and
+    # the ranks of its candidate rows
+    Mutant("worst tail kept for a basis pair", AGENTS,
+           "            len(bases[t]), k ** (levels[t + 1] - levels[t] - 1)).max(axis=1)",
+           "            len(bases[t]), k ** (levels[t + 1] - levels[t] - 1)).min(axis=1)",
+           SPLIT_SEGMENTED),
+    Mutant("one kappa batch counted per walk", AGENTS,
+           '            work["reward_samples"] += KAPPA_SAMPLES * len(steps)',
+           '            work["reward_samples"] += KAPPA_SAMPLES',
+           SPLIT_SEGMENTED),
+    Mutant("one transition counted per walk", AGENTS,
+           '                work["transitions"] += len(steps)',
+           '                work["transitions"] += 1',
+           SPLIT_SEGMENTED),
+    Mutant("the root's out-of-basis actions left unexpanded", AGENTS,
+           "    root_q.update(zip(rest, expand(level_feats[0][rest], 0).tolist()))",
+           "    root_q.update((a, 0.0) for a in rest)",
+           SPLIT_ALL),
+    Mutant("terminal samples always at the cap", AGENTS,
+           "    n_term = min(theoretical, sample_cap)",
+           "    n_term = sample_cap",
+           SPLIT_ALL),
+    # select_independent's pivot tolerance, at a tenth and at ten times
+    Mutant("PIVOT_TOL / 10", AGENTS,
+           "PIVOT_TOL = 1e-10",
+           "PIVOT_TOL = 1e-11",
+           (PIVOTS + "[3e-11-2]",)),
+    Mutant("PIVOT_TOL * 10", AGENTS,
+           "PIVOT_TOL = 1e-10",
+           "PIVOT_TOL = 1e-9",
+           (PIVOTS + "[3e-10-3]",)),
+    # the baselines' refusals and work limits
+    Mutant("accuracy check returns at once", AGENTS,
+           '    baselines call it before they ask the oracle anything."""',
+           '    baselines call it before they ask the oracle anything."""\n    return',
+           ACCURACY_CASES),
+    Mutant("line budget refused at its bound", AGENTS,
+           "    if line_bound > LINE_BUDGET:",
+           "    if line_bound >= LINE_BUDGET:",
+           (NET + "line_budget_holds_at_its_bound",)),
+    Mutant("range points refused at MAX_RANGE", "src/satmdp/reward.py",
+           "    if 2 * v + 1 > MAX_RANGE:",
+           "    if 2 * v + 1 >= MAX_RANGE:",
+           ("tests/test_reward.py::test_range_claim_refuses_points_over_its_limit",)),
     # the horizon split's residual gate
     Mutant("residual gate opened", AGENTS,
            "RESIDUAL_TOL = 1e-8",
