@@ -7,6 +7,13 @@ padded with trailing 0s. `formula_from_ints` is the constructor and checks the
 clauses; `Formula.clauses` rebuilds them as `Clause`/`Literal` tuples on every
 access, for readers outside the package.
 
+`parse_dimacs` decides every input in whole-text passes: numpy reads all the
+clause tokens at once and cuts the clauses at their zeros, and the checks
+`formula_from_ints` makes run on that flat array. Outside comment lines the
+text is ASCII: only space, tab, vertical tab and form feed separate tokens, and
+lines end only at LF, CRLF or CR. Text the passes refuse is walked line by
+line, only to name its first error.
+
 Assignments are tuples over {-1, +1}: -1 is false, +1 is true. One exhaustive
 Max-SAT sweep counts the unsatisfied clauses of all 2^v assignments with numpy,
 mapping variable 0 to the most significant bit so that numeric index order
@@ -18,13 +25,14 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .errors import FormulaError, ParseError, ResourceLimitError
+from .errors import FormulaError, InvariantViolation, ParseError, ResourceLimitError
 
 FALSE = -1
 TRUE = 1
@@ -105,8 +113,7 @@ def formula_from_ints(v: int, int_clauses, strict: bool = True) -> Formula:
     distinct variables; the error's `clause` is that clause's index.
     """
     rows = list(int_clauses)
-    m = len(rows)
-    widths = np.fromiter(map(len, rows), np.int64, m)
+    widths = np.fromiter(map(len, rows), np.int64, len(rows))
     try:
         flat = np.fromiter(chain.from_iterable(rows), np.int64, int(widths.sum()))
     except OverflowError:
@@ -114,6 +121,16 @@ def formula_from_ints(v: int, int_clauses, strict: bool = True) -> Formula:
                   if not all(-2**63 <= x < 2**63 for x in row))
         raise FormulaError(f"clause {ci}: a literal exceeds the int64 range",
                            ci) from None
+    return _formula_from_flat(v, flat, widths, strict)
+
+
+def _formula_from_flat(v: int, flat: np.ndarray, widths: np.ndarray,
+                       strict: bool) -> Formula:
+    """`formula_from_ints` from the clauses' literals laid end to end in the
+    int64 array `flat`, clause i holding the next `widths[i]` of them: every
+    check but the int64 one. The formula may view `flat`, so the caller must
+    not keep it."""
+    m = len(widths)
     if not flat.all():
         raise FormulaError("literal 0 is reserved as the clause terminator")
     if v < 1:
@@ -123,17 +140,19 @@ def formula_from_ints(v: int, int_clauses, strict: bool = True) -> Formula:
     if (widths == 3).all():
         lits = flat.reshape(m, 3)
     else:  # pad; a clause over 3 literals is cut here and refused below
+        column = np.arange(flat.size) - np.repeat(np.cumsum(widths) - widths, widths)
+        kept = column < 3
         lits = np.zeros((m, 3), np.int64)
-        for ci, row in enumerate(rows):
-            lits[ci, :min(len(row), 3)] = row[:3]
+        lits[np.repeat(np.arange(m), widths)[kept], column[kept]] = flat[kept]
     # compared signed: np.abs(-2**63) wraps to itself
     out_of_range = (lits > v) | (lits < -v)
     bad_width = (widths < 1) | (widths > 3)
-    bad_range = out_of_range.any(axis=1)
+    bad_range = out_of_range[:, 0] | out_of_range[:, 1] | out_of_range[:, 2]
     bad = bad_width | bad_range
     if strict:
-        var = np.sort(np.abs(lits), axis=1)
-        bad |= (widths != 3) | (np.diff(var) == 0).any(axis=1)
+        var = np.abs(lits)
+        bad |= ((widths != 3) | (var[:, 0] == var[:, 1]) | (var[:, 0] == var[:, 2])
+                | (var[:, 1] == var[:, 2]))
     if bad.any():
         ci = int(np.argmax(bad))
         if bad_width[ci]:
@@ -146,57 +165,125 @@ def formula_from_ints(v: int, int_clauses, strict: bool = True) -> Formula:
     return Formula(v, lits, strict)
 
 
-# int() also reads '+', '_' and non-ASCII digits, which DIMACS does not have
-_NON_DIMACS = re.compile(r"[^0-9\s-]")
+# Outside comment lines DIMACS text is ASCII: tokens are `-?[0-9]+`, blanks
+# (space, tab, \v, \f) separate them, and lines end at \n, \r\n or \r.
+_LINE_END = re.compile(r"\r\n?|\n")
+_BLANKS = re.compile(r"[ \t\v\f]+")
+_TOKEN = re.compile(r"-?[0-9]+")
+# after line ends become \n: blank and comment lines, then the header
+_HEAD = re.compile(r"(?:[ \t\v\f]*(?:c.*)?\n)*[ \t\v\f]*p[^ \t\v\f\n]*[ \t\v\f]+cnf"
+                   r"[ \t\v\f]+([0-9]+)[ \t\v\f]+([0-9]+)[ \t\v\f]*(?:\n|\Z)")
+_COMMENT = re.compile(r"^[ \t\v\f]*c.*", re.MULTILINE)
+_CLAUSE_BYTES = b"0123456789- \t\v\f\n"
+_INT64 = np.iinfo(np.int64)
 
 
 def parse_dimacs(text: str | bytes, strict: bool = True) -> Formula:
-    """Parse DIMACS CNF text: 'c' comments, 'p cnf v m' header, 0-terminated
-    clauses. Bytes are decoded as UTF-8. The parser owns tokens, header and
-    line numbers; `formula_from_ints` checks the clauses, and a clause it
-    refuses is a ParseError naming the line of that clause's terminating 0."""
+    r"""Parse DIMACS CNF text: 'c' comment lines, one 'p cnf v m' header
+    before the clauses, 0-terminated clauses that may span lines. Bytes are
+    decoded as UTF-8, and comment lines may hold any of it; elsewhere only
+    ASCII digits, '-' and blanks (space, tab, \v, \f) may appear, and lines
+    end at \n, \r\n or \r.
+
+    Whole-text passes decide every input (`_read_bulk`): they find the header
+    and the comment lines, check the characters of the clause text, read
+    it with one `np.fromstring` and cut the clauses at its zeros. Text they
+    refuse is walked line by line (`_raise_first_error`), which raises the
+    ParseError for the first broken rule in line order and never returns a
+    formula. A clause that `formula_from_ints`'s checks refuse is named by
+    the line of its terminating 0."""
     if isinstance(text, bytes):
         try:
             text = text.decode()
         except UnicodeDecodeError as exc:
-            # numbered as the scanner below numbers lines
-            line = len((text[:exc.start] + b"x").decode().splitlines())
+            # numbered as the line walk numbers lines
+            line = 1 + len(_LINE_END.findall(text[:exc.start].decode()))
             raise ParseError(f"line {line}: not UTF-8 text "
                              f"(byte 0x{text[exc.start]:02x})") from None
-    v = None
-    declared_m = None
+    formula = _read_bulk(text, strict)
+    if formula is None:
+        _raise_first_error(text, strict)
+    return formula
+
+
+def _read_bulk(text: str, strict: bool) -> Formula | None:
+    """The formula `text` holds, or None when it breaks any rule."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    v, m = int(head[1]), int(head[2])
+    if v < 1 or m < 1:
+        return None
+    body = text[head.end():]
+    if "c" in body:
+        body = _COMMENT.sub("", body)
+    if not body.isascii():
+        return None
+    data = body.encode()
+    if data.translate(None, _CLAUSE_BYTES):  # a byte but digits, '-', blanks, \n
+        return None
+    with warnings.catch_warnings():
+        # older numpy warns, and does not raise, on text it cannot read to its end
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(data, np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):  # '1-', '--1'
+            return None
+    # fromstring reads '-' as 0, '- 1' as -1 and blank text as [0], so each
+    # token must be one run of digits and read as one value; past the
+    # character check, a token's bytes are above ' ' and a digit's above '-'
+    codes = np.frombuffer(b" " + data, np.uint8)
+    token, digit = codes > 32, codes > 45
+    tokens = np.count_nonzero(token[1:] > token[:-1])
+    digit_runs = np.count_nonzero(digit[1:] > digit[:-1])
+    if not len(values) == tokens == digit_runs:
+        return None
+    ends = np.flatnonzero(values == 0)
+    if len(ends) != m or values[-1]:  # or the last clause unterminated
+        return None
+    # fromstring reads a literal beyond int64 as one of its bounds
+    if values.max() == _INT64.max or values.min() == _INT64.min:
+        if not all(_INT64.min <= int(tok) <= _INT64.max for tok in body.split()):
+            return None
+    try:
+        return _formula_from_flat(v, values[values != 0],
+                                  np.diff(ends, prepend=-1) - 1, strict)
+    except FormulaError:
+        return None
+
+
+def _raise_first_error(text: str, strict: bool) -> NoReturn:
+    """Raise the ParseError for the first rule `text` breaks, in line order:
+    a header or token error, an unterminated last clause, no header, a
+    clause count other than the header's, then the first clause that
+    `formula_from_ints` refuses."""
+    v = declared_m = None
     int_clauses: list[list[int]] = []
     ends: list[int] = []  # line of each clause's terminating 0
     current: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
+        line = raw.strip(" \t\v\f")
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if v is not None:
                 raise ParseError(f"line {lineno}: duplicate header")
-            parts = line.split()
-            try:
-                if (len(parts) != 4 or parts[1] != "cnf"
-                        or _NON_DIMACS.search(parts[2] + parts[3])):
-                    raise ValueError
-                v, declared_m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed header {line!r}") from None
+            parts = _BLANKS.split(line)
+            if (len(parts) != 4 or parts[1] != "cnf"
+                    or not all(map(_TOKEN.fullmatch, parts[2:]))):
+                raise ParseError(f"line {lineno}: malformed header {line!r}")
+            v, declared_m = int(parts[2]), int(parts[3])
             if v < 1 or declared_m < 1:
                 raise ParseError(f"line {lineno}: header needs v >= 1 and m >= 1")
             continue
         if v is None:
             raise ParseError(f"line {lineno}: clause before 'p cnf' header")
-        # one search per line; only a line that fails it is searched per token
-        foreign = _NON_DIMACS.search(line) is not None
-        for tok in line.split():
-            try:
-                if foreign and _NON_DIMACS.search(tok):
-                    raise ValueError
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad token {tok!r}") from None
+        for tok in _BLANKS.split(line):
+            if not _TOKEN.fullmatch(tok):
+                raise ParseError(f"line {lineno}: bad token {tok!r}")
+            lit = int(tok)
             if lit == 0:
                 int_clauses.append(current)
                 ends.append(lineno)
@@ -211,10 +298,11 @@ def parse_dimacs(text: str | bytes, strict: bool = True) -> Formula:
         raise ParseError(
             f"header declares {declared_m} clauses, found {len(int_clauses)}")
     try:
-        return formula_from_ints(v, int_clauses, strict=strict)
+        formula_from_ints(v, int_clauses, strict=strict)
     except FormulaError as exc:
         # the header and the clause count rule out the clause-free errors
         raise ParseError(f"line {ends[exc.clause]}: {exc}") from exc
+    raise InvariantViolation("the bulk DIMACS pass refused text that every rule admits")
 
 
 def to_dimacs(f: Formula) -> str:

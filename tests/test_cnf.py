@@ -1,10 +1,16 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIGURE_CLAUSES, FIGURE_DIMACS, brute_satisfied_count
+from conftest import (
+    FIGURE_CLAUSES,
+    FIGURE_DIMACS,
+    brute_satisfied_count,
+    random_lenient_formula,
+)
 from satmdp.cnf import (
     EXHAUSTIVE_LIMIT,
     assignment_from_mask,
@@ -20,10 +26,155 @@ from satmdp.cnf import (
     to_dimacs,
 )
 from satmdp.errors import FormulaError, ParseError, ResourceLimitError
+from satmdp.gapsat import bounded_occurrence_transform
 
 
 def all_assignments(v):
     return itertools.product((-1, 1), repeat=v)
+
+
+# The line-by-line parser that the whole-text passes replaced, kept as their
+# reference. One rule differs from it: only ASCII blanks separate tokens and
+# only \n, \r\n and \r end lines, where `str.split` and `str.splitlines`
+# also took non-ASCII spaces and the separators \x1c-\x1f for them.
+_REF_LINE_END = re.compile(r"\r\n|\r|\n")
+_REF_BLANKS = re.compile(r"[ \t\v\f]+")
+# int() also reads '+', '_' and non-ASCII digits and spaces, which DIMACS does not have
+_REF_NON_DIMACS = re.compile(r"[^0-9-]")
+
+
+def reference_parse_dimacs(text, strict=True):
+    if isinstance(text, bytes):
+        try:
+            text = text.decode()
+        except UnicodeDecodeError as exc:
+            line = len(_REF_LINE_END.split((text[:exc.start] + b"x").decode()))
+            raise ParseError(f"line {line}: not UTF-8 text "
+                             f"(byte 0x{text[exc.start]:02x})") from None
+    v = None
+    declared_m = None
+    int_clauses = []
+    ends = []  # line of each clause's terminating 0
+    current = []
+    for lineno, raw in enumerate(_REF_LINE_END.split(text), start=1):
+        line = raw.strip(" \t\v\f")
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if v is not None:
+                raise ParseError(f"line {lineno}: duplicate header")
+            parts = _REF_BLANKS.split(line)
+            try:
+                if (len(parts) != 4 or parts[1] != "cnf"
+                        or _REF_NON_DIMACS.search(parts[2] + parts[3])):
+                    raise ValueError
+                v, declared_m = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError(f"line {lineno}: malformed header {line!r}") from None
+            if v < 1 or declared_m < 1:
+                raise ParseError(f"line {lineno}: header needs v >= 1 and m >= 1")
+            continue
+        if v is None:
+            raise ParseError(f"line {lineno}: clause before 'p cnf' header")
+        for tok in _REF_BLANKS.split(line):
+            try:
+                if _REF_NON_DIMACS.search(tok):
+                    raise ValueError
+                lit = int(tok)
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad token {tok!r}") from None
+            if lit == 0:
+                int_clauses.append(current)
+                ends.append(lineno)
+                current = []
+            else:
+                current.append(lit)
+    if current:
+        raise ParseError("unterminated clause at end of input")
+    if v is None:
+        raise ParseError("missing 'p cnf' header")
+    if len(int_clauses) != declared_m:
+        raise ParseError(
+            f"header declares {declared_m} clauses, found {len(int_clauses)}")
+    try:
+        return formula_from_ints(v, int_clauses, strict=strict)
+    except FormulaError as exc:
+        raise ParseError(f"line {ends[exc.clause]}: {exc}") from exc
+
+
+_EDGE_LITERALS = ("0", "-0", "007", str(2**63 - 1), str(-2**63), str(2**63),
+                  str(-2**63 - 1), str(10**20), str(-10**20))
+_ODD_TOKENS = ("+1", "1-", "--1", "-", "1-2", "1_0", "\xa01", "x", "%")
+_BLANK_RUNS = (" ", " ", " ", "\t", "  ", " \v", "\f")
+_LINE_ENDS = ("\n",) * 8 + ("\r\n", "\r")
+# blanks or refused characters, not line ends
+_ODD_LINE_ENDS = ("\v", "\f", "\x1c", "\u2028", "\x85")
+_COMMENTS = ("c", "c a comment", "  c 1 2 0", "c \u00e9t\u00e9\x1c\u2028\x85", "cnf 1")
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS text, mostly well formed: clauses of 0-4 literals, in and out
+    of range, at the int64 bounds and past them, and tokens DIMACS does not
+    have; clauses spread over lines or sharing one; comment lines anywhere;
+    a clause count that is right or one off; a header that is first, late,
+    doubled or missing; any blank runs and line ends."""
+    v = draw(st.integers(3, 6))
+    n = draw(st.integers(1, 4))
+    tokens = []
+    for _ in range(n):
+        if draw(st.integers(0, 3)):  # three distinct variables
+            variables = draw(st.lists(st.integers(1, v), min_size=3, max_size=3,
+                                      unique=True))
+            tokens += [str(draw(st.sampled_from((x, -x)))) for x in variables]
+        else:
+            for _ in range(draw(st.integers(0, 4))):
+                tokens.append(draw(st.one_of(
+                    st.integers(-v - 2, v + 2).map(str),
+                    st.sampled_from(_EDGE_LITERALS + _ODD_TOKENS))))
+        tokens.append("0")
+    if draw(st.integers(0, 9)) == 0:
+        tokens.pop()  # the last clause unterminated
+    lines, line = [], []
+    for tok in tokens:
+        line.append(tok)
+        if draw(st.integers(0, 4)) == 0 or tok == "0" and draw(st.booleans()):
+            lines.append(draw(st.sampled_from(_BLANK_RUNS)).join(line))
+            line = []
+    if line:
+        lines.append(" ".join(line))
+    declared = n + draw(st.sampled_from((0,) * 8 + (1, -1)))
+    header = draw(st.sampled_from(_BLANK_RUNS)).join(
+        ["p", "cnf", str(draw(st.sampled_from((v,) * 8 + (0, 10**20)))), str(declared)])
+    place = draw(st.sampled_from(("first",) * 8 + ("late", "twice", "missing")))
+    if place != "missing":
+        lines.insert(1 if place == "late" else 0, header)
+    if place == "twice":
+        lines.insert(draw(st.integers(1, len(lines))), header)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_COMMENTS)))
+    ends = st.sampled_from(_LINE_ENDS + _ODD_LINE_ENDS * (draw(st.integers(0, 3)) == 0))
+    return "".join(draw(st.sampled_from(("",) * 4 + (" ", "\t"))) + line + draw(ends)
+                   for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dimacs_texts(), st.booleans(), st.sampled_from(("str", "utf-8", "0xff")))
+def test_parse_matches_the_reference_parser(text, strict, form):
+    """The whole-text passes return the reference's formula, or raise a
+    ParseError with its text."""
+    if form != "str":
+        text = text.encode()
+    if form == "0xff":
+        text = text[:len(text) // 2] + b"\xff" + text[len(text) // 2:]
+    try:
+        expected = reference_parse_dimacs(text, strict)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as refused:
+            parse_dimacs(text, strict)
+        assert str(refused.value) == str(exc)
+    else:
+        assert parse_dimacs(text, strict) == expected
 
 
 def test_parse_figure_formula():
@@ -67,13 +218,31 @@ def test_clause_errors_name_their_line(text, strict, message):
         parse_dimacs(text, strict=strict)
 
 
-@pytest.mark.parametrize("token", ["+1", "1_0", "\u0661", "\uff11", "1-"])
+@pytest.mark.parametrize("token", ["+1", "1_0", "\u0661", "\uff11", "\xa01", "1\x1c",
+                                   "\u20281", "1\x85", "\x1f1", "1-"])
 def test_parse_rejects_tokens_int_reads_but_dimacs_does_not(token):
-    # int() reads all but the last of these as a number
+    # int() reads all but the last of these as a number; only ASCII blanks
+    # separate tokens
     with pytest.raises(ParseError, match=f"^line 2: bad token {re.escape(repr(token))}$"):
         parse_dimacs(f"p cnf 12 1\n{token} 2 3 0\n")
     with pytest.raises(ParseError, match="^line 1: malformed header"):
         parse_dimacs(f"p cnf {token} 1\n1 2 3 0\n")
+
+
+@pytest.mark.parametrize("end", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_parse_ends_lines_only_at_lf_crlf_and_cr(end):
+    # \v and \f are blanks; the rest are refused outside comment lines
+    with pytest.raises(ParseError, match=re.escape(
+            f"line 1: malformed header {'p cnf 3 1' + end + '1 2 3 0'!r}")):
+        parse_dimacs(f"p cnf 3 1{end}1 2 3 0\n")
+
+
+@pytest.mark.parametrize("text", ["p cnf 3 1\n1 2 3 -\n", "p cnf 3 1\n- 1 2 3 0\n"],
+                         ids=["as the terminator", "before a literal"])
+def test_parse_refuses_a_lone_minus(text):
+    with pytest.raises(ParseError, match="^line 2: bad token '-'$"):
+        parse_dimacs(text)
 
 
 def test_parse_rejects_count_mismatch_and_missing_header():
@@ -84,7 +253,11 @@ def test_parse_rejects_count_mismatch_and_missing_header():
 
 
 def test_parse_bytes_decodes_utf8_and_rejects_other_bytes():
-    assert parse_dimacs(("c \u00e9t\u00e9\n" + FIGURE_DIMACS).encode()) == \
+    # a comment line holds any UTF-8, and spaces or separators do not end it
+    comment = "c \u00e9t\u00e9 \x1c 1 2 3 0 \u2028 p cnf 9 9 \x85\xa0\n"
+    assert parse_dimacs((comment + FIGURE_DIMACS).encode()) == \
+        parse_dimacs(FIGURE_DIMACS)
+    assert parse_dimacs(FIGURE_DIMACS.replace("\n", "\n" + comment, 2).encode()) == \
         parse_dimacs(FIGURE_DIMACS)
     with pytest.raises(ParseError, match="line 2: not UTF-8 text"):
         parse_dimacs(b"p cnf 3 1\n1 2 3 \xff 0\n")
@@ -101,6 +274,12 @@ def test_parse_refuses_literals_beyond_int64():
 
 def test_roundtrip_fixed(figure_formula):
     assert parse_dimacs(to_dimacs(figure_formula)) == figure_formula
+    # a lenient transform output holds clauses of 1, 2 and 3 literals
+    lenient = random_lenient_formula(np.random.default_rng(3), 6, 24)
+    psi = bounded_occurrence_transform(lenient, 6)
+    assert not psi.strict and {int((row != 0).sum()) for row in psi.lits} == {1, 2, 3}
+    copy = parse_dimacs(to_dimacs(psi), strict=False)
+    assert copy == psi and not copy.lits.flags.writeable
 
 
 @settings(max_examples=50, deadline=None)

@@ -516,7 +516,7 @@ def test_content_equal_formulas_share_one_table_record():
     the very same tables, while the gap threshold follows each one's params."""
     f, planted = regular_planted_formula(768, seed=7)
     copy = parse_dimacs(to_dimacs(f))
-    assert copy is not f and copy == f
+    assert copy is not f and copy == f and not copy.lits.flags.writeable
     full = build_instance(
         f, params_for_rounds(v=768, h=2, p=2, q=4, epsilon=1 / 64, b=6),
         wstar=planted)

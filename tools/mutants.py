@@ -73,6 +73,12 @@ ACCURACY_CASES = tuple(
     f"{ACCURACY}[{search}-sample_cap=0]"
     for search in ("horizon_split_q", "horizon_split_policy"))
 TOYS = "src/satmdp/toys.py"
+CNF = "src/satmdp/cnf.py"
+CNF_TESTS = "tests/test_cnf.py::"
+REPORTING = "src/satmdp/reporting.py"
+REPORT_TESTS = "tests/test_cli.py::test_report_check_"
+AGREES = REPORT_TESTS + "agrees_with_jsonschema_on_mutants"
+UNREAD = REPORT_TESTS + "refuses_a_schema_it_does_not_read"
 TOY_STATES = tuple("tests/test_toys.py::test_toy_refuses_states_outside_its_tree"
                    f"[{case}]" for case in ("depth3-dim2", "depth1", "dim1"))
 
@@ -274,6 +280,55 @@ CATALOGUE = (
            "    if 2 * v + 1 > MAX_RANGE:",
            "    if 2 * v + 1 >= MAX_RANGE:",
            ("tests/test_reward.py::test_range_claim_refuses_points_over_its_limit",)),
+    # the DIMACS bulk pass, whose refusals the line walk then names
+    Mutant("token count not checked against the values read", CNF,
+           "if not len(values) == tokens == digit_runs:",
+           "if False:",
+           tuple(CNF_TESTS + f"test_parse_refuses_a_lone_minus[{case}]"
+                 for case in ("as the terminator", "before a literal"))),
+    Mutant("literals past int64 read as its bounds", CNF,
+           "if values.max() == _INT64.max or values.min() == _INT64.min:",
+           "if False:",
+           (CNF_TESTS + "test_parse_refuses_literals_beyond_int64",)),
+    Mutant("clause count not checked against the header", CNF,
+           "if len(ends) != m or values[-1]:",
+           "if values[-1]:",
+           (CNF_TESTS + "test_parse_rejects_count_mismatch_and_missing_header",)),
+    # the report check, against jsonschema's verdicts and its own messages
+    Mutant("bool accepted as integer", REPORTING,
+           '"integer": lambda x: not isinstance(x, bool) and (',
+           '"integer": lambda x: (',
+           (AGREES + "[seed=True]", AGREES + "[seed=False]",
+            REPORT_TESTS + "names_the_field_and_the_rule")),
+    Mutant("bool accepted as number", REPORTING,
+           '"number": lambda x: not isinstance(x, bool) and isinstance(x, numbers.Number),',
+           '"number": lambda x: isinstance(x, numbers.Number),',
+           (AGREES + "[wallclock_sec=True]", AGREES + "[wallclock_sec=False]")),
+    Mutant("1.0 refused as integer", REPORTING,
+           "isinstance(x, int) or isinstance(x, float) and x.is_integer()),",
+           "isinstance(x, int)),",
+           (AGREES + "[seed=1.0]", AGREES + "[seed=np.float64(2.0)]")),
+    Mutant("pattern matched whole, not searched", REPORTING,
+           "and not re.search(pattern, value):",
+           "and not re.fullmatch(pattern, value):",
+           ("tests/test_cli.py::test_config_hash_ending_in_a_newline_is_refused_by_both_checks",)),
+    Mutant("extra fields not checked", REPORTING,
+           "    if extra:",
+           "    if False:",
+           (AGREES + "[extra field]", REPORT_TESTS + "names_the_field_and_the_rule")),
+    Mutant("unread top-level keyword not refused", REPORTING,
+           "if (set(schema) != keywords or",
+           "if (False or",
+           (UNREAD + "[top-level keyword]",)),
+    Mutant("unread field keyword not refused", REPORTING,
+           'if (not set(rule) <= {"type", "pattern", "maxLength"} or not types',
+           "if (False or not types",
+           (UNREAD + "[field keyword]",)),
+    Mutant("null refused", REPORTING,
+           '"null": lambda x: x is None,',
+           '"null": lambda x: False,',
+           (AGREES + "[seed=None]", AGREES + "[answer=None]",
+            "tests/test_cli.py::test_report_schema_rejects_malformed")),
     # the horizon split's residual gate
     Mutant("residual gate opened", AGENTS,
            "RESIDUAL_TOL = 1e-8",
