@@ -56,11 +56,11 @@ class Formula:
     """Array-backed CNF formula; build it with `formula_from_ints`.
 
     ``lits`` is the read-only (m, 3) literal array described above.
-    ``occ[x]`` lists the indices of clauses containing variable x (each clause
-    at most once), built on every access. ``strict`` marks that every clause
-    has exactly 3 literals on 3 distinct variables, which the MDP construction
-    requires; lenient formulas (1..3 literals, repeats allowed) only occur
-    inside the bounded-occurrence transform and its tests.
+    ``strict`` marks that every clause has exactly 3 literals on 3 distinct
+    variables, which the MDP construction requires; lenient formulas (1..3
+    literals, repeats allowed) only occur inside the bounded-occurrence
+    transform and its tests. Nothing in it is sized by ``v``, so a header may
+    declare far more variables than the clauses use.
     """
 
     __slots__ = ("v", "lits", "strict")
@@ -77,14 +77,6 @@ class Formula:
     @property
     def m(self) -> int:
         return len(self.lits)
-
-    @property
-    def occ(self) -> tuple:
-        occ = [[] for _ in range(self.v)]
-        for ci, row in enumerate(self.lits.tolist()):
-            for x in {abs(x) for x in row if x}:
-                occ[x - 1].append(ci)
-        return tuple(map(tuple, occ))
 
     @property
     def clauses(self) -> tuple:
@@ -171,7 +163,7 @@ _LINE_END = re.compile(r"\r\n?|\n")
 _BLANKS = re.compile(r"[ \t\v\f]+")
 _TOKEN = re.compile(r"-?[0-9]+")
 # after line ends become \n: blank and comment lines, then the header
-_HEAD = re.compile(r"(?:[ \t\v\f]*(?:c.*)?\n)*[ \t\v\f]*p[^ \t\v\f\n]*[ \t\v\f]+cnf"
+_HEAD = re.compile(r"(?:[ \t\v\f]*(?:c.*)?\n)*[ \t\v\f]*p[ \t\v\f]+cnf"
                    r"[ \t\v\f]+([0-9]+)[ \t\v\f]+([0-9]+)[ \t\v\f]*(?:\n|\Z)")
 _COMMENT = re.compile(r"^[ \t\v\f]*c.*", re.MULTILINE)
 _CLAUSE_BYTES = b"0123456789- \t\v\f\n"
@@ -271,7 +263,7 @@ def _raise_first_error(text: str, strict: bool) -> NoReturn:
             if v is not None:
                 raise ParseError(f"line {lineno}: duplicate header")
             parts = _BLANKS.split(line)
-            if (len(parts) != 4 or parts[1] != "cnf"
+            if (len(parts) != 4 or parts[:2] != ["p", "cnf"]
                     or not all(map(_TOKEN.fullmatch, parts[2:]))):
                 raise ParseError(f"line {lineno}: malformed header {line!r}")
             v, declared_m = int(parts[2]), int(parts[3])
@@ -328,10 +320,11 @@ def gap_threshold_count(m: int, epsilon: float) -> int:
 
 
 def occurrence_bound(f: Formula) -> int:
-    """Max over variables of the number of clauses the variable appears in."""
+    """Max over variables of the number of clauses the variable appears in,
+    counted over the variables that occur, so its cost does not grow with v."""
     var = np.sort(np.abs(f.lits), axis=1)
     var[:, 1:][var[:, 1:] == var[:, :-1]] = 0  # each variable once per clause
-    return int(np.bincount(var.ravel())[1:].max())
+    return int(np.unique(var[var != 0], return_counts=True)[1].max())
 
 
 def _index_to_assignment(k: int, v: int) -> Assignment:

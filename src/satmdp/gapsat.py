@@ -86,11 +86,17 @@ def bounded_occurrence_transform(f: Formula, b: int) -> Formula:
         return f
 
     rows = [[x for x in row if x] for row in f.lits.tolist()]
+    # 1-based var -> the clauses it occurs in, each once; only the variables
+    # that occur, since the declared v may be far larger
+    occ_of: dict[int, list[int]] = {}
+    for ci, row in enumerate(rows):
+        for var in {abs(x) for x in row}:
+            occ_of.setdefault(var, []).append(ci)
     next_var = f.v
     # 1-based var -> {clause index -> 1-based copy variable}, for clause rewriting
     copy_of: dict[int, dict[int, int]] = {}
     cycles: list[list[int]] = []
-    for var, occ in enumerate(f.occ, start=1):
+    for var, occ in sorted(occ_of.items()):
         if len(occ) <= b - 2:
             continue
         occurrences = [(ci, all(x < 0 for x in rows[ci] if abs(x) == var))

@@ -443,14 +443,15 @@ def enumerate_reachable(inst: MdpInstance, budget: int = 500_000):
 
 
 def summary_tree(inst: MdpInstance, budget: int):
-    """The tree `enumerate_reachable(inst, budget)` would list, walked one
-    level at a time with each round summary's states merged into one node,
-    or None where it would raise ResourceLimitError. Returns (nodes,
-    children, mult): `nodes[i]` is one state of its summary, expanded once;
-    `children[i]` its distinct child nodes in action order, each above i;
-    `mult[i]` the number of tree states sharing it, so `sum(mult)` is the
-    state count. The walk stops once that count passes `budget`, within
-    budget + 2 transitions; the tree check stays in `enumerate_reachable`.
+    """The tree `enumerate_reachable(inst, budget)` lists, walked one level
+    at a time with each round summary's states merged into one node; None
+    exactly where `enumerate_reachable` raises ResourceLimitError. Returns
+    (nodes, children, mult): `nodes[i]` is the first state of its summary in
+    the enumeration's breadth-first order, expanded once; `children[i]` its
+    distinct child nodes in action order, each above i; `mult[i]` the number
+    of tree states sharing it, so `sum(mult)` is the state count. The walk
+    stops once that count passes `budget`, within budget + 2 transitions;
+    the tree check stays in `enumerate_reachable`.
     """
     nodes, children, mult = [initial_state(inst)], [], [1]
     counted, level_end, below = 1, 1, {}

@@ -504,6 +504,18 @@ def test_transform_cli(tmp_path):
     assert occurrence_bound(psi) <= 6
 
 
+def test_transform_reads_only_the_variables_that_occur(tmp_path):
+    # the declared v is far past any table over all variables: the occurrence
+    # count and the copy lists must come from the clauses alone
+    v = 10**15
+    path = tmp_path / "wide.cnf"
+    path.write_text(f"p cnf {v} 7\n" + f"1 2 {v} 0\n" * 7)
+    rc = main(["transform", "--cnf", str(path), "--b", "6",
+               "--out", str(tmp_path / "rep.json")])
+    assert rc == 0
+    assert read_json(tmp_path / "rep.json")["outcomes"]["b_achieved"] <= 6
+
+
 @pytest.mark.parametrize("command", ["transform", "verify-claims"])
 def test_unwritable_output_is_a_usage_error(tmp_path, cnf_file, capsys, command):
     # a path under a regular file cannot be created

@@ -65,7 +65,7 @@ def reference_parse_dimacs(text, strict=True):
                 raise ParseError(f"line {lineno}: duplicate header")
             parts = _REF_BLANKS.split(line)
             try:
-                if (len(parts) != 4 or parts[1] != "cnf"
+                if (len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf"
                         or _REF_NON_DIMACS.search(parts[2] + parts[3])):
                     raise ValueError
                 v, declared_m = int(parts[2]), int(parts[3])
@@ -118,7 +118,8 @@ def dimacs_texts(draw):
     of range, at the int64 bounds and past them, and tokens DIMACS does not
     have; clauses spread over lines or sharing one; comment lines anywhere;
     a clause count that is right or one off; a header that is first, late,
-    doubled or missing; any blank runs and line ends."""
+    doubled or missing, and whose keyword is mostly `p` but may only start
+    with it; any blank runs and line ends."""
     v = draw(st.integers(3, 6))
     n = draw(st.integers(1, 4))
     tokens = []
@@ -145,7 +146,8 @@ def dimacs_texts(draw):
         lines.append(" ".join(line))
     declared = n + draw(st.sampled_from((0,) * 8 + (1, -1)))
     header = draw(st.sampled_from(_BLANK_RUNS)).join(
-        ["p", "cnf", str(draw(st.sampled_from((v,) * 8 + (0, 10**20)))), str(declared)])
+        [draw(st.sampled_from(("p",) * 8 + ("pfoo", "problem"))), "cnf",
+         str(draw(st.sampled_from((v,) * 8 + (0, 10**20)))), str(declared)])
     place = draw(st.sampled_from(("first",) * 8 + ("late", "twice", "missing")))
     if place != "missing":
         lines.insert(1 if place == "late" else 0, header)
@@ -236,6 +238,14 @@ def test_parse_ends_lines_only_at_lf_crlf_and_cr(end):
     with pytest.raises(ParseError, match=re.escape(
             f"line 1: malformed header {'p cnf 3 1' + end + '1 2 3 0'!r}")):
         parse_dimacs(f"p cnf 3 1{end}1 2 3 0\n")
+
+
+@pytest.mark.parametrize("keyword", ["problem", "pfoo"])
+def test_parse_refuses_a_header_keyword_other_than_p(keyword):
+    with pytest.raises(ParseError, match=re.escape(
+            f"line 1: malformed header '{keyword} cnf 3 1'")):
+        parse_dimacs(f"{keyword} cnf 3 1\n1 2 3 0\n")
+    assert parse_dimacs("p\tcnf 3 1\n1 2 3 0\n") == formula_from_ints(3, [[1, 2, 3]])
 
 
 @pytest.mark.parametrize("text", ["p cnf 3 1\n1 2 3 -\n", "p cnf 3 1\n- 1 2 3 0\n"],

@@ -216,34 +216,6 @@ def test_encode_state_golden(figure_instance, two_round_game):
     assert h.hexdigest() == ENCODING_SHA256
 
 
-def test_tree_property_and_digest_uniqueness():
-    inst, _, _ = random_satisfiable_instance(23, v=5, h=2, epsilon=0.125)
-    states, children = enumerate_reachable(inst, budget=20_000)
-    digests = [state_digest(inst, s) for s in states]
-    # states are oracle keys: distinct nodes stay distinct without digests
-    assert len(set(states)) == len(set(digests)) == len(states)
-    # each non-root state has exactly one parent
-    parent_of = {}
-    for i, kids in enumerate(children):
-        for j in kids:
-            assert parent_of.setdefault(j, i) == i
-    assert set(parent_of) == set(range(1, len(states)))
-
-
-def test_enumerate_respects_budget(figure_instance):
-    with pytest.raises(ResourceLimitError):
-        enumerate_reachable(figure_instance, budget=2)
-
-
-def test_enumerate_budget_is_the_state_count():
-    inst, _, _ = random_satisfiable_instance(23, v=5, h=2, epsilon=0.125)
-    states, _ = enumerate_reachable(inst, budget=20_000)
-    assert any(s.stage == STAGE_TWO for s in states)
-    assert enumerate_reachable(inst, budget=len(states))[0] == states
-    with pytest.raises(ResourceLimitError):
-        enumerate_reachable(inst, budget=len(states) - 1)
-
-
 def test_enumerate_refuses_a_state_with_two_parents(monkeypatch):
     # every depth-one node's action 0 leads to the first such child made,
     # so the second depth-one node reaches a state that already has a parent
@@ -263,32 +235,67 @@ def test_enumerate_refuses_a_state_with_two_parents(monkeypatch):
     assert len(merged) == 2 and merged[0] != merged[1]
 
 
-def _size(tree):
-    """The state count of a `summary_tree` answer, None where it refused."""
-    return None if tree is None else sum(tree[2])
+def merge_by_summary(states, children):
+    """`enumerate_reachable`'s breadth-first tree with the states of each round
+    summary (`mdp._summary`) merged into one node: (nodes, children, mult),
+    where node i is the first state of its summary, children[i] lists its
+    child nodes in action order and mult[i] counts its states. Asserts the
+    facts the merge rests on: the states are distinct, the children lists
+    split range(1, n) in order, and every state of a summary has the same
+    child summaries in action order."""
+    assert len(set(states)) == len(states)
+    assert [j for kids in children for j in kids] == list(range(1, len(states)))
+    index = {}
+    at = [index.setdefault(mdp._summary(s), len(index)) for s in states]
+    nodes, merged, mult = [None] * len(index), [None] * len(index), [0] * len(index)
+    for s, kids, i in zip(states, children, at):
+        kids = [at[j] for j in kids]
+        if mult[i]:
+            assert merged[i] == kids
+        else:
+            nodes[i], merged[i] = s, kids
+        mult[i] += 1
+    return nodes, merged, mult
+
+
+def _enumerated(inst, budget):
+    """`enumerate_reachable`'s tree at `budget`, None where it refuses."""
+    try:
+        return enumerate_reachable(inst, budget=budget)
+    except ResourceLimitError:
+        return None
+
+
+def check_summary_tree(inst, budget, tree, enumerated):
+    """Assert that `tree`, `summary_tree`'s answer at `budget`, is None exactly
+    where `enumerated`, `enumerate_reachable`'s, is, and otherwise that tree
+    merged by round summary, every child above its parent; and again one
+    state under the tree's size. Returns the state count, None where refused."""
+    if enumerated is None:
+        assert tree is None
+        return None
+    assert tree == merge_by_summary(*enumerated)
+    assert all(j > i for i, kids in enumerate(tree[1]) for j in kids)
+    n = len(enumerated[0])
+    if budget >= n:  # not yet checked under the tree's size
+        check_summary_tree(inst, n - 1, summary_tree(inst, n - 1),
+                           _enumerated(inst, n - 1))
+    return n
 
 
 def _gate_attempts(monkeypatch, draw):
-    """(instance, budget, summary_tree's state count) of every size-gate
-    attempt the sampler makes while `draw` runs."""
+    """(instance, budget, summary_tree's answer) of every size-gate attempt
+    the sampler makes while `draw` runs."""
     attempts, real = [], instances.summary_tree
 
     def spy(inst, budget):
         tree = real(inst, budget)
-        attempts.append((inst, budget, _size(tree)))
+        attempts.append((inst, budget, tree))
         return tree
 
     monkeypatch.setattr(instances, "summary_tree", spy)
     draw()
     return attempts
-
-
-def _enumerated_size(inst, budget):
-    """The state count `enumerate_reachable` gives at `budget`, None where it refuses."""
-    try:
-        return len(enumerate_reachable(inst, budget=budget)[0])
-    except ResourceLimitError:
-        return None
 
 
 def _criterion_1_draws():
@@ -310,21 +317,46 @@ def _linearity_draws():
 def test_summary_tree_agrees_with_enumeration_on_every_gate_attempt(
         monkeypatch, draw, n_attempts, n_refused):
     attempts = _gate_attempts(monkeypatch, draw)
-    for inst, budget, size in attempts:
-        assert size == _enumerated_size(inst, budget)
-    assert len(attempts) == n_attempts
-    assert sum(size is None for _, _, size in attempts) == n_refused
+    sizes = [check_summary_tree(inst, budget, tree, _enumerated(inst, budget))
+             for inst, budget, tree in attempts]
+    assert len(sizes) == n_attempts
+    assert sizes.count(None) == n_refused
+    # the smallest tree, a root and its three terminal children, is accepted
+    assert min(n for n in sizes if n is not None) == 4
 
 
-def test_summary_tree_budget_is_the_state_count(criterion_1_pool):
-    pool, _seconds = criterion_1_pool
-    for inst, states, _children in pool:
-        n = len(states)
-        assert _size(summary_tree(inst, n)) == n
-        assert _size(summary_tree(inst, 20_000)) == n
-        assert summary_tree(inst, n - 1) is None
-    # the smallest tree, a root and its three terminal children, is in the pool
-    assert min(len(states) for _, states, _ in pool) == 4
+def test_summary_tree_agrees_with_enumeration_on_the_sweep_trees(pool_trees):
+    """The tree_sweep trees outside the criterion-1 pool, those of seeds 1056
+    and 1068, are gate attempts of neither draw above; the other 14 are pool
+    trees, which the criterion-1 draws check."""
+    pool, sweep = pool_trees
+    missed = [tree for tree in sweep if all(tree is not t for t in pool)]
+    assert len(missed) == 2
+    for inst, states, children in missed:
+        tree = summary_tree(inst, 20_000)
+        assert check_summary_tree(inst, 20_000, tree, (states, children)) == len(states)
+
+
+def test_summary_tree_agrees_with_enumeration_at_a_terminal_root(
+        figure_formula, figure_instance):
+    # a start that meets the threshold: enumeration lists the terminal root
+    # at any budget, since it checks the budget only when it adds a child
+    done = build_instance(figure_formula, figure_instance.params,
+                          start=figure_instance.wstar_assignment())
+    assert initial_state(done).is_terminal
+    assert [check_summary_tree(done, budget, summary_tree(done, budget),
+                               _enumerated(done, budget))
+            for budget in range(4)] == [1] * 4
+
+
+def test_summary_tree_agrees_with_enumeration_on_the_figure_tree(figure_instance):
+    # the figure game ends after one step: a root and its three terminal children
+    n = len(enumerate_reachable(figure_instance)[0])
+    assert n == 4
+    assert [check_summary_tree(figure_instance, budget,
+                               summary_tree(figure_instance, budget),
+                               _enumerated(figure_instance, budget))
+            for budget in (2, n)] == [None, n]
 
 
 def test_summary_tree_work_is_bounded_by_its_budget(monkeypatch):
@@ -343,64 +375,6 @@ def test_summary_tree_work_is_bounded_by_its_budget(monkeypatch):
     monkeypatch.setattr(mdp, "transition", counting_transition)
     assert summary_tree(inst, 3_000) is None
     assert transitions[0] <= 3_000 + 2
-
-
-def test_summary_tree_matches_enumeration_at_the_edges(figure_formula,
-                                                       figure_instance):
-    # a start that meets the threshold: enumeration lists the terminal root
-    # at any budget, since it checks the budget only when it adds a child
-    params = params_for_rounds(v=5, h=2, p=2, q=2)
-    done = build_instance(figure_formula, params,
-                          start=figure_instance.wstar_assignment())
-    assert initial_state(done).is_terminal
-    for budget in range(4):
-        assert summary_tree(done, budget) == ([initial_state(done)], [[]], [1])
-        assert _enumerated_size(done, budget) == 1
-    n = len(enumerate_reachable(figure_instance)[0])
-    for budget in (n, n - 1, 4):
-        assert _size(summary_tree(figure_instance, budget)) == \
-            _enumerated_size(figure_instance, budget)
-    assert summary_tree(figure_instance, n - 1) is None
-
-
-def test_summary_tree_nodes_are_distinct_and_children_come_later(pool_trees):
-    """The bottom-up DPs over the DAG read each node after all its children,
-    and a node stands for one summary: every child index exceeds its
-    parent's, node summaries are distinct, and children[i] are node i's
-    moves in action order, mapped through `_summary`."""
-    pool, sweep = pool_trees
-    for inst, _states, _children in pool + sweep:
-        nodes, children, mult = summary_tree(inst, 20_000)
-        keys = [mdp._summary(s) for s in nodes]
-        assert len(set(keys)) == len(keys)
-        assert len(children) == len(mult) == len(nodes) and min(mult) >= 1
-        for i, (s, kids) in enumerate(zip(nodes, children)):
-            assert all(j > i for j in kids)
-            moves = (() if s.is_terminal
-                     else (0, 1, 2) if s.stage == STAGE_ONE else (0, 1))
-            assert [keys[j] for j in kids] == [
-                mdp._summary(transition(inst, s, a)) for a in moves]
-
-
-def test_equal_round_summaries_root_equal_subtrees(criterion_1_pool):
-    """The facts summary_tree rests on: states with equal round summaries
-    (every field but `step` and `chain`) have equal clause counts, eligible
-    masks, subtree sizes, steps and terminal flags, so one level of the walk
-    holds all of a summary's states."""
-    pool, _seconds = criterion_1_pool
-    shared = 0
-    for _inst, states, children in pool:
-        sizes = [1] * len(states)
-        for i in reversed(range(len(states))):
-            sizes[i] += sum(sizes[j] for j in children[i])
-        seen = {}
-        for s, size in zip(states, sizes):
-            n, stage, cursor, w, w_round, free, round_dists, *_ = s
-            key = (n, stage, cursor, w, w_round, free, round_dists)
-            facts = (s.sat_count, s.eligible, size, s.step, s.is_terminal)
-            assert seen.setdefault(key, facts) == facts
-        shared += len(states) - len(seen)
-    assert shared > 0
 
 
 @pytest.mark.parametrize("budget", [-1, 0, 1, 2, 3])
@@ -456,16 +430,6 @@ def test_pool_features_golden(pool_trees):
         for s in states:
             h.update(features_state(inst, s).tobytes())
     assert h.hexdigest() == POOL_FEATURES_SHA256
-
-
-def test_states_at_different_steps_are_distinct():
-    inst, _, _ = random_satisfiable_instance(29, v=4, h=2, epsilon=0.125)
-    states, _ = enumerate_reachable(inst, budget=20_000)
-    by_encoding = {}
-    for s in states:
-        key = encode_state(inst, s)
-        assert key not in by_encoding
-        by_encoding[key] = s
 
 
 def test_clause_tables_golden():

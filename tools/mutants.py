@@ -75,6 +75,17 @@ ACCURACY_CASES = tuple(
 TOYS = "src/satmdp/toys.py"
 CNF = "src/satmdp/cnf.py"
 CNF_TESTS = "tests/test_cnf.py::"
+CLI = "src/satmdp/cli.py"
+CLI_TESTS = "tests/test_cli.py::"
+THRESHOLDS = CLI_TESTS + "test_linearity_suite_holds_its_thresholds"
+SECOND_PASS = tuple(
+    "tests/test_caches.py::test_a_second_pass_over_a_sweep_of_trees_builds_no_value"
+    f"[{case}]" for case in ("sweep-1076-1524", "pool-1834-3635"))
+POLYFEAT = "src/satmdp/polyfeat.py"
+POLYFEAT_TESTS = "tests/test_polyfeat.py::"
+CELLS = POLYFEAT_TESTS + "test_cell_index_is_parity_free_and_used_counts"
+DRAWS = POLYFEAT_TESTS + "test_features_and_theta_golden_on_random_draws"
+SUBSETS = POLYFEAT_TESTS + "test_subset_masks_match_the_combinations_builder"
 REPORTING = "src/satmdp/reporting.py"
 REPORT_TESTS = "tests/test_cli.py::test_report_check_"
 AGREES = REPORT_TESTS + "agrees_with_jsonschema_on_mutants"
@@ -128,6 +139,11 @@ CATALOGUE = (
            "                    eligible=eligible, is_terminal=False)",
            (FIGURE,
             "tests/test_mdp.py::test_initial_state_terminates_when_start_satisfies")),
+    # the unsatisfied-clause mask at the root and at each rollover
+    Mutant("unsat mask read from the high bit", MDP,
+           'f"{w:0{inst.formula.v}b}"[::-1]',
+           'f"{w:0{inst.formula.v}b}"',
+           ("tests/test_mdp.py::test_unsat_mask_matches_a_clause_scan_at_v768",)),
     Mutant("_summary without the flag", MDP,
            "    return s[:7] + s[9:]",
            "    return s[:7] + s[9:11]",
@@ -136,7 +152,7 @@ CATALOGUE = (
     Mutant("budget checked at a terminal root", MDP,
            "        if kids and counted > budget:",
            "        if counted > budget:",
-           ("tests/test_mdp.py::test_summary_tree_matches_enumeration_at_the_edges",)),
+           ("tests/test_mdp.py::test_summary_tree_agrees_with_enumeration_at_a_terminal_root",)),
     Mutant("multiplicity overwritten, not added", MDP,
            "            mult[j] += mult[i]",
            "            mult[j] = mult[i]",
@@ -148,7 +164,7 @@ CATALOGUE = (
     Mutant("no summary merge", MDP,
            "            j = below.setdefault(_summary(child), len(nodes))",
            "            j = len(nodes)",
-           ("tests/test_mdp.py::test_summary_tree_nodes_are_distinct_and_children_come_later",
+           (GATE_POOL,
             "tests/test_agents.py::test_summary_dag_agrees_with_the_tree_at_every_pool_state")),
     Mutant("one summary dict for the whole walk", MDP,
            "        if i == level_end:",
@@ -183,6 +199,42 @@ CATALOGUE = (
            "    signed[sign:sign + coef.size] = coef.ravel()",
            (EXACT_POOL, EXACT_P4, EXACT_V9,
             "tests/test_acceptance.py::test_criterion_1_linearity")),
+    # the cell index's subset sums, against itertools.combinations and the
+    # bit_count reference
+    Mutant("cell mask one bit too wide", POLYFEAT,
+           "index &= cell(2 * sign - 1)",
+           "index &= cell(4 * sign - 1)",
+           (CELLS + "[9-5]", CELLS + "[66-3]", DRAWS + "[48-5]", DRAWS + "[66-3]")),
+    Mutant("last subset block dropped", POLYFEAT,
+           "    for i, src, dst in blocks:",
+           "    for i, src, dst in blocks[:-1]:",
+           (SUBSETS + "[48-5]", SUBSETS + "[768-3]", CELLS + "[1-3]")),
+    Mutant("a free variable counted k, not k - 1", POLYFEAT,
+           "f * cell(k - 1)",
+           "f * cell(k)",
+           (CELLS + "[9-5]", CELLS + "[66-3]", DRAWS + "[48-5]")),
+    # the round-summary caches, sized to the sweeps they serve
+    Mutant("terminal-mean cache at 1024", "src/satmdp/reward.py",
+           "@lru_cache(maxsize=4096)",
+           "@lru_cache(maxsize=1024)",
+           SECOND_PASS),
+    Mutant("coefficient-table cache at 1024", POLYFEAT,
+           "@lru_cache(maxsize=4096)",
+           "@lru_cache(maxsize=1024)",
+           SECOND_PASS),
+    # verify-claims' linearity suite, at ten times each threshold
+    Mutant("linearity threshold 1e-7", CLI,
+           "max_lin <= 1e-8",
+           "max_lin <= 1e-7",
+           (THRESHOLDS + "[2e-08-0.0-False]",)),
+    Mutant("optimality threshold 1e-8", CLI,
+           "max_opt <= 1e-9",
+           "max_opt <= 1e-8",
+           (THRESHOLDS + "[0.0-2e-09-False]",)),
+    Mutant("parser built on every call", CLI,
+           "@functools.cache\ndef build_parser()",
+           "def build_parser()",
+           (CLI_TESTS + "test_main_builds_its_parser_once_and_looks_commands_up_per_call",)),
     # the epsilon-net's cuts on integer-rounded features, against its
     # reference; unrounded, the H = 4 spec's twin siblings no longer tie
     Mutant("features not rounded", AGENTS,
@@ -281,6 +333,11 @@ CATALOGUE = (
            "    if 2 * v + 1 >= MAX_RANGE:",
            ("tests/test_reward.py::test_range_claim_refuses_points_over_its_limit",)),
     # the DIMACS bulk pass, whose refusals the line walk then names
+    Mutant("header keyword any word that starts with p", CNF,
+           r'[ \t\v\f]*p[ \t\v\f]+cnf"',
+           r'[ \t\v\f]*p[^ \t\v\f\n]*[ \t\v\f]+cnf"',
+           tuple(CNF_TESTS + f"test_parse_refuses_a_header_keyword_other_than_p[{word}]"
+                 for word in ("problem", "pfoo"))),
     Mutant("token count not checked against the values read", CNF,
            "if not len(values) == tokens == digit_runs:",
            "if False:",
