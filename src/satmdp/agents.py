@@ -20,6 +20,15 @@ The baselines and the reduction call an oracle through these names only;
 States are hashable and are their own keys: two are equal exactly when they
 are one node of the oracle's tree.
 
+The lattice-cover search's counts depend only on the key (d, H, k, ball
+bound B, rounding bits K) and on what it reads: each scored state's rounded
+features and whether each walked edge ends a trajectory. `_recordings` keeps
+the reads and counts of the last 8 searches, least recently used dropped. A
+search replays each recording of its key through its own oracle, walking
+every recorded edge and checking where it ends, reading every recorded
+state's features and comparing their bytes, and takes the recorded counts
+when all match; the oracle sees the same queries either way.
+
 A learner for the reduction is a callable on the oracle. It returns None, or
 an action path that `a_sat` then executes from the initial state, since the
 reduction also runs the learner's output policy.
@@ -27,6 +36,7 @@ reduction also runs the learner's output policy.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, product
@@ -368,6 +378,12 @@ def greedy_on_q(q: dict, oracle):
 MIN_ROLLOUTS = 64  # reward samples per distinct policy, at the least
 LINE_BUDGET = 10_000_000  # most lattice lines epsilon_net_search searches
 LINE_CHUNK = 8_192  # root lines searched together, in whole z_0 slabs
+RECORDINGS = 8  # searches whose counts epsilon_net_search keeps for replay
+
+# ((d, H, k, B, K), reads) -> (trajectory counts, cover points, lines) of each
+# search kept, least recently used first; reads are paths and bytes, never
+# states or oracles (`epsilon_net_search`)
+_recordings: OrderedDict = OrderedDict()
 
 
 def _check_accuracy(eps: float, delta: float, sample_cap: int = 1):
@@ -529,6 +545,22 @@ def epsilon_net_search(oracle, eps: float, delta: float):
     of whole z_0 slabs (`_lattice_lines`), so memory grows with LINE_CHUNK,
     not with the ball.
 
+    The counts depend only on (d, H, k, B, K) and on what the search reads:
+    the rounded features of each state it scores, and whether each edge it
+    walks ends a trajectory (a terminal, or depth H). `_recordings` keeps the
+    last RECORDINGS = 8 searches' reads, in the order first made, with their
+    counts, and drops the least recently used. A search first replays each
+    recording of its key through its own oracle, in recorded order: it walks
+    each recorded edge and checks where it ends, and reads each recorded
+    state's features and compares their bytes. A full match takes the
+    recorded counts and builds no line; the first mismatch falls through to
+    counting, which finds every read made so far in the search's caches.
+    Every read of a replay follows matched reads of its ancestors, so it is
+    one the search makes itself, in the same order: the oracle sees the same
+    queries and `info` is the same on a hit and on a miss. Toys of one
+    structure seed share their features, so every reward seed after a spec's
+    first replays.
+
     Candidates inducing the same action sequence share one estimate (the
     estimate depends only on the trajectory), so rollouts are spent per
     distinct policy, each sampled enough for a delta/|cover| union bound. A
@@ -563,57 +595,97 @@ def epsilon_net_search(oracle, eps: float, delta: float):
 
     s0 = oracle.initial_state()
     work = {"transitions": 0, "feature_calls": 0}
+    # (path, rounded-feature bytes) for each state scored and (path, whether
+    # the trajectory ends there) for each edge walked, in the order first read
+    reads = []
 
     @cache
-    def sa_features(s):
+    def sa_features(s, path):
         work["feature_calls"] += k
         feats = np.stack([oracle.features_sa(s, a) for a in range(k)])
         if not (np.abs(feats) <= 1).all():
             raise ParameterError(
                 f"features of state {s!r} have an entry outside [-1, 1]")
-        return np.rint(feats * scale)
+        rounded = np.rint(feats * scale)
+        reads.append((path, rounded.tobytes()))
+        return rounded
 
     @cache
     def child(s, a):
         work["transitions"] += 1
         return oracle.transition(s, a)
 
-    trajectory_counts: dict = {}
+    @cache
+    def ends(s, path):
+        end = oracle.is_terminal(s) or len(path) >= H
+        reads.append((path, end))
+        return end
 
-    def settle(s, path, count):
-        """Count `count` candidates whose trajectory ends at s; False if it goes on."""
-        if not (oracle.is_terminal(s) or len(path) >= H):
-            return False
-        trajectory_counts[path] = trajectory_counts.get(path, 0) + count
+    def replays(recorded):
+        """Whether each recorded read, made here in its order, gives its
+        recorded outcome; stops at the first that differs."""
+        states = {(): s0}
+        for path, seen in recorded:
+            if isinstance(seen, bytes):
+                if sa_features(states[path], path).tobytes() != seen:
+                    return False
+            else:
+                s = states[path] = child(states[path[:-1]], path[-1]) if path else s0
+                if ends(s, path) != seen:
+                    return False
         return True
 
-    cover_points = lines = 0
-    for rest, reach in _lattice_lines(d, bound):
-        points = int((2 * reach + 1).sum())
-        cover_points += points
-        lines += len(reach)
-        groups = [] if settle(s0, (), points) else [(s0, (), rest, -reach, reach)]
-        while groups:
-            s, prefix, rest, lo, hi = groups.pop()
-            cuts, upper, lower = _pair_cuts(sa_features(s), rest, lo, hi)
-            # action a takes [a_lo, a_end) of each line: above the cuts it is
-            # the upper action of, below those it is the lower one of
-            a_lo, a_end = [lo] * k, [hi + 1] * k
-            for p, (up, down) in enumerate(zip(upper.tolist(), lower.tolist())):
-                a_lo[up] = np.maximum(a_lo[up], cuts[p])
-                a_end[down] = np.minimum(a_end[down], cuts[p])
-            for a in range(k):
-                count = int(np.maximum(a_end[a] - a_lo[a], 0).sum())
-                if not count:
-                    continue
-                nxt, path = child(s, a), prefix + (a,)
-                # only groups that go on are copied out
-                if not settle(nxt, path, count):
-                    keep = a_end[a] > a_lo[a]
-                    # rest[:, keep] would come back F-ordered; compress keeps
-                    # each row contiguous for the cut passes
-                    groups.append((nxt, path, rest.compress(keep, axis=1),
-                                   a_lo[a][keep], a_end[a][keep] - 1))
+    def count_trajectories():
+        """(trajectory counts, cover points, lines), counted line by line."""
+        trajectory_counts: dict = {}
+
+        def settle(s, path, count):
+            """Count `count` candidates whose trajectory ends at s; False if it goes on."""
+            if not ends(s, path):
+                return False
+            trajectory_counts[path] = trajectory_counts.get(path, 0) + count
+            return True
+
+        cover_points = lines = 0
+        for rest, reach in _lattice_lines(d, bound):
+            points = int((2 * reach + 1).sum())
+            cover_points += points
+            lines += len(reach)
+            groups = [] if settle(s0, (), points) else [(s0, (), rest, -reach, reach)]
+            while groups:
+                s, prefix, rest, lo, hi = groups.pop()
+                cuts, upper, lower = _pair_cuts(sa_features(s, prefix), rest, lo, hi)
+                # action a takes [a_lo, a_end) of each line: above the cuts it
+                # is the upper action of, below those it is the lower one of
+                a_lo, a_end = [lo] * k, [hi + 1] * k
+                for p, (up, down) in enumerate(zip(upper.tolist(), lower.tolist())):
+                    a_lo[up] = np.maximum(a_lo[up], cuts[p])
+                    a_end[down] = np.minimum(a_end[down], cuts[p])
+                for a in range(k):
+                    count = int(np.maximum(a_end[a] - a_lo[a], 0).sum())
+                    if not count:
+                        continue
+                    nxt, path = child(s, a), prefix + (a,)
+                    # only groups that go on are copied out
+                    if not settle(nxt, path, count):
+                        keep = a_end[a] > a_lo[a]
+                        # rest[:, keep] would come back F-ordered; compress
+                        # keeps each row contiguous for the cut passes
+                        groups.append((nxt, path, rest.compress(keep, axis=1),
+                                       a_lo[a][keep], a_end[a][keep] - 1))
+        return trajectory_counts, cover_points, lines
+
+    key = (d, H, k, bound, bits)
+    hit = next((entry for entry in reversed(_recordings)
+                if entry[0] == key and replays(entry[1])), None)
+    if hit:
+        _recordings.move_to_end(hit)
+        trajectory_counts, cover_points, lines = _recordings[hit]
+    else:
+        trajectory_counts, cover_points, lines = count_trajectories()
+        _recordings[key, tuple(reads)] = trajectory_counts, cover_points, lines
+        if len(_recordings) > RECORDINGS:
+            _recordings.popitem(last=False)
 
     n_unique = len(trajectory_counts)
     n_roll = max(MIN_ROLLOUTS,

@@ -76,7 +76,9 @@ def bounded_occurrence_transform(f: Formula, b: int) -> Formula:
 
     Satisfiability is preserved exactly in both directions (the implication
     cycle forces all copies of a variable equal). Output is strict 3-CNF when
-    the input is; clause count grows by at most a factor of 7.
+    the input is; clause count grows by at most a factor of 7. Refuses with
+    FormulaError, before building anything, a v whose new variables would be
+    numbered past the int64 range.
     """
     if b < 5:
         raise ParameterError(
@@ -92,6 +94,12 @@ def bounded_occurrence_transform(f: Formula, b: int) -> Formula:
     for ci, row in enumerate(rows):
         for var in {abs(x) for x in row}:
             occ_of.setdefault(var, []).append(ci)
+    # one copy and one padding variable per occurrence of a heavy variable
+    added = 2 * sum(len(occ) for occ in occ_of.values() if len(occ) > b - 2)
+    if f.v + added >= 2**63:
+        raise FormulaError(
+            f"the transform numbers {added} new variables after v = {f.v}, "
+            f"past the int64 range")
     next_var = f.v
     # 1-based var -> {clause index -> 1-based copy variable}, for clause rewriting
     copy_of: dict[int, dict[int, int]] = {}

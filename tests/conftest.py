@@ -49,6 +49,29 @@ def random_lenient_formula(rng, v, m):
     return formula_from_ints(v, clauses, strict=False)
 
 
+def merge_by_summary(states, children):
+    """`enumerate_reachable`'s breadth-first tree with the states of each round
+    summary (`mdp._summary`) merged into one node: ((nodes, children, mult),
+    at), where node i is the first state of its summary, children[i] lists
+    its child nodes in action order, mult[i] counts its states and at[j] is
+    the node of tree state j. Asserts the facts the merge rests on: the
+    states are distinct, the children lists split range(1, n) in order, and
+    every state of a summary has the same child summaries in action order."""
+    assert len(set(states)) == len(states)
+    assert [j for kids in children for j in kids] == list(range(1, len(states)))
+    index = {}
+    at = [index.setdefault(satmdp.mdp._summary(s), len(index)) for s in states]
+    nodes, merged, mult = [None] * len(index), [None] * len(index), [0] * len(index)
+    for s, kids, i in zip(states, children, at):
+        kids = [at[j] for j in kids]
+        if mult[i]:
+            assert merged[i] == kids
+        else:
+            nodes[i], merged[i] = s, kids
+        mult[i] += 1
+    return (nodes, merged, mult), at
+
+
 @pytest.fixture
 def figure_formula():
     return formula_from_ints(5, FIGURE_CLAUSES)

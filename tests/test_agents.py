@@ -1,12 +1,13 @@
 import hashlib
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from itertools import combinations, islice, product
 from operator import mul
 
 import numpy as np
 import pytest
+from conftest import merge_by_summary
 from hypothesis import assume, example, given, settings, strategies as st
 
 from satmdp import agents, polyfeat, reward
@@ -49,7 +50,6 @@ from satmdp.instances import (
 from satmdp.mdp import (
     GAP_SATISFIED,
     MODE_SIMULATOR,
-    _summary,
     build_instance,
     enumerate_reachable,
     features_state,
@@ -142,21 +142,21 @@ def test_pool_values_golden(pool_trees):
 
 def test_summary_dag_agrees_with_the_tree_at_every_pool_state(pool_trees):
     """`summary_tree`'s DAG against the enumerated tree on every criterion-1
-    tree, on the instance and on its simulator twin: read at each tree
-    state's summary, `tree_optimal_values`, `tree_greedy_values` and
+    tree, on the instance and on its simulator twin: the DAG is the tree
+    merged by round summary (`merge_by_summary`), and read at each tree
+    state's node, `tree_optimal_values`, `tree_greedy_values` and
     <phi, theta(w*)> over the nodes equal their values over the tree bit for
-    bit, and each node counts the tree states of its summary."""
+    bit."""
     pool, _sweep = pool_trees
     for inst, states, children in pool:
         theta = polyfeat.theta_vector(inst.wstar_assignment(), inst.formula.v,
                                       inst.params.p)
         twin = build_instance(inst.formula, inst.params, mode=MODE_SIMULATOR)
+        dag, at = merge_by_summary(states, children)
         for game in (inst, twin):
-            nodes, dag_children, mult = summary_tree(game, 20_000)
-            index = {_summary(s): i for i, s in enumerate(nodes)}
-            at = [index[_summary(s)] for s in states]
-            assert sum(mult) == len(states)
-            assert Counter(at) == dict(enumerate(mult))
+            tree = summary_tree(game, 20_000)
+            assert tree == dag
+            nodes, dag_children, _mult = tree
             for values in (tree_optimal_values, tree_greedy_values):
                 on_dag = values(game, nodes, dag_children)
                 assert repr([on_dag[i] for i in at]) == \
@@ -747,6 +747,113 @@ def test_epsilon_net_matches_its_reference_on_small_toys(depth, k, dim, seed, to
         reference_epsilon_net(ToyLinearMdp(reward_seed=1, **spec), eps, 0.1)
 
 
+@pytest.fixture
+def net_memo(monkeypatch):
+    """Give this test an empty epsilon-net memo of its own, and return a
+    Counter of the searches' calls to `_lattice_lines` and `_pair_cuts`,
+    which a replayed partition skips."""
+    monkeypatch.setattr(agents, "_recordings", OrderedDict())
+    calls = Counter()
+    for name in ("_lattice_lines", "_pair_cuts"):
+        def spy(*args, name=name, real=getattr(agents, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(agents, name, spy)
+    return calls
+
+
+CRITERION_NET_SPECS = {"H3": EPSILON_NET_GOLDEN[0][0],
+                       "H4": EPSILON_NET_GOLDEN[1][0],
+                       "d3": EPSILON_NET_GOLDEN[2][0]}
+
+
+@pytest.mark.parametrize("spec", CRITERION_NET_SPECS.values(),
+                         ids=CRITERION_NET_SPECS.keys())
+def test_epsilon_net_replays_the_partition_of_a_spec_it_has_searched(
+        spec, net_memo, monkeypatch):
+    """A second reward seed of a criterion-8 spec reads the same features,
+    so its search counts no line: it equals the reference (d = 2), and at
+    every spec the search of an empty memo, which counts them all."""
+    epsilon_net_search(ToyLinearMdp(reward_seed=8000, **spec), eps=0.1, delta=0.1)
+    assert net_memo["_pair_cuts"] > 0
+    net_memo.clear()
+    hit = epsilon_net_search(ToyLinearMdp(reward_seed=8001, **spec), eps=0.1,
+                             delta=0.1)
+    assert net_memo == {}
+    if spec["dim"] == 2:
+        assert hit == reference_epsilon_net(ToyLinearMdp(reward_seed=8001, **spec),
+                                            eps=0.1, delta=0.1)
+    monkeypatch.setattr(agents, "_recordings", OrderedDict())
+    assert hit == epsilon_net_search(ToyLinearMdp(reward_seed=8001, **spec),
+                                     eps=0.1, delta=0.1)
+    assert net_memo["_pair_cuts"] > 0
+
+
+@pytest.mark.parametrize("spec", CRITERION_NET_SPECS.values(),
+                         ids=CRITERION_NET_SPECS.keys())
+def test_epsilon_net_asks_the_same_queries_on_a_hit_as_on_a_miss(spec, net_memo):
+    """The replay reads each recorded edge and feature table in the order the
+    search first read them, so the oracle sees the same transition and
+    feature queries, in the same order, and the same reward samples."""
+    miss = _CountingToy(reward_seed=1, **spec)
+    epsilon_net_search(miss, eps=0.1, delta=0.1)
+    net_memo.clear()
+    hit = _CountingToy(reward_seed=2, **spec)
+    _actions, info = epsilon_net_search(hit, eps=0.1, delta=0.1)
+    assert net_memo == {}
+    assert hit.transition_pairs == miss.transition_pairs
+    assert hit.feature_pairs == miss.feature_pairs
+    assert hit.reward_samples == miss.reward_samples == info["reward_samples"]
+    assert len(hit.transition_pairs) == info["transitions"]
+    assert len(hit.feature_pairs) == info["feature_calls"]
+
+
+def check_recount(toy, twin, net_memo):
+    """Search `toy` after a recording of its unchanged spec: the search counts
+    its lines again, equals the reference on `twin` (a toy built the same
+    way) and asks each transition and feature query once."""
+    net_memo.clear()
+    result = epsilon_net_search(toy, eps=0.1, delta=0.1)
+    assert net_memo["_pair_cuts"] > 0
+    assert result == reference_epsilon_net(twin, eps=0.1, delta=0.1)
+    _actions, info = result
+    assert len(set(toy.transition_pairs)) == len(toy.transition_pairs) \
+        == info["transitions"]
+    assert len(set(toy.feature_pairs)) == len(toy.feature_pairs) \
+        == info["feature_calls"]
+
+
+def test_epsilon_net_recounts_when_a_read_child_moves_one_rounding_unit(net_memo):
+    """The H = 3 spec with the root's features as recorded, but one feature of
+    node 1 (path (0,), which the search scores) moved by 2^-K."""
+    spec = NET_SPECS["H3"]
+    epsilon_net_search(ToyLinearMdp(reward_seed=1, **spec), eps=0.1, delta=0.1)
+    bits = agents._rounding_bits(2, math.isqrt(cover_bound(0.1, 3, 2)))
+
+    def moved():
+        toy = _CountingToy(reward_seed=2, **spec)
+        psi = toy._psi_sa.copy()
+        psi[3, 0] -= math.copysign(2.0 ** -bits, psi[3, 0])  # the pair (1, 0)
+        toy._psi_sa = psi
+        return toy
+
+    toy = moved()
+    shift = np.rint(toy._psi_sa * 2 ** bits) - np.rint(
+        ToyLinearMdp(**spec)._psi_sa * 2 ** bits)
+    assert np.abs(shift).sum() == 1 and shift[3, 0] != 0
+    check_recount(toy, moved(), net_memo)
+
+
+def test_epsilon_net_recounts_when_an_edge_settles_elsewhere(net_memo):
+    """The H = 3 spec with its features as recorded, but node 1 a leaf: the
+    search reads its edge, finds it ends there, and reads no feature of it."""
+    spec = NET_SPECS["H3"]
+    epsilon_net_search(ToyLinearMdp(reward_seed=1, **spec), eps=0.1, delta=0.1)
+    toy = _EarlyLeafToy(reward_seed=2, **spec)
+    check_recount(toy, _EarlyLeafToy(reward_seed=2, **spec), net_memo)
+    assert all(s != 1 for s, _a in toy.feature_pairs)
+
+
 # the cover at d = 1, 2, 3 (eps = 0.1) and d = 4 (eps = 0.2), with k = 3,
 # H = 2 and structure seed 3: the measured (1/eps)^d work of the search; a
 # convolution of the one-dimensional square counts gives the same points and
@@ -1044,6 +1151,13 @@ class _CountingToy(ToyLinearMdp):
         if self.exact_rewards:
             return self.exact_mean(s, a) * count
         return super().sample_reward_batch(s, a, count)
+
+
+class _EarlyLeafToy(_CountingToy):
+    """A toy whose node 1 (path (0,)) is terminal, every feature unchanged."""
+
+    def is_terminal(self, s):
+        return s == 1 or super().is_terminal(s)
 
 
 def split_work(k, dim, eps, delta, sample_cap, horizon, start, basis_sizes):

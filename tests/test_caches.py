@@ -1,15 +1,18 @@
 """Every functools cache in the package has a finite maxsize, or its key space
-is small by construction and stated here."""
+is small by construction and stated here; the one memo that is no functools
+cache, `satmdp.agents._recordings`, is checked against its bound by name."""
 import importlib
 import inspect
 import pkgutil
+from collections import OrderedDict
 
 import pytest
 
 import satmdp
-from satmdp import polyfeat, reward
-from satmdp.agents import tree_optimal_values
+from satmdp import agents, polyfeat, reward
+from satmdp.agents import epsilon_net_search, tree_optimal_values
 from satmdp.mdp import features_state
+from satmdp.toys import ToyLinearMdp
 
 # caches with no maxsize, each with the key space that bounds it
 UNBOUNDED = {
@@ -74,3 +77,35 @@ def test_a_second_pass_over_a_sweep_of_trees_builds_no_value(
                        reward.expected_reward.cache_info().misses))
     # the first pass builds each distinct summary's value once, the second none
     assert misses == [(tables, means)] * 2
+
+
+def test_the_epsilon_net_memo_keeps_its_most_recently_used_recordings(monkeypatch):
+    """`agents._recordings` holds at most `agents.RECORDINGS` = 8 lattice
+    partitions and drops the least recently used: after 9 structures the
+    first is gone, and a structure searched again outlives older ones."""
+    monkeypatch.setattr(agents, "_recordings", OrderedDict())
+    built = []
+
+    def lattice(*args, real=agents._lattice_lines):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(agents, "_lattice_lines", lattice)
+
+    def misses(*structure_seeds):
+        """Whether each search built the lattice, that is found no recording."""
+        out = []
+        for seed in structure_seeds:
+            count = len(built)
+            epsilon_net_search(ToyLinearMdp(depth=2, num_actions=2, dim=2,
+                                            structure_seed=seed, reward_seed=1),
+                               eps=1.0, delta=0.1)
+            out.append(len(built) > count)
+        return out
+
+    assert misses(*range(9)) == [True] * 9
+    assert len(agents._recordings) == agents.RECORDINGS == 8
+    # structure 0 went; structure 1 is read again, so structure 2 goes next
+    assert misses(1, 9) == [False, True]
+    assert len(agents._recordings) == 8
+    assert misses(1, 3, 9, 2, 0) == [False, False, False, True, True]

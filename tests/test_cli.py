@@ -516,6 +516,23 @@ def test_transform_reads_only_the_variables_that_occur(tmp_path):
     assert read_json(tmp_path / "rep.json")["outcomes"]["b_achieved"] <= 6
 
 
+def test_transform_refuses_a_v_its_new_variables_would_take_past_int64(
+        tmp_path, capsys):
+    # three variables in seven clauses each at b = 6: 21 copies and 21
+    # padding variables, numbered past v = 2^63 - 8
+    v = 2**63 - 8
+    path = tmp_path / "edge.cnf"
+    path.write_text(f"p cnf {v} 7\n" + "1 2 3 0\n" * 7)
+    assert main(["transform", "--cnf", str(path), "--b", "6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"v = {v}" in err
+    assert "clause" not in err
+    # the largest v whose 42 new variables stay inside int64 transforms
+    path.write_text(f"p cnf {2**63 - 43} 7\n" + "1 2 3 0\n" * 7)
+    assert main(["transform", "--cnf", str(path), "--b", "6",
+                 "--out", str(tmp_path / "rep.json")]) == 0
+
+
 @pytest.mark.parametrize("command", ["transform", "verify-claims"])
 def test_unwritable_output_is_a_usage_error(tmp_path, cnf_file, capsys, command):
     # a path under a regular file cannot be created

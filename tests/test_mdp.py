@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import POOL_COMBOS
+from conftest import POOL_COMBOS, merge_by_summary
 
 from satmdp import instances, mdp
 from satmdp.agents import SatOracle
@@ -235,29 +235,6 @@ def test_enumerate_refuses_a_state_with_two_parents(monkeypatch):
     assert len(merged) == 2 and merged[0] != merged[1]
 
 
-def merge_by_summary(states, children):
-    """`enumerate_reachable`'s breadth-first tree with the states of each round
-    summary (`mdp._summary`) merged into one node: (nodes, children, mult),
-    where node i is the first state of its summary, children[i] lists its
-    child nodes in action order and mult[i] counts its states. Asserts the
-    facts the merge rests on: the states are distinct, the children lists
-    split range(1, n) in order, and every state of a summary has the same
-    child summaries in action order."""
-    assert len(set(states)) == len(states)
-    assert [j for kids in children for j in kids] == list(range(1, len(states)))
-    index = {}
-    at = [index.setdefault(mdp._summary(s), len(index)) for s in states]
-    nodes, merged, mult = [None] * len(index), [None] * len(index), [0] * len(index)
-    for s, kids, i in zip(states, children, at):
-        kids = [at[j] for j in kids]
-        if mult[i]:
-            assert merged[i] == kids
-        else:
-            nodes[i], merged[i] = s, kids
-        mult[i] += 1
-    return nodes, merged, mult
-
-
 def _enumerated(inst, budget):
     """`enumerate_reachable`'s tree at `budget`, None where it refuses."""
     try:
@@ -274,7 +251,8 @@ def check_summary_tree(inst, budget, tree, enumerated):
     if enumerated is None:
         assert tree is None
         return None
-    assert tree == merge_by_summary(*enumerated)
+    dag, _at = merge_by_summary(*enumerated)
+    assert tree == dag
     assert all(j > i for i, kids in enumerate(tree[1]) for j in kids)
     n = len(enumerated[0])
     if budget >= n:  # not yet checked under the tree's size

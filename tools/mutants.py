@@ -238,8 +238,8 @@ CATALOGUE = (
     # the epsilon-net's cuts on integer-rounded features, against its
     # reference; unrounded, the H = 4 spec's twin siblings no longer tie
     Mutant("features not rounded", AGENTS,
-           "        return np.rint(feats * scale)",
-           "        return feats",
+           "        rounded = np.rint(feats * scale)",
+           "        rounded = feats",
            (NET_REF_H4,)),
     Mutant("K one bit past the limit", AGENTS,
            "    return 51 - (dim * (top + 1)).bit_length()",
@@ -264,6 +264,26 @@ CATALOGUE = (
            "    if slip >= cover:",
            "    if False:",
            (NET_REFUSES_SLIP,)),
+    # the epsilon-net's replay of a recorded partition: each read is made
+    # and checked, in the order the search first made it
+    Mutant("replay skips the feature comparison", AGENTS,
+           "                if sa_features(states[path], path).tobytes() != seen:",
+           "                if sa_features(states[path], path) is None:",
+           (NET + "recounts_when_a_read_child_moves_one_rounding_unit",)),
+    Mutant("replay skips the settle check", AGENTS,
+           "                if ends(s, path) != seen:",
+           "                if ends(s, path) is None:",
+           (NET + "recounts_when_an_edge_settles_elsewhere",)),
+    Mutant("a hit does not walk the recorded edges into leaves", AGENTS,
+           "            else:\n                s = states[path] =",
+           "            elif not seen:\n                s = states[path] =",
+           tuple(NET + f"asks_the_same_queries_on_a_hit_as_on_a_miss[{spec}]"
+                 for spec in ("H3", "H4", "d3"))),
+    Mutant("a hit left where it was recorded", AGENTS,
+           "        _recordings.move_to_end(hit)\n",
+           "",
+           ("tests/test_caches.py::"
+            "test_the_epsilon_net_memo_keeps_its_most_recently_used_recordings",)),
     # the toy's state checks
     Mutant("negative states take actions", TOYS,
            "if not 0 <= s < self._internal:",
